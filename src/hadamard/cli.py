@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
 from . import serialize
 from .harness import CorruptedSpace, check_lemmas, check_space_axioms
 from .sampling import stream
-from .solvers import ScheduleError, validate_schedules
+from .solvers import validate_schedules
 from .spaces import (
     Euclidean,
     Hyperbolic,
@@ -124,25 +123,13 @@ def main():
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--budget", type=int, default=None, help="Override the iteration budget.")
 @click.option("--output-dir", type=click.Path(), default=None, help="Override the output directory.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel worker threads for batches.")
-def run_cmd(configs, seed, budget, output_dir, jobs):
+def run_cmd(configs, seed, budget, output_dir):
     """Run solver experiments from JSON config files."""
+    # every input error (ConfigError, ScheduleError, InvalidSpaceError) is a ValueError
     try:
         cfgs = [_load_config(p, seed, budget, output_dir) for p in configs]
-    except (serialize.ConfigError, ScheduleError, InvalidSpaceError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
-
-    def one(cfg):
-        return run_to_files(cfg)
-
-    try:
-        if jobs > 1 and len(cfgs) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, cfgs))
-        else:
-            results = [one(cfg) for cfg in cfgs]
-    except (serialize.ConfigError, ScheduleError, ValueError) as exc:
+        results = [run_to_files(cfg) for cfg in cfgs]
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
 
@@ -205,7 +192,7 @@ def schedules_cmd(config_path):
     """Validate the schedule conditions of an experiment config."""
     try:
         cfg = _load_config(config_path, None, None, None)
-    except serialize.ConfigError as exc:
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
     report = validate_schedules(cfg.schedule)

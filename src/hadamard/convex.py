@@ -254,7 +254,7 @@ def project_point(
 # certificate probes
 
 
-def _set_scale(space: Space, cset: ConvexSetDescriptor, anchor: Point) -> float:
+def _set_scale(space: Space, cset: ConvexSetDescriptor) -> float:
     if isinstance(cset, Ball):
         return max(cset.radius, 1.0)
     if isinstance(cset, Segment):
@@ -378,7 +378,7 @@ def characterization_residual(
     enough from the projection relative to probe density.
     """
     scale = 1.0 + space.distance(x, u) ** 2
-    if not contains(space, cset, u, 1e-6 * _set_scale(space, cset, u) * scale):
+    if not contains(space, cset, u, 1e-6 * _set_scale(space, cset) * scale):
         raise ValueError("candidate u is not a member of the set")
     if isinstance(probes, int):
         pts = probe_points(space, cset, u, probes, seed)

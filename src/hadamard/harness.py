@@ -10,16 +10,22 @@ imply).
 Tolerances are relative: a check fails only when its slack drops below
 ``-eps * scale`` with scale = 1 + the sum of squared pairwise distances of
 the tuple (the inequalities are homogeneous of degree two in distances).
-Every report carries the worst witness observed, serialized so violations can
-be replayed standalone.
+Each property is written once, in a trial function that yields the slack of
+every property of its family for one random tuple; the same function checks,
+reports and replays.  Every report carries the worst witness observed: all of
+that trial's points, each encoded with ``serialize.point_to_json``, plus
+``lam``, e.g. ``{"a": {"coords": [...]}, ..., "e": {...}, "lam": 0.41}``.
+``replay_witness`` decodes it and reruns the trial, reproducing the worst
+margin exactly, for all 13 properties and on every space family.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
+from . import serialize
 from .geometry import cauchy_schwarz_gap, quasilinearization
 from .sampling import SamplingRegion, default_region, random_point, stream
 from .solvers import IterationTrace, PowerLaw
@@ -47,40 +53,30 @@ class _Collector:
         self.trials = 0
         self.violations = 0
         self.worst = math.inf
-        self.witness = None
+        self.inputs = None
 
-    def record(self, slack: float, scale: float, witness: dict) -> None:
+    def record(self, slack: float, scale: float, inputs: tuple) -> None:
         self.trials += 1
         if slack < self.worst:
             self.worst = slack
-            self.witness = witness
+            self.inputs = inputs
         if slack < -self.eps * scale:
             self.violations += 1
 
-    def report(self) -> PropertyReport:
+    def report(self, keys: tuple[str, ...]) -> PropertyReport:
+        witness = None
+        if self.inputs is not None:
+            *pts, lam = self.inputs
+            witness = {k: serialize.point_to_json(p) for k, p in zip(keys, pts)}
+            witness["lam"] = lam
         return PropertyReport(
             name=self.name,
             trials=self.trials,
             violations=self.violations,
             worst_margin=self.worst,
-            worst_witness=self.witness,
+            worst_witness=witness,
             tolerance=self.eps,
         )
-
-
-def _point_repr(p: Point):
-    if isinstance(p.data, tuple) and p.data and isinstance(p.data[0], Point):
-        return [_point_repr(p.data[0]), _point_repr(p.data[1])]
-    if isinstance(p.data, tuple):
-        return [x if isinstance(x, int) else float(x) for x in p.data]
-    return p.data
-
-
-def _witness(lam=None, **pts: Point) -> dict:
-    w = {k: _point_repr(p) for k, p in pts.items()}
-    if lam is not None:
-        w["lam"] = lam
-    return w
 
 
 def _tuple_scale(space: Space, pts: list[Point]) -> float:
@@ -92,6 +88,89 @@ def _tuple_scale(space: Space, pts: list[Point]) -> float:
     return s
 
 
+def _axiom_trial(space: Space, a: Point, b: Point, c: Point, d: Point, e: Point, lam: float):
+    """Metric axioms, geodesic interpolation contract, Cauchy-Schwarz and the
+    pairing identities on one tuple; yields (name, slack, scale)."""
+    scale = _tuple_scale(space, [a, b, c, d])
+    dab, dba = space.distance(a, b), space.distance(b, a)
+    yield "metric_symmetry", -abs(dab - dba), scale
+    dac, dbc = space.distance(a, c), space.distance(b, c)
+    yield "triangle_inequality", dab + dbc - dac, scale
+
+    z = space.geodesic_point(a, b, lam)
+    yield "geodesic_distance_to_start", -abs(space.distance(z, a) - (1.0 - lam) * dab), 1.0 + dab
+    yield "geodesic_distance_to_end", -abs(space.distance(z, b) - lam * dab), 1.0 + dab
+
+    yield "cauchy_schwarz", cauchy_schwarz_gap(space, a, b, c, d), scale
+
+    q_abcd = quasilinearization(space, a, b, c, d)
+    yield "pairing_symmetry", -abs(q_abcd - quasilinearization(space, c, d, a, b)), scale
+    yield "pairing_antisymmetry", -abs(q_abcd + quasilinearization(space, b, a, c, d)), scale
+    scale5 = _tuple_scale(space, [a, b, c, d, e])
+    yield "pairing_additivity", -abs(
+        quasilinearization(space, a, e, c, d) + quasilinearization(space, e, b, c, d) - q_abcd
+    ), scale5
+
+
+def _lemma_trial(space: Space, p: Point, q: Point, r: Point, s: Point, lam: float):
+    """The five geodesic interpolation inequalities on one tuple, with
+    mid = lam*p (+) (1-lam)*q; yields (name, slack, scale)."""
+    scale = _tuple_scale(space, [p, q, r, s])
+    mid = space.geodesic_point(p, q, lam)
+    z2 = space.geodesic_point(r, s, lam)
+    yield "joint_interpolation_nonexpansive", (
+        lam * space.distance(p, r) + (1.0 - lam) * space.distance(q, s) - space.distance(mid, z2)
+    ), scale
+
+    dxz, dyz = space.distance(p, r), space.distance(q, r)
+    dmid = space.distance(mid, r)
+    yield "distance_convex_along_geodesics", lam * dxz + (1.0 - lam) * dyz - dmid, scale
+    dxy = space.distance(p, q)
+    yield "squared_distance_strongly_convex", (
+        lam * dxz * dxz + (1.0 - lam) * dyz * dyz - lam * (1.0 - lam) * dxy * dxy - dmid * dmid
+    ), scale
+    yield "interpolation_pairing_bound", (
+        lam * quasilinearization(space, p, q, mid, s) - quasilinearization(space, mid, q, mid, s)
+    ), scale
+    yield "interpolation_cross_term_bound", (
+        lam * lam * dxz * dxz
+        + (1.0 - lam) * (1.0 - lam) * dyz * dyz
+        + 2.0 * lam * (1.0 - lam) * quasilinearization(space, p, r, q, r)
+        - dmid * dmid
+    ), scale
+
+
+# each trial family and the key of its sampling stream
+_FAMILIES = {_axiom_trial: 0xA, _lemma_trial: 0xB}
+# the pairing identities hold to rounding; checked at a tighter tolerance
+_TIGHT = {"pairing_symmetry": 1e-12}
+
+
+def _inputs(trial) -> tuple[str, ...]:
+    """Names of a trial's inputs after ``space``; they key its witnesses."""
+    code = trial.__code__
+    return code.co_varnames[1:code.co_argcount]
+
+
+def _check(trial, space: Space, trials: int, eps: float, seed: int, region) -> list[PropertyReport]:
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = stream(seed, _FAMILIES[trial])
+    sampler = getattr(space, "inner", space)  # corrupted wrappers sample from the real space
+    if region is None:
+        region = default_region(sampler)
+    keys = _inputs(trial)
+    cols: dict[str, _Collector] = {}
+    for _ in range(trials):
+        inputs = (*(random_point(sampler, region, rng) for _ in keys[:-1]), float(rng.random()))
+        for name, slack, scale in trial(space, *inputs):
+            col = cols.get(name)
+            if col is None:
+                col = cols[name] = _Collector(name, _TIGHT.get(name, eps))
+            col.record(slack, scale, inputs)
+    return [col.report(keys) for col in cols.values()]
+
+
 def check_space_axioms(
     space: Space,
     trials: int,
@@ -101,68 +180,7 @@ def check_space_axioms(
 ) -> list[PropertyReport]:
     """Metric axioms, geodesic interpolation contract, Cauchy-Schwarz, and
     the quasilinearization pairing identities, on random tuples."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = stream(seed, 0xA)
-    sampler = getattr(space, "inner", space)  # corrupted wrappers sample from the real space
-    if region is None:
-        region = default_region(sampler)
-    names = [
-        "metric_symmetry",
-        "triangle_inequality",
-        "geodesic_distance_to_start",
-        "geodesic_distance_to_end",
-        "cauchy_schwarz",
-        "pairing_symmetry",
-        "pairing_antisymmetry",
-        "pairing_additivity",
-    ]
-    cols = {n: _Collector(n, eps) for n in names}
-    # the pairing identities hold to rounding; checked at a tighter tolerance
-    cols["pairing_symmetry"].eps = 1e-12
-
-    for _ in range(trials):
-        a, b, c, d, e = (random_point(sampler, region, rng) for _ in range(5))
-        lam = float(rng.random())
-        scale = _tuple_scale(space, [a, b, c, d])
-        w = _witness(a=a, b=b, c=c, d=d)
-
-        dab, dba = space.distance(a, b), space.distance(b, a)
-        cols["metric_symmetry"].record(-abs(dab - dba), scale, w)
-        dac, dbc = space.distance(a, c), space.distance(b, c)
-        cols["triangle_inequality"].record(dab + dbc - dac, scale, w)
-
-        z = space.geodesic_point(a, b, lam)
-        tol_scale = 1.0 + dab
-        wlam = _witness(lam=lam, a=a, b=b)
-        cols["geodesic_distance_to_start"].record(
-            -abs(space.distance(z, a) - (1.0 - lam) * dab), tol_scale, wlam
-        )
-        cols["geodesic_distance_to_end"].record(
-            -abs(space.distance(z, b) - lam * dab), tol_scale, wlam
-        )
-
-        cols["cauchy_schwarz"].record(cauchy_schwarz_gap(space, a, b, c, d), scale, w)
-
-        q_abcd = quasilinearization(space, a, b, c, d)
-        cols["pairing_symmetry"].record(
-            -abs(q_abcd - quasilinearization(space, c, d, a, b)), scale, w
-        )
-        cols["pairing_antisymmetry"].record(
-            -abs(q_abcd + quasilinearization(space, b, a, c, d)), scale, w
-        )
-        w5 = _witness(a=a, b=b, c=c, d=d, x=e)
-        scale5 = _tuple_scale(space, [a, b, c, d, e])
-        cols["pairing_additivity"].record(
-            -abs(
-                quasilinearization(space, a, e, c, d)
-                + quasilinearization(space, e, b, c, d)
-                - q_abcd
-            ),
-            scale5,
-            w5,
-        )
-    return [cols[n].report() for n in names]
+    return _check(_axiom_trial, space, trials, eps, seed, region)
 
 
 def check_lemmas(
@@ -183,92 +201,24 @@ def check_lemmas(
     * squared distance to an interpolated point is bounded by the squared
       endpoint terms plus twice the endpoint pairing cross term.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = stream(seed, 0xB)
-    sampler = getattr(space, "inner", space)
-    if region is None:
-        region = default_region(sampler)
-    names = [
-        "joint_interpolation_nonexpansive",
-        "distance_convex_along_geodesics",
-        "squared_distance_strongly_convex",
-        "interpolation_pairing_bound",
-        "interpolation_cross_term_bound",
-    ]
-    cols = {n: _Collector(n, eps) for n in names}
-
-    for _ in range(trials):
-        p, q, r, s = (random_point(sampler, region, rng) for _ in range(4))
-        lam = float(rng.random())
-        scale = _tuple_scale(space, [p, q, r, s])
-        w = _witness(lam=lam, p=p, q=q, r=r, s=s)
-
-        z1 = space.geodesic_point(p, q, lam)
-        z2 = space.geodesic_point(r, s, lam)
-        cols["joint_interpolation_nonexpansive"].record(
-            lam * space.distance(p, r)
-            + (1.0 - lam) * space.distance(q, s)
-            - space.distance(z1, z2),
-            scale,
-            w,
-        )
-
-        x, y, zp, wp = p, q, r, s
-        mid = z1  # lam*x (+) (1-lam)*y
-        dxz, dyz = space.distance(x, zp), space.distance(y, zp)
-        dmid = space.distance(mid, zp)
-        cols["distance_convex_along_geodesics"].record(
-            lam * dxz + (1.0 - lam) * dyz - dmid, scale, w
-        )
-        dxy = space.distance(x, y)
-        cols["squared_distance_strongly_convex"].record(
-            lam * dxz * dxz
-            + (1.0 - lam) * dyz * dyz
-            - lam * (1.0 - lam) * dxy * dxy
-            - dmid * dmid,
-            scale,
-            w,
-        )
-        cols["interpolation_pairing_bound"].record(
-            lam * quasilinearization(space, x, y, mid, wp)
-            - quasilinearization(space, mid, y, mid, wp),
-            scale,
-            w,
-        )
-        cols["interpolation_cross_term_bound"].record(
-            lam * lam * dxz * dxz
-            + (1.0 - lam) * (1.0 - lam) * dyz * dyz
-            + 2.0 * lam * (1.0 - lam) * quasilinearization(space, x, zp, y, zp)
-            - dmid * dmid,
-            scale,
-            w,
-        )
-    return [cols[n].report() for n in names]
+    return _check(_lemma_trial, space, trials, eps, seed, region)
 
 
 def replay_witness(space: Space, report: PropertyReport) -> Optional[float]:
-    """Worst-witness slack for reports whose witness is a plain point tuple.
+    """Slack of ``report``'s property at its worst witness, recomputed from
+    the serialized witness alone; equals ``report.worst_margin`` exactly.
 
-    Returns None when the witness cannot be replayed generically.
+    Returns None when the report has no witness.
     """
-    # Witnesses store raw payloads; rebuilding Points suffices for flat spaces.
-    from .spaces import Product
-
-    if report.worst_witness is None or isinstance(space.descriptor, Product):
-        return None
-
-    def to_point(payload):
-        return Point(space.descriptor, tuple(payload))
-
     w = report.worst_witness
-    if report.name == "cauchy_schwarz" and all(k in w for k in "abcd"):
-        return cauchy_schwarz_gap(
-            space, to_point(w["a"]), to_point(w["b"]), to_point(w["c"]), to_point(w["d"])
-        )
-    if report.name == "triangle_inequality" and all(k in w for k in "abc"):
-        a, b, c = (to_point(w[k]) for k in "abc")
-        return space.distance(a, b) + space.distance(b, c) - space.distance(a, c)
+    if w is None:
+        return None
+    trial = next(t for t in _FAMILIES if set(_inputs(t)) == w.keys())
+    *keys, _ = _inputs(trial)
+    pts = (serialize.point_from_json(w[k], space.descriptor, k) for k in keys)
+    for name, slack, _ in trial(space, *pts, w["lam"]):
+        if name == report.name:
+            return slack
     return None
 
 

@@ -9,7 +9,9 @@ config re-parses to an identical experiment.  Real numbers are written with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, TextIO
 
 from . import convex, mappings, sampling, solvers, spaces
@@ -52,17 +54,18 @@ def space_to_json(desc: spaces.SpaceDescriptor) -> dict:
 def space_from_json(doc: dict, where: str = "space") -> spaces.SpaceDescriptor:
     t = _field(doc, "type", where)
     if t == "euclidean":
-        return spaces.Euclidean(dim=int(_field(doc, "dim", where)))
+        return spaces.Euclidean(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
     if t == "hyperbolic":
-        return spaces.Hyperbolic(dim=int(_field(doc, "dim", where)))
+        return spaces.Hyperbolic(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
     if t == "tree":
-        edges = tuple(
-            (int(u), int(v), float(length))
-            for u, v, length in _field(doc, "edges", where)
-        )
-        return spaces.WeightedTree(
-            spaces.TreeTopology(vertex_count=int(_field(doc, "vertices", where)), edges=edges)
-        )
+        edges = []
+        for i, edge in enumerate(_list(_field(doc, "edges", where), where + ".edges")):
+            edge = _numbers(float, edge, f"{where}.edges[{i}]")
+            if len(edge) != 3:
+                raise ConfigError(f"{where}.edges[{i}]: expected [u, v, length]")
+            edges.append((int(edge[0]), int(edge[1]), edge[2]))
+        vertices = _number(int, _field(doc, "vertices", where), where + ".vertices")
+        return spaces.WeightedTree(spaces.TreeTopology(vertex_count=vertices, edges=tuple(edges)))
     if t == "product":
         return spaces.Product(
             space_from_json(_field(doc, "left", where), where + ".left"),
@@ -89,8 +92,9 @@ def point_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "point
             ),
         )
     if isinstance(desc, spaces.WeightedTree):
-        return Point(desc, (int(_field(doc, "edge", where)), float(_field(doc, "offset", where))))
-    return Point(desc, tuple(float(c) for c in _field(doc, "coords", where)))
+        edge = _number(int, _field(doc, "edge", where), where + ".edge")
+        return Point(desc, (edge, _number(float, _field(doc, "offset", where), where + ".offset")))
+    return Point(desc, _numbers(float, _field(doc, "coords", where), where + ".coords"))
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +125,13 @@ def region_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "regi
     t = _field(doc, "type", where)
     if t == "box":
         return sampling.EuclideanBox(
-            tuple(float(c) for c in _field(doc, "lo", where)),
-            tuple(float(c) for c in _field(doc, "hi", where)),
+            _numbers(float, _field(doc, "lo", where), where + ".lo"),
+            _numbers(float, _field(doc, "hi", where), where + ".hi"),
         )
     if t == "ball":
         return sampling.HyperbolicBall(
             point_from_json(_field(doc, "center", where), desc, where + ".center"),
-            float(_field(doc, "radius", where)),
+            _number(float, _field(doc, "radius", where), where + ".radius"),
         )
     if t == "tree":
         return sampling.TreeWhole()
@@ -164,7 +168,7 @@ def convex_set_from_json(
     if t == "ball":
         return convex.Ball(
             point_from_json(_field(doc, "center", where), desc, where + ".center"),
-            float(_field(doc, "radius", where)),
+            _number(float, _field(doc, "radius", where), where + ".radius"),
         )
     if t == "segment":
         return convex.Segment(
@@ -172,11 +176,13 @@ def convex_set_from_json(
             point_from_json(_field(doc, "b", where), desc, where + ".b"),
         )
     if t == "subtree":
-        return convex.Subtree(frozenset(int(v) for v in _field(doc, "vertices", where)))
+        return convex.Subtree(
+            frozenset(_numbers(int, _field(doc, "vertices", where), where + ".vertices"))
+        )
     if t == "halfspace":
         return convex.HalfSpace(
-            tuple(float(c) for c in _field(doc, "normal", where)),
-            float(_field(doc, "offset", where)),
+            _numbers(float, _field(doc, "normal", where), where + ".normal"),
+            _number(float, _field(doc, "offset", where), where + ".offset"),
         )
     raise ConfigError(f"{where}: unknown convex set type {t!r}")
 
@@ -206,7 +212,7 @@ def mapping_from_json(
     if t == "rotation":
         return mappings.Rotation(
             point_from_json(_field(doc, "center", where), desc, where + ".center"),
-            float(_field(doc, "angle", where)),
+            _number(float, _field(doc, "angle", where), where + ".angle"),
         )
     if t == "projection":
         return mappings.ProjectionOnto(
@@ -214,7 +220,7 @@ def mapping_from_json(
         )
     if t == "average":
         return mappings.GeodesicAverage(
-            float(_field(doc, "weight", where)),
+            _number(float, _field(doc, "weight", where), where + ".weight"),
             mapping_from_json(_field(doc, "inner", where), desc, where + ".inner"),
         )
     if t == "composition":
@@ -225,7 +231,7 @@ def mapping_from_json(
             )
         )
     if t == "translation":
-        return mappings.Translation(tuple(float(c) for c in _field(doc, "vector", where)))
+        return mappings.Translation(_numbers(float, _field(doc, "vector", where), where + ".vector"))
     raise ConfigError(f"{where}: unknown mapping type {t!r}")
 
 
@@ -239,9 +245,9 @@ def power_law_to_json(law: solvers.PowerLaw) -> dict:
 
 def power_law_from_json(doc: dict, where: str) -> solvers.PowerLaw:
     return solvers.PowerLaw(
-        scale=float(_field(doc, "scale", where)),
-        power=float(_field(doc, "power", where)),
-        shift=float(doc.get("shift", 1.0)),
+        scale=_number(float, _field(doc, "scale", where), where + ".scale"),
+        power=_number(float, _field(doc, "power", where), where + ".power"),
+        shift=_number(float, doc.get("shift", 1.0), where + ".shift"),
     )
 
 
@@ -262,7 +268,7 @@ def schedule_from_json(doc: dict, where: str = "schedule") -> solvers.Schedule:
     if isinstance(mixing, dict):
         mixing = power_law_from_json(mixing, where + ".mixing")
     elif mixing is not None:
-        mixing = float(mixing)
+        mixing = _number(float, mixing, where + ".mixing")
     return solvers.Schedule(
         anchor=power_law_from_json(_field(doc, "anchor", where), where + ".anchor"),
         perturbation=power_law_from_json(
@@ -326,11 +332,15 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     algorithm = _field(doc, "algorithm", "$")
     if algorithm not in ("implicit", "explicit"):
         raise ConfigError(f"algorithm: expected 'implicit' or 'explicit', got {algorithm!r}")
-    budget = int(_field(doc, "budget", "$"))
+    budget = _number(int, _field(doc, "budget", "$"), "budget")
     if budget < 1:
         raise ConfigError("budget: must be at least 1")
+    # the name becomes a file name under the output directory
+    name = str(doc.get("name", "experiment"))
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"name: must be a single path component, got {name!r}")
     cfg = ExperimentConfig(
-        name=str(doc.get("name", "experiment")),
+        name=name,
         space=desc,
         convex_set=convex_set_from_json(_field(doc, "convex_set", "$"), desc),
         mapping=mapping_from_json(_field(doc, "mapping", "$"), desc),
@@ -338,10 +348,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         schedule=schedule_from_json(_field(doc, "schedule", "$")),
         basepoint=point_from_json(_field(doc, "basepoint", "$"), desc, "basepoint"),
         budget=budget,
-        seed=int(doc.get("seed", 0)),
-        outer_tol=float(doc.get("outer_tol", 0.0)),
-        inner_tol=float(doc.get("inner_tol", 1e-10)),
-        max_inner=int(doc.get("max_inner", 10**6)),
+        seed=_number(int, doc.get("seed", 0), "seed"),
+        outer_tol=_number(float, doc.get("outer_tol", 0.0), "outer_tol"),
+        inner_tol=_number(float, doc.get("inner_tol", 1e-10), "inner_tol"),
+        max_inner=_number(int, doc.get("max_inner", 10**6), "max_inner"),
         output_dir=str(doc.get("output_dir", ".")),
     )
     if "x0" in doc:
@@ -363,6 +373,29 @@ def _field(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(kind: type, value, where: str):
+    """``kind(value)`` when that is finite; otherwise a ConfigError naming
+    the JSON path ``where``."""
+    try:
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{where}: expected a finite {kind.__name__}, got {value!r}")
+
+
+def _list(values, where: str):
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {values!r}")
+    return values
+
+
+def _numbers(kind: type, values, where: str) -> tuple:
+    """A JSON list of numbers, each checked by ``_number``."""
+    return tuple(_number(kind, v, f"{where}[{i}]") for i, v in enumerate(_list(values, where)))
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 
@@ -379,4 +412,4 @@ def write_trace_csv(trace: solvers.IterationTrace, out: TextIO) -> None:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

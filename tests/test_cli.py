@@ -124,18 +124,65 @@ def test_run_bad_schedule_cites_condition(runner, tmp_path):
     assert "(i)" in result.output
 
 
-def test_run_jobs_batch(runner, tmp_path):
+def test_run_batch(runner, tmp_path):
     c1 = write_config(tmp_path, name="a.json", budget=60)
     doc = json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
     doc["name"] = "second"
     doc["budget"] = 60
     c2 = tmp_path / "b.json"
     c2.write_text(json.dumps(doc))
-    result = runner.invoke(
-        main, ["run", str(c1), str(c2), "--output-dir", str(tmp_path), "--jobs", "2"]
-    )
+    result = runner.invoke(main, ["run", str(c1), str(c2), "--output-dir", str(tmp_path)])
     assert (tmp_path / "segment-implicit.trace.csv").exists()
     assert (tmp_path / "second.trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "space, path",
+    [
+        ({"type": "euclidean", "dim": None}, "space.dim"),
+        ({"type": "euclidean", "dim": "x"}, "space.dim"),
+        ({"type": "tree", "vertices": 2, "edges": 5}, "space.edges"),
+    ],
+    ids=["dim-null", "dim-x", "edges-int"],
+)
+@pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])
+def test_typed_field_error_names_json_path(runner, tmp_path, command, space, path):
+    cfg = write_config(tmp_path, space=space)
+    result = runner.invoke(main, [*command, str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert path in result.output
+    assert "Traceback" not in result.output
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summaries_are_strict_json(runner, tmp_path):
+    cfg = write_config(tmp_path, name="nan.json", outer_tol=float("nan"))
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path / "nan")])
+    assert result.exit_code == 2, result.output
+    assert "outer_tol" in result.output
+    assert not (tmp_path / "nan").exists()
+
+    cfg = write_config(tmp_path, budget=10)
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    summary = (tmp_path / "segment-implicit.summary.json").read_text()
+    json.loads(summary, parse_constant=_reject_constant)
+
+
+def test_run_writes_only_under_output_dir(runner, tmp_path):
+    doc = json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
+    doc["name"] = "../escape"
+    doc["budget"] = 10
+    cfg = tmp_path / "escape.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "name:" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.json"]
 
 
 def test_verify_clean_space(runner):

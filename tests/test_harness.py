@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 
 import pytest
 
 import hadamard as hd
+from hadamard.harness import replay_witness
 from hadamard.solvers import IterationTrace, TraceRow
 from conftest import ept
 
@@ -37,24 +40,21 @@ def test_trials_must_be_positive(E2):
         hd.check_lemmas(E2, trials=0)
 
 
-def test_corrupted_space_is_flagged_with_replayable_witness(E2):
-    cor = hd.CorruptedSpace(E2)
+@pytest.mark.parametrize("space", ["E2", "prod"], ids=["E2", "E2xH2"])
+def test_corrupted_space_is_flagged_with_replayable_witness(space, request):
+    cor = hd.CorruptedSpace(request.getfixturevalue(space))
     reports = hd.check_space_axioms(cor, trials=500, eps=1e-8, seed=1)
+    reports += hd.check_lemmas(cor, trials=500, eps=1e-8, seed=1)
     bad = [r for r in reports if r.violations]
-    assert bad, "the corrupted metric must violate something"
     names = {r.name for r in bad}
     assert "triangle_inequality" in names
     assert "cauchy_schwarz" in names
-    replayed = 0
-    from hadamard.harness import replay_witness
-
     for r in bad:
-        slack = replay_witness(cor, r)
-        if slack is not None:
-            assert slack == pytest.approx(r.worst_margin, rel=1e-9)
-            assert slack < 0
-            replayed += 1
-    assert replayed >= 2
+        # replay from the witness as printed: plain JSON, no live Points
+        printed = dataclasses.replace(r, worst_witness=json.loads(json.dumps(r.worst_witness)))
+        slack = replay_witness(cor, printed)
+        assert slack == r.worst_margin, r.name
+        assert slack < 0
 
 
 def test_corrupted_space_lemma_violations(E2):
