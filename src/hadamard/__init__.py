@@ -15,6 +15,7 @@ from .convex import (
     Subtree,
     WholeSpace,
     characterization_residual,
+    compile_set,
     contains,
     probe_points,
     project,

@@ -16,18 +16,16 @@ defaults here are tuned for displacements of order 1e-2 on unit-scale sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
-
+from typing import Callable, Optional, Sequence, Union
 
 from .geometry import quasilinearization
 from .sampling import sample_in_ball, stream
 from .spaces import (
-    Euclidean,
     EuclideanSpace,
     HyperbolicSpace,
     Point,
-    ProductSpace,
     Space,
     TreeSpace,
     minkowski,
@@ -82,6 +80,10 @@ class IncompatibleSetError(ValueError):
     pass
 
 
+# a compiled metric projection, x -> (u, iterations); see compile_set
+Projection = Callable[[Point], tuple[Point, int]]
+
+
 def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
     if isinstance(cset, Ball):
         if cset.radius <= 0.0:
@@ -98,8 +100,12 @@ def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
     elif isinstance(cset, HalfSpace):
         if not isinstance(space, EuclideanSpace):
             raise IncompatibleSetError("half-space sets require Euclidean space")
-        if all(c == 0.0 for c in cset.normal):
-            raise IncompatibleSetError("half-space normal must be nonzero")
+        # the projection divides by |normal|^2: it must not underflow to a
+        # subnormal or 0, nor overflow
+        if not sys.float_info.min <= sum(c * c for c in cset.normal) < math.inf:
+            raise IncompatibleSetError(
+                "half-space normal is zero or its squared norm is out of floating-point range"
+            )
         if len(cset.normal) != space.dim:
             raise IncompatibleSetError("half-space normal has the wrong dimension")
 
@@ -164,6 +170,14 @@ def project_segment(
     endpoint ``a``; for the ternary path the bracket width at exit is below
     ``lam_tol`` (or the 200-iteration cap was hit).
     """
+    return _segment_projector(space, a, b, lam_tol)(x)
+
+
+def _segment_projector(
+    space: Space, a: Point, b: Point, lam_tol: float
+) -> Callable[[Point], tuple[float, Point, int]]:
+    """``x -> project_segment(space, a, b, x, lam_tol)``, with every constant
+    of the segment computed here, once."""
     if lam_tol <= 0.0:
         raise ValueError("lam_tol must be positive")
 
@@ -171,83 +185,134 @@ def project_segment(
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
         if ww == 0.0:
-            return 1.0, a, 0
-        lam = sum((xi - bi) * wi for xi, bi, wi in zip(x.data, b.data, w)) / ww
-        lam = min(1.0, max(0.0, lam))
-        return lam, space.geodesic_point(a, b, lam), 0
+            return lambda x: (1.0, a, 0)
+        bd = b.data
+
+        def affine(x: Point) -> tuple[float, Point, int]:
+            lam = sum((xi - bi) * wi for xi, bi, wi in zip(x.data, bd, w)) / ww
+            lam = min(1.0, max(0.0, lam))
+            return lam, space.geodesic_point(a, b, lam), 0
+
+        return affine
 
     if isinstance(space, HyperbolicSpace):
         d = space.distance(a, b)
         if d == 0.0:
-            return 1.0, a, 0
+            return lambda x: (1.0, a, 0)
         sd = math.sinh(d)
         cd = math.cosh(d)
         # unit tangent at b toward a; gamma(t) = cosh(t) b + sinh(t) v
         v = tuple((ai - cd * bi) / sd for ai, bi in zip(a.data, b.data))
-        A = -minkowski(x.data, b.data)
-        B = -minkowski(x.data, v)
-        if abs(B) >= A:  # only at rounding extremes; fall back to the endpoints
-            t = 0.0 if B > 0.0 else d
-        else:
-            t = min(d, max(0.0, math.atanh(-B / A)))
-        lam = t / d
-        return lam, space.geodesic_point(a, b, lam), 0
+        bd = b.data
 
-    def g(lam: float) -> float:
-        d = space.distance(x, space.geodesic_point(a, b, lam))
-        return d * d
+        def hyperbolic(x: Point) -> tuple[float, Point, int]:
+            A = -minkowski(x.data, bd)
+            B = -minkowski(x.data, v)
+            if abs(B) >= A:  # only at rounding extremes; fall back to the endpoints
+                t = 0.0 if B > 0.0 else d
+            else:
+                t = min(d, max(0.0, math.atanh(-B / A)))
+            lam = t / d
+            return lam, space.geodesic_point(a, b, lam), 0
 
-    lo, hi = 0.0, 1.0
-    it = 0
-    while hi - lo > lam_tol and it < TERNARY_MAX_ITER:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-        it += 1
-    lam = 0.5 * (lo + hi)
-    return lam, space.geodesic_point(a, b, lam), it
+        return hyperbolic
+
+    def ternary(x: Point) -> tuple[float, Point, int]:
+        def g(lam: float) -> float:
+            d = space.distance(x, space.geodesic_point(a, b, lam))
+            return d * d
+
+        lo, hi = 0.0, 1.0
+        it = 0
+        while hi - lo > lam_tol and it < TERNARY_MAX_ITER:
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if g(m1) <= g(m2):
+                hi = m2
+            else:
+                lo = m1
+            it += 1
+        lam = 0.5 * (lo + hi)
+        return lam, space.geodesic_point(a, b, lam), it
+
+    return ternary
 
 
-def _project_subtree(space: TreeSpace, cset: Subtree, x: Point) -> Point:
-    if _subtree_contains_point(space, cset, x, 0.0):
-        return space.canonical(x)
-    # from outside, the geodesic to any subtree point enters through the
-    # nearest subtree vertex
-    best_v = min(cset.vertices, key=lambda v: space.distance(x, space.vertex_point(v)))
-    return space.vertex_point(best_v)
+def compile_set(
+    space: Space, cset: ConvexSetDescriptor, lam_tol: float = DEFAULT_LAMBDA_TOL
+) -> Projection:
+    """The metric projection onto ``cset`` as a closure ``x -> (u, iterations)``.
+
+    The set is validated against the space once, here, and its constants
+    (segment length and direction, ball center and radius, half-space normal
+    norm) are computed once; the closure checks nothing, so it is what the
+    solver loops call.  ``iterations`` counts ternary-search steps and is 0
+    for every closed form.  The closure looks up ``space.distance`` and
+    ``space.geodesic_point`` on each call, so a wrapped handle sees every
+    primitive call.
+    """
+    _validate_set(space, cset)
+    if isinstance(cset, WholeSpace):
+        return lambda x: (x, 0)
+    if isinstance(cset, Ball):
+        center, radius = cset.center, cset.radius
+
+        def project_ball(x: Point) -> tuple[Point, int]:
+            d = space.distance(center, x)
+            if d <= radius:
+                return x, 0
+            return space.geodesic_point(center, x, 1.0 - radius / d), 0
+
+        return project_ball
+    if isinstance(cset, Segment):
+        a, b = cset.a, cset.b
+        # the membership test of ``contains`` at MEMBERSHIP_TOL
+        bound = space.distance(a, b) + MEMBERSHIP_TOL
+        nearest = _segment_projector(space, a, b, lam_tol)
+
+        def project_seg(x: Point) -> tuple[Point, int]:
+            if space.distance(a, x) + space.distance(x, b) <= bound:
+                return x, 0
+            _, u, it = nearest(x)
+            return u, it
+
+        return project_seg
+    if isinstance(cset, Subtree):
+        assert isinstance(space, TreeSpace)
+
+        def project_subtree(x: Point) -> tuple[Point, int]:
+            if _subtree_contains_point(space, cset, x, 0.0):
+                return space.canonical(x), 0
+            # from outside, the geodesic to any subtree point enters through
+            # the nearest subtree vertex
+            best_v = min(cset.vertices, key=lambda v: space.distance(x, space.vertex_point(v)))
+            return space.vertex_point(best_v), 0
+
+        return project_subtree
+    if isinstance(cset, HalfSpace):
+        normal, offset, desc = cset.normal, cset.offset, space.descriptor
+        nn = sum(n * n for n in normal)
+
+        def project_halfspace(x: Point) -> tuple[Point, int]:
+            dot = sum(n * c for n, c in zip(normal, x.data))
+            if dot >= offset:
+                return x, 0
+            t = (offset - dot) / nn
+            return Point(desc, tuple(c + t * n for c, n in zip(x.data, normal))), 0
+
+        return project_halfspace
+    raise IncompatibleSetError(f"unknown set {cset!r}")
 
 
 def project_point(
     space: Space, cset: ConvexSetDescriptor, x: Point, lam_tol: float = DEFAULT_LAMBDA_TOL
 ) -> tuple[Point, int]:
-    """Nearest point of the set, without certification. Returns (u, iterations)."""
-    _validate_set(space, cset)
-    if isinstance(cset, WholeSpace):
-        return x, 0
-    if isinstance(cset, Ball):
-        d = space.distance(cset.center, x)
-        if d <= cset.radius:
-            return x, 0
-        return space.geodesic_point(cset.center, x, 1.0 - cset.radius / d), 0
-    if isinstance(cset, Segment):
-        if contains(space, cset, x, MEMBERSHIP_TOL):
-            return x, 0
-        _, u, it = project_segment(space, cset.a, cset.b, x, lam_tol)
-        return u, it
-    if isinstance(cset, Subtree):
-        assert isinstance(space, TreeSpace)
-        return _project_subtree(space, cset, x), 0
-    if isinstance(cset, HalfSpace):
-        dot = sum(n * c for n, c in zip(cset.normal, x.data))
-        if dot >= cset.offset:
-            return x, 0
-        nn = sum(n * n for n in cset.normal)
-        t = (cset.offset - dot) / nn
-        return Point(space.descriptor, tuple(c + t * n for c, n in zip(x.data, cset.normal))), 0
-    raise IncompatibleSetError(f"unknown set {cset!r}")
+    """Nearest point of the set, without certification. Returns (u, iterations).
+
+    Compiles the set on every call; a loop that projects many points onto
+    one set should call :func:`compile_set` once and reuse its closure.
+    """
+    return compile_set(space, cset, lam_tol)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +404,7 @@ def probe_points(
     elif isinstance(cset, HalfSpace):
         assert isinstance(space, EuclideanSpace)
         scale = 1.0 + abs(cset.offset) + math.sqrt(sum(c * c for c in u.data))
+        project_halfspace = compile_set(space, cset)
         while len(pts) < count:
             w = Point(
                 space.descriptor,
@@ -347,7 +413,7 @@ def probe_points(
                     for c, g in zip(u.data, rng.standard_normal(space.dim))
                 ),
             )
-            pts.append(project_point(space, cset, w)[0])
+            pts.append(project_halfspace(w)[0])
     else:  # WholeSpace
         scale = 1.0
         while len(pts) < count:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import convex
-from .convex import ConvexSetDescriptor, project_point
+from .convex import ConvexSetDescriptor, compile_set
 from .spaces import (
     Euclidean,
     EuclideanSpace,
@@ -119,7 +119,11 @@ def _hyperbolic_rotation(space: HyperbolicSpace, center: Point, angle) -> Callab
     return apply
 
 
-@lru_cache(maxsize=None)
+# Compiled mappings kept by _compile; each key holds its space handle.
+COMPILE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Point]:
     if isinstance(mapping, Identity):
         return lambda p: p
@@ -132,10 +136,10 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
             return _hyperbolic_rotation(space, mapping.center, mapping.angle)
         raise ValueError("rotations are supported in Euclidean(2) and Hyperbolic(2) only")
     if isinstance(mapping, ProjectionOnto):
-        target = mapping.target
+        project = compile_set(space, mapping.target)
 
         def apply_proj(p: Point) -> Point:
-            return project_point(space, target, p)[0]
+            return project(p)[0]
 
         return apply_proj
     if isinstance(mapping, GeodesicAverage):

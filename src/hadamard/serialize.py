@@ -83,9 +83,16 @@ def point_to_json(p: Point) -> dict:
 
 
 def point_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "point") -> Point:
+    """Decode a point of ``desc``, checked against its space with
+    ``validate_point``: an invalid point is a ConfigError naming ``where``.
+
+    The point is tagged with the cached handle's own descriptor object, the
+    tag that lets the space primitives skip their per-call check.
+    """
+    space = make_space(desc)
     if isinstance(desc, spaces.Product):
         return Point(
-            desc,
+            space.descriptor,
             (
                 point_from_json(_field(doc, "left", where), desc.left, where + ".left"),
                 point_from_json(_field(doc, "right", where), desc.right, where + ".right"),
@@ -93,8 +100,14 @@ def point_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "point
         )
     if isinstance(desc, spaces.WeightedTree):
         edge = _number(int, _field(doc, "edge", where), where + ".edge")
-        return Point(desc, (edge, _number(float, _field(doc, "offset", where), where + ".offset")))
-    return Point(desc, _numbers(float, _field(doc, "coords", where), where + ".coords"))
+        data = (edge, _number(float, _field(doc, "offset", where), where + ".offset"))
+    else:
+        data = _numbers(float, _field(doc, "coords", where), where + ".coords")
+    p = Point(space.descriptor, data)
+    problem = spaces.validate_point(space, p)
+    if problem is not None:
+        raise ConfigError(f"{where}: {problem}")
+    return p
 
 
 # ---------------------------------------------------------------------------

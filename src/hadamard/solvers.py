@@ -24,6 +24,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .convex import (
     ConvexSetDescriptor,
+    Projection,
+    compile_set,
     contains,
     probe_points,
     project_point,
@@ -208,7 +210,7 @@ class TraceRow:
 class IterationTrace:
     rows: list[TraceRow] = field(default_factory=list)
     points: list[Point] = field(default_factory=list)
-    status: str = "budget"  # "converged" | "budget"
+    status: str = "budget"  # "converged" | "budget" | "inner_budget"
 
     @property
     def final(self) -> Point:
@@ -241,7 +243,7 @@ def _perturbation_point(
 
 def implicit_step(
     space: Space,
-    cset: ConvexSetDescriptor,
+    cset: Union[ConvexSetDescriptor, Projection],
     mapping: Callable[[Point], Point],
     anchor_weight: float,
     u: Point,
@@ -255,13 +257,17 @@ def implicit_step(
     The update map is a contraction with factor (1 - anchor_weight), so the
     a-posteriori bound d(x_k, x*) <= d(x_{k+1}, x_k)*(1-a)/a is available;
     the loop exits once that bound drops below ``inner_tol``.
+
+    ``cset`` is a set descriptor, compiled here once per call, or a closure
+    from :func:`compile_set`, as ``mapping`` is one from ``compile_mapping``.
     """
     if not (0.0 < anchor_weight < 1.0):
         raise ValueError("anchor weight must lie strictly between 0 and 1")
+    project = cset if callable(cset) else compile_set(space, cset)
     factor = (1.0 - anchor_weight) / anchor_weight
     x = x_start
     for it in range(1, max_inner + 1):
-        nxt = project_point(space, cset, space.geodesic_point(u, mapping(x), anchor_weight))[0]
+        nxt = project(space.geodesic_point(u, mapping(x), anchor_weight))[0]
         gap = space.distance(nxt, x) * factor
         x = nxt
         if gap <= inner_tol:
@@ -287,7 +293,9 @@ def run_implicit(
 
     Rejects schedules whose anchor weight or perturbation norm does not
     vanish.  Stops early once the fixed-point residual d(x, Tx) falls to
-    ``outer_tol``.
+    ``outer_tol``, or with status ``"inner_budget"`` once an inner solve
+    runs out of its ``max_inner`` iterations; the best inner iterate is then
+    the last row.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -299,19 +307,24 @@ def run_implicit(
         raise ScheduleError("perturbation norms must vanish")
 
     T = compile_mapping(space, mapping)
+    P = compile_set(space, cset)
     rng = stream(seed, STREAM_PERTURBATION)
     if region is None:
         region = default_region(space)
 
     trace = IterationTrace()
-    x = project_point(space, cset, base.o)[0]
+    x = P(base.o)[0]
     prev = x
     for m in range(1, budget + 1):
         a = schedule.anchor_at(m)
         if not (0.0 < a < 1.0):
             raise ScheduleError(f"anchor weight {a} at step {m} outside (0, 1)")
         u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(m))
-        x, _ = implicit_step(space, cset, T, a, u, x, inner_tol, max_inner)
+        try:
+            x, _ = implicit_step(space, P, T, a, u, x, inner_tol, max_inner)
+        except InnerBudgetError as err:
+            # the best inner iterate becomes the last row
+            x, trace.status = err.best, "inner_budget"
         residual = space.distance(x, T(x))
         row = TraceRow(n=m, fixed_residual=residual, step=space.distance(x, prev))
         if reference is not None:
@@ -320,6 +333,8 @@ def run_implicit(
         trace.rows.append(row)
         trace.points.append(x)
         prev = x
+        if trace.status == "inner_budget":
+            break
         if residual <= outer_tol:
             trace.status = "converged"
             break
@@ -370,6 +385,7 @@ def run_explicit(
         raise ValueError("starting point must belong to the constraint set")
 
     T = compile_mapping(space, mapping)
+    P = compile_set(space, cset)
     rng = stream(seed, STREAM_PERTURBATION)
     if region is None:
         region = default_region(space)
@@ -385,7 +401,7 @@ def run_explicit(
         residual = space.distance(x, tx)
         u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(n))
         y = space.geodesic_point(u, tx, a)
-        z = project_point(space, cset, y)[0]
+        z = P(y)[0]
         nxt = space.geodesic_point(x, z, 1.0 - b)
         row = TraceRow(
             n=n,

@@ -32,6 +32,9 @@ MAX_PRODUCT_DEPTH = 4
 # Tolerance on the hyperboloid constraint <x,x>_M = -1.
 HYPERBOLOID_TOL = 1e-9
 
+# Space handles kept by make_space; a tree handle holds an n x n table.
+SPACE_CACHE_SIZE = 32
+
 
 # ---------------------------------------------------------------------------
 # descriptors
@@ -119,6 +122,10 @@ class Space:
         raise NotImplementedError
 
     # -- shared plumbing
+    #
+    # ``distance`` and ``geodesic_point`` call these only off the fast path:
+    # a point tagged with this handle's own descriptor object needs no
+    # check, and neither does a weight inside [0, 1].
 
     def _check(self, *pts: Point) -> None:
         for p in pts:
@@ -143,12 +150,15 @@ class EuclideanSpace(Space):
         self.dim = desc.dim
 
     def distance(self, a: Point, b: Point) -> float:
-        self._check(a, b)
+        if a.space is not self.descriptor or b.space is not self.descriptor:
+            self._check(a, b)
         return math.dist(a.data, b.data)
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
-        self._check(x, y)
-        self._check_lambda(lam)
+        if x.space is not self.descriptor or y.space is not self.descriptor:
+            self._check(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
         xd, yd = x.data, y.data
         mu = 1.0 - lam
         return Point(self.descriptor, tuple(lam * a + mu * b for a, b in zip(xd, yd)))
@@ -182,7 +192,8 @@ class HyperbolicSpace(Space):
         self.base = Point(desc, (1.0,) + (0.0,) * desc.dim)
 
     def distance(self, a: Point, b: Point) -> float:
-        self._check(a, b)
+        if a.space is not self.descriptor or b.space is not self.descriptor:
+            self._check(a, b)
         # acosh(-<a,b>_M) evaluated in the cancellation-free form
         # 2*asinh(sqrt(<a-b, a-b>_M)/2); the Minkowski product is clamped so
         # the argument never leaves the domain under rounding.
@@ -205,8 +216,10 @@ class HyperbolicSpace(Space):
         return Point(self.descriptor, out)
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
-        self._check(x, y)
-        self._check_lambda(lam)
+        if x.space is not self.descriptor or y.space is not self.descriptor:
+            self._check(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
         d = self.distance(x, y)
         xd, yd = x.data, y.data
         if d < 1e-7:
@@ -337,7 +350,8 @@ class TreeSpace(Space):
     # -- metric
 
     def distance(self, a: Point, b: Point) -> float:
-        self._check(a, b)
+        if a.space is not self.descriptor or b.space is not self.descriptor:
+            self._check(a, b)
         ea, ta = a.data
         eb, tb = b.data
         if ea == eb:
@@ -406,8 +420,10 @@ class TreeSpace(Space):
         return segs
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
-        self._check(x, y)
-        self._check_lambda(lam)
+        if x.space is not self.descriptor or y.space is not self.descriptor:
+            self._check(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
         segs = self._segments(x, y)
         total = sum(abs(e - s) for _, s, e in segs)
         target = (1.0 - lam) * total
@@ -440,14 +456,17 @@ class ProductSpace(Space):
         return Point(self.descriptor, (a, b))
 
     def distance(self, a: Point, b: Point) -> float:
-        self._check(a, b)
+        if a.space is not self.descriptor or b.space is not self.descriptor:
+            self._check(a, b)
         dl = self.left.distance(a.data[0], b.data[0])
         dr = self.right.distance(a.data[1], b.data[1])
         return math.hypot(dl, dr)
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
-        self._check(x, y)
-        self._check_lambda(lam)
+        if x.space is not self.descriptor or y.space is not self.descriptor:
+            self._check(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
         return Point(
             self.descriptor,
             (
@@ -472,7 +491,7 @@ class ProductSpace(Space):
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def make_space(desc: SpaceDescriptor) -> Space:
     """Build (and cache) the validated handle for a space descriptor."""
     if isinstance(desc, Euclidean):

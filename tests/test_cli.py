@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -215,3 +216,84 @@ def test_schedules_check(runner, tmp_path):
     result = runner.invoke(main, ["schedules", "--check", str(bad)])
     assert result.exit_code == 1
     assert "FAIL" in result.output
+
+
+def _h2_config():
+    r = 1.5
+    ch, sh = math.cosh(r), math.sinh(r)
+    return {
+        "name": "h2-implicit",
+        "algorithm": "implicit",
+        "space": {"type": "hyperbolic", "dim": 2},
+        "convex_set": {"type": "ball", "center": {"coords": [1.0, 0.0, 0.0]}, "radius": 3.0},
+        "mapping": {
+            "type": "projection",
+            "set": {"type": "segment", "a": {"coords": [ch, sh, 0.0]}, "b": {"coords": [ch, -sh, 0.0]}},
+        },
+        "schedule": {
+            "anchor": {"scale": 1.0, "power": 1.0, "shift": 1.0},
+            "perturbation": {"scale": 1.0, "power": 2.0, "shift": 1.0},
+        },
+        "basepoint": {"coords": [1.0, 0.0, 0.0]},
+        "budget": 5,
+    }
+
+
+def _tree_config():
+    return {
+        "name": "tree-implicit",
+        "algorithm": "implicit",
+        "space": {"type": "tree", "vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]},
+        "convex_set": {"type": "whole"},
+        "mapping": {"type": "identity"},
+        "schedule": {
+            "anchor": {"scale": 1.0, "power": 1.0, "shift": 1.0},
+            "perturbation": {"scale": 1.0, "power": 2.0, "shift": 1.0},
+        },
+        "basepoint": {"edge": 1, "offset": 0.5},
+        "budget": 5,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(_h2_config(), reference={"coords": [0.0, 0.0]}), "reference: expected 3 coordinates, got 2"),
+        (
+            dict(json.loads((CONFIG_DIR / "segment_explicit.json").read_text()), x0={"coords": [1.0, 2.0, 3.0]}),
+            "x0: expected 2 coordinates, got 3",
+        ),
+        (dict(_tree_config(), basepoint={"edge": 0, "offset": 1.5}), "basepoint: offset 1.5 outside [0, 1.0]"),
+    ],
+    ids=["h2-reference-2d", "e2-x0-3d", "tree-offset-past-edge"],
+)
+def test_config_point_checked_at_load(runner, tmp_path, doc, message):
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_valid_h2_and_tree_configs_still_run(runner, tmp_path):
+    for doc in (dict(_h2_config(), reference={"coords": [1.0, 0.0, 0.0]}), _tree_config()):
+        cfg = tmp_path / f"{doc['name']}.json"
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
+        assert result.exit_code in (0, 1), result.output
+        assert (tmp_path / f"{doc['name']}.summary.json").exists()
+
+
+def test_run_inner_budget_is_a_status(runner, tmp_path):
+    cfg = write_config(tmp_path, max_inner=1)
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "Traceback" not in result.output
+    summary = json.loads((tmp_path / "segment-implicit.summary.json").read_text())
+    assert summary["status"] == "inner_budget"
+    rows = (tmp_path / "segment-implicit.trace.csv").read_text().splitlines()
+    assert len(rows) == 1 + summary["steps"]
+    assert rows[-1].split(",")[0] == str(summary["steps"])

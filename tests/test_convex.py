@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hadamard as hd
 from hadamard.convex import IncompatibleSetError
@@ -30,6 +33,10 @@ def test_set_space_compatibility_enforced(E2, tree):
         hd.contains(E2, hd.Subtree(frozenset({0, 1})), ept(E2, 0.0, 0.0))
     with pytest.raises(IncompatibleSetError):
         hd.contains(tree, hd.HalfSpace((1.0,), 0.0), hd.tree_point(tree, 0, 0.5))
+    # |normal|^2 is 0, underflows or overflows
+    for normal in ((0.0, 0.0), (0.0, 5e-324), (1e-160, 0.0), (1e200, 0.0)):
+        with pytest.raises(IncompatibleSetError):
+            hd.project_point(E2, hd.HalfSpace(normal, 1.0), ept(E2, -1.0, 0.0))
     with pytest.raises(IncompatibleSetError):
         # vertices 0 and 4 are not adjacent in the caterpillar
         hd.project_point(tree, hd.Subtree(frozenset({0, 4})), hd.tree_point(tree, 0, 0.5))
@@ -189,3 +196,66 @@ def test_whole_space_projection_is_identity(E2):
     x = ept(E2, 2.0, -3.0)
     u, _ = hd.project_point(E2, hd.WholeSpace(), x)
     assert u == x
+
+
+# every set kind each space family supports, for the compiled-closure check
+_SET_KINDS = {
+    "euclidean": ("whole", "ball", "segment", "halfspace"),
+    "hyperbolic": ("whole", "ball", "segment"),
+    "tree": ("whole", "ball", "segment", "subtree"),
+    "product": ("whole", "ball", "segment"),
+}
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+_unit = st.floats(0.0, 1.0)
+
+
+def _point_strategy(family, spaces):
+    E2, H2, tree, prod = spaces
+    e2 = st.builds(lambda x, y: ept(E2, x, y), _coord, _coord)
+    h2 = st.builds(lambda r, t: hpt_polar(H2, 3.0 * r, 2.0 * math.pi * t), _unit, _unit)
+    edges = CATERPILLAR.edges
+    tr = st.builds(
+        lambda e, f: hd.tree_point(tree, e, f * edges[e][2]),
+        st.integers(0, len(edges) - 1),
+        _unit,
+    )
+    return {
+        "euclidean": e2,
+        "hyperbolic": h2,
+        "tree": tr,
+        "product": st.builds(prod.pair, e2, h2),
+    }[family]
+
+
+def _set_strategy(kind, points):
+    if kind == "whole":
+        return st.just(hd.WholeSpace())
+    if kind == "ball":
+        return st.builds(hd.Ball, points, st.floats(0.1, 3.0))
+    if kind == "segment":
+        return st.builds(hd.Segment, points, points)
+    if kind == "halfspace":
+        # the normals _validate_set accepts
+        normal = st.tuples(_coord, _coord).filter(lambda n: n[0] ** 2 + n[1] ** 2 >= sys.float_info.min)
+        return st.builds(hd.HalfSpace, normal, _coord)
+    # connected vertex sets of the caterpillar
+    return st.sampled_from(
+        [frozenset({1}), frozenset({0, 1}), frozenset({1, 3}), frozenset({1, 2, 3, 5}), frozenset(range(6))]
+    ).map(hd.Subtree)
+
+
+@pytest.mark.parametrize(
+    "family, kind", [(f, k) for f, kinds in _SET_KINDS.items() for k in kinds]
+)
+def test_compiled_set_equals_project_point(E2, H2, tree, prod, family, kind):
+    space = {"euclidean": E2, "hyperbolic": H2, "tree": tree, "product": prod}[family]
+    points = _point_strategy(family, (E2, H2, tree, prod))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_set_strategy(kind, points), points)
+    def check(cset, x):
+        u, it = hd.compile_set(space, cset)(x)
+        assert (u, it) == hd.project_point(space, cset, x)
+        assert hd.contains(space, cset, u, 1e-9)
+
+    check()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
+from hadamard import convex, mappings
 from hadamard.solvers import _perturbation_point
 from conftest import ept, hpt_polar
 
@@ -173,3 +174,21 @@ def test_nearest_fixed_point_residual_list_and_set(E2):
     assert hd.nearest_fixed_point_residual(E2, q, base, pts) <= 1e-9
     with pytest.raises(ValueError):
         hd.nearest_fixed_point_residual(E2, q, base, [])
+
+
+def test_set_validation_runs_once_per_run(E2, monkeypatch):
+    # the solver compiles its sets before the loops, so the number of set
+    # validations does not grow with the budget or the inner iterations
+    C, T, base, _ = make_scenario(E2)
+    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 1.0, 1.0), perturbation=hd.PowerLaw(1.0, 2.0, 1.0))
+    calls = []
+    validate = convex._validate_set
+    monkeypatch.setattr(convex, "_validate_set", lambda *args: calls.append(1) or validate(*args))
+    counts = []
+    for budget in (5, 20):
+        mappings._compile.cache_clear()
+        calls.clear()
+        trace = hd.run_implicit(E2, C, T, sched, base, budget=budget, seed=0)
+        assert len(trace.rows) == budget
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,3 +162,52 @@ def test_lambda_range_enforced(E2):
 
 def test_make_space_caches_handles():
     assert hd.make_space(hd.Euclidean(2)) is hd.make_space(hd.Euclidean(2))
+
+
+def _point_pairs(E2, H2, tree, prod):
+    """Two points of each space family, tagged by the handles themselves."""
+    return [
+        (E2, ept(E2, 0.5, -2.0), ept(E2, 4.0, 1.0)),
+        (H2, hpt_polar(H2, 1.2, 0.3), hpt_polar(H2, 2.1, -1.0)),
+        (tree, hd.tree_point(tree, 1, 0.7), hd.tree_point(tree, 3, 1.1)),
+        (
+            prod,
+            prod.pair(ept(E2, 0.5, -2.0), hpt_polar(H2, 1.2, 0.3)),
+            prod.pair(ept(E2, 4.0, 1.0), hpt_polar(H2, 2.1, -1.0)),
+        ),
+    ]
+
+
+def _retag(p):
+    """``p`` tagged with an equal copy of its descriptor, not the same object."""
+    return hd.Point(dataclasses.replace(p.space), p.data)
+
+
+def test_equal_descriptor_copy_takes_the_checked_path(E2, H2, tree, prod):
+    for space, x, y in _point_pairs(E2, H2, tree, prod):
+        rx, ry = _retag(x), _retag(y)
+        assert rx.space is not space.descriptor and rx.space == space.descriptor
+        assert space.distance(rx, ry) == space.distance(x, y)
+        assert space.distance(x, ry) == space.distance(x, y)
+        assert space.geodesic_point(rx, ry, 0.3) == space.geodesic_point(x, y, 0.3)
+        assert space.geodesic_point(x, ry, 0.3) == space.geodesic_point(x, y, 0.3)
+
+
+def test_foreign_point_rejected_in_every_family(E2, E3, H2, tree, prod):
+    foreign = ept(E3, 0.0, 0.0, 0.0)
+    for space, x, _ in _point_pairs(E2, H2, tree, prod):
+        for call in (
+            lambda: space.distance(x, foreign),
+            lambda: space.distance(foreign, x),
+            lambda: space.geodesic_point(x, foreign, 0.5),
+            lambda: space.geodesic_point(foreign, x, 0.5),
+        ):
+            with pytest.raises(hd.SpaceMismatchError):
+                call()
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, -math.inf, math.nan])
+def test_lambda_range_enforced_in_every_family(E2, H2, tree, prod, lam):
+    for space, x, y in _point_pairs(E2, H2, tree, prod):
+        with pytest.raises(ValueError, match="outside"):
+            space.geodesic_point(x, y, lam)
