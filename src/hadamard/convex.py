@@ -95,7 +95,9 @@ def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
             raise IncompatibleSetError("subtree vertex set is empty")
         if not all(0 <= v < space.n for v in cset.vertices):
             raise IncompatibleSetError("subtree vertex out of range")
-        if not _subtree_connected(space, cset.vertices):
+        # each component of the induced forest has exactly one vertex whose
+        # parent lies outside the set
+        if sum(space.parent[v] not in cset.vertices for v in cset.vertices) != 1:
             raise IncompatibleSetError("subtree vertex set is not connected")
     elif isinstance(cset, HalfSpace):
         if not isinstance(space, EuclideanSpace):
@@ -110,22 +112,9 @@ def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
             raise IncompatibleSetError("half-space normal has the wrong dimension")
 
 
-def _subtree_connected(space: TreeSpace, vertices: frozenset[int]) -> bool:
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, _ in space.adj[v]:
-            if w in vertices and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vertices
-
-
 def _subtree_contains_point(space: TreeSpace, cset: Subtree, p: Point, tol: float) -> bool:
     eid, off = p.data
-    u, v, length = space._ends(eid)
+    u, v, length = space.topology.edges[eid]
     if u in cset.vertices and v in cset.vertices:
         return True
     if u in cset.vertices and off <= tol:
@@ -245,11 +234,11 @@ def compile_set(
 
     The set is validated against the space once, here, and its constants
     (segment length and direction, ball center and radius, half-space normal
-    norm) are computed once; the closure checks nothing, so it is what the
-    solver loops call.  ``iterations`` counts ternary-search steps and is 0
-    for every closed form.  The closure looks up ``space.distance`` and
-    ``space.geodesic_point`` on each call, so a wrapped handle sees every
-    primitive call.
+    over its squared norm) are computed once; the closure checks nothing, so
+    it is what the solver loops call.  ``iterations`` counts ternary-search
+    steps and is 0 for every closed form.  The closure looks up
+    ``space.distance`` and ``space.geodesic_point`` on each call, so a
+    wrapped handle sees every primitive call.
     """
     _validate_set(space, cset)
     if isinstance(cset, WholeSpace):
@@ -291,14 +280,17 @@ def compile_set(
         return project_subtree
     if isinstance(cset, HalfSpace):
         normal, offset, desc = cset.normal, cset.offset, space.descriptor
+        # normal / |normal|^2: finite for every validated normal, so a far
+        # offset cannot overflow an intermediate step
         nn = sum(n * n for n in normal)
+        w = tuple(n / nn for n in normal)
 
         def project_halfspace(x: Point) -> tuple[Point, int]:
             dot = sum(n * c for n, c in zip(normal, x.data))
             if dot >= offset:
                 return x, 0
-            t = (offset - dot) / nn
-            return Point(desc, tuple(c + t * n for c, n in zip(x.data, normal))), 0
+            t = offset - dot
+            return Point(desc, tuple(c + t * wi for c, wi in zip(x.data, w))), 0
 
         return project_halfspace
     raise IncompatibleSetError(f"unknown set {cset!r}")

@@ -8,6 +8,7 @@ other.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -132,13 +133,10 @@ def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
             raise ValueError("tree space needs a TreeWhole region")
         # uniform over total edge length
         t = rng.random() * space.total_length
-        for eid, (_, _, length) in enumerate(space.topology.edges):
-            if t <= length or eid == len(space.topology.edges) - 1:
-                return space.canonical(
-                    Point(space.descriptor, (eid, min(t, length)))
-                )
-            t -= length
-        raise AssertionError("unreachable")
+        eid = bisect.bisect_left(space.cumulative_length, t)
+        start = space.cumulative_length[eid - 1] if eid else 0.0
+        length = space.topology.edges[eid][2]
+        return space.canonical(Point(space.descriptor, (eid, min(t - start, length))))
     if isinstance(space, ProductSpace):
         if not isinstance(region, ProductRegion):
             raise ValueError("product space needs a ProductRegion region")

@@ -54,24 +54,31 @@ def space_to_json(desc: spaces.SpaceDescriptor) -> dict:
 def space_from_json(doc: dict, where: str = "space") -> spaces.SpaceDescriptor:
     t = _field(doc, "type", where)
     if t == "euclidean":
-        return spaces.Euclidean(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
-    if t == "hyperbolic":
-        return spaces.Hyperbolic(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
-    if t == "tree":
+        desc = spaces.Euclidean(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
+    elif t == "hyperbolic":
+        desc = spaces.Hyperbolic(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
+    elif t == "tree":
         edges = []
         for i, edge in enumerate(_list(_field(doc, "edges", where), where + ".edges")):
-            edge = _numbers(float, edge, f"{where}.edges[{i}]")
-            if len(edge) != 3:
-                raise ConfigError(f"{where}.edges[{i}]: expected [u, v, length]")
-            edges.append((int(edge[0]), int(edge[1]), edge[2]))
+            at = f"{where}.edges[{i}]"
+            if len(_list(edge, at)) != 3:
+                raise ConfigError(f"{at}: expected [u, v, length]")
+            edges.append((*_numbers(int, edge[:2], at), _number(float, edge[2], at + "[2]")))
         vertices = _number(int, _field(doc, "vertices", where), where + ".vertices")
-        return spaces.WeightedTree(spaces.TreeTopology(vertex_count=vertices, edges=tuple(edges)))
-    if t == "product":
-        return spaces.Product(
+        desc = spaces.WeightedTree(spaces.TreeTopology(vertex_count=vertices, edges=tuple(edges)))
+    elif t == "product":
+        desc = spaces.Product(
             space_from_json(_field(doc, "left", where), where + ".left"),
             space_from_json(_field(doc, "right", where), where + ".right"),
         )
-    raise ConfigError(f"{where}: unknown space type {t!r}")
+    else:
+        raise ConfigError(f"{where}: unknown space type {t!r}")
+    # build the (cached) handle here, so a bad topology names this path
+    try:
+        make_space(desc)
+    except spaces.InvalidSpaceError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return desc
 
 
 def point_to_json(p: Point) -> dict:
@@ -387,11 +394,12 @@ def _field(doc: dict, key: str, where: str):
 
 
 def _number(kind: type, value, where: str):
-    """``kind(value)`` when that is finite; otherwise a ConfigError naming
-    the JSON path ``where``."""
+    """``kind(value)`` when that is finite and equal to ``value``; otherwise
+    a ConfigError naming the JSON path ``where``.  A boolean is not a
+    number, and an int field rejects a fractional value."""
     try:
         out = kind(value)
-        if math.isfinite(out):
+        if not isinstance(value, bool) and math.isfinite(out) and out == float(value):
             return out
     except (TypeError, ValueError, OverflowError):
         pass

@@ -12,6 +12,7 @@ operations return fresh values and keep no hidden state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +33,7 @@ MAX_PRODUCT_DEPTH = 4
 # Tolerance on the hyperboloid constraint <x,x>_M = -1.
 HYPERBOLOID_TOL = 1e-9
 
-# Space handles kept by make_space; a tree handle holds an n x n table.
+# Space handles kept by make_space; a tree handle holds O(n) state.
 SPACE_CACHE_SIZE = 32
 
 
@@ -248,11 +249,21 @@ class HyperbolicSpace(Space):
 
 
 class TreeSpace(Space):
-    """Metric tree; points live on edges as (edge_id, offset) pairs."""
+    """Metric tree; points live on edges as (edge_id, offset) pairs.
+
+    The handle keeps the tree rooted at vertex 0 and nothing larger than
+    O(n): each vertex's parent, the edge to it, its depth in edges and its
+    distance from the root; each edge's child endpoint (the end farther
+    from the root); and the running sums of the edge lengths.  A distance
+    or geodesic walks up to the lowest common ancestor, so it costs
+    O(depth): O(log n) on random trees, O(n) on a path-shaped tree.
+    """
 
     def __init__(self, desc: WeightedTree):
         topo = desc.topology
         n = topo.vertex_count
+        if n < 2:
+            raise InvalidSpaceError(f"a tree needs at least 2 vertices, got {n}")
         if len(topo.edges) != n - 1:
             raise InvalidSpaceError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(topo.edges)}"
@@ -266,10 +277,12 @@ class TreeSpace(Space):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
 
-        # BFS from vertex 0: connectivity check plus parent tables for paths.
+        # BFS from vertex 0: connectivity check plus the rooted tree.
         parent = [-1] * n
         parent_edge = [-1] * n
         depth = [0] * n
+        root_dist = [0.0] * n
+        child = [0] * (n - 1)
         order = [0]
         seen = [False] * n
         seen[0] = True
@@ -280,53 +293,37 @@ class TreeSpace(Space):
                     parent[w] = v
                     parent_edge[w] = eid
                     depth[w] = depth[v] + 1
+                    root_dist[w] = root_dist[v] + topo.edges[eid][2]
+                    child[eid] = w
                     order.append(w)
         if not all(seen):
             raise InvalidSpaceError("tree topology is disconnected or cyclic")
 
-        # all-pairs vertex distances (vertex counts are small by construction)
-        dist = [[0.0] * n for _ in range(n)]
-        for root in range(n):
-            row = dist[root]
-            stack = [root]
-            done = [False] * n
-            done[root] = True
-            while stack:
-                v = stack.pop()
-                for w, eid in adj[v]:
-                    if not done[w]:
-                        done[w] = True
-                        row[w] = row[v] + topo.edges[eid][2]
-                        stack.append(w)
-
         self.descriptor = desc
         self.topology = topo
         self.n = n
-        self.adj = adj
         self.parent = parent
         self.parent_edge = parent_edge
         self.depth = depth
-        self.vdist = dist
+        self.root_dist = root_dist
+        self.child = child
         self.incident = [sorted(eid for _, eid in adj[v]) for v in range(n)]
-        self.total_length = sum(e[2] for e in topo.edges)
+        self.cumulative_length = list(itertools.accumulate(e[2] for e in topo.edges))
+        self.total_length = self.cumulative_length[-1]
 
     # -- representation helpers
-
-    def _ends(self, eid: int) -> tuple[int, int, float]:
-        u, v, length = self.topology.edges[eid]
-        return u, v, length
 
     def vertex_point(self, v: int) -> Point:
         """Canonical representation of a vertex: offset 0 or full length on
         its lowest-indexed incident edge."""
         eid = self.incident[v][0]
-        u, w, length = self._ends(eid)
+        u, w, length = self.topology.edges[eid]
         return Point(self.descriptor, (eid, 0.0 if v == u else length))
 
     def canonical(self, p: Point) -> Point:
         self._check(p)
         eid, off = p.data
-        u, v, length = self._ends(eid)
+        u, v, length = self.topology.edges[eid]
         if off == 0.0:
             return self.vertex_point(u)
         if off == length:
@@ -349,6 +346,23 @@ class TreeSpace(Space):
 
     # -- metric
 
+    def _height(self, eid: int, off: float) -> float:
+        """Distance from the root of the point at ``off`` on edge ``eid``."""
+        u, v, length = self.topology.edges[eid]
+        if self.child[eid] == v:
+            return self.root_dist[u] + off
+        return self.root_dist[v] + (length - off)
+
+    def _lca(self, x: int, y: int) -> int:
+        """Lowest common ancestor of vertices x and y."""
+        depth, parent = self.depth, self.parent
+        while x != y:
+            if depth[x] >= depth[y]:
+                x = parent[x]
+            else:
+                y = parent[y]
+        return x
+
     def distance(self, a: Point, b: Point) -> float:
         if a.space is not self.descriptor or b.space is not self.descriptor:
             self._check(a, b)
@@ -356,35 +370,30 @@ class TreeSpace(Space):
         eb, tb = b.data
         if ea == eb:
             return abs(ta - tb)
-        ua, va, la = self._ends(ea)
-        ub, vb, lb = self._ends(eb)
-        best = math.inf
-        for va_, off_a in ((ua, ta), (va, la - ta)):
-            for vb_, off_b in ((ub, tb), (vb, lb - tb)):
-                c = off_a + self.vdist[va_][vb_] + off_b
-                if c < best:
-                    best = c
-        return best
+        ha, hb = self._height(ea, ta), self._height(eb, tb)
+        ca, cb = self.child[ea], self.child[eb]
+        top = self._lca(ca, cb)
+        # when b lies below a's edge the path only descends from a, and vice
+        # versa; otherwise it turns at top
+        if top == ca:
+            return hb - ha
+        if top == cb:
+            return ha - hb
+        return ha + hb - 2.0 * self.root_dist[top]
 
-    def _vertex_path(self, a: int, b: int) -> list[int]:
-        """Vertices on the unique a-b path, inclusive."""
-        left, right = [a], [b]
-        x, y = a, b
-        while x != y:
-            if self.depth[x] >= self.depth[y]:
-                x = self.parent[x]
-                left.append(x)
-            else:
-                y = self.parent[y]
-                right.append(y)
-        right.pop()
-        return left + right[::-1]
+    def _end_offset(self, eid: int, v: int) -> float:
+        """Offset of vertex v, an endpoint of edge eid: 0 or the edge length."""
+        u, _, length = self.topology.edges[eid]
+        return 0.0 if v == u else length
 
-    def _edge_between(self, a: int, b: int) -> int:
-        for w, eid in self.adj[a]:
-            if w == b:
-                return eid
-        raise AssertionError("consecutive path vertices must share an edge")
+    def _climb(self, v: int, top: int) -> list[tuple[int, float, float]]:
+        """The path from vertex v up to its ancestor top, as pieces."""
+        pieces = []
+        while v != top:
+            eid, w = self.parent_edge[v], self.parent[v]
+            pieces.append((eid, self._end_offset(eid, v), self._end_offset(eid, w)))
+            v = w
+        return pieces
 
     def _segments(self, p: Point, q: Point) -> list[tuple[int, float, float]]:
         """The geodesic from p to q as (edge_id, start_offset, end_offset)
@@ -393,31 +402,17 @@ class TreeSpace(Space):
         eq, tq = q.data
         if ep == eq:
             return [(ep, tp, tq)] if tp != tq else []
-        up, vp, lp = self._ends(ep)
-        uq, vq, lq = self._ends(eq)
-        best = None
-        for va_, off_a in ((up, tp), (vp, lp - tp)):
-            for vb_, off_b in ((uq, tq), (vq, lq - tq)):
-                c = off_a + self.vdist[va_][vb_] + off_b
-                if best is None or c < best[0]:
-                    best = (c, va_, vb_)
-        _, a, b = best
-        segs: list[tuple[int, float, float]] = []
-        a_off = 0.0 if a == up else lp
-        if tp != a_off:
-            segs.append((ep, tp, a_off))
-        path = self._vertex_path(a, b)
-        for v1, v2 in zip(path, path[1:]):
-            eid = self._edge_between(v1, v2)
-            u, _, length = self._ends(eid)
-            if v1 == u:
-                segs.append((eid, 0.0, length))
-            else:
-                segs.append((eid, length, 0.0))
-        b_off = 0.0 if b == uq else lq
-        if tq != b_off:
-            segs.append((eq, b_off, tq))
-        return segs
+        cp, cq = self.child[ep], self.child[eq]
+        top = self._lca(cp, cq)
+        # a point leaves its edge through the child end when the other point
+        # lies below that end, else through the parent end
+        a = cp if top == cp else self.parent[cp]
+        b = cq if top == cq else self.parent[cq]
+        down = [(eid, e, s) for eid, s, e in reversed(self._climb(b, top))]
+        a_off, b_off = self._end_offset(ep, a), self._end_offset(eq, b)
+        head = [(ep, tp, a_off)] if tp != a_off else []
+        tail = [(eq, b_off, tq)] if tq != b_off else []
+        return head + self._climb(a, top) + down + tail
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
         if x.space is not self.descriptor or y.space is not self.descriptor:
@@ -514,17 +509,22 @@ def validate_point(space: Space, p: Point):
     return None if not violations else "; ".join(violations)
 
 
+def _checked_point(space: Space, data: tuple) -> Point:
+    p = Point(space.descriptor, data)
+    problem = validate_point(space, p)
+    if problem is not None:
+        raise ValueError(problem)
+    return p
+
+
 def euclidean_point(space: Space, *coords: float) -> Point:
-    return Point(space.descriptor, tuple(float(c) for c in coords))
+    """A Euclidean or hyperboloid point from its coordinates; ``ValueError``
+    if they do not make a point of ``space``."""
+    return _checked_point(space, tuple(float(c) for c in coords))
 
 
-def hyperboloid_point(space: Space, *coords: float) -> Point:
-    return Point(space.descriptor, tuple(float(c) for c in coords))
+hyperboloid_point = euclidean_point
 
 
 def tree_point(space: TreeSpace, edge: int, offset: float) -> Point:
-    p = Point(space.descriptor, (edge, float(offset)))
-    violations = space.point_violations(p)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return space.canonical(p)
+    return space.canonical(_checked_point(space, (edge, float(offset))))

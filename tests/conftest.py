@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import hadamard as hd
+from hadamard.cli import random_tree_topology
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -19,6 +21,22 @@ CATERPILLAR = hd.TreeTopology(
     vertex_count=6,
     edges=((0, 1, 1.0), (1, 2, 2.0), (1, 3, 0.5), (3, 4, 1.5), (3, 5, 0.75)),
 )
+
+
+def shuffled_random_tree(n_edges, seed):
+    """``random_tree_topology(n_edges, seed)`` with its vertices relabeled and
+    about half of its edges written child end first, so a handle's root
+    (vertex 0) is not the generator's first vertex and both edge
+    orientations occur."""
+    topo = random_tree_topology(n_edges, seed)
+    rng = np.random.default_rng(seed)
+    label = [int(i) for i in rng.permutation(topo.vertex_count)]
+    flip = rng.random(n_edges) < 0.5
+    edges = tuple(
+        (label[v], label[u], length) if f else (label[u], label[v], length)
+        for (u, v, length), f in zip(topo.edges, flip)
+    )
+    return hd.TreeTopology(topo.vertex_count, edges)
 
 
 @pytest.fixture(scope="session")

@@ -87,6 +87,16 @@ def tree_vertex_distances(topology):
     return dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
 
 
+def tree_source_distances(topology, source):
+    """Vertex distances from one source vertex, by networkx Dijkstra."""
+    return nx.single_source_dijkstra_path_length(tree_graph(topology), source, weight="weight")
+
+
+def tree_vertex_set_connected(graph, vertices):
+    """Whether ``vertices`` induce a connected subgraph of ``graph``."""
+    return nx.is_connected(graph.subgraph(vertices))
+
+
 def tree_point_distance(topology, p, q, vdist=None):
     """Distance between two (edge, offset) points from networkx vertex
     distances and the four endpoint detours."""

@@ -143,8 +143,12 @@ def test_run_batch(runner, tmp_path):
         ({"type": "euclidean", "dim": None}, "space.dim"),
         ({"type": "euclidean", "dim": "x"}, "space.dim"),
         ({"type": "tree", "vertices": 2, "edges": 5}, "space.edges"),
+        ({"type": "euclidean", "dim": 2.9}, "space.dim"),
+        ({"type": "euclidean", "dim": True}, "space.dim"),
+        ({"type": "tree", "vertices": 2, "edges": [[0.7, 1, 1.0]]}, "space.edges[0][0]"),
+        ({"type": "tree", "vertices": 1, "edges": []}, "space: a tree needs at least 2 vertices"),
     ],
-    ids=["dim-null", "dim-x", "edges-int"],
+    ids=["dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges"],
 )
 @pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])
 def test_typed_field_error_names_json_path(runner, tmp_path, command, space, path):
@@ -201,7 +205,11 @@ def test_verify_corrupted_demo_fails(runner):
 
 def test_verify_bad_flags(runner):
     assert runner.invoke(main, ["verify", "--space", "euclidean:2", "--trials", "0"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "--space", "nope:1"]).exit_code == 2
+    # a tree with no edges is rejected up front, not when it is sampled
+    for spec in ("nope:1", "tree-star:0", "tree-random:0:0"):
+        result = runner.invoke(main, ["verify", "--space", spec])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_schedules_check(runner, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hadamard as hd
 from hadamard.convex import IncompatibleSetError
-from conftest import CATERPILLAR, ept, hpt_polar
+from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree
 import oracles
 
 
@@ -75,6 +75,42 @@ def test_halfspace_projection_matches_affine_formula(E2):
     want = xx + (2.0 - n @ xx) / (n @ n) * n
     assert np.allclose(u.data, want, atol=1e-12)
     assert hd.contains(E2, hs, u, 1e-9)
+
+
+def test_halfspace_projection_far_offset_stays_finite(E2):
+    # offset / |normal|^2 = 1e310 overflows unless the normal is scaled first
+    u, _ = hd.project_point(E2, hd.HalfSpace((1e-150, 0.0), 1e10), ept(E2, 0.0, 0.0))
+    assert u.data[0] == pytest.approx(1e160, rel=1e-12)
+    assert u.data[1] == 0.0
+
+
+def test_subtree_validation_matches_networkx_connectivity():
+    topo = shuffled_random_tree(40, 6)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    graph = oracles.tree_graph(topo)
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(400):
+        # grow a connected set from a random vertex, then perhaps drop or add one
+        chosen = {int(rng.integers(topo.vertex_count))}
+        for _ in range(int(rng.integers(0, 10))):
+            frontier = sorted({w for v in chosen for w in graph.neighbors(v)} - chosen)
+            chosen.add(frontier[int(rng.integers(len(frontier)))])
+        r = rng.random()
+        if r < 1 / 3 and len(chosen) > 1:
+            chosen.discard(sorted(chosen)[int(rng.integers(len(chosen)))])
+        elif r < 2 / 3:
+            chosen.add(int(rng.integers(topo.vertex_count)))
+        want = oracles.tree_vertex_set_connected(graph, chosen)
+        try:
+            hd.compile_set(tree, hd.Subtree(frozenset(chosen)))
+            got = True
+        except IncompatibleSetError as exc:
+            assert "not connected" in str(exc)
+            got = False
+        assert got == want, sorted(chosen)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_segment_projection_euclidean_grid_oracle(E3):

@@ -35,19 +35,25 @@ def test_hyperbolic_sampling_stays_in_ball_and_on_sheet(H2):
 
 
 def test_tree_sampling_frequencies():
-    # uniform sampling of a 3-ray star: each ray gets about a third of the mass
-    star = hd.make_space(
-        hd.WeightedTree(hd.TreeTopology(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0))))
-    )
+    # uniform over total length: each edge gets its share of the length, and
+    # offsets are uniform along it, on a 3-ray star and on the caterpillar's
+    # unequal edges
+    star = hd.TreeTopology(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
     rng = hd.stream(2, 1)
-    counts = Counter()
-    n = 3000
-    for _ in range(n):
-        p = hd.random_point(star, hd.TreeWhole(), rng)
-        assert hd.validate_point(star, p) is None
-        counts[p.data[0]] += 1
-    for eid in range(3):
-        assert abs(counts[eid] / n - 1 / 3) < 0.05
+    n = 6000
+    for topo in (star, CATERPILLAR):
+        space = hd.make_space(hd.WeightedTree(topo))
+        counts, fractions = Counter(), Counter()
+        for _ in range(n):
+            p = hd.random_point(space, hd.TreeWhole(), rng)
+            assert hd.validate_point(space, p) is None
+            eid, off = p.data
+            counts[eid] += 1
+            fractions[eid] += off / topo.edges[eid][2]
+        total = sum(length for _, _, length in topo.edges)
+        for eid, (_, _, length) in enumerate(topo.edges):
+            assert abs(counts[eid] / n - length / total) < 0.03
+            assert abs(fractions[eid] / counts[eid] - 0.5) < 0.05
 
 
 def test_product_sampling_components_valid(prod):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from conftest import CATERPILLAR, ept, hpt_polar
+from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree
 import oracles
 
 
@@ -95,6 +95,38 @@ def test_tree_point_distance_matches_oracles(tree):
         assert tree.distance(pp, qq) == pytest.approx(coarse, abs=0.02)
 
 
+def test_large_tree_distances_match_networkx_dijkstra():
+    topo = shuffled_random_tree(10**4, 0)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    rng = np.random.default_rng(1)
+    for source in rng.integers(topo.vertex_count, size=3):
+        want = oracles.tree_source_distances(topo, int(source))
+        s = tree.vertex_point(int(source))
+        worst = max(
+            abs(tree.distance(s, tree.vertex_point(v)) - want[v]) for v in range(topo.vertex_count)
+        )
+        # a point inside an edge is reached through the nearer end
+        for eid, (u, v, length) in enumerate(topo.edges):
+            t = length * float(rng.random())
+            expect = min(want[u] + t, want[v] + (length - t))
+            worst = max(worst, abs(tree.distance(s, hd.Point(tree.descriptor, (eid, t))) - expect))
+        assert worst <= 1e-9
+
+
+def test_tree_distance_is_exactly_symmetric():
+    topo = shuffled_random_tree(2000, 3)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    rng = np.random.default_rng(4)
+
+    def point():
+        eid = int(rng.integers(len(topo.edges)))
+        return hd.Point(tree.descriptor, (eid, topo.edges[eid][2] * float(rng.random())))
+
+    for _ in range(2000):
+        a, b = point(), point()
+        assert tree.distance(a, b) == tree.distance(b, a)
+
+
 def test_tree_vertex_points_are_canonical(tree):
     # any (edge, endpoint) description of a vertex collapses to one encoding
     v3 = tree.vertex_point(3)
@@ -126,6 +158,17 @@ def test_tree_rejects_bad_topologies():
         hd.make_space(
             hd.WeightedTree(hd.TreeTopology(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0))))
         )
+
+
+def test_point_constructors_check_their_points(E2, H2):
+    assert hd.hyperboloid_point is hd.euclidean_point
+    for make in (
+        lambda: ept(E2, 1.0, 2.0, 3.0),
+        lambda: hd.hyperboloid_point(H2, 1.0, 0.0),
+        lambda: hd.hyperboloid_point(H2, 1.0, 1.0, 0.0),  # off the sheet
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_product_metric_is_l2(prod, E2, H2):
