@@ -55,6 +55,7 @@ from .sampling import (
     stream,
 )
 from .solvers import (
+    Condition,
     InnerBudgetError,
     IterationTrace,
     PowerLaw,

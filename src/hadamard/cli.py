@@ -13,6 +13,7 @@ Exit status: 0 success/clean, 1 non-convergence or property violations,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ import click
 
 from . import serialize
 from .harness import CorruptedSpace, check_lemmas, check_space_axioms
-from .sampling import stream
+from .sampling import default_region, stream
 from .solvers import validate_schedules
 from .spaces import (
     Euclidean,
@@ -51,6 +52,10 @@ def _load_config(path: str, seed, budget, output_dir):
     if seed is not None:
         cfg.seed = seed
     elif env_seed is not None:
+        if not env_seed.isdecimal():
+            raise serialize.ConfigError(
+                f"HADAMARD_SEED: expected a non-negative integer, got {env_seed!r}"
+            )
         cfg.seed = int(env_seed)
     if budget is not None:
         cfg.budget = budget
@@ -118,10 +123,17 @@ def main():
     """Computation toolkit for Hadamard (complete CAT(0)) spaces."""
 
 
+def _positive_finite(ctx, param, value: float) -> float:
+    # click.FloatRange lets nan through
+    if not 0.0 < value < math.inf:
+        raise click.BadParameter(f"{value} is not a positive finite number")
+    return value
+
+
 @main.command("run")
 @click.argument("configs", nargs=-1, required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--budget", type=int, default=None, help="Override the iteration budget.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
+@click.option("--budget", type=click.IntRange(min=1), default=None, help="Override the iteration budget.")
 @click.option("--output-dir", type=click.Path(), default=None, help="Override the output directory.")
 def run_cmd(configs, seed, budget, output_dir):
     """Run solver experiments from JSON config files."""
@@ -147,27 +159,25 @@ def run_cmd(configs, seed, budget, output_dir):
 
 @main.command("verify")
 @click.option("--space", "space_spec", required=True, help="Space spec, e.g. euclidean:2.")
-@click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--eps", type=float, default=1e-8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--radius", type=float, default=5.0, show_default=True, help="Sampling region radius.")
+@click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True)
+@click.option("--eps", type=float, default=1e-8, show_default=True, callback=_positive_finite)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option(
+    "--radius", type=float, default=5.0, show_default=True, callback=_positive_finite,
+    help="Sampling region radius.",
+)
 def verify_cmd(space_spec, trials, eps, seed, radius):
     """Run the metric/geodesic property harness over one space."""
-    if trials < 1 or eps <= 0.0:
-        click.echo("error: trials must be >= 1 and eps > 0", err=True)
-        sys.exit(EXIT_BAD_CONFIG)
     try:
         space = parse_space_spec(space_spec)
     except (InvalidSpaceError, ValueError, IndexError) as exc:
         click.echo(f"error: invalid space spec: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
-
-    from .sampling import default_region
-
-    if isinstance(space, CorruptedSpace):
-        region = default_region(space.inner, radius)
-    else:
-        region = default_region(space, radius)
+    try:
+        region = default_region(space.inner if isinstance(space, CorruptedSpace) else space, radius)
+    except ValueError as exc:
+        click.echo(f"error: --radius: {exc}", err=True)
+        sys.exit(EXIT_BAD_CONFIG)
     reports = check_space_axioms(space, trials, eps, seed, region)
     reports += check_lemmas(space, trials, eps, seed, region)
 
@@ -189,20 +199,16 @@ def verify_cmd(space_spec, trials, eps, seed, radius):
 @main.command("schedules")
 @click.option("--check", "config_path", required=True, type=click.Path())
 def schedules_cmd(config_path):
-    """Validate the schedule conditions of an experiment config."""
+    """Check the schedule conditions of an experiment config's algorithm."""
     try:
         cfg = _load_config(config_path, None, None, None)
+        conditions = validate_schedules(cfg.schedule, cfg.algorithm, cfg.budget)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
-    report = validate_schedules(cfg.schedule)
-    for name, cond in (
-        ("(i) vanishing non-summable anchor", report.condition_i),
-        ("(ii) averaging weight in (0,1)", report.condition_ii),
-        ("(iii) summable anchored perturbation", report.condition_iii),
-    ):
-        click.echo(f"{name}: {'pass' if cond.passed else 'FAIL'} [{cond.method}] {cond.detail}")
-    sys.exit(EXIT_OK if report.all_passed else EXIT_FAILED)
+    for cond in conditions:
+        click.echo(f"{cond.name}: {'pass' if cond.passed else 'FAIL'} {cond.detail}")
+    sys.exit(EXIT_OK if all(c.passed for c in conditions) else EXIT_FAILED)
 
 
 if __name__ == "__main__":

@@ -268,14 +268,20 @@ def compile_set(
         return project_seg
     if isinstance(cset, Subtree):
         assert isinstance(space, TreeSpace)
+        verts, parent, depth = cset.vertices, space.parent, space.depth
+        # the set's top vertex: the one whose parent lies outside the set
+        top = next(v for v in verts if parent[v] not in verts)
 
         def project_subtree(x: Point) -> tuple[Point, int]:
             if _subtree_contains_point(space, cset, x, 0.0):
                 return space.canonical(x), 0
             # from outside, the geodesic to any subtree point enters through
-            # the nearest subtree vertex
-            best_v = min(cset.vertices, key=lambda v: space.distance(x, space.vertex_point(v)))
-            return space.vertex_point(best_v), 0
+            # one gate vertex: the first set vertex above x when x hangs
+            # below the top vertex, else the top vertex itself
+            v = space.child[x.data[0]]
+            while v not in verts and depth[v] > depth[top]:
+                v = parent[v]
+            return space.vertex_point(v if v in verts else top), 0
 
         return project_subtree
     if isinstance(cset, HalfSpace):

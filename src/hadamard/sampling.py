@@ -29,7 +29,7 @@ from .spaces import (
     minkowski,
 )
 
-# cosh overflow guard: geodesic radii beyond this are rejected up front
+# cosh overflow guard: a HyperbolicBall rejects a radius beyond this
 MAX_HYPERBOLIC_RADIUS = 20.0
 
 
@@ -43,6 +43,12 @@ class EuclideanBox:
 class HyperbolicBall:
     center: Point
     radius: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.radius <= MAX_HYPERBOLIC_RADIUS:
+            raise ValueError(
+                f"sampling radius {self.radius} outside [0, {MAX_HYPERBOLIC_RADIUS}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,6 @@ def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
     if isinstance(space, HyperbolicSpace):
         if not isinstance(region, HyperbolicBall):
             raise ValueError("hyperbolic space needs a HyperbolicBall region")
-        if region.radius > MAX_HYPERBOLIC_RADIUS:
-            raise ValueError(
-                f"sampling radius {region.radius} exceeds cap {MAX_HYPERBOLIC_RADIUS}"
-            )
         direction = rng.standard_normal(space.dim + 1)
         r = region.radius * rng.random()
         return _hyperbolic_exp(space, region.center, direction, r)

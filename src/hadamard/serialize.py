@@ -149,10 +149,12 @@ def region_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "regi
             _numbers(float, _field(doc, "hi", where), where + ".hi"),
         )
     if t == "ball":
-        return sampling.HyperbolicBall(
-            point_from_json(_field(doc, "center", where), desc, where + ".center"),
-            _number(float, _field(doc, "radius", where), where + ".radius"),
-        )
+        center = point_from_json(_field(doc, "center", where), desc, where + ".center")
+        radius = _number(float, _field(doc, "radius", where), where + ".radius")
+        try:
+            return sampling.HyperbolicBall(center, radius)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.radius: {exc}") from None
     if t == "tree":
         return sampling.TreeWhole()
     if t == "product":
@@ -276,25 +278,19 @@ def schedule_to_json(s: solvers.Schedule) -> dict:
         "anchor": power_law_to_json(s.anchor),
         "perturbation": power_law_to_json(s.perturbation),
     }
-    if isinstance(s.mixing, solvers.PowerLaw):
-        doc["mixing"] = power_law_to_json(s.mixing)
-    elif s.mixing is not None:
+    if s.mixing is not None:
         doc["mixing"] = s.mixing
     return doc
 
 
 def schedule_from_json(doc: dict, where: str = "schedule") -> solvers.Schedule:
     mixing = doc.get("mixing")
-    if isinstance(mixing, dict):
-        mixing = power_law_from_json(mixing, where + ".mixing")
-    elif mixing is not None:
-        mixing = _number(float, mixing, where + ".mixing")
     return solvers.Schedule(
         anchor=power_law_from_json(_field(doc, "anchor", where), where + ".anchor"),
         perturbation=power_law_from_json(
             _field(doc, "perturbation", where), where + ".perturbation"
         ),
-        mixing=mixing,
+        mixing=None if mixing is None else _number(float, mixing, where + ".mixing"),
     )
 
 
@@ -359,6 +355,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     name = str(doc.get("name", "experiment"))
     if name in ("", ".", "..") or Path(name).name != name:
         raise ConfigError(f"name: must be a single path component, got {name!r}")
+    seed = _number(int, doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be non-negative, got {seed}")
     cfg = ExperimentConfig(
         name=name,
         space=desc,
@@ -368,7 +367,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         schedule=schedule_from_json(_field(doc, "schedule", "$")),
         basepoint=point_from_json(_field(doc, "basepoint", "$"), desc, "basepoint"),
         budget=budget,
-        seed=_number(int, doc.get("seed", 0), "seed"),
+        seed=seed,
         outer_tol=_number(float, doc.get("outer_tol", 0.0), "outer_tol"),
         inner_tol=_number(float, doc.get("inner_tol", 1e-10), "inner_tol"),
         max_inner=_number(int, doc.get("max_inner", 10**6), "max_inner"),
@@ -394,15 +393,17 @@ def _field(doc: dict, key: str, where: str):
 
 
 def _number(kind: type, value, where: str):
-    """``kind(value)`` when that is finite and equal to ``value``; otherwise
-    a ConfigError naming the JSON path ``where``.  A boolean is not a
-    number, and an int field rejects a fractional value."""
-    try:
-        out = kind(value)
-        if not isinstance(value, bool) and math.isfinite(out) and out == float(value):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """``kind(value)`` for a JSON number ``value`` (an int or float, not a
+    bool or a string) when that is finite and equal to ``value``; otherwise
+    a ConfigError naming the JSON path ``where``.  An int field rejects a
+    fractional value."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+            if math.isfinite(out) and out == float(value):
+                return out
+        except (ValueError, OverflowError):
+            pass
     raise ConfigError(f"{where}: expected a finite {kind.__name__}, got {value!r}")
 
 

@@ -74,122 +74,112 @@ class Schedule:
 
     anchor: PowerLaw
     perturbation: PowerLaw
-    mixing: Optional[Union[float, PowerLaw]] = None
+    mixing: Optional[float] = None
 
     def anchor_at(self, n: int) -> float:
         return self.anchor.value(n)
-
-    def mixing_at(self, n: int) -> float:
-        if isinstance(self.mixing, PowerLaw):
-            return self.mixing.value(n)
-        if self.mixing is None:
-            raise ScheduleError("schedule has no averaging weight")
-        return self.mixing
 
     def perturbation_at(self, n: int) -> float:
         return self.perturbation.value(n)
 
 
-def default_implicit_schedule() -> Schedule:
-    return Schedule(
-        anchor=PowerLaw(1.0, 1.0, 1.0), perturbation=PowerLaw(1.0, 2.0, 1.0)
-    )
-
-
-def default_explicit_schedule() -> Schedule:
-    return Schedule(
-        anchor=PowerLaw(1.0, 0.7, 2.0),
-        perturbation=PowerLaw(1.0, 1.0, 2.0),
-        mixing=0.5,
-    )
-
-
 @dataclass(frozen=True)
-class ConditionReport:
+class Condition:
+    name: str
     passed: bool
-    method: str  # "analytic" or "heuristic"
     detail: str
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
-    condition_i: ConditionReport
-    condition_ii: ConditionReport
-    condition_iii: ConditionReport
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.condition_i.passed
-            and self.condition_ii.passed
-            and self.condition_iii.passed
-        )
-
-
-def _check_range(law: PowerLaw, name: str) -> None:
-    if law.scale < 0.0 or law.power < 0.0 or law.shift <= 0.0:
-        raise ScheduleError(f"{name} law must have scale >= 0, power >= 0, shift > 0")
+def _law_values(law: PowerLaw, name: str, first: int, last: int) -> tuple[float, float]:
+    """The law's values on the run's first and last step.  A power law with
+    scale >= 0, power >= 0 and shift > 0 is monotone, so these bound every
+    value in between."""
+    where = f"schedule.{name}"
+    if not (law.scale >= 0.0 and law.power >= 0.0 and law.shift > 0.0):
+        raise ScheduleError(f"{where}: law must have scale >= 0, power >= 0, shift > 0")
+    try:
+        values = law.value(first), law.value(last)
+    except OverflowError:
+        values = (math.inf,)
+    if not all(math.isfinite(v) for v in values):
+        raise ScheduleError(f"{where}: value at step {first} overflows")
+    return values
 
 
-def validate_schedules(schedule: Schedule, horizon: int = 1000) -> ScheduleReport:
-    """Check the explicit scheme's convergence conditions.
+def validate_schedules(
+    schedule: Schedule, algorithm: str, budget: int
+) -> tuple[Condition, ...]:
+    """The convergence conditions of ``algorithm``'s schedule over a run of
+    ``budget`` steps, decided analytically for power laws.
 
-    (i) the anchor weight vanishes but is not summable; (ii) the averaging
-    weight stays bounded away from 0 and 1; (iii) the anchored perturbation
-    series is summable.  Power laws are decided analytically; the horizon is
-    used only for range checks of the first iterates.
+    Both schemes need an anchor weight in (0, 1) on every step the run takes
+    (implicit m = 1..budget, explicit n = 0..budget-1) that vanishes.  The
+    implicit scheme also needs vanishing perturbations.  The explicit scheme
+    needs the conditions of Xu 2002: (i) a non-summable anchor, (ii) an
+    averaging weight in (0, 1), and (iii) a summable anchored perturbation
+    series.  A law out of range or overflowing raises ScheduleError naming
+    it.
     """
-    if horizon < 1000:
-        raise ScheduleError("horizon must be at least 1000")
-    _check_range(schedule.anchor, "anchor")
-    _check_range(schedule.perturbation, "perturbation")
+    if algorithm not in ("implicit", "explicit"):
+        raise ScheduleError(f"unknown algorithm {algorithm!r}")
+    if budget < 1:
+        raise ScheduleError("budget must be at least 1")
+    first, last = (1, budget) if algorithm == "implicit" else (0, budget - 1)
+    a, p = schedule.anchor, schedule.perturbation
+    a_first, a_last = _law_values(a, "anchor", first, last)
+    _law_values(p, "perturbation", first, last)
 
-    a = schedule.anchor
-    first = a.value(0)
-    in_range = 0.0 < first < 1.0
+    in_range = 0.0 < a_last and a_first < 1.0
     vanishes = a.power > 0.0 and a.scale > 0.0
-    divergent = a.power <= 1.0
-    cond_i = ConditionReport(
-        passed=in_range and vanishes and divergent,
-        method="analytic",
-        detail=(
-            f"anchor(n) = {a.scale}*(n+{a.shift})^-{a.power}: "
-            f"first value {first:.6g}, "
-            f"{'vanishes' if vanishes else 'does not vanish'}, "
-            f"sum {'diverges' if divergent else 'converges (p-series)'}"
-        ),
+    anchor = (
+        f"anchor(n) = {a.scale}*(n+{a.shift})^-{a.power}: "
+        f"{a_first:.6g} at n = {first} to {a_last:.6g} at n = {last}"
+        f"{'' if in_range else ' (outside (0, 1))'}, "
+        f"{'vanishes' if vanishes else 'does not vanish'}"
     )
-
-    m = schedule.mixing
-    if m is None:
-        cond_ii = ConditionReport(False, "analytic", "no averaging weight configured")
-    elif isinstance(m, PowerLaw):
-        if m.power == 0.0:
-            cond_ii = ConditionReport(
-                0.0 < m.scale < 1.0,
-                "analytic",
-                f"constant averaging weight {m.scale:.6g}",
-            )
-        else:
-            cond_ii = ConditionReport(
-                False, "analytic", "decaying averaging weight has liminf 0"
-            )
-    else:
-        cond_ii = ConditionReport(
-            0.0 < m < 1.0, "analytic", f"constant averaging weight {m:.6g}"
+    if algorithm == "implicit":
+        p_vanishes = p.scale == 0.0 or p.power > 0.0
+        return (
+            Condition("(i) vanishing anchor", in_range and vanishes, anchor),
+            Condition(
+                "(ii) vanishing perturbation",
+                p_vanishes,
+                f"perturbation(n) = {p.scale}*(n+{p.shift})^-{p.power}: "
+                + ("vanishes" if p_vanishes else "does not vanish"),
+            ),
         )
 
-    p_sum = schedule.anchor.power + schedule.perturbation.power
-    summable = schedule.perturbation.scale == 0.0 or p_sum > 1.0
-    cond_iii = ConditionReport(
-        passed=summable,
-        method="analytic",
-        detail=(
+    divergent = a.power <= 1.0
+    m = schedule.mixing
+    p_sum = a.power + p.power
+    summable = p.scale == 0.0 or p_sum > 1.0
+    return (
+        Condition(
+            "(i) vanishing non-summable anchor",
+            in_range and vanishes and divergent,
+            anchor + f", sum {'diverges' if divergent else 'converges (p-series)'}",
+        ),
+        Condition(
+            "(ii) averaging weight in (0,1)",
+            m is not None and 0.0 < m < 1.0,
+            "no averaging weight configured" if m is None else f"constant averaging weight {m:.6g}",
+        ),
+        Condition(
+            "(iii) summable anchored perturbation",
+            summable,
             f"sum anchor(n)*perturbation(n) ~ n^-{p_sum:.3g}: "
-            + ("converges" if summable else "diverges")
+            + ("converges" if summable else "diverges"),
         ),
     )
-    return ScheduleReport(cond_i, cond_ii, cond_iii)
+
+
+def _require_schedule(schedule: Schedule, algorithm: str, budget: int) -> None:
+    """Raise ScheduleError naming every condition the schedule fails."""
+    failed = [c for c in validate_schedules(schedule, algorithm, budget) if not c.passed]
+    if failed:
+        raise ScheduleError(
+            "schedule fails condition " + "; ".join(f"{c.name}: {c.detail}" for c in failed)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +281,12 @@ def run_implicit(
 ) -> IterationTrace:
     """Outer loop of the implicit scheme, steps m = 1..budget, warm-started.
 
-    Rejects schedules whose anchor weight or perturbation norm does not
-    vanish.  Stops early once the fixed-point residual d(x, Tx) falls to
-    ``outer_tol``, or with status ``"inner_budget"`` once an inner solve
-    runs out of its ``max_inner`` iterations; the best inner iterate is then
-    the last row.
+    Rejects schedules that fail :func:`validate_schedules`.  Stops early
+    once the fixed-point residual d(x, Tx) falls to ``outer_tol``, or with
+    status ``"inner_budget"`` once an inner solve runs out of its
+    ``max_inner`` iterations; the best inner iterate is then the last row.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    _check_range(schedule.anchor, "anchor")
-    _check_range(schedule.perturbation, "perturbation")
-    if not (schedule.anchor.power > 0.0 and schedule.anchor.scale > 0.0):
-        raise ScheduleError("implicit scheme needs a vanishing anchor weight")
-    if schedule.perturbation.scale > 0.0 and schedule.perturbation.power <= 0.0:
-        raise ScheduleError("perturbation norms must vanish")
+    _require_schedule(schedule, "implicit", budget)
 
     T = compile_mapping(space, mapping)
     P = compile_set(space, cset)
@@ -317,8 +299,6 @@ def run_implicit(
     prev = x
     for m in range(1, budget + 1):
         a = schedule.anchor_at(m)
-        if not (0.0 < a < 1.0):
-            raise ScheduleError(f"anchor weight {a} at step {m} outside (0, 1)")
         u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(m))
         try:
             x, _ = implicit_step(space, P, T, a, u, x, inner_tol, max_inner)
@@ -360,27 +340,7 @@ def run_explicit(
     geodesic averaging with the previous iterate.  The starting point must be
     a member of the set; schedules must pass :func:`validate_schedules`.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    report = validate_schedules(schedule)
-    if not report.all_passed:
-        failed = [
-            name
-            for name, cond in (
-                ("(i)", report.condition_i),
-                ("(ii)", report.condition_ii),
-                ("(iii)", report.condition_iii),
-            )
-            if not cond.passed
-        ]
-        raise ScheduleError(
-            "schedule fails condition " + ", ".join(failed) + ": "
-            + "; ".join(
-                c.detail
-                for c in (report.condition_i, report.condition_ii, report.condition_iii)
-                if not c.passed
-            )
-        )
+    _require_schedule(schedule, "explicit", budget)
     if not contains(space, cset, x0, 1e-9):
         raise ValueError("starting point must belong to the constraint set")
 
@@ -392,11 +352,9 @@ def run_explicit(
 
     trace = IterationTrace()
     x = x0
+    b = schedule.mixing
     for n in range(budget):
         a = schedule.anchor_at(n)
-        b = schedule.mixing_at(n)
-        if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-            raise ScheduleError(f"schedule values at step {n} outside (0, 1)")
         tx = T(x)
         residual = space.distance(x, tx)
         u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(n))

@@ -147,8 +147,9 @@ def test_run_batch(runner, tmp_path):
         ({"type": "euclidean", "dim": True}, "space.dim"),
         ({"type": "tree", "vertices": 2, "edges": [[0.7, 1, 1.0]]}, "space.edges[0][0]"),
         ({"type": "tree", "vertices": 1, "edges": []}, "space: a tree needs at least 2 vertices"),
+        ({"type": "euclidean", "dim": "2"}, "space.dim"),
     ],
-    ids=["dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges"],
+    ids=["dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges", "dim-string"],
 )
 @pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])
 def test_typed_field_error_names_json_path(runner, tmp_path, command, space, path):
@@ -224,6 +225,89 @@ def test_schedules_check(runner, tmp_path):
     result = runner.invoke(main, ["schedules", "--check", str(bad)])
     assert result.exit_code == 1
     assert "FAIL" in result.output
+
+
+def test_schedules_check_implicit_config(runner):
+    # the implicit scheme has its own two conditions, and the shipped config meets them
+    result = runner.invoke(main, ["schedules", "--check", str(CONFIG_DIR / "segment_implicit.json")])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("pass") == 2
+    assert "FAIL" not in result.output and "[analytic]" not in result.output
+
+
+def _schedule_config(tmp_path, base, **schedule):
+    doc = json.loads((CONFIG_DIR / base).read_text())
+    doc["schedule"].update(schedule)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])
+@pytest.mark.parametrize(
+    "base, schedule, where",
+    [
+        ("segment_explicit.json", {"anchor": {"scale": 1, "power": 1000, "shift": 1e-300}}, "schedule.anchor"),
+        ("segment_explicit.json", {"perturbation": {"scale": -1, "power": 1, "shift": 1}}, "schedule.perturbation"),
+        ("segment_explicit.json", {"mixing": {"scale": 0.5, "power": 0, "shift": 1}}, "schedule.mixing"),
+        ("segment_implicit.json", {"mixing": "0.5"}, "schedule.mixing"),
+    ],
+    ids=["anchor-overflow", "perturbation-scale", "mixing-dict", "mixing-string"],
+)
+def test_bad_schedule_names_json_path(runner, tmp_path, command, base, schedule, where):
+    cfg = _schedule_config(tmp_path, base, **schedule)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, str(cfg), *(["--output-dir", str(out)] if command == ["run"] else [])])
+    assert result.exit_code == 2, result.output
+    assert where in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+def test_run_rejects_underflowing_anchor_before_output(runner, tmp_path):
+    # anchor(m) = (m+1)^-400 underflows to 0 inside the 300-step budget
+    cfg = _schedule_config(tmp_path, "segment_implicit.json", anchor={"scale": 1, "power": 400, "shift": 1})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "condition (i)" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, env, name",
+    [
+        (["verify", "--space", "euclidean:2", "--seed", "-1"], {}, "--seed"),
+        (["verify", "--space", "hyperbolic:2", "--radius", "50"], {}, "--radius"),
+        (["verify", "--space", "product:(euclidean:2,hyperbolic:2)", "--radius", "21"], {}, "--radius"),
+        (["verify", "--space", "euclidean:2", "--radius", "-1"], {}, "--radius"),
+        (["verify", "--space", "euclidean:2", "--radius", "nan"], {}, "--radius"),
+        (["verify", "--space", "euclidean:2", "--eps", "nan"], {}, "--eps"),
+        (["run", "{seed}"], {}, "seed: must be non-negative"),
+        (["run", "{config}", "--seed", "-1"], {}, "--seed"),
+        (["run", "{config}", "--budget", "0"], {}, "--budget"),
+        (["run", "{config}"], {"HADAMARD_SEED": "abc"}, "HADAMARD_SEED"),
+        (["schedules", "--check", "{config}"], {"HADAMARD_SEED": "-1"}, "HADAMARD_SEED"),
+    ],
+    ids=[
+        "verify-seed", "verify-h2-radius", "verify-product-radius", "verify-radius-negative",
+        "verify-radius-nan", "verify-eps-nan", "config-seed", "run-seed", "run-budget",
+        "env-seed", "env-seed-negative",
+    ],
+)
+def test_bad_flag_names_its_source(runner, tmp_path, args, env, name):
+    paths = {"config": write_config(tmp_path, budget=10), "seed": write_config(tmp_path, "seed.json", seed=-3)}
+    args = [a.format(**paths) for a in args]
+    out = tmp_path / "out"
+    if args[0] == "run":
+        args += ["--output-dir", str(out)]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2, result.output
+    assert name in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
 
 
 def _h2_config():

@@ -166,6 +166,31 @@ def test_subtree_projection_gate_vertex(tree):
     assert tree.distance(x, u) <= best + 1e-12
 
 
+def test_subtree_gate_matches_nearest_vertex():
+    # the projection of an outside point is the set vertex nearest to it
+    topo = shuffled_random_tree(300, 4)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    graph = oracles.tree_graph(topo)
+    region = hd.default_region(tree)
+    rng = np.random.default_rng(11)
+    outside = 0
+    for _ in range(200):
+        chosen = {int(rng.integers(topo.vertex_count))}
+        for _ in range(int(rng.integers(0, 40))):
+            frontier = sorted({w for v in chosen for w in graph.neighbors(v)} - chosen)
+            chosen.add(frontier[int(rng.integers(len(frontier)))])
+        cset = hd.Subtree(frozenset(chosen))
+        project = hd.compile_set(tree, cset)
+        for _ in range(30):
+            x = hd.random_point(tree, region, rng)
+            if hd.contains(tree, cset, x):
+                continue
+            outside += 1
+            nearest = min(chosen, key=lambda v: tree.distance(x, tree.vertex_point(v)))
+            assert project(x)[0] == tree.vertex_point(nearest)
+    assert outside > 4000
+
+
 def test_projection_idempotent_and_inside(E2, H2):
     cases = [
         (E2, hd.Ball(ept(E2, 1.0, 1.0), 2.0), ept(E2, 5.0, 5.0)),

@@ -114,40 +114,86 @@ def test_run_explicit_trace_shape_and_determinism(E2):
     assert different.final != t1.final
 
 
-def test_validate_schedules_cases():
-    ok = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
-    rep = hd.validate_schedules(ok)
-    assert rep.all_passed
-    assert rep.condition_i.method == "analytic"
+def law(scale, power, shift=1.0):
+    return hd.PowerLaw(scale, power, shift)
 
-    # anchor summable -> (i) fails
-    rep = hd.validate_schedules(
-        hd.Schedule(anchor=hd.PowerLaw(1.0, 2.0, 1.0), perturbation=hd.PowerLaw(1.0, 1.0, 1.0), mixing=0.5)
-    )
-    assert not rep.condition_i.passed and rep.condition_ii.passed
 
-    # mixing at the boundary or decaying -> (ii) fails
-    for mixing in (0.0, 1.0, hd.PowerLaw(1.0, 0.5, 1.0)):
-        rep = hd.validate_schedules(
-            hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=mixing)
-        )
-        assert not rep.condition_ii.passed
+@pytest.mark.parametrize(
+    "anchor, perturbation, budget, want",
+    [
+        (law(1, 1), law(1, 2), 300, (True, True)),
+        (law(0.5, 0), law(0, 1), 300, (False, True)),  # constant anchor
+        (law(2, 1), law(1, 2), 300, (False, True)),  # anchor(1) = 1
+        (law(1, 400), law(1, 2), 300, (False, True)),  # anchor(300) underflows to 0
+        (law(1, 1), law(1, 0), 300, (True, False)),  # constant perturbation
+        (law(1, 1), law(0, 0), 300, (True, True)),  # no perturbation
+    ],
+    ids=["ok", "constant-anchor", "anchor-at-1", "anchor-underflow", "constant-perturbation", "no-perturbation"],
+)
+def test_validate_schedules_implicit(anchor, perturbation, budget, want):
+    conditions = hd.validate_schedules(hd.Schedule(anchor, perturbation), "implicit", budget)
+    assert [c.name[:4] for c in conditions] == ["(i) ", "(ii)"]
+    assert tuple(c.passed for c in conditions) == want
 
-    # constant mixing expressed as a zero-power law passes
-    rep = hd.validate_schedules(
-        hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=hd.PowerLaw(0.5, 0.0, 1.0))
-    )
-    assert rep.condition_ii.passed
 
-    # anchored perturbation series must be summable
-    rep = hd.validate_schedules(
-        hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 0.2, 1.0), mixing=0.5)
-    )
-    assert not rep.condition_iii.passed
-    rep = hd.validate_schedules(
-        hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(0.0, 0.0, 1.0), mixing=0.5)
-    )
-    assert rep.condition_iii.passed
+@pytest.mark.parametrize(
+    "anchor, perturbation, mixing, want",
+    [
+        (law(1, 0.7, 2), law(1, 1, 2), 0.5, (True, True, True)),
+        (law(1, 2), law(1, 1), 0.5, (False, True, True)),  # summable anchor
+        (law(1, 0.7), law(1, 1, 2), 0.5, (False, True, True)),  # anchor(0) = 1
+        (law(1, 0.7, 2), law(1, 1, 2), None, (True, False, True)),
+        (law(1, 0.7, 2), law(1, 1, 2), 0.0, (True, False, True)),
+        (law(1, 0.7, 2), law(1, 1, 2), 1.0, (True, False, True)),
+        (law(1, 0.7, 2), law(1, 0.2), 0.5, (True, True, False)),  # sum diverges
+        (law(1, 0.7, 2), law(0, 0), 0.5, (True, True, True)),  # no perturbation
+    ],
+    ids=["ok", "summable-anchor", "anchor-at-1", "no-mixing", "mixing-0", "mixing-1", "divergent-series", "no-perturbation"],
+)
+def test_validate_schedules_explicit(anchor, perturbation, mixing, want):
+    conditions = hd.validate_schedules(hd.Schedule(anchor, perturbation, mixing), "explicit", 1000)
+    assert [c.name[:5] for c in conditions] == ["(i) v", "(ii) ", "(iii)"]
+    assert tuple(c.passed for c in conditions) == want
+
+
+@pytest.mark.parametrize("algorithm", ["implicit", "explicit"])
+@pytest.mark.parametrize(
+    "anchor, perturbation, where",
+    [
+        (law(-1, 1), law(1, 2), "schedule.anchor"),
+        (law(1, -1), law(1, 2), "schedule.anchor"),
+        (law(1, 1, 0), law(1, 2), "schedule.anchor"),
+        (law(1, 1), law(-1, 2), "schedule.perturbation"),
+    ],
+    ids=["scale", "power", "shift", "perturbation-scale"],
+)
+def test_validate_schedules_rejects_laws(algorithm, anchor, perturbation, where):
+    with pytest.raises(hd.ScheduleError, match=where):
+        hd.validate_schedules(hd.Schedule(anchor, perturbation, 0.5), algorithm, 10)
+
+
+def test_validate_schedules_rejects_arguments():
+    ok = hd.Schedule(law(1, 0.7, 2), law(1, 1, 2), 0.5)
+    with pytest.raises(hd.ScheduleError, match="budget"):
+        hd.validate_schedules(ok, "explicit", 0)
+    with pytest.raises(hd.ScheduleError, match="algorithm"):
+        hd.validate_schedules(ok, "magic", 10)
+    # the explicit scheme starts at n = 0, where these laws overflow
+    for anchor, perturbation, where in (
+        (law(1, 1000, 1e-300), law(1, 1, 2), "schedule.anchor"),
+        (law(1, 0.7, 2), law(1, 1000, 1e-300), "schedule.perturbation"),
+        (law(1, 0.7, 2), law(1e308, 1, 0.5), "schedule.perturbation"),
+    ):
+        with pytest.raises(hd.ScheduleError, match=where):
+            hd.validate_schedules(hd.Schedule(anchor, perturbation, 0.5), "explicit", 10)
+
+
+def test_run_implicit_rejects_underflowing_anchor_up_front(E2):
+    # anchor(m) = (m+1)^-400 is 0.0 long before m = 300; the run must not start
+    C, T, base, _ = make_scenario(E2)
+    sched = hd.Schedule(anchor=law(1, 400), perturbation=law(1, 2))
+    with pytest.raises(hd.ScheduleError, match=r"condition \(i\)"):
+        hd.run_implicit(E2, C, T, sched, base, budget=300, max_inner=10)
 
 
 def test_perturbation_point_hits_target_norm(E2, H2):
