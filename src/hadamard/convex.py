@@ -408,7 +408,7 @@ def probe_points(
                 space.descriptor,
                 tuple(
                     c + scale * g
-                    for c, g in zip(u.data, rng.standard_normal(space.dim))
+                    for c, g in zip(u.data, rng.standard_normal(space.dim).tolist())
                 ),
             )
             pts.append(project_halfspace(w)[0])

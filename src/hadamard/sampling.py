@@ -119,7 +119,7 @@ def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
             raise ValueError("Euclidean space needs a EuclideanBox region")
         if len(region.lo) != space.dim or len(region.hi) != space.dim:
             raise ValueError("box dimensions do not match the space")
-        u = rng.random(space.dim)
+        u = rng.random(space.dim).tolist()
         return Point(
             space.descriptor,
             tuple(lo + (hi - lo) * ui for lo, hi, ui in zip(region.lo, region.hi, u)),
@@ -127,7 +127,7 @@ def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
     if isinstance(space, HyperbolicSpace):
         if not isinstance(region, HyperbolicBall):
             raise ValueError("hyperbolic space needs a HyperbolicBall region")
-        direction = rng.standard_normal(space.dim + 1)
+        direction = rng.standard_normal(space.dim + 1).tolist()
         r = region.radius * rng.random()
         return _hyperbolic_exp(space, region.center, direction, r)
     if isinstance(space, TreeSpace):
@@ -165,7 +165,7 @@ def sample_in_ball(space: Space, center: Point, radius: float, rng) -> Point:
         r = radius * rng.random() ** (1.0 / space.dim)
         return Point(
             space.descriptor,
-            tuple(c + r * d / nrm for c, d in zip(center.data, direction)),
+            tuple(c + r * d / nrm for c, d in zip(center.data, direction.tolist())),
         )
     if isinstance(space, HyperbolicSpace):
         return random_point(space, HyperbolicBall(center, min(radius, MAX_HYPERBOLIC_RADIUS)), rng)

@@ -352,7 +352,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if budget < 1:
         raise ConfigError("budget: must be at least 1")
     # the name becomes a file name under the output directory
-    name = str(doc.get("name", "experiment"))
+    name = _string(doc.get("name", "experiment"), "name")
     if name in ("", ".", "..") or Path(name).name != name:
         raise ConfigError(f"name: must be a single path component, got {name!r}")
     seed = _number(int, doc.get("seed", 0), "seed")
@@ -371,7 +371,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         outer_tol=_number(float, doc.get("outer_tol", 0.0), "outer_tol"),
         inner_tol=_number(float, doc.get("inner_tol", 1e-10), "inner_tol"),
         max_inner=_number(int, doc.get("max_inner", 10**6), "max_inner"),
-        output_dir=str(doc.get("output_dir", ".")),
+        output_dir=_string(doc.get("output_dir", "."), "output_dir"),
     )
     if "x0" in doc:
         cfg.x0 = point_from_json(doc["x0"], desc, "x0")
@@ -407,6 +407,12 @@ def _number(kind: type, value, where: str):
     raise ConfigError(f"{where}: expected a finite {kind.__name__}, got {value!r}")
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _list(values, where: str):
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{where}: expected a list, got {values!r}")
@@ -421,14 +427,26 @@ def _numbers(kind: type, values, where: str) -> tuple:
 # ---------------------------------------------------------------------------
 # trace CSV
 
-TRACE_HEADER = "n,fixed_residual,step,z_residual,ref_distance,qx_inner"
+TRACE_HEADER = (
+    "n,fixed_residual,step,z_residual,ref_distance,qx_inner,inner_iterations,inner_bound"
+)
 
 
 def write_trace_csv(trace: solvers.IterationTrace, out: TextIO) -> None:
+    """One header for both schemes; a field a row does not set is an empty
+    cell (explicit rows have no inner solve)."""
     out.write(TRACE_HEADER + "\n")
     for row in trace.rows:
         cells = [str(row.n)]
-        for v in (row.fixed_residual, row.step, row.z_residual, row.ref_distance, row.qx_inner):
+        for v in (
+            row.fixed_residual,
+            row.step,
+            row.z_residual,
+            row.ref_distance,
+            row.qx_inner,
+            row.inner_iterations,  # an int: 17 significant digits print it exactly
+            row.inner_bound,
+        ):
             cells.append("" if v is None else fmt_float(v))
         out.write(",".join(cells) + "\n")
 

@@ -304,7 +304,7 @@ def test_criterion_8_implicit_step_linear_oracle():
     theta, alpha = 0.9, 0.3
     u = ept(E2, 4.0, -1.0)
     T = hd.compile_mapping(E2, hd.Rotation(center, theta))
-    got, _ = hd.implicit_step(E2, hd.WholeSpace(), T, alpha, u, ept(E2, 0.0, 0.0), inner_tol=1e-12)
+    got, _, _ = hd.implicit_step(E2, hd.WholeSpace(), T, alpha, u, ept(E2, 0.0, 0.0), inner_tol=1e-12)
     c, s = math.cos(theta), math.sin(theta)
     R = np.array([[c, -s], [s, c]])
     cc = np.array(center.data)

@@ -138,26 +138,40 @@ def test_run_batch(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "space, path",
+    "overrides, path",
     [
-        ({"type": "euclidean", "dim": None}, "space.dim"),
-        ({"type": "euclidean", "dim": "x"}, "space.dim"),
-        ({"type": "tree", "vertices": 2, "edges": 5}, "space.edges"),
-        ({"type": "euclidean", "dim": 2.9}, "space.dim"),
-        ({"type": "euclidean", "dim": True}, "space.dim"),
-        ({"type": "tree", "vertices": 2, "edges": [[0.7, 1, 1.0]]}, "space.edges[0][0]"),
-        ({"type": "tree", "vertices": 1, "edges": []}, "space: a tree needs at least 2 vertices"),
-        ({"type": "euclidean", "dim": "2"}, "space.dim"),
+        ({"space": {"type": "euclidean", "dim": None}}, "space.dim"),
+        ({"space": {"type": "euclidean", "dim": "x"}}, "space.dim"),
+        ({"space": {"type": "tree", "vertices": 2, "edges": 5}}, "space.edges"),
+        ({"space": {"type": "euclidean", "dim": 2.9}}, "space.dim"),
+        ({"space": {"type": "euclidean", "dim": True}}, "space.dim"),
+        ({"space": {"type": "tree", "vertices": 2, "edges": [[0.7, 1, 1.0]]}}, "space.edges[0][0]"),
+        ({"space": {"type": "tree", "vertices": 1, "edges": []}}, "space: a tree needs at least 2 vertices"),
+        ({"space": {"type": "euclidean", "dim": "2"}}, "space.dim"),
+        ({"name": 7}, "name:"),
+        ({"name": None}, "name:"),
+        ({"output_dir": None}, "output_dir:"),
+        ({"output_dir": ["out"]}, "output_dir:"),
     ],
-    ids=["dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges", "dim-string"],
+    ids=[
+        "dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges",
+        "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list",
+    ],
 )
 @pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])
-def test_typed_field_error_names_json_path(runner, tmp_path, command, space, path):
-    cfg = write_config(tmp_path, space=space)
+def test_typed_field_error_names_json_path(runner, tmp_path, monkeypatch, command, overrides, path):
+    # not write_config: its own ``name`` argument is the file name
+    doc = json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
+    doc.update(overrides)
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, [*command, str(cfg)])
     assert result.exit_code == 2, result.output
     assert path in result.output
     assert "Traceback" not in result.output
+    # nothing written: not under None/, 7.*, nor the config's own output directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
 
 
 def _reject_constant(name):
@@ -175,7 +189,10 @@ def test_summaries_are_strict_json(runner, tmp_path):
     result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
     assert result.exit_code == 1, result.output
     summary = (tmp_path / "segment-implicit.summary.json").read_text()
-    json.loads(summary, parse_constant=_reject_constant)
+    doc = json.loads(summary, parse_constant=_reject_constant)
+    assert sorted(doc["timings"]) == ["certify_s", "solve_s", "write_s"]
+    assert all(t >= 0.0 for t in doc["timings"].values())
+    assert "wall_time_s" not in doc
 
 
 def test_run_writes_only_under_output_dir(runner, tmp_path):
@@ -389,3 +406,7 @@ def test_run_inner_budget_is_a_status(runner, tmp_path):
     rows = (tmp_path / "segment-implicit.trace.csv").read_text().splitlines()
     assert len(rows) == 1 + summary["steps"]
     assert rows[-1].split(",")[0] == str(summary["steps"])
+    # the last row records the exhausted budget and the error bound it reached
+    iterations, bound = rows[-1].split(",")[-2:]
+    assert iterations == "1" and float(bound) > 0.5 * 0.005  # above eps_1 = a_1 * outer_tol
+    assert summary["inner_iterations"] == 1

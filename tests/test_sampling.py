@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
+from hadamard.spaces import ProductSpace, TreeSpace
 from conftest import CATERPILLAR, ept, hpt_polar
 
 
@@ -94,3 +95,40 @@ def test_default_region_radius(E2):
     for _ in range(100):
         p = hd.random_point(E2, region, rng)
         assert max(abs(c) for c in p.data) <= 2.0 + 1e-12
+
+
+def exact_floats(space, p) -> bool:
+    """Every real in the point is a Python ``float`` (a tree edge id an
+    ``int``): no numpy scalar leaks from the random draws into point data."""
+    if isinstance(space, ProductSpace):
+        return exact_floats(space.left, p.data[0]) and exact_floats(space.right, p.data[1])
+    if isinstance(space, TreeSpace):
+        return type(p.data[0]) is int and type(p.data[1]) is float
+    return all(type(c) is float for c in p.data)
+
+
+def test_sampled_and_probe_coordinates_are_floats(E2, H2, tree, prod):
+    rng = hd.stream(7, 1)
+    for space in (E2, H2, tree, prod):
+        center = hd.random_point(space, hd.default_region(space), rng)
+        assert exact_floats(space, center)
+        for _ in range(20):
+            assert exact_floats(space, hd.random_point(space, hd.default_region(space), rng))
+            assert exact_floats(space, hd.sample_in_ball(space, center, 0.8, rng))
+    far = hd.random_point(H2, hd.default_region(H2), rng)
+    sets = [
+        (E2, hd.Ball(ept(E2, 1.0, 0.0), 2.0)),
+        (E2, hd.Segment(ept(E2, -1.0, 0.5), ept(E2, 2.0, 1.0))),
+        (E2, hd.HalfSpace((1.0, 2.0), 0.5)),
+        (E2, hd.WholeSpace()),
+        (H2, hd.Ball(H2.base, 1.5)),
+        (H2, hd.Segment(H2.base, far)),
+        (H2, hd.WholeSpace()),
+        (tree, hd.Ball(hd.tree_point(tree, 1, 1.0), 1.0)),
+        (tree, hd.Subtree(frozenset({1, 3, 4}))),
+        (prod, hd.WholeSpace()),
+    ]
+    for space, cset in sets:
+        u = hd.project_point(space, cset, hd.random_point(space, hd.default_region(space), rng))[0]
+        probes = hd.probe_points(space, cset, u, 64, seed=3)
+        assert probes and all(exact_floats(space, p) for p in probes), cset

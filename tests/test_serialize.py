@@ -119,7 +119,17 @@ def test_trace_csv_output():
     out = StringIO()
     serialize.write_trace_csv(trace, out)
     lines = out.getvalue().splitlines()
-    assert lines[0] == "n,fixed_residual,step,z_residual,ref_distance,qx_inner"
-    assert lines[1] == "1,0.5,0.25,,1,-0.125"
+    assert lines[0] == "n,fixed_residual,step,z_residual,ref_distance,qx_inner,inner_iterations,inner_bound"
+    assert lines[1] == "1,0.5,0.25,,1,-0.125,,"
     assert lines[2].startswith("2,")
     assert float(lines[2].split(",")[1]) == 1e-17
+
+
+def test_trace_csv_inner_columns():
+    # the iteration count is written as an integer, the bound like every real
+    trace = IterationTrace(
+        rows=[TraceRow(n=3, fixed_residual=0.25, step=0.5, inner_iterations=7, inner_bound=1e-11)]
+    )
+    out = StringIO()
+    serialize.write_trace_csv(trace, out)
+    assert out.getvalue().splitlines()[1] == "3,0.25,0.5,,,,7,9.9999999999999994e-12"

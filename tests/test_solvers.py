@@ -1,12 +1,18 @@
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hadamard as hd
-from hadamard import convex, mappings
+from hadamard import convex, mappings, serialize
+from hadamard.experiments import execute
 from hadamard.solvers import _perturbation_point
 from conftest import ept, hpt_polar
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_scenario(E2):
@@ -24,7 +30,7 @@ def test_implicit_step_matches_linear_solve(E2):
     theta, alpha = 0.9, 0.3
     u = ept(E2, 4.0, -1.0)
     T = hd.compile_mapping(E2, hd.Rotation(center, theta))
-    got, iterations = hd.implicit_step(
+    got, iterations, bound = hd.implicit_step(
         E2, hd.WholeSpace(), T, alpha, u, ept(E2, 0.0, 0.0), inner_tol=1e-12
     )
     c, s = math.cos(theta), math.sin(theta)
@@ -35,6 +41,9 @@ def test_implicit_step_matches_linear_solve(E2):
     want = np.linalg.solve(A, rhs)
     assert np.allclose(got.data, want, atol=1e-8)
     assert iterations < 200
+    # the returned a-posteriori bound is the exit test's, and it holds
+    assert 0.0 <= bound <= 1e-12
+    assert float(np.linalg.norm(np.array(got.data) - want)) <= bound + 1e-14
 
 
 def test_implicit_step_argument_checks(E2):
@@ -70,6 +79,44 @@ def test_run_implicit_scenario_error_decays_like_anchor(E2):
     sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 1.0, 1.0), perturbation=hd.PowerLaw(1.0, 2.0, 1.0))
     trace = hd.run_implicit(E2, C, T, sched, base, budget=60, seed=0, reference=q)
     assert trace.rows[-1].ref_distance == pytest.approx(1.0 / 61.0, rel=0.1)
+
+
+def test_shipped_implicit_config_solves_inner_steps_inexactly():
+    # step m solves to max(inner_tol, a_m * outer_tol), and each row records
+    # the bound it reached; the outer stop still reads d(x, Tx)
+    doc = json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
+    cfg = serialize.config_from_json(doc)
+    trace, summary = execute(cfg)
+    assert trace.status == "converged"
+    assert trace.final_fixed_residual <= cfg.outer_tol
+    assert math.dist(trace.final.data, (0.0, 1.0)) <= 1e-2
+    for row in trace.rows:
+        eps = max(cfg.inner_tol, cfg.schedule.anchor_at(row.n) * cfg.outer_tol)
+        assert row.inner_iterations >= 1
+        assert 0.0 <= row.inner_bound <= eps
+    total = sum(row.inner_iterations for row in trace.rows)
+    assert total <= 10_000
+    assert summary["inner_iterations"] == total
+
+
+def test_run_implicit_without_outer_tol_solves_to_inner_tol(E2):
+    C, T, base, q = make_scenario(E2)
+    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 1.0, 1.0), perturbation=hd.PowerLaw(1.0, 2.0, 1.0))
+    trace = hd.run_implicit(E2, C, T, sched, base, budget=40, seed=0, inner_tol=1e-9)
+    assert len(trace.rows) == 40
+    assert all(0.0 <= row.inner_bound <= 1e-9 for row in trace.rows)
+
+
+def test_explicit_rows_leave_inner_cells_empty(E2):
+    C, T, base, q = make_scenario(E2)
+    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
+    trace = hd.run_explicit(E2, C, T, sched, base, x0=ept(E2, 2.0, -2.0), budget=20, reference=q)
+    out = io.StringIO()
+    serialize.write_trace_csv(trace, out)
+    header, *rows = out.getvalue().splitlines()
+    assert header.split(",")[-2:] == ["inner_iterations", "inner_bound"]
+    assert len(rows) == 21
+    assert all(row.split(",")[-2:] == ["", ""] for row in rows)
 
 
 def test_run_implicit_rejects_constant_anchor(E2):
