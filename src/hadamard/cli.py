@@ -146,13 +146,12 @@ def run_cmd(configs, seed, budget, output_dir):
         sys.exit(EXIT_BAD_CONFIG)
 
     status = EXIT_OK
-    for res in results:
+    for summary, trace_path in results:
         click.echo(
-            f"{res.config.name}: {res.trace.status} after {res.summary['steps']} steps, "
-            f"final residual {res.summary['final_fixed_residual']:.3e} "
-            f"-> {res.trace_path}"
+            f"{summary['name']}: {summary['status']} after {summary['steps']} steps, "
+            f"final residual {summary['final_fixed_residual']:.3e} -> {trace_path}"
         )
-        if not res.converged:
+        if summary["status"] != "converged":
             status = EXIT_FAILED
     sys.exit(status)
 

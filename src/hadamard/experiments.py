@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -16,19 +15,6 @@ from .solvers import (
     run_implicit,
 )
 from .spaces import Basepoint, make_space
-
-
-@dataclass
-class ExperimentResult:
-    config: serialize.ExperimentConfig
-    trace: IterationTrace
-    trace_path: Path
-    summary_path: Path
-    summary: dict
-
-    @property
-    def converged(self) -> bool:
-        return self.trace.status == "converged"
 
 
 def execute(cfg: serialize.ExperimentConfig) -> tuple[IterationTrace, dict]:
@@ -94,23 +80,17 @@ def execute(cfg: serialize.ExperimentConfig) -> tuple[IterationTrace, dict]:
     return trace, summary
 
 
-def run_to_files(cfg: serialize.ExperimentConfig) -> ExperimentResult:
-    """Execute and write ``<name>.trace.csv`` and ``<name>.summary.json``."""
+def run_to_files(cfg: serialize.ExperimentConfig) -> tuple[dict, Path]:
+    """Execute and write ``<name>.trace.csv`` and ``<name>.summary.json``;
+    returns the summary and the trace's path."""
     trace, summary = execute(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"{cfg.name}.trace.csv"
-    summary_path = out_dir / f"{cfg.name}.summary.json"
     start = time.perf_counter()
     with open(trace_path, "w") as fh:
         serialize.write_trace_csv(trace, fh)
     summary["timings"]["write_s"] = time.perf_counter() - start
-    with open(summary_path, "w") as fh:
+    with open(out_dir / f"{cfg.name}.summary.json", "w") as fh:
         fh.write(serialize.dumps(summary))
-    return ExperimentResult(
-        config=cfg,
-        trace=trace,
-        trace_path=trace_path,
-        summary_path=summary_path,
-        summary=summary,
-    )
+    return summary, trace_path

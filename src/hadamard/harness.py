@@ -284,11 +284,14 @@ def liu_recursion(
 
 @dataclass
 class TraceDiagnostics:
+    """Tail statistics of a trace.  ``max_qx_inner`` and ``qx_scale`` are
+    None when the run had no reference to pair against."""
+
     rows_considered: int
     max_fixed_residual: float
     max_z_residual: Optional[float]
-    max_qx_inner: float
-    qx_scale: float
+    max_qx_inner: Optional[float]
+    qx_scale: Optional[float]
 
     def within(
         self,
@@ -296,6 +299,8 @@ class TraceDiagnostics:
         z_tol: Optional[float] = None,
         qx_tol: Optional[float] = None,
     ) -> bool:
+        if qx_tol is not None and self.max_qx_inner is None:
+            raise ValueError("qx_tol needs the pairing of a run with a reference")
         if self.max_fixed_residual > fixed_tol:
             return False
         if z_tol is not None and self.max_z_residual is not None and self.max_z_residual > z_tol:
@@ -308,16 +313,16 @@ class TraceDiagnostics:
 def trace_diagnostics(
     space: Space,
     trace: IterationTrace,
-    q: Point,
     base: Basepoint,
     tail_fraction: float = 0.1,
 ) -> TraceDiagnostics:
-    """Tail statistics of a solver trace against a candidate limit q.
+    """Tail statistics of a solver trace, read from its rows.
 
     Over the trailing ``tail_fraction`` of rows: the largest fixed-point
-    residual, the largest set-projection residual, and the largest pairing
-    <q->base, q->x_n> (nonpositive in the limit when q is the fixed point
-    nearest the base point).
+    residual, the largest set-projection residual, and, for a run with a
+    reference q, the largest pairing <q->base, q->x_n> (nonpositive in the
+    limit when q is the fixed point nearest the base point) and its scale
+    1 + d(q, base)^2 + d(q, x_n)^2.
     """
     if not trace.rows:
         raise ValueError("trace is empty")
@@ -325,18 +330,14 @@ def trace_diagnostics(
         raise ValueError("tail fraction must lie in (0, 1]")
     k = max(1, int(math.ceil(len(trace.rows) * tail_fraction)))
     rows = trace.rows[-k:]
-    points = trace.points[-k:]
     max_fixed = max(r.fixed_residual for r in rows)
     zs = [r.z_residual for r in rows if r.z_residual is not None]
     max_z = max(zs) if zs else None
-    max_qx = -math.inf
-    scale = 1.0
-    for p in points:
-        v = quasilinearization(space, q, base.o, q, p)
-        if v > max_qx:
-            max_qx = v
-        s = 1.0 + space.distance(q, base.o) ** 2 + space.distance(q, p) ** 2
-        scale = max(scale, s)
+    max_qx = scale = None
+    if trace.reference is not None:
+        max_qx = max(r.qx_inner for r in rows)
+        base_sq = space.distance(trace.reference, base.o) ** 2
+        scale = max(1.0 + base_sq + r.ref_distance**2 for r in rows)
     return TraceDiagnostics(
         rows_considered=k,
         max_fixed_residual=max_fixed,

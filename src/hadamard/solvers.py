@@ -114,11 +114,12 @@ def validate_schedules(
 
     Both schemes need an anchor weight in (0, 1) on every step the run takes
     (implicit m = 1..budget, explicit n = 0..budget-1) that vanishes.  The
-    implicit scheme also needs vanishing perturbations.  The explicit scheme
-    needs the conditions of Xu 2002: (i) a non-summable anchor, (ii) an
-    averaging weight in (0, 1), and (iii) a summable anchored perturbation
-    series.  A law out of range or overflowing raises ScheduleError naming
-    it.
+    implicit scheme's anchor must also keep 1 - anchor below 1 in floating
+    point, so that its inner Picard map contracts, and its perturbations
+    must vanish.  The explicit scheme needs the conditions of Xu 2002: (i) a
+    non-summable anchor, (ii) an averaging weight in (0, 1), and (iii) a
+    summable anchored perturbation series.  A law out of range or
+    overflowing raises ScheduleError naming it.
     """
     if algorithm not in ("implicit", "explicit"):
         raise ScheduleError(f"unknown algorithm {algorithm!r}")
@@ -138,9 +139,14 @@ def validate_schedules(
         f"{'vanishes' if vanishes else 'does not vanish'}"
     )
     if algorithm == "implicit":
+        contracts = 1.0 - a_last < 1.0
         p_vanishes = p.scale == 0.0 or p.power > 0.0
         return (
-            Condition("(i) vanishing anchor", in_range and vanishes, anchor),
+            Condition(
+                "(i) vanishing anchor",
+                in_range and vanishes and contracts,
+                anchor + ("" if contracts else ", too small: 1 - anchor rounds to 1"),
+            ),
             Condition(
                 "(ii) vanishing perturbation",
                 p_vanishes,
@@ -204,17 +210,29 @@ class TraceRow:
 
 @dataclass
 class IterationTrace:
-    rows: list[TraceRow] = field(default_factory=list)
-    points: list[Point] = field(default_factory=list)
-    status: str = "budget"  # "converged" | "budget" | "inner_budget"
+    """The whole record of a run: one row per iterate, the last iterate and
+    the status.  ``reference`` is the point each row's ``ref_distance`` and
+    ``qx_inner`` were measured against, or None when the run had none."""
 
-    @property
-    def final(self) -> Point:
-        return self.points[-1]
+    rows: list[TraceRow] = field(default_factory=list)
+    final: Optional[Point] = None
+    status: str = "budget"  # "converged" | "budget" | "inner_budget"
+    reference: Optional[Point] = None
 
     @property
     def final_fixed_residual(self) -> float:
         return self.rows[-1].fixed_residual
+
+
+def _measure(
+    space: Space, row: TraceRow, x: Point, base: Basepoint, reference: Optional[Point]
+) -> TraceRow:
+    """Fill ``row``'s distance d(x, reference) and pairing
+    <reference->base, reference->x> when the run has a reference."""
+    if reference is not None:
+        row.ref_distance = space.distance(x, reference)
+        row.qx_inner = quasilinearization(space, reference, base.o, reference, x)
+    return row
 
 
 def _perturbation_point(
@@ -308,7 +326,7 @@ def run_implicit(
     if region is None:
         region = default_region(space)
 
-    trace = IterationTrace()
+    trace = IterationTrace(reference=reference)
     x = P(base.o)[0]
     prev = x
     for m in range(1, budget + 1):
@@ -330,17 +348,14 @@ def run_implicit(
             inner_iterations=iterations,
             inner_bound=bound,
         )
-        if reference is not None:
-            row.ref_distance = space.distance(x, reference)
-            row.qx_inner = quasilinearization(space, reference, base.o, reference, x)
-        trace.rows.append(row)
-        trace.points.append(x)
+        trace.rows.append(_measure(space, row, x, base, reference))
         prev = x
         if trace.status == "inner_budget":
             break
         if residual <= outer_tol:
             trace.status = "converged"
             break
+    trace.final = x
     return trace
 
 
@@ -362,6 +377,8 @@ def run_explicit(
     Per step: anchored point y = a*u (+) (1-a)*Tx, projected to the set, then
     geodesic averaging with the previous iterate.  The starting point must be
     a member of the set; schedules must pass :func:`validate_schedules`.
+    Row n records iterate x_n; a run that uses up its budget closes with a
+    row for x_budget.
     """
     _require_schedule(schedule, "explicit", budget)
     if not contains(space, cset, x0, 1e-9):
@@ -373,7 +390,7 @@ def run_explicit(
     if region is None:
         region = default_region(space)
 
-    trace = IterationTrace()
+    trace = IterationTrace(reference=reference)
     x = x0
     b = schedule.mixing
     for n in range(budget):
@@ -390,21 +407,17 @@ def run_explicit(
             step=space.distance(nxt, x),
             z_residual=space.distance(z, x),
         )
-        if reference is not None:
-            row.ref_distance = space.distance(x, reference)
-            row.qx_inner = quasilinearization(space, reference, base.o, reference, x)
-        trace.rows.append(row)
-        trace.points.append(x)
+        trace.rows.append(_measure(space, row, x, base, reference))
         if residual <= outer_tol:
             trace.status = "converged"
-            return trace
+            break
         x = nxt
-    trace.rows.append(
-        TraceRow(n=budget, fixed_residual=space.distance(x, T(x)))
-    )
-    trace.points.append(x)
-    if trace.rows[-1].fixed_residual <= outer_tol:
-        trace.status = "converged"
+    else:
+        row = TraceRow(n=budget, fixed_residual=space.distance(x, T(x)))
+        trace.rows.append(_measure(space, row, x, base, reference))
+        if row.fixed_residual <= outer_tol:
+            trace.status = "converged"
+    trace.final = x
     return trace
 
 

@@ -247,7 +247,7 @@ def test_criterion_6_explicit_scheme():
     start = time.perf_counter()
     trace = hd.run_explicit(E2, C, T, sched, base, x0=ept(E2, 2.0, -2.0), budget=50000, seed=0, reference=q)
     elapsed = time.perf_counter() - start
-    diag = hd.trace_diagnostics(E2, trace, q, base, tail_fraction=0.1)
+    diag = hd.trace_diagnostics(E2, trace, base, tail_fraction=0.1)
     err = E2.distance(trace.final, q)
     ok = (
         diag.max_fixed_residual <= 1e-3
@@ -357,7 +357,7 @@ def test_criterion_10_negative_controls():
         E2, hd.Ball(ept(E2, 0.0, 0.0), 50.0), hd.Translation((0.5, 0.0)), sched, base,
         x0=ept(E2, 0.0, 0.0), budget=500, seed=0,
     )
-    diag = hd.trace_diagnostics(E2, trace, trace.final, base)
+    diag = hd.trace_diagnostics(E2, trace, base)
     flagged = trace.status == "budget" and not diag.within(1e-3)
 
     ok = bool(bad) and replayable and flagged

@@ -292,6 +292,16 @@ def test_run_rejects_underflowing_anchor_before_output(runner, tmp_path):
     assert not out.exists()
 
 
+def test_run_rejects_anchor_too_small_for_inner_solve(runner, tmp_path):
+    # anchor(1) = 2^-400 is positive, but 1 - anchor rounds to 1: the inner map would not contract
+    cfg = _schedule_config(tmp_path, "segment_implicit.json", anchor={"scale": 1, "power": 400, "shift": 1})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(cfg), "--budget", "1", "--output-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "condition (i)" in result.output and "rounds to 1" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, env, name",
     [

@@ -113,10 +113,11 @@ def test_trace_diagnostics_constant_trace(E2):
     q = ept(E2, 0.0, 1.0)
     base = hd.Basepoint(ept(E2, 0.0, 0.0))
     trace = IterationTrace(
-        rows=[TraceRow(n=i, fixed_residual=0.0) for i in range(20)],
-        points=[q] * 20,
+        rows=[TraceRow(n=i, fixed_residual=0.0, ref_distance=0.0, qx_inner=0.0) for i in range(20)],
+        final=q,
+        reference=q,
     )
-    diag = hd.trace_diagnostics(E2, trace, q, base, tail_fraction=0.5)
+    diag = hd.trace_diagnostics(E2, trace, base, tail_fraction=0.5)
     assert diag.rows_considered == 10
     assert diag.max_fixed_residual == 0.0
     assert diag.max_qx_inner == pytest.approx(0.0, abs=1e-15)
@@ -134,15 +135,20 @@ def test_trace_diagnostics_flags_translation(E2):
         E2, C, hd.Translation((0.5, 0.0)), sched, base, x0=ept(E2, 0.0, 0.0), budget=300, seed=0
     )
     assert trace.status == "budget"
-    diag = hd.trace_diagnostics(E2, trace, ept(E2, 0.0, 0.0), base)
+    diag = hd.trace_diagnostics(E2, trace, base)
     assert diag.max_fixed_residual > 0.1
     assert not diag.within(1e-3)
+    # a run without a reference has no pairing: the residuals alone decide
+    assert diag.max_qx_inner is None and diag.qx_scale is None
+    assert diag.within(1.0)
+    with pytest.raises(ValueError, match="reference"):
+        diag.within(1.0, qx_tol=1.0)
 
 
 def test_trace_diagnostics_validates_input(E2):
     base = hd.Basepoint(ept(E2, 0.0, 0.0))
     with pytest.raises(ValueError):
-        hd.trace_diagnostics(E2, IterationTrace(), ept(E2, 0, 0), base)
-    trace = IterationTrace(rows=[TraceRow(n=0, fixed_residual=0.0)], points=[ept(E2, 0, 0)])
+        hd.trace_diagnostics(E2, IterationTrace(), base)
+    trace = IterationTrace(rows=[TraceRow(n=0, fixed_residual=0.0)], final=ept(E2, 0, 0))
     with pytest.raises(ValueError):
-        hd.trace_diagnostics(E2, trace, ept(E2, 0, 0), base, tail_fraction=0.0)
+        hd.trace_diagnostics(E2, trace, base, tail_fraction=0.0)

@@ -161,6 +161,20 @@ def test_run_explicit_trace_shape_and_determinism(E2):
     assert different.final != t1.final
 
 
+def test_explicit_rows_match_recomputed_iterates(E2):
+    # row j stands for iterate x_j, which is the final point of a run with budget j
+    C, T, base, q = make_scenario(E2)
+    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
+    kw = dict(base=base, x0=ept(E2, 2.0, -2.0), seed=3, reference=q)
+    trace = hd.run_explicit(E2, C, T, sched, budget=40, **kw)
+    assert trace.status == "budget" and trace.rows[-1].n == 40
+    for row in trace.rows[-10:]:
+        x = hd.run_explicit(E2, C, T, sched, budget=row.n, **kw).final
+        assert row.ref_distance == E2.distance(x, q), row.n
+        assert row.qx_inner == hd.quasilinearization(E2, q, base.o, q, x), row.n
+    assert x == trace.final
+
+
 def law(scale, power, shift=1.0):
     return hd.PowerLaw(scale, power, shift)
 
@@ -172,10 +186,14 @@ def law(scale, power, shift=1.0):
         (law(0.5, 0), law(0, 1), 300, (False, True)),  # constant anchor
         (law(2, 1), law(1, 2), 300, (False, True)),  # anchor(1) = 1
         (law(1, 400), law(1, 2), 300, (False, True)),  # anchor(300) underflows to 0
+        (law(1, 400), law(1, 2), 1, (False, True)),  # anchor(1) = 3.9e-121: 1 - anchor == 1
         (law(1, 1), law(1, 0), 300, (True, False)),  # constant perturbation
         (law(1, 1), law(0, 0), 300, (True, True)),  # no perturbation
     ],
-    ids=["ok", "constant-anchor", "anchor-at-1", "anchor-underflow", "constant-perturbation", "no-perturbation"],
+    ids=[
+        "ok", "constant-anchor", "anchor-at-1", "anchor-underflow", "anchor-too-small",
+        "constant-perturbation", "no-perturbation",
+    ],
 )
 def test_validate_schedules_implicit(anchor, perturbation, budget, want):
     conditions = hd.validate_schedules(hd.Schedule(anchor, perturbation), "implicit", budget)
