@@ -143,33 +143,24 @@ def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0
     raise IncompatibleSetError(f"unknown set {cset!r}")
 
 
-def project_segment(
-    space: Space,
-    a: Point,
-    b: Point,
-    x: Point,
-    lam_tol: float = DEFAULT_LAMBDA_TOL,
-) -> tuple[float, Point, int]:
+def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, Point, int]:
     """Minimize d(x, .)^2 over the geodesic segment [a, b].
 
-    Euclidean and hyperboloid spaces get exact closed forms (clamped affine
-    projection, clamped atanh of the Minkowski components).  Everywhere else
-    the squared distance is convex along geodesics, so derivative-free ternary
-    search applies.  Returns (lam, point, iterations) where lam weights
-    endpoint ``a``; for the ternary path the bracket width at exit is below
-    ``lam_tol`` (or the 200-iteration cap was hit).
+    Euclidean, hyperboloid and tree spaces get exact closed forms (clamped
+    affine projection, clamped atanh of the Minkowski components, clamped
+    Gromov product).  Ternary search serves products only: there the squared
+    distance is convex along geodesics, so derivative-free search applies.
+    Returns (lam, point, iterations) where lam weights endpoint ``a``; for
+    the ternary path the bracket width at exit is below
+    ``DEFAULT_LAMBDA_TOL`` (or the 200-iteration cap was hit).
     """
-    return _segment_projector(space, a, b, lam_tol)(x)
+    return _segment_projector(space, a, b)(x)
 
 
-def _segment_projector(
-    space: Space, a: Point, b: Point, lam_tol: float
-) -> Callable[[Point], tuple[float, Point, int]]:
-    """``x -> project_segment(space, a, b, x, lam_tol)``, with every constant
-    of the segment computed here, once."""
-    if lam_tol <= 0.0:
-        raise ValueError("lam_tol must be positive")
-
+def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tuple[float, Point, int]]:
+    """``x -> project_segment(space, a, b, x)``, with every constant of the
+    segment computed here, once.  Closed forms for Euclidean, hyperboloid and
+    tree spaces; ternary search for products only."""
     if isinstance(space, EuclideanSpace):
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
@@ -206,6 +197,19 @@ def _segment_projector(
 
         return hyperbolic
 
+    if isinstance(space, TreeSpace):
+        dab = space.distance(a, b)
+        if dab == 0.0:
+            return lambda x: (1.0, a, 0)
+
+        def gromov(x: Point) -> tuple[float, Point, int]:
+            # in an R-tree the foot of x on [a, b] lies (x|b)_a from a
+            t = 0.5 * (space.distance(a, x) + dab - space.distance(b, x))
+            lam = 1.0 - min(dab, max(0.0, t)) / dab
+            return lam, space.geodesic_point(a, b, lam), 0
+
+        return gromov
+
     def ternary(x: Point) -> tuple[float, Point, int]:
         def g(lam: float) -> float:
             d = space.distance(x, space.geodesic_point(a, b, lam))
@@ -213,7 +217,7 @@ def _segment_projector(
 
         lo, hi = 0.0, 1.0
         it = 0
-        while hi - lo > lam_tol and it < TERNARY_MAX_ITER:
+        while hi - lo > DEFAULT_LAMBDA_TOL and it < TERNARY_MAX_ITER:
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
             if g(m1) <= g(m2):
@@ -227,9 +231,7 @@ def _segment_projector(
     return ternary
 
 
-def compile_set(
-    space: Space, cset: ConvexSetDescriptor, lam_tol: float = DEFAULT_LAMBDA_TOL
-) -> Projection:
+def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
     """The metric projection onto ``cset`` as a closure ``x -> (u, iterations)``.
 
     The set is validated against the space once, here, and its constants
@@ -257,7 +259,7 @@ def compile_set(
         a, b = cset.a, cset.b
         # the membership test of ``contains`` at MEMBERSHIP_TOL
         bound = space.distance(a, b) + MEMBERSHIP_TOL
-        nearest = _segment_projector(space, a, b, lam_tol)
+        nearest = _segment_projector(space, a, b)
 
         def project_seg(x: Point) -> tuple[Point, int]:
             if space.distance(a, x) + space.distance(x, b) <= bound:
@@ -302,15 +304,13 @@ def compile_set(
     raise IncompatibleSetError(f"unknown set {cset!r}")
 
 
-def project_point(
-    space: Space, cset: ConvexSetDescriptor, x: Point, lam_tol: float = DEFAULT_LAMBDA_TOL
-) -> tuple[Point, int]:
+def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Point, int]:
     """Nearest point of the set, without certification. Returns (u, iterations).
 
     Compiles the set on every call; a loop that projects many points onto
     one set should call :func:`compile_set` once and reuse its closure.
     """
-    return compile_set(space, cset, lam_tol)(x)
+    return compile_set(space, cset)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +352,15 @@ def probe_points(
         while len(pts) < count:
             pts.append(space.geodesic_point(cset.a, cset.b, float(rng.random())))
     elif isinstance(cset, Ball):
-        n_boundary = count // 2
-        for _ in range(n_boundary):
-            w = sample_in_ball(space, cset.center, cset.radius, rng)
-            d = space.distance(cset.center, w)
-            if d > 0.0:
-                pts.append(
-                    space.geodesic_point(cset.center, w, max(0.0, 1.0 - cset.radius / d))
-                )
-            else:
-                pts.append(w)
+        # the first half on the boundary, the rest on interior shells
         shells = (0.25, 0.5, 0.75, 0.9)
         while len(pts) < count:
             w = sample_in_ball(space, cset.center, cset.radius, rng)
             d = space.distance(cset.center, w)
-            r = cset.radius * shells[len(pts) % len(shells)]
+            if len(pts) < count // 2:
+                r = cset.radius
+            else:
+                r = cset.radius * shells[len(pts) % len(shells)]
             if d > 0.0:
                 pts.append(space.geodesic_point(cset.center, w, max(0.0, 1.0 - r / d)))
             else:
@@ -459,13 +453,12 @@ def project(
     x: Point,
     probes: int = 256,
     seed: int = 0,
-    lam_tol: float = DEFAULT_LAMBDA_TOL,
 ) -> ProjectionResult:
     """Metric projection with a certificate.
 
     Pass ``probes=0`` to skip certification (the solvers do, for speed).
     """
-    u, it = project_point(space, cset, x, lam_tol)
+    u, it = project_point(space, cset, x)
     cert = None
     if probes:
         cert = characterization_residual(space, cset, x, u, probes, seed)

@@ -253,10 +253,12 @@ class TreeSpace(Space):
 
     The handle keeps the tree rooted at vertex 0 and nothing larger than
     O(n): each vertex's parent, the edge to it, its depth in edges and its
-    distance from the root; each edge's child endpoint (the end farther
-    from the root); and the running sums of the edge lengths.  A distance
-    or geodesic walks up to the lowest common ancestor, so it costs
-    O(depth): O(log n) on random trees, O(n) on a path-shaped tree.
+    distance from the root (its height); each vertex's lowest-indexed
+    incident edge; each edge's child endpoint (the end farther from the
+    root); and the running sums of the edge lengths.  A distance walks up
+    to the lowest common ancestor, and a geodesic point then climbs from
+    one end until its height is reached, so each costs O(depth): O(log n)
+    on random trees, O(n) on a path-shaped tree.
     """
 
     def __init__(self, desc: WeightedTree):
@@ -307,7 +309,7 @@ class TreeSpace(Space):
         self.depth = depth
         self.root_dist = root_dist
         self.child = child
-        self.incident = [sorted(eid for _, eid in adj[v]) for v in range(n)]
+        self.incident = [min(eid for _, eid in a) for a in adj]
         self.cumulative_length = list(itertools.accumulate(e[2] for e in topo.edges))
         self.total_length = self.cumulative_length[-1]
 
@@ -316,7 +318,7 @@ class TreeSpace(Space):
     def vertex_point(self, v: int) -> Point:
         """Canonical representation of a vertex: offset 0 or full length on
         its lowest-indexed incident edge."""
-        eid = self.incident[v][0]
+        eid = self.incident[v]
         u, w, length = self.topology.edges[eid]
         return Point(self.descriptor, (eid, 0.0 if v == u else length))
 
@@ -363,6 +365,22 @@ class TreeSpace(Space):
                 y = parent[y]
         return x
 
+    def _path(self, ea: int, ta: float, eb: int, tb: float) -> tuple[float, float, float, int]:
+        """The geodesic between points on distinct edges ``ea`` and ``eb``:
+        their heights ``ha`` and ``hb``, the height of the path's highest
+        point, and the path's top vertex, which no climb along it passes.
+        The length of the path is ``ha + hb - 2 * peak``."""
+        ha, hb = self._height(ea, ta), self._height(eb, tb)
+        ca, cb = self.child[ea], self.child[eb]
+        top = self._lca(ca, cb)
+        # when b lies below a's edge the path only descends from a, and vice
+        # versa; otherwise it climbs to top and descends
+        if top == ca:
+            return ha, hb, ha, self.parent[ca]
+        if top == cb:
+            return ha, hb, hb, self.parent[cb]
+        return ha, hb, self.root_dist[top], top
+
     def distance(self, a: Point, b: Point) -> float:
         if a.space is not self.descriptor or b.space is not self.descriptor:
             self._check(a, b)
@@ -370,69 +388,42 @@ class TreeSpace(Space):
         eb, tb = b.data
         if ea == eb:
             return abs(ta - tb)
-        ha, hb = self._height(ea, ta), self._height(eb, tb)
-        ca, cb = self.child[ea], self.child[eb]
-        top = self._lca(ca, cb)
-        # when b lies below a's edge the path only descends from a, and vice
-        # versa; otherwise it turns at top
-        if top == ca:
-            return hb - ha
-        if top == cb:
-            return ha - hb
-        return ha + hb - 2.0 * self.root_dist[top]
+        ha, hb, peak, _ = self._path(ea, ta, eb, tb)
+        return ha + hb - 2.0 * peak
 
-    def _end_offset(self, eid: int, v: int) -> float:
-        """Offset of vertex v, an endpoint of edge eid: 0 or the edge length."""
-        u, _, length = self.topology.edges[eid]
-        return 0.0 if v == u else length
-
-    def _climb(self, v: int, top: int) -> list[tuple[int, float, float]]:
-        """The path from vertex v up to its ancestor top, as pieces."""
-        pieces = []
-        while v != top:
-            eid, w = self.parent_edge[v], self.parent[v]
-            pieces.append((eid, self._end_offset(eid, v), self._end_offset(eid, w)))
-            v = w
-        return pieces
-
-    def _segments(self, p: Point, q: Point) -> list[tuple[int, float, float]]:
-        """The geodesic from p to q as (edge_id, start_offset, end_offset)
-        pieces; degenerate pieces are dropped."""
-        ep, tp = p.data
-        eq, tq = q.data
-        if ep == eq:
-            return [(ep, tp, tq)] if tp != tq else []
-        cp, cq = self.child[ep], self.child[eq]
-        top = self._lca(cp, cq)
-        # a point leaves its edge through the child end when the other point
-        # lies below that end, else through the parent end
-        a = cp if top == cp else self.parent[cp]
-        b = cq if top == cq else self.parent[cq]
-        down = [(eid, e, s) for eid, s, e in reversed(self._climb(b, top))]
-        a_off, b_off = self._end_offset(ep, a), self._end_offset(eq, b)
-        head = [(ep, tp, a_off)] if tp != a_off else []
-        tail = [(eq, b_off, tq)] if tq != b_off else []
-        return head + self._climb(a, top) + down + tail
+    def _climb(self, eid: int, h: float, top: int) -> Point:
+        """The point at height ``h`` on the way up from edge ``eid`` to its
+        ancestor vertex ``top``; a height that rounding puts past ``top``
+        stops at ``top``."""
+        parent, root_dist = self.parent, self.root_dist
+        v = self.child[eid]
+        while parent[v] != top and h < root_dist[parent[v]]:
+            v = parent[v]
+        eid = self.parent_edge[v]
+        u, w, length = self.topology.edges[eid]
+        off = h - root_dist[u] if w == v else length - (h - root_dist[w])
+        return self.canonical(Point(self.descriptor, (eid, min(length, max(0.0, off)))))
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
         if x.space is not self.descriptor or y.space is not self.descriptor:
             self._check(x, y)
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
-        segs = self._segments(x, y)
-        total = sum(abs(e - s) for _, s, e in segs)
-        target = (1.0 - lam) * total
-        if total == 0.0 or target <= 0.0:
+        if lam == 1.0:
             return self.canonical(x)
-        acc = 0.0
-        for eid, s, e in segs:
-            seg_len = abs(e - s)
-            if acc + seg_len >= target:
-                frac = (target - acc) / seg_len
-                off = s + (e - s) * frac
-                return self.canonical(Point(self.descriptor, (eid, off)))
-            acc += seg_len
-        return self.canonical(y)
+        if lam == 0.0:
+            return self.canonical(y)
+        ex, tx = x.data
+        ey, ty = y.data
+        if ex == ey:
+            return self.canonical(Point(self.descriptor, (ex, tx + (ty - tx) * (1.0 - lam))))
+        hx, hy, peak, top = self._path(ex, tx, ey, ty)
+        d = hx + hy - 2.0 * peak
+        t = (1.0 - lam) * d
+        # the point is t along the climb from x, or d - t up from y
+        if t <= hx - peak:
+            return self._climb(ex, hx - t, top)
+        return self._climb(ey, hy - (d - t), top)
 
 
 class ProductSpace(Space):

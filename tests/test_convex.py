@@ -153,6 +153,26 @@ def test_segment_projection_tree_grid_oracle(tree):
         assert d_here <= d_want + 1e-6
 
 
+def test_segment_projection_tree_closed_form():
+    topo = shuffled_random_tree(200, 6)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    rng = np.random.default_rng(31)
+
+    def point():
+        eid = int(rng.integers(len(topo.edges)))
+        return hd.Point(tree.descriptor, (eid, topo.edges[eid][2] * float(rng.random())))
+
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    for _ in range(300):
+        a, b, x = point(), point(), point()
+        lam, u, iterations = hd.project_segment(tree, a, b, x)
+        assert iterations == 0
+        assert u == tree.geodesic_point(a, b, lam)
+        best = min(tree.distance(x, tree.geodesic_point(a, b, g)) for g in grid)
+        assert tree.distance(x, u) <= best + 1e-12
+    assert hd.project_segment(tree, a, a, x) == (1.0, a, 0)
+
+
 def test_subtree_projection_gate_vertex(tree):
     cset = hd.Subtree(frozenset({0, 1}))
     # a point deep on edge (3,4) must exit through vertex 1

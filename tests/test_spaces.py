@@ -127,6 +127,84 @@ def test_tree_distance_is_exactly_symmetric():
         assert tree.distance(a, b) == tree.distance(b, a)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_geodesic_points_match_networkx(seed):
+    topo = shuffled_random_tree(2000, seed)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    rng = np.random.default_rng(seed + 40)
+    vdist = {}
+
+    def oracle_distance(p, q):
+        for w in topo.edges[p.data[0]][:2]:
+            if w not in vdist:
+                vdist[w] = oracles.tree_source_distances(topo, w)
+        return oracles.tree_point_distance(topo, p.data, q.data, vdist)
+
+    def point(eid):
+        return hd.Point(tree.descriptor, (eid, topo.edges[eid][2] * float(rng.random())))
+
+    def random_edge():
+        return int(rng.integers(len(topo.edges)))
+
+    def ancestor_edge(eid):
+        # an edge on the way from eid's child end up to the root
+        chain = [eid]
+        v = tree.parent[tree.child[eid]]
+        while v != 0:
+            chain.append(tree.parent_edge[v])
+            v = tree.parent[v]
+        return chain[int(rng.integers(1, len(chain)))] if len(chain) > 1 else eid
+
+    pairs = []
+    for _ in range(8):
+        low = random_edge()
+        while tree.parent[tree.child[low]] == 0:
+            low = random_edge()
+        up = ancestor_edge(low)
+        pairs.append((point(low), point(up)))  # climb only
+        pairs.append((point(up), point(low)))  # descend only
+        pairs.append((point(random_edge()), point(random_edge())))  # mostly turning
+        eid = random_edge()
+        pairs.append((point(eid), point(eid)))  # same edge
+        # the top end of an ancestor edge, where rounding may overshoot
+        up_vertex = tree.parent[tree.child[up]]
+        pairs.append((point(low), tree.vertex_point(up_vertex)))
+        v = int(rng.integers(topo.vertex_count))
+        pairs.append((tree.vertex_point(0), point(random_edge())))
+        pairs.append((point(random_edge()), tree.vertex_point(0)))
+        pairs.append((tree.vertex_point(v), tree.vertex_point(0)))
+    shapes = {"climb": 0, "descend": 0, "turn": 0}
+    for x, y in pairs:
+        if x.data[0] != y.data[0]:
+            cx, cy = tree.child[x.data[0]], tree.child[y.data[0]]
+            top = tree._lca(cx, cy)
+            shapes["descend" if top == cx else "climb" if top == cy else "turn"] += 1
+    assert min(shapes.values()) >= 8
+
+    root = tree.vertex_point(0)
+    for x, y in pairs:
+        d = oracle_distance(x, y)
+        assert tree.distance(x, y) == pytest.approx(d, abs=1e-9 * (1 + d))
+        # the path's highest point lies (y|root)_x from x
+        rise = 0.5 * (d + oracle_distance(x, root) - oracle_distance(y, root))
+        at_top = min(1.0, max(0.0, 1.0 - rise / d)) if d else 0.5
+        for lam in (0.0, 1.0, 1e-300, 1.0 - 1e-16, float(rng.random()), at_top):
+            z = tree.geodesic_point(x, y, lam)
+            assert hd.validate_point(tree, z) is None
+            assert abs(oracle_distance(x, z) - (1.0 - lam) * d) <= 1e-9 * (1 + d)
+            assert abs(oracle_distance(y, z) - lam * d) <= 1e-9 * (1 + d)
+        assert tree.geodesic_point(x, y, 1.0) == tree.canonical(x)
+        assert tree.geodesic_point(x, y, 0.0) == tree.canonical(y)
+
+
+def test_tree_geodesic_never_climbs_past_the_root():
+    # lengths for which the target height of the root rounds below 0
+    a, b = 0.6839532159441665, 7.908553959073681
+    tree = hd.make_space(hd.WeightedTree(hd.TreeTopology(3, ((1, 0, a), (0, 2, b)))))
+    x, y = tree.vertex_point(1), tree.vertex_point(2)
+    assert tree.geodesic_point(x, y, 1.0 - a / (a + b)) == tree.vertex_point(0)
+
+
 def test_tree_vertex_points_are_canonical(tree):
     # any (edge, endpoint) description of a vertex collapses to one encoding
     v3 = tree.vertex_point(3)
