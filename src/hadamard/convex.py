@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .geometry import quasilinearization
+from .geometry import pairing_against
 from .sampling import sample_in_ball, stream
 from .spaces import (
     EuclideanSpace,
@@ -193,7 +193,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
             else:
                 t = min(d, max(0.0, math.atanh(-B / A)))
             lam = t / d
-            return lam, space.geodesic_point(a, b, lam), 0
+            return lam, space._geodesic(a, b, lam, d), 0
 
         return hyperbolic
 
@@ -252,7 +252,7 @@ def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
             d = space.distance(center, x)
             if d <= radius:
                 return x, 0
-            return space.geodesic_point(center, x, 1.0 - radius / d), 0
+            return space._geodesic(center, x, 1.0 - radius / d, d), 0
 
         return project_ball
     if isinstance(cset, Segment):
@@ -362,7 +362,7 @@ def probe_points(
             else:
                 r = cset.radius * shells[len(pts) % len(shells)]
             if d > 0.0:
-                pts.append(space.geodesic_point(cset.center, w, max(0.0, 1.0 - r / d)))
+                pts.append(space._geodesic(cset.center, w, max(0.0, 1.0 - r / d), d))
             else:
                 pts.append(w)
     elif isinstance(cset, Subtree):
@@ -444,7 +444,8 @@ def characterization_residual(
         pts = list(probes)
         if not pts:
             raise ValueError("need at least one probe point")
-    return min(quasilinearization(space, x, u, u, y) for y in pts)
+    pairing = pairing_against(space, x, u, u)
+    return min(pairing(y, space.distance(x, y)) for y in pts)
 
 
 def project(

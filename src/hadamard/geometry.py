@@ -12,6 +12,8 @@ it directly.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .spaces import Basepoint, Point, Space
 
 
@@ -21,6 +23,25 @@ def quasilinearization(space: Space, a: Point, b: Point, c: Point, d: Point) -> 
     dac = space.distance(a, c)
     dbd = space.distance(b, d)
     return 0.5 * (dad * dad + dbc * dbc - dac * dac - dbd * dbd)
+
+
+def pairing_against(space: Space, a: Point, b: Point, c: Point) -> Callable[[Point, float], float]:
+    """``(d, dad) -> quasilinearization(space, a, b, c, d)`` bit for bit, for
+    a caller that holds ``dad = distance(a, d)`` already.
+
+    The two distances without ``d`` are measured once, here, so a call
+    measures only d(b, d): a certificate over many probes d costs two
+    distances per probe, not four.
+    """
+    dbc = space.distance(b, c)
+    dac = space.distance(a, c)
+    dbc2, dac2 = dbc * dbc, dac * dac
+
+    def pairing(d: Point, dad: float) -> float:
+        dbd = space.distance(b, d)
+        return 0.5 * (dad * dad + dbc2 - dac2 - dbd * dbd)
+
+    return pairing
 
 
 def cauchy_schwarz_gap(space: Space, a: Point, b: Point, c: Point, d: Point) -> float:

@@ -111,10 +111,9 @@ def _hyperbolic_rotation(space: HyperbolicSpace, center: Point, angle) -> Callab
 
     def apply(p: Point) -> Point:
         x = p.data
-        coords = tuple(
-            m[i][0] * x[0] + m[i][1] * x[1] + m[i][2] * x[2] for i in range(3)
+        return space._renormalize(
+            [mi[0] * x[0] + mi[1] * x[1] + mi[2] * x[2] for mi in m]
         )
-        return space._renormalize(coords)
 
     return apply
 

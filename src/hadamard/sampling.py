@@ -100,14 +100,13 @@ def _hyperbolic_exp(space: HyperbolicSpace, center: Point, direction, r: float) 
     c = center.data
     # project the ambient direction onto the tangent space at c
     dot = minkowski(c, direction)
-    v = [direction[i] + dot * c[i] for i in range(len(c))]
+    v = [di + dot * ci for di, ci in zip(direction, c)]
     vv = minkowski(v, v)
     if vv <= 0.0:
         return center
     inv = 1.0 / math.sqrt(vv)
     ch, sh = math.cosh(r), math.sinh(r)
-    coords = tuple(ch * c[i] + sh * inv * v[i] for i in range(len(c)))
-    return space._renormalize(coords)
+    return space._renormalize([ch * ci + sh * inv * vi for ci, vi in zip(c, v)])
 
 
 def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:

@@ -22,10 +22,6 @@ class ConfigError(ValueError):
     """Invalid configuration document; message carries a JSON-path anchor."""
 
 
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -434,21 +430,23 @@ TRACE_HEADER = (
 
 def write_trace_csv(trace: solvers.IterationTrace, out: TextIO) -> None:
     """One header for both schemes; a field a row does not set is an empty
-    cell (explicit rows have no inner solve)."""
-    out.write(TRACE_HEADER + "\n")
+    cell (explicit rows have no inner solve).  Numbers have 17 significant
+    digits (an int ``inner_iterations`` prints exactly), and each row is
+    written as soon as it is formatted."""
+    write = out.write
+    write(TRACE_HEADER + "\n")
     for row in trace.rows:
-        cells = [str(row.n)]
-        for v in (
-            row.fixed_residual,
-            row.step,
-            row.z_residual,
-            row.ref_distance,
-            row.qx_inner,
-            row.inner_iterations,  # an int: 17 significant digits print it exactly
-            row.inner_bound,
-        ):
-            cells.append("" if v is None else fmt_float(v))
-        out.write(",".join(cells) + "\n")
+        s, z, d, q = row.step, row.z_residual, row.ref_distance, row.qx_inner
+        i, b = row.inner_iterations, row.inner_bound
+        write(
+            f"{row.n},{row.fixed_residual:.17g},"
+            f"{'' if s is None else f'{s:.17g}'},"
+            f"{'' if z is None else f'{z:.17g}'},"
+            f"{'' if d is None else f'{d:.17g}'},"
+            f"{'' if q is None else f'{q:.17g}'},"
+            f"{'' if i is None else f'{i:.17g}'},"
+            f"{'' if b is None else f'{b:.17g}'}\n"
+        )
 
 
 def dumps(doc: dict) -> str:

@@ -30,7 +30,7 @@ from .convex import (
     probe_points,
     project_point,
 )
-from .geometry import quasilinearization
+from .geometry import pairing_against
 from .mappings import MappingDescriptor, compile_mapping
 from .sampling import SamplingRegion, default_region, random_point, stream
 from .spaces import Basepoint, Point, Space
@@ -224,15 +224,23 @@ class IterationTrace:
         return self.rows[-1].fixed_residual
 
 
-def _measure(
-    space: Space, row: TraceRow, x: Point, base: Basepoint, reference: Optional[Point]
-) -> TraceRow:
-    """Fill ``row``'s distance d(x, reference) and pairing
-    <reference->base, reference->x> when the run has a reference."""
-    if reference is not None:
-        row.ref_distance = space.distance(x, reference)
-        row.qx_inner = quasilinearization(space, reference, base.o, reference, x)
-    return row
+def _measurer(
+    space: Space, base: Basepoint, reference: Optional[Point]
+) -> Callable[[TraceRow, Point], TraceRow]:
+    """``measure(row, x)``: fill ``row``'s distance d(x, reference) and
+    pairing <reference->base, reference->x> when the run has a reference.
+    The pairing reuses d(x, reference) as d(reference, x): every metric
+    here is exactly symmetric."""
+    if reference is None:
+        return lambda row, x: row
+    pairing = pairing_against(space, reference, base.o, reference)
+
+    def measure(row: TraceRow, x: Point) -> TraceRow:
+        row.ref_distance = d = space.distance(x, reference)
+        row.qx_inner = pairing(x, d)
+        return row
+
+    return measure
 
 
 def _perturbation_point(
@@ -251,7 +259,7 @@ def _perturbation_point(
         d = space.distance(base.o, w)
         if d > 0.0:
             lam = 1.0 - min(1.0, target_norm / d)
-            return space.geodesic_point(base.o, w, lam)
+            return space._geodesic(base.o, w, lam, d)
     return base.o
 
 
@@ -327,6 +335,7 @@ def run_implicit(
         region = default_region(space)
 
     trace = IterationTrace(reference=reference)
+    measure = _measurer(space, base, reference)
     x = P(base.o)[0]
     prev = x
     for m in range(1, budget + 1):
@@ -348,7 +357,7 @@ def run_implicit(
             inner_iterations=iterations,
             inner_bound=bound,
         )
-        trace.rows.append(_measure(space, row, x, base, reference))
+        trace.rows.append(measure(row, x))
         prev = x
         if trace.status == "inner_budget":
             break
@@ -391,6 +400,7 @@ def run_explicit(
         region = default_region(space)
 
     trace = IterationTrace(reference=reference)
+    measure = _measurer(space, base, reference)
     x = x0
     b = schedule.mixing
     for n in range(budget):
@@ -400,21 +410,23 @@ def run_explicit(
         u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(n))
         y = space.geodesic_point(u, tx, a)
         z = P(y)[0]
-        nxt = space.geodesic_point(x, z, 1.0 - b)
+        # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
+        z_residual = space.distance(z, x)
+        nxt = space._geodesic(x, z, 1.0 - b, z_residual)
         row = TraceRow(
             n=n,
             fixed_residual=residual,
             step=space.distance(nxt, x),
-            z_residual=space.distance(z, x),
+            z_residual=z_residual,
         )
-        trace.rows.append(_measure(space, row, x, base, reference))
+        trace.rows.append(measure(row, x))
         if residual <= outer_tol:
             trace.status = "converged"
             break
         x = nxt
     else:
         row = TraceRow(n=budget, fixed_residual=space.distance(x, T(x)))
-        trace.rows.append(_measure(space, row, x, base, reference))
+        trace.rows.append(measure(row, x))
         if row.fixed_residual <= outer_tol:
             trace.status = "converged"
     trace.final = x
@@ -442,7 +454,8 @@ def nearest_fixed_point_residual(
         # anchor probe blending at a true member so every probe stays in the set
         anchor = project_point(space, fixed_set, q)[0]
         pts = probe_points(space, fixed_set, anchor, probes, seed=stream_seed(seed))
-    return max(quasilinearization(space, q, base.o, q, p) for p in pts)
+    pairing = pairing_against(space, q, base.o, q)
+    return max(pairing(p, space.distance(q, p)) for p in pts)
 
 
 def stream_seed(seed: int) -> int:

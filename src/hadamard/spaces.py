@@ -119,6 +119,12 @@ class Space:
         ``d(z, x) = (1 - lam) * d(x, y)`` (weight ``lam`` on ``x``)."""
         raise NotImplementedError
 
+    def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
+        """``geodesic_point(x, y, lam)`` for a caller that already holds
+        ``d = distance(x, y)`` as this handle computes it and has checked
+        ``lam``.  Only the hyperbolic handle uses ``d``."""
+        return self.geodesic_point(x, y, lam)
+
     def point_violations(self, p: Point) -> list[str]:
         raise NotImplementedError
 
@@ -206,31 +212,37 @@ class HyperbolicSpace(Space):
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(m))
 
-    def _renormalize(self, coords) -> Point:
-        s = -minkowski(coords, coords)
+    def _renormalize(self, coords: list) -> Point:
+        # -<c, c>_M in the order ``minkowski`` sums it; negation is exact,
+        # so the bits are the same
+        s = coords[0] * coords[0]
+        for i in range(1, len(coords)):
+            s -= coords[i] * coords[i]
         if s <= 0.0:
             raise ValueError("interpolated point left the hyperboloid")
         r = 1.0 / math.sqrt(s)
-        out = tuple(c * r for c in coords)
+        out = [c * r for c in coords]
         if out[0] < 0.0:
-            out = tuple(-c for c in out)
-        return Point(self.descriptor, out)
+            out = [-c for c in out]
+        return Point(self.descriptor, tuple(out))
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
         if x.space is not self.descriptor or y.space is not self.descriptor:
             self._check(x, y)
         if not 0.0 <= lam <= 1.0:
             self._check_lambda(lam)
-        d = self.distance(x, y)
+        return self._geodesic(x, y, lam, self.distance(x, y))
+
+    def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         xd, yd = x.data, y.data
         if d < 1e-7:
             # chord interpolation then renormalization; exact to O(d^3)
             mu = 1.0 - lam
-            return self._renormalize(tuple(lam * a + mu * b for a, b in zip(xd, yd)))
+            return self._renormalize([lam * a + mu * b for a, b in zip(xd, yd)])
         sd = math.sinh(d)
         wx = math.sinh(lam * d) / sd
         wy = math.sinh((1.0 - lam) * d) / sd
-        return self._renormalize(tuple(wx * a + wy * b for a, b in zip(xd, yd)))
+        return self._renormalize([wx * a + wy * b for a, b in zip(xd, yd)])
 
     def point_violations(self, p: Point) -> list[str]:
         out = []

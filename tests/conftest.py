@@ -39,6 +39,15 @@ def shuffled_random_tree(n_edges, seed):
     return hd.TreeTopology(topo.vertex_count, edges)
 
 
+class OffsetMetric(hd.CorruptedSpace):
+    """A real space's distance plus 1, so that d(p, p) = 1: a pairing
+    computed from cached distances must keep every term of
+    ``quasilinearization`` rather than assume d(p, p) = 0."""
+
+    def distance(self, a, b):
+        return self.inner.distance(a, b) + 1.0
+
+
 @pytest.fixture(scope="session")
 def E2():
     return hd.make_space(hd.Euclidean(2))

@@ -87,9 +87,10 @@ def tree_vertex_distances(topology):
     return dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
 
 
-def tree_source_distances(topology, source):
-    """Vertex distances from one source vertex, by networkx Dijkstra."""
-    return nx.single_source_dijkstra_path_length(tree_graph(topology), source, weight="weight")
+def tree_source_distances(graph, source):
+    """Vertex distances from one source vertex of a ``tree_graph``, by
+    networkx Dijkstra."""
+    return nx.single_source_dijkstra_path_length(graph, source, weight="weight")
 
 
 def tree_vertex_set_connected(graph, vertices):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hadamard as hd
 from hadamard.convex import IncompatibleSetError
-from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree
+from conftest import CATERPILLAR, OffsetMetric, ept, hpt_polar, shuffled_random_tree
 import oracles
 
 
@@ -340,3 +340,36 @@ def test_compiled_set_equals_project_point(E2, H2, tree, prod, family, kind):
         assert hd.contains(space, cset, u, 1e-9)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "family, kind", [(f, k) for f, kinds in _SET_KINDS.items() for k in kinds]
+)
+def test_certificate_is_the_min_pairing(E2, H2, tree, prod, family, kind):
+    # min over probes y of quasilinearization(space, x, u, u, y), bit for bit,
+    # for drawn probes and for a given probe list
+    space = {"euclidean": E2, "hyperbolic": H2, "tree": tree, "product": prod}[family]
+    points = _point_strategy(family, (E2, H2, tree, prod))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_set_strategy(kind, points), points, st.integers(0, 2**31))
+    def check(cset, x, seed):
+        u = hd.project_point(space, cset, x)[0]
+        probes = hd.probe_points(space, cset, u, 40, seed)
+        want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
+        assert hd.characterization_residual(space, cset, x, u, 40, seed) == want
+        assert hd.characterization_residual(space, cset, x, u, probes) == want
+
+    check()
+
+
+@pytest.mark.parametrize("wrapper", [hd.CorruptedSpace, OffsetMetric])
+@pytest.mark.parametrize("family", ["E2", "H2"])
+def test_certificate_is_the_min_pairing_on_broken_metrics(request, wrapper, family):
+    # the pairing's d(u, u) term is kept: OffsetMetric has d(u, u) = 1
+    inner = request.getfixturevalue(family)
+    space = wrapper(inner)
+    pts = [hd.random_point(inner, hd.default_region(inner), hd.stream(5, 1)) for _ in range(60)]
+    x, u, probes = pts[0], pts[1], pts[2:]
+    want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
+    assert hd.characterization_residual(space, hd.WholeSpace(), x, u, probes) == want

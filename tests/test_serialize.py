@@ -14,11 +14,13 @@ from conftest import CATERPILLAR, ept, hpt_polar
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_fmt_float_round_trips_doubles():
+def test_trace_csv_round_trips_doubles():
     rng = np.random.default_rng(0)
-    for _ in range(1000):
-        x = float(rng.normal(scale=10.0 ** rng.integers(-8, 8)))
-        assert float(serialize.fmt_float(x)) == x
+    values = [float(rng.normal(scale=10.0 ** rng.integers(-8, 8))) for _ in range(1000)]
+    trace = IterationTrace(rows=[TraceRow(n=i, fixed_residual=x) for i, x in enumerate(values)])
+    out = StringIO()
+    serialize.write_trace_csv(trace, out)
+    assert [float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]] == values
 
 
 @pytest.mark.parametrize("name", ["segment_implicit.json", "segment_explicit.json"])
@@ -133,3 +135,34 @@ def test_trace_csv_inner_columns():
     out = StringIO()
     serialize.write_trace_csv(trace, out)
     assert out.getvalue().splitlines()[1] == "3,0.25,0.5,,,,7,9.9999999999999994e-12"
+
+
+def test_trace_csv_matches_reference_format():
+    # every cell is format(float(v), ".17g"), or empty when the row has no value
+    def reference(trace):
+        lines = [serialize.TRACE_HEADER]
+        for r in trace.rows:
+            values = (r.fixed_residual, r.step, r.z_residual, r.ref_distance, r.qx_inner, r.inner_iterations, r.inner_bound)
+            lines.append(",".join([str(r.n)] + ["" if v is None else format(float(v), ".17g") for v in values]))
+        return "\n".join(lines) + "\n"
+
+    rng = np.random.default_rng(8)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1, 2.0**53 + 1]
+    rows = [
+        TraceRow(n=0, fixed_residual=-0.0, step=5e-324, z_residual=1e308, ref_distance=0.1, qx_inner=-1e308),
+        TraceRow(n=1, fixed_residual=5e-324, step=-0.0, inner_iterations=0, inner_bound=1e308),
+        TraceRow(n=2, fixed_residual=1e308, inner_iterations=123456789, inner_bound=-0.0),
+        TraceRow(n=3, fixed_residual=0.0),
+    ]
+    for n in range(4, 200):
+        cells = [float(v) for v in rng.normal(scale=10.0 ** rng.integers(-300, 300), size=6)]
+        cells = [specials[int(rng.integers(len(specials)))] if rng.random() < 0.2 else v for v in cells]
+        cells = [None if rng.random() < 0.3 else v for v in cells]
+        iterations = None if rng.random() < 0.5 else int(rng.integers(10**7))
+        rows.append(TraceRow(n, cells[0] if cells[0] is not None else 1.0, *cells[1:5], iterations, cells[5]))
+    trace = IterationTrace(rows=rows)
+    out = StringIO()
+    serialize.write_trace_csv(trace, out)
+    assert out.getvalue() == reference(trace)
+    assert "-0," in out.getvalue() and "4.9406564584124654e-324" in out.getvalue()
+    assert ",123456789," in out.getvalue() and ",1e+308" in out.getvalue()

@@ -10,7 +10,7 @@ import hadamard as hd
 from hadamard import convex, mappings, serialize
 from hadamard.experiments import execute
 from hadamard.solvers import _perturbation_point
-from conftest import ept, hpt_polar
+from conftest import OffsetMetric, ept, hpt_polar
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -161,18 +161,59 @@ def test_run_explicit_trace_shape_and_determinism(E2):
     assert different.final != t1.final
 
 
-def test_explicit_rows_match_recomputed_iterates(E2):
-    # row j stands for iterate x_j, which is the final point of a run with budget j
-    C, T, base, q = make_scenario(E2)
+def make_h2_scenario(H2):
+    # the explicit-hyperbolic benchmark's problem: a geodesic through the
+    # sheet base point, nearest the base point (cosh 1, 0, sinh 1) at q
+    C = hd.Ball(H2.base, 4.0)
+    T = hd.ProjectionOnto(hd.Segment(hpt_polar(H2, 1.5, 0.0), hpt_polar(H2, 1.5, math.pi)))
+    base = hd.Basepoint(hpt_polar(H2, 1.0, 0.5 * math.pi))
+    return C, T, base, H2.base, hpt_polar(H2, 1.2, 2.0)
+
+
+@pytest.mark.parametrize("family", ["E2", "H2"])
+def test_explicit_rows_match_recomputed_iterates(request, family):
+    # row j stands for iterate x_j, which is the final point of a run with budget j;
+    # its cells must equal distance and quasilinearization of x_j bit for bit
+    space = request.getfixturevalue(family)
+    if family == "E2":
+        C, T, base, q = make_scenario(space)
+        x0 = ept(space, 2.0, -2.0)
+    else:
+        C, T, base, q, x0 = make_h2_scenario(space)
     sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
-    kw = dict(base=base, x0=ept(E2, 2.0, -2.0), seed=3, reference=q)
-    trace = hd.run_explicit(E2, C, T, sched, budget=40, **kw)
+    kw = dict(base=base, x0=x0, seed=3, reference=q)
+    trace = hd.run_explicit(space, C, T, sched, budget=40, **kw)
     assert trace.status == "budget" and trace.rows[-1].n == 40
+    prev = None
     for row in trace.rows[-10:]:
-        x = hd.run_explicit(E2, C, T, sched, budget=row.n, **kw).final
-        assert row.ref_distance == E2.distance(x, q), row.n
-        assert row.qx_inner == hd.quasilinearization(E2, q, base.o, q, x), row.n
+        x = hd.run_explicit(space, C, T, sched, budget=row.n, **kw).final
+        assert row.ref_distance == space.distance(x, q), row.n
+        assert row.qx_inner == hd.quasilinearization(space, q, base.o, q, x), row.n
+        if prev is not None:
+            assert prev.step == space.distance(x, prev_x), prev.n
+        prev, prev_x = row, x
     assert x == trace.final
+
+
+@pytest.mark.parametrize("family", ["E2", "H2"])
+def test_rows_keep_every_term_of_the_pairing(request, family):
+    # with d(p, p) = 1 the pairing's d(reference, reference) term is not 0
+    inner = request.getfixturevalue(family)
+    space = OffsetMetric(inner)
+    if family == "E2":
+        _, T, base, q = make_scenario(inner)
+        x0 = ept(inner, 2.0, -2.0)
+    else:
+        _, T, base, q, x0 = make_h2_scenario(inner)
+    # no perturbation: sampling serves the model spaces only, not wrappers
+    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(0.0, 1.0, 2.0), mixing=0.5)
+    kw = dict(base=base, x0=x0, reference=q, region=hd.default_region(inner))
+    rows = hd.run_explicit(space, hd.WholeSpace(), T, sched, budget=6, **kw).rows
+    assert len(rows) == 7 and rows[0].qx_inner != hd.quasilinearization(inner, q, base.o, q, x0)
+    for row in rows:
+        x = hd.run_explicit(space, hd.WholeSpace(), T, sched, budget=row.n, **kw).final if row.n else x0
+        assert row.ref_distance == space.distance(x, q)
+        assert row.qx_inner == hd.quasilinearization(space, q, base.o, q, x)
 
 
 def law(scale, power, shift=1.0):
@@ -285,6 +326,23 @@ def test_nearest_fixed_point_residual_list_and_set(E2):
     assert hd.nearest_fixed_point_residual(E2, q, base, pts) <= 1e-9
     with pytest.raises(ValueError):
         hd.nearest_fixed_point_residual(E2, q, base, [])
+
+
+@pytest.mark.parametrize("family", ["E2", "H2", "offset-E2", "offset-H2"])
+def test_nearest_fixed_point_residual_is_the_pairing(request, family):
+    # max over p of quasilinearization(space, q, base, q, p), bit for bit
+    inner = request.getfixturevalue(family[-2:])
+    space = OffsetMetric(inner) if family.startswith("offset") else inner
+    pts = [hd.random_point(inner, hd.default_region(inner), hd.stream(4, 1)) for _ in range(50)]
+    base, q = hd.Basepoint(pts[0]), pts[1]
+    want = max(hd.quasilinearization(space, q, base.o, q, p) for p in pts[2:])
+    assert hd.nearest_fixed_point_residual(space, q, base, pts[2:]) == want
+    seg = hd.Segment(pts[2], pts[3])
+    if space is inner:
+        anchor = hd.project_point(space, seg, q)[0]
+        probes = hd.probe_points(space, seg, anchor, 200, seed=hd.solvers.stream_seed(9))
+        want = max(hd.quasilinearization(space, q, base.o, q, p) for p in probes)
+        assert hd.nearest_fixed_point_residual(space, q, base, seg, probes=200, seed=9) == want
 
 
 def test_set_validation_runs_once_per_run(E2, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
+from hadamard.spaces import minkowski
 from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree
 import oracles
 
@@ -99,8 +100,9 @@ def test_large_tree_distances_match_networkx_dijkstra():
     topo = shuffled_random_tree(10**4, 0)
     tree = hd.make_space(hd.WeightedTree(topo))
     rng = np.random.default_rng(1)
+    graph = oracles.tree_graph(topo)
     for source in rng.integers(topo.vertex_count, size=3):
-        want = oracles.tree_source_distances(topo, int(source))
+        want = oracles.tree_source_distances(graph, int(source))
         s = tree.vertex_point(int(source))
         worst = max(
             abs(tree.distance(s, tree.vertex_point(v)) - want[v]) for v in range(topo.vertex_count)
@@ -132,12 +134,13 @@ def test_tree_geodesic_points_match_networkx(seed):
     topo = shuffled_random_tree(2000, seed)
     tree = hd.make_space(hd.WeightedTree(topo))
     rng = np.random.default_rng(seed + 40)
+    graph = oracles.tree_graph(topo)
     vdist = {}
 
     def oracle_distance(p, q):
         for w in topo.edges[p.data[0]][:2]:
             if w not in vdist:
-                vdist[w] = oracles.tree_source_distances(topo, w)
+                vdist[w] = oracles.tree_source_distances(graph, w)
         return oracles.tree_point_distance(topo, p.data, q.data, vdist)
 
     def point(eid):
@@ -332,3 +335,68 @@ def test_lambda_range_enforced_in_every_family(E2, H2, tree, prod, lam):
     for space, x, y in _point_pairs(E2, H2, tree, prod):
         with pytest.raises(ValueError, match="outside"):
             space.geodesic_point(x, y, lam)
+
+
+def _random_points(space, count, seed):
+    rng = np.random.default_rng(seed)
+    region = hd.default_region(space)
+    return [hd.random_point(space, region, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hyperbolic_geodesic_at_known_distance_is_geodesic_point(dim):
+    # the form callers use when they hold d(x, y) already, bit for bit
+    space = hd.make_space(hd.Hyperbolic(dim))
+    pts = _random_points(space, 41, dim)
+    rng = np.random.default_rng(dim + 10)
+    pairs = list(zip(pts, pts[1:]))
+    # close pairs take the chord branch (d < 1e-7), equal pairs have d = 0
+    pairs += [(x, space.geodesic_point(x, y, 1.0 - 10.0 ** -k)) for k, (x, y) in zip(range(8, 13), pairs)]
+    pairs += [(x, x) for x in pts[:3]]
+    assert sum(0.0 < space.distance(x, y) < 1e-7 for x, y in pairs) >= 5
+    for x, y in pairs:
+        d = space.distance(x, y)
+        for lam in (0.0, 1.0, float(rng.random()), float(rng.random())):
+            want = repr(space.geodesic_point(x, y, lam))
+            assert repr(space._geodesic(x, y, lam, d)) == want
+            assert repr(hd.Point(space.descriptor, _sinh_weighted_point(x.data, y.data, lam, d))) == want
+
+
+def _sinh_weighted_point(xd, yd, lam, d):
+    """The hyperbolic geodesic kernel's formula, operation by operation: the
+    sinh-weighted (below d = 1e-7, chord) combination, scaled back onto the
+    upper sheet."""
+    if d < 1e-7:
+        c = tuple(lam * a + (1.0 - lam) * b for a, b in zip(xd, yd))
+    else:
+        sd = math.sinh(d)
+        wx, wy = math.sinh(lam * d) / sd, math.sinh((1.0 - lam) * d) / sd
+        c = tuple(wx * a + wy * b for a, b in zip(xd, yd))
+    r = 1.0 / math.sqrt(-minkowski(c, c))
+    out = tuple(ci * r for ci in c)
+    return tuple(-ci for ci in out) if out[0] < 0.0 else out
+
+
+def test_geodesic_at_known_distance_falls_back_to_geodesic_point(E2, H2, tree, prod):
+    # every family but the hyperbolic one ignores the distance it is given
+    for space, x, y in _point_pairs(E2, H2, tree, prod):
+        if space is H2:
+            continue
+        d = space.distance(x, y)
+        for lam in (0.0, 0.3, 1.0):
+            want = repr(space.geodesic_point(x, y, lam))
+            assert repr(space._geodesic(x, y, lam, d)) == want
+            assert repr(space._geodesic(x, y, lam, d + 1.0)) == want
+
+
+@pytest.mark.parametrize("family", ["E2", "H2", "H3", "E2xH2"])
+def test_distance_is_exactly_symmetric(family):
+    # callers reuse d(a, b) as d(b, a), and traces rely on it bit for bit
+    e2, h2 = hd.Euclidean(2), hd.Hyperbolic(2)
+    desc = {"E2": e2, "H2": h2, "H3": hd.Hyperbolic(3), "E2xH2": hd.Product(e2, h2)}[family]
+    space = hd.make_space(desc)
+    pts = _random_points(space, 400, 7)
+    for a, b in zip(pts[::2], pts[1::2]):
+        assert space.distance(a, b) == space.distance(b, a)
+        c = space.geodesic_point(a, b, 1.0 - 1e-9)  # a close pair
+        assert space.distance(a, c) == space.distance(c, a)
