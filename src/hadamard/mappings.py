@@ -164,6 +164,8 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
         vec = mapping.vector
         if not isinstance(space, EuclideanSpace):
             raise ValueError("translations are Euclidean only")
+        if len(vec) != space.dim:
+            raise ValueError(f"translation vector has {len(vec)} coordinates, expected {space.dim}")
 
         def apply_shift(p: Point) -> Point:
             return Point(p.space, tuple(c + v for c, v in zip(p.data, vec)))

@@ -8,6 +8,7 @@ config re-parses to an identical experiment.  Real numbers are written with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from . import convex, mappings, sampling, solvers, spaces
-from .spaces import Point, Space, make_space
+from .spaces import Point, make_space
 
 
 class ConfigError(ValueError):
@@ -23,58 +24,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# spaces
-
-
-def space_to_json(desc: spaces.SpaceDescriptor) -> dict:
-    if isinstance(desc, spaces.Euclidean):
-        return {"type": "euclidean", "dim": desc.dim}
-    if isinstance(desc, spaces.Hyperbolic):
-        return {"type": "hyperbolic", "dim": desc.dim}
-    if isinstance(desc, spaces.WeightedTree):
-        t = desc.topology
-        return {
-            "type": "tree",
-            "vertices": t.vertex_count,
-            "edges": [[u, v, length] for u, v, length in t.edges],
-        }
-    if isinstance(desc, spaces.Product):
-        return {
-            "type": "product",
-            "left": space_to_json(desc.left),
-            "right": space_to_json(desc.right),
-        }
-    raise ConfigError(f"unknown space descriptor {desc!r}")
-
-
-def space_from_json(doc: dict, where: str = "space") -> spaces.SpaceDescriptor:
-    t = _field(doc, "type", where)
-    if t == "euclidean":
-        desc = spaces.Euclidean(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
-    elif t == "hyperbolic":
-        desc = spaces.Hyperbolic(dim=_number(int, _field(doc, "dim", where), where + ".dim"))
-    elif t == "tree":
-        edges = []
-        for i, edge in enumerate(_list(_field(doc, "edges", where), where + ".edges")):
-            at = f"{where}.edges[{i}]"
-            if len(_list(edge, at)) != 3:
-                raise ConfigError(f"{at}: expected [u, v, length]")
-            edges.append((*_numbers(int, edge[:2], at), _number(float, edge[2], at + "[2]")))
-        vertices = _number(int, _field(doc, "vertices", where), where + ".vertices")
-        desc = spaces.WeightedTree(spaces.TreeTopology(vertex_count=vertices, edges=tuple(edges)))
-    elif t == "product":
-        desc = spaces.Product(
-            space_from_json(_field(doc, "left", where), where + ".left"),
-            space_from_json(_field(doc, "right", where), where + ".right"),
-        )
-    else:
-        raise ConfigError(f"{where}: unknown space type {t!r}")
-    # build the (cached) handle here, so a bad topology names this path
-    try:
-        make_space(desc)
-    except spaces.InvalidSpaceError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return desc
+# points
 
 
 def point_to_json(p: Point) -> dict:
@@ -114,180 +64,139 @@ def point_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "point
 
 
 # ---------------------------------------------------------------------------
-# regions, convex sets, mappings
+# descriptors, power laws and schedules
+
+# kind -> type tag -> (class, fields).  A field is (JSON key, field kind),
+# listed in the order of the class's dataclass fields; a field whose class
+# attribute has a default may be left out, and a value of None is not
+# written.  Power laws, schedules and tree topologies carry no type tag; the
+# key None puts a tree's ``vertices`` and ``edges`` next to its type.
+CODEC = {
+    "space": {
+        "euclidean": (spaces.Euclidean, [("dim", "int")]),
+        "hyperbolic": (spaces.Hyperbolic, [("dim", "int")]),
+        "tree": (spaces.WeightedTree, [(None, "topology")]),
+        "product": (spaces.Product, [("left", "space"), ("right", "space")]),
+    },
+    "region": {
+        "box": (sampling.EuclideanBox, [("lo", "floats"), ("hi", "floats")]),
+        "ball": (sampling.HyperbolicBall, [("center", "point"), ("radius", "float")]),
+        "tree": (sampling.TreeWhole, []),
+        "product": (sampling.ProductRegion, [("left", "region"), ("right", "region")]),
+    },
+    "set": {
+        "whole": (convex.WholeSpace, []),
+        "ball": (convex.Ball, [("center", "point"), ("radius", "float")]),
+        "segment": (convex.Segment, [("a", "point"), ("b", "point")]),
+        "subtree": (convex.Subtree, [("vertices", "vertices")]),
+        "halfspace": (convex.HalfSpace, [("normal", "floats"), ("offset", "float")]),
+    },
+    "mapping": {
+        "identity": (mappings.Identity, []),
+        "rotation": (mappings.Rotation, [("center", "point"), ("angle", "float")]),
+        "projection": (mappings.ProjectionOnto, [("set", "set")]),
+        "average": (mappings.GeodesicAverage, [("weight", "float"), ("inner", "mapping")]),
+        "composition": (mappings.Composition, [("maps", "mappings")]),
+        "translation": (mappings.Translation, [("vector", "floats")]),
+    },
+    "law": {None: (solvers.PowerLaw, [("scale", "float"), ("power", "float"), ("shift", "float")])},
+    "schedule": {
+        None: (solvers.Schedule, [("anchor", "law"), ("perturbation", "law"), ("mixing", "float")])
+    },
+    "topology": {None: (spaces.TreeTopology, [("vertices", "int"), ("edges", "edges")])},
+}
+_TAGS = {cls: (tag, fields) for tags in CODEC.values() for tag, (cls, fields) in tags.items()}
 
 
-def region_to_json(region: sampling.SamplingRegion) -> dict:
-    if isinstance(region, sampling.EuclideanBox):
-        return {"type": "box", "lo": list(region.lo), "hi": list(region.hi)}
-    if isinstance(region, sampling.HyperbolicBall):
-        return {
-            "type": "ball",
-            "center": point_to_json(region.center),
-            "radius": region.radius,
-        }
-    if isinstance(region, sampling.TreeWhole):
-        return {"type": "tree"}
-    if isinstance(region, sampling.ProductRegion):
-        return {
-            "type": "product",
-            "left": region_to_json(region.left),
-            "right": region_to_json(region.right),
-        }
-    raise ConfigError(f"unknown region {region!r}")
-
-
-def region_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "region"):
-    t = _field(doc, "type", where)
-    if t == "box":
-        return sampling.EuclideanBox(
-            _numbers(float, _field(doc, "lo", where), where + ".lo"),
-            _numbers(float, _field(doc, "hi", where), where + ".hi"),
-        )
-    if t == "ball":
-        center = point_from_json(_field(doc, "center", where), desc, where + ".center")
-        radius = _number(float, _field(doc, "radius", where), where + ".radius")
-        try:
-            return sampling.HyperbolicBall(center, radius)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.radius: {exc}") from None
-    if t == "tree":
-        return sampling.TreeWhole()
-    if t == "product":
-        if not isinstance(desc, spaces.Product):
-            raise ConfigError(f"{where}: product region for non-product space")
-        return sampling.ProductRegion(
-            region_from_json(_field(doc, "left", where), desc.left, where + ".left"),
-            region_from_json(_field(doc, "right", where), desc.right, where + ".right"),
-        )
-    raise ConfigError(f"{where}: unknown region type {t!r}")
-
-
-def convex_set_to_json(cset: convex.ConvexSetDescriptor) -> dict:
-    if isinstance(cset, convex.WholeSpace):
-        return {"type": "whole"}
-    if isinstance(cset, convex.Ball):
-        return {"type": "ball", "center": point_to_json(cset.center), "radius": cset.radius}
-    if isinstance(cset, convex.Segment):
-        return {"type": "segment", "a": point_to_json(cset.a), "b": point_to_json(cset.b)}
-    if isinstance(cset, convex.Subtree):
-        return {"type": "subtree", "vertices": sorted(cset.vertices)}
-    if isinstance(cset, convex.HalfSpace):
-        return {"type": "halfspace", "normal": list(cset.normal), "offset": cset.offset}
-    raise ConfigError(f"unknown convex set {cset!r}")
-
-
-def convex_set_from_json(
-    doc: dict, desc: spaces.SpaceDescriptor, where: str = "convex_set"
-) -> convex.ConvexSetDescriptor:
-    t = _field(doc, "type", where)
-    if t == "whole":
-        return convex.WholeSpace()
-    if t == "ball":
-        return convex.Ball(
-            point_from_json(_field(doc, "center", where), desc, where + ".center"),
-            _number(float, _field(doc, "radius", where), where + ".radius"),
-        )
-    if t == "segment":
-        return convex.Segment(
-            point_from_json(_field(doc, "a", where), desc, where + ".a"),
-            point_from_json(_field(doc, "b", where), desc, where + ".b"),
-        )
-    if t == "subtree":
-        return convex.Subtree(
-            frozenset(_numbers(int, _field(doc, "vertices", where), where + ".vertices"))
-        )
-    if t == "halfspace":
-        return convex.HalfSpace(
-            _numbers(float, _field(doc, "normal", where), where + ".normal"),
-            _number(float, _field(doc, "offset", where), where + ".offset"),
-        )
-    raise ConfigError(f"{where}: unknown convex set type {t!r}")
-
-
-def mapping_to_json(m: mappings.MappingDescriptor) -> dict:
-    if isinstance(m, mappings.Identity):
-        return {"type": "identity"}
-    if isinstance(m, mappings.Rotation):
-        return {"type": "rotation", "center": point_to_json(m.center), "angle": m.angle}
-    if isinstance(m, mappings.ProjectionOnto):
-        return {"type": "projection", "set": convex_set_to_json(m.target)}
-    if isinstance(m, mappings.GeodesicAverage):
-        return {"type": "average", "weight": m.weight, "inner": mapping_to_json(m.inner)}
-    if isinstance(m, mappings.Composition):
-        return {"type": "composition", "maps": [mapping_to_json(p) for p in m.parts]}
-    if isinstance(m, mappings.Translation):
-        return {"type": "translation", "vector": list(m.vector)}
-    raise ConfigError(f"unknown mapping {m!r}")
-
-
-def mapping_from_json(
-    doc: dict, desc: spaces.SpaceDescriptor, where: str = "mapping"
-) -> mappings.MappingDescriptor:
-    t = _field(doc, "type", where)
-    if t == "identity":
-        return mappings.Identity()
-    if t == "rotation":
-        return mappings.Rotation(
-            point_from_json(_field(doc, "center", where), desc, where + ".center"),
-            _number(float, _field(doc, "angle", where), where + ".angle"),
-        )
-    if t == "projection":
-        return mappings.ProjectionOnto(
-            convex_set_from_json(_field(doc, "set", where), desc, where + ".set")
-        )
-    if t == "average":
-        return mappings.GeodesicAverage(
-            _number(float, _field(doc, "weight", where), where + ".weight"),
-            mapping_from_json(_field(doc, "inner", where), desc, where + ".inner"),
-        )
-    if t == "composition":
-        return mappings.Composition(
-            tuple(
-                mapping_from_json(p, desc, f"{where}.maps[{i}]")
-                for i, p in enumerate(_field(doc, "maps", where))
-            )
-        )
-    if t == "translation":
-        return mappings.Translation(_numbers(float, _field(doc, "vector", where), where + ".vector"))
-    raise ConfigError(f"{where}: unknown mapping type {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# schedules
-
-
-def power_law_to_json(law: solvers.PowerLaw) -> dict:
-    return {"scale": law.scale, "power": law.power, "shift": law.shift}
-
-
-def power_law_from_json(doc: dict, where: str) -> solvers.PowerLaw:
-    return solvers.PowerLaw(
-        scale=_number(float, _field(doc, "scale", where), where + ".scale"),
-        power=_number(float, _field(doc, "power", where), where + ".power"),
-        shift=_number(float, doc.get("shift", 1.0), where + ".shift"),
-    )
-
-
-def schedule_to_json(s: solvers.Schedule) -> dict:
-    doc = {
-        "anchor": power_law_to_json(s.anchor),
-        "perturbation": power_law_to_json(s.perturbation),
-    }
-    if s.mixing is not None:
-        doc["mixing"] = s.mixing
+def to_json(obj) -> dict:
+    """The JSON object of a space, region, set, mapping, power law or schedule."""
+    if type(obj) not in _TAGS:
+        raise ConfigError(f"cannot encode {obj!r}")
+    tag, fields = _TAGS[type(obj)]
+    doc = {} if tag is None else {"type": tag}
+    for (key, _), attr in zip(fields, dataclasses.fields(obj)):
+        value = _encode(getattr(obj, attr.name))
+        if key is None:
+            doc.update(value)
+        elif value is not None:
+            doc[key] = value
     return doc
 
 
-def schedule_from_json(doc: dict, where: str = "schedule") -> solvers.Schedule:
-    mixing = doc.get("mixing")
-    return solvers.Schedule(
-        anchor=power_law_from_json(_field(doc, "anchor", where), where + ".anchor"),
-        perturbation=power_law_from_json(
-            _field(doc, "perturbation", where), where + ".perturbation"
-        ),
-        mixing=None if mixing is None else _number(float, mixing, where + ".mixing"),
-    )
+def _encode(value):
+    if isinstance(value, Point):
+        return point_to_json(value)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return to_json(value) if type(value) in _TAGS else value
+
+
+def from_json(kind: str, doc, where: str, desc: Optional[spaces.SpaceDescriptor] = None):
+    """Decode the ``CODEC`` kind ``kind`` from ``doc``, found at the JSON
+    path ``where``.  A region, set or mapping is decoded for the space
+    ``desc`` and built there as a run builds it, so one that does not fit
+    the space is rejected here.  Every fault is a ConfigError naming its
+    path."""
+    tags, doc = CODEC[kind], _object(doc, where)
+    tag = None if None in tags else _string(_field(doc, "type", where), where + ".type")
+    if tag not in tags:
+        raise ConfigError(f"{where}: unknown {kind} type {tag!r}")
+    cls, fields = tags[tag]
+    # a region is of the class of its space's default region
+    if kind == "region" and not isinstance(sampling.default_region(make_space(desc)), cls):
+        raise ConfigError(f"{where}: a {tag} region does not fit a {type(desc).__name__} space")
+    args = []
+    for (key, field_kind), attr in zip(fields, dataclasses.fields(cls)):
+        if key is None:
+            args.append(_decode(field_kind, doc, where, desc))
+        elif key in doc:
+            # a product region's parts are regions of the matching factor
+            part = getattr(desc, key) if field_kind == "region" else desc
+            args.append(_decode(field_kind, doc[key], f"{where}.{key}", part))
+        elif attr.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+        else:
+            args.append(attr.default)
+    try:
+        obj = cls(*args)
+        if kind == "space":
+            make_space(obj)
+        elif kind == "set":
+            convex.compile_set(make_space(desc), obj)
+        elif kind == "mapping":
+            mappings.compile_mapping(make_space(desc), obj)
+        elif tag == "box" and not len(obj.lo) == len(obj.hi) == desc.dim:
+            raise ValueError("box dimensions do not match the space")
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return obj
+
+
+def _decode(field_kind: str, value, where: str, desc):
+    if field_kind == "int":
+        return _number(int, value, where)
+    if field_kind == "float":
+        return _number(float, value, where)
+    if field_kind == "floats":
+        return _numbers(float, value, where)
+    if field_kind == "vertices":
+        return frozenset(_numbers(int, value, where))
+    if field_kind == "point":
+        return point_from_json(value, desc, where)
+    if field_kind == "mappings":
+        items = enumerate(_list(value, where))
+        return tuple(from_json("mapping", m, f"{where}[{i}]", desc) for i, m in items)
+    if field_kind == "edges":
+        edges = []
+        for i, edge in enumerate(_list(value, where)):
+            at = f"{where}[{i}]"
+            if len(_list(edge, at)) != 3:
+                raise ConfigError(f"{at}: expected [u, v, length]")
+            edges.append((*_numbers(int, edge[:2], at), _number(float, edge[2], at + "[2]")))
+        return tuple(edges)
+    return from_json(field_kind, value, where, desc)
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +224,14 @@ class ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "name": cfg.name,
-        "space": space_to_json(cfg.space),
-        "convex_set": convex_set_to_json(cfg.convex_set),
-        "mapping": mapping_to_json(cfg.mapping),
-        "algorithm": cfg.algorithm,
-        "schedule": schedule_to_json(cfg.schedule),
-        "basepoint": point_to_json(cfg.basepoint),
-        "budget": cfg.budget,
-        "seed": cfg.seed,
-        "outer_tol": cfg.outer_tol,
-        "inner_tol": cfg.inner_tol,
-        "max_inner": cfg.max_inner,
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.x0 is not None:
-        doc["x0"] = point_to_json(cfg.x0)
-    if cfg.reference is not None:
-        doc["reference"] = point_to_json(cfg.reference)
-    if cfg.perturbation_region is not None:
-        doc["perturbation_region"] = region_to_json(cfg.perturbation_region)
-    return doc
+    """Each field under its own name; an optional point or region left unset
+    is left out."""
+    fields = ((f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg))
+    return {key: _encode(value) for key, value in fields if value is not None}
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
-    desc = space_from_json(_field(doc, "space", "$"))
+    desc = from_json("space", _field(doc, "space", "$"), "space")
     algorithm = _field(doc, "algorithm", "$")
     if algorithm not in ("implicit", "explicit"):
         raise ConfigError(f"algorithm: expected 'implicit' or 'explicit', got {algorithm!r}")
@@ -357,10 +248,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         name=name,
         space=desc,
-        convex_set=convex_set_from_json(_field(doc, "convex_set", "$"), desc),
-        mapping=mapping_from_json(_field(doc, "mapping", "$"), desc),
+        convex_set=from_json("set", _field(doc, "convex_set", "$"), "convex_set", desc),
+        mapping=from_json("mapping", _field(doc, "mapping", "$"), "mapping", desc),
         algorithm=algorithm,
-        schedule=schedule_from_json(_field(doc, "schedule", "$")),
+        schedule=from_json("schedule", _field(doc, "schedule", "$"), "schedule"),
         basepoint=point_from_json(_field(doc, "basepoint", "$"), desc, "basepoint"),
         budget=budget,
         seed=seed,
@@ -374,16 +265,24 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if "reference" in doc:
         cfg.reference = point_from_json(doc["reference"], desc, "reference")
     if "perturbation_region" in doc:
-        cfg.perturbation_region = region_from_json(
-            doc["perturbation_region"], desc, "perturbation_region"
+        cfg.perturbation_region = from_json(
+            "region", doc["perturbation_region"], "perturbation_region", desc
         )
+    if cfg.max_inner < 1:
+        raise ConfigError("max_inner: must be at least 1")
     if algorithm == "explicit" and cfg.x0 is None:
         raise ConfigError("x0: the explicit algorithm needs a starting point")
     return cfg
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def _field(doc: dict, key: str, where: str):
-    if not isinstance(doc, dict) or key not in doc:
+    if key not in _object(doc, where):
         raise ConfigError(f"{where}: missing required field {key!r}")
     return doc[key]
 

@@ -286,6 +286,8 @@ def implicit_step(
     """
     if not (0.0 < anchor_weight < 1.0):
         raise ValueError("anchor weight must lie strictly between 0 and 1")
+    if max_inner < 1:
+        raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     project = cset if callable(cset) else compile_set(space, cset)
     factor = (1.0 - anchor_weight) / anchor_weight
     x = x_start

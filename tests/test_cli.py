@@ -152,10 +152,19 @@ def test_run_batch(runner, tmp_path):
         ({"name": None}, "name:"),
         ({"output_dir": None}, "output_dir:"),
         ({"output_dir": ["out"]}, "output_dir:"),
+        ({"mapping": {"type": "composition", "maps": 5}}, "mapping.maps:"),
+        ({"schedule": [1]}, "schedule:"),
+        ({"max_inner": 0}, "max_inner:"),
+        ({"max_inner": -1}, "max_inner:"),
+        ({"mapping": {"type": "translation", "vector": [1.0]}}, "mapping:"),
+        ({"mapping": {"type": "translation", "vector": [1.0, 0.0, 5.0]}}, "mapping:"),
+        ({"convex_set": {"type": "halfspace", "normal": [1.0], "offset": 0.0}}, "convex_set:"),
     ],
     ids=[
         "dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges",
-        "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list",
+        "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list", "maps-int",
+        "schedule-list", "max-inner-0", "max-inner-negative", "translation-1d", "translation-3d",
+        "halfspace-normal-1d",
     ],
 )
 @pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])
@@ -358,6 +367,10 @@ def _h2_config():
     }
 
 
+def _e2_config():
+    return json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
+
+
 def _tree_config():
     return {
         "name": "tree-implicit",
@@ -383,8 +396,35 @@ def _tree_config():
             "x0: expected 2 coordinates, got 3",
         ),
         (dict(_tree_config(), basepoint={"edge": 0, "offset": 1.5}), "basepoint: offset 1.5 outside [0, 1.0]"),
+        (
+            dict(_e2_config(), convex_set={"type": "subtree", "vertices": [0]}),
+            "convex_set: subtree sets require a tree space",
+        ),
+        (
+            dict(_e2_config(), convex_set={"type": "ball", "center": {"coords": [0, 0]}, "radius": 0}),
+            "convex_set: ball radius must be positive",
+        ),
+        (
+            dict(_e2_config(), mapping={"type": "average", "weight": 2, "inner": {"type": "identity"}}),
+            "mapping: average weight must lie in [0, 1]",
+        ),
+        (
+            dict(_e2_config(), perturbation_region={"type": "box", "lo": [0], "hi": [1]}),
+            "perturbation_region: box dimensions do not match the space",
+        ),
+        (
+            dict(_e2_config(), perturbation_region={"type": "ball", "center": {"coords": [1, 0, 0]}, "radius": 1}),
+            "perturbation_region: a ball region does not fit a Euclidean space",
+        ),
+        (
+            dict(_e2_config(), perturbation_region={"type": "product", "left": {"type": "tree"}, "right": {"type": "tree"}}),
+            "perturbation_region: a product region does not fit a Euclidean space",
+        ),
     ],
-    ids=["h2-reference-2d", "e2-x0-3d", "tree-offset-past-edge"],
+    ids=[
+        "h2-reference-2d", "e2-x0-3d", "tree-offset-past-edge", "subtree-in-e2", "ball-radius-0",
+        "average-weight-2", "box-1d-in-e2", "ball-region-in-e2", "product-region-in-e2",
+    ],
 )
 def test_config_point_checked_at_load(runner, tmp_path, doc, message):
     cfg = tmp_path / "point.json"

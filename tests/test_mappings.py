@@ -103,6 +103,13 @@ def test_translation_negative_control(E2, H2):
         hd.compile_mapping(H2, t)
 
 
+@pytest.mark.parametrize("vector", [(1.0,), (1.0, 0.0, 5.0)], ids=["1d", "3d"])
+def test_translation_vector_must_match_dimension(E2, vector):
+    # zip would silently drop or ignore the extra coordinates
+    with pytest.raises(ValueError, match=f"translation vector has {len(vector)} coordinates, expected 2"):
+        hd.apply_mapping(E2, hd.Translation(vector), ept(E2, 0.0, 0.0))
+
+
 def test_compile_mapping_is_cached(E2):
     seg = hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))
     assert hd.compile_mapping(E2, hd.ProjectionOnto(seg)) is hd.compile_mapping(

@@ -40,7 +40,7 @@ def test_space_round_trip_all_kinds():
         hd.Product(hd.Euclidean(2), hd.Hyperbolic(2)),
     ]
     for desc in descs:
-        assert serialize.space_from_json(serialize.space_to_json(desc)) == desc
+        assert serialize.from_json("space", serialize.to_json(desc), "space") == desc
 
 
 def test_point_round_trip(E2, H2, tree, prod):
@@ -67,7 +67,7 @@ def test_convex_set_and_mapping_round_trip(E2):
     ]
     for cset in sets:
         desc = hd.WeightedTree(CATERPILLAR) if isinstance(cset, hd.Subtree) else E2.descriptor
-        assert serialize.convex_set_from_json(serialize.convex_set_to_json(cset), desc) == cset
+        assert serialize.from_json("set", serialize.to_json(cset), "convex_set", desc) == cset
     maps = [
         hd.Identity(),
         hd.Rotation(ept(E2, 0.0, 0.0), 1.2),
@@ -77,7 +77,7 @@ def test_convex_set_and_mapping_round_trip(E2):
         hd.Translation((1.0, -1.0)),
     ]
     for m in maps:
-        assert serialize.mapping_from_json(serialize.mapping_to_json(m), E2.descriptor) == m
+        assert serialize.from_json("mapping", serialize.to_json(m), "mapping", E2.descriptor) == m
 
 
 def test_schedule_round_trip():
@@ -87,7 +87,7 @@ def test_schedule_round_trip():
             perturbation=hd.PowerLaw(2.0, 1.5, 3.0),
             mixing=mixing,
         )
-        assert serialize.schedule_from_json(serialize.schedule_to_json(s)) == s
+        assert serialize.from_json("schedule", serialize.to_json(s), "schedule") == s
 
 
 def test_config_errors_carry_anchors():

@@ -52,6 +52,17 @@ def test_implicit_step_argument_checks(E2):
         hd.implicit_step(E2, hd.WholeSpace(), T, 1.5, ept(E2, 0, 0), ept(E2, 0, 0))
 
 
+@pytest.mark.parametrize("max_inner", [0, -1])
+def test_inner_budget_below_one_is_rejected(E2, max_inner):
+    # no inner iteration would leave no iterate to return
+    C, T, base, _ = make_scenario(E2)
+    with pytest.raises(ValueError, match="max_inner must be at least 1"):
+        hd.implicit_step(E2, C, hd.compile_mapping(E2, T), 0.5, base.o, base.o, max_inner=max_inner)
+    sched = hd.Schedule(anchor=law(1, 1), perturbation=law(1, 2))
+    with pytest.raises(ValueError, match="max_inner must be at least 1"):
+        hd.run_implicit(E2, C, T, sched, base, budget=5, max_inner=max_inner)
+
+
 def test_implicit_step_inner_budget(E2):
     # a slow contraction with a tight tolerance cannot finish in 3 iterations
     center = ept(E2, 0.0, 0.0)
