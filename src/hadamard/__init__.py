@@ -52,6 +52,7 @@ from .sampling import (
     default_region,
     random_point,
     sample_in_ball,
+    sampler,
     stream,
 )
 from .solvers import (

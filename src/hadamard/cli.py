@@ -173,7 +173,7 @@ def verify_cmd(space_spec, trials, eps, seed, radius):
         click.echo(f"error: invalid space spec: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
     try:
-        region = default_region(space.inner if isinstance(space, CorruptedSpace) else space, radius)
+        region = default_region(space, radius)
     except ValueError as exc:
         click.echo(f"error: --radius: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)

@@ -21,15 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .geometry import pairing_against
-from .sampling import sample_in_ball, stream
-from .spaces import (
-    EuclideanSpace,
-    HyperbolicSpace,
-    Point,
-    Space,
-    TreeSpace,
-    minkowski,
-)
+from .sampling import ball_sampler, stream
+from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space, minkowski
 
 TERNARY_MAX_ITER = 200
 DEFAULT_LAMBDA_TOL = 1e-12
@@ -85,22 +78,24 @@ Projection = Callable[[Point], tuple[Point, int]]
 
 
 def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
+    desc = space.descriptor
     if isinstance(cset, Ball):
         if cset.radius <= 0.0:
             raise IncompatibleSetError("ball radius must be positive")
     elif isinstance(cset, Subtree):
-        if not isinstance(space, TreeSpace):
+        if not isinstance(desc, WeightedTree):
             raise IncompatibleSetError("subtree sets require a tree space")
         if not cset.vertices:
             raise IncompatibleSetError("subtree vertex set is empty")
-        if not all(0 <= v < space.n for v in cset.vertices):
+        if not all(0 <= v < desc.topology.vertex_count for v in cset.vertices):
             raise IncompatibleSetError("subtree vertex out of range")
         # each component of the induced forest has exactly one vertex whose
         # parent lies outside the set
-        if sum(space.parent[v] not in cset.vertices for v in cset.vertices) != 1:
+        parent = make_space(desc).parent
+        if sum(parent[v] not in cset.vertices for v in cset.vertices) != 1:
             raise IncompatibleSetError("subtree vertex set is not connected")
     elif isinstance(cset, HalfSpace):
-        if not isinstance(space, EuclideanSpace):
+        if not isinstance(desc, Euclidean):
             raise IncompatibleSetError("half-space sets require Euclidean space")
         # the projection divides by |normal|^2: it must not underflow to a
         # subnormal or 0, nor overflow
@@ -108,13 +103,13 @@ def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
             raise IncompatibleSetError(
                 "half-space normal is zero or its squared norm is out of floating-point range"
             )
-        if len(cset.normal) != space.dim:
+        if len(cset.normal) != desc.dim:
             raise IncompatibleSetError("half-space normal has the wrong dimension")
 
 
-def _subtree_contains_point(space: TreeSpace, cset: Subtree, p: Point, tol: float) -> bool:
+def _subtree_contains_point(space: Space, cset: Subtree, p: Point, tol: float) -> bool:
     eid, off = p.data
-    u, v, length = space.topology.edges[eid]
+    u, v, length = space.descriptor.topology.edges[eid]
     if u in cset.vertices and v in cset.vertices:
         return True
     if u in cset.vertices and off <= tol:
@@ -135,7 +130,6 @@ def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0
         dab = space.distance(cset.a, cset.b)
         return space.distance(cset.a, p) + space.distance(p, cset.b) <= dab + tol
     if isinstance(cset, Subtree):
-        assert isinstance(space, TreeSpace)
         return _subtree_contains_point(space, cset, p, tol)
     if isinstance(cset, HalfSpace):
         dot = sum(n * c for n, c in zip(cset.normal, p.data))
@@ -161,7 +155,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
     """``x -> project_segment(space, a, b, x)``, with every constant of the
     segment computed here, once.  Closed forms for Euclidean, hyperboloid and
     tree spaces; ternary search for products only."""
-    if isinstance(space, EuclideanSpace):
+    if isinstance(space.descriptor, Euclidean):
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
         if ww == 0.0:
@@ -175,7 +169,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
 
         return affine
 
-    if isinstance(space, HyperbolicSpace):
+    if isinstance(space.descriptor, Hyperbolic):
         d = space.distance(a, b)
         if d == 0.0:
             return lambda x: (1.0, a, 0)
@@ -197,7 +191,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
 
         return hyperbolic
 
-    if isinstance(space, TreeSpace):
+    if isinstance(space.descriptor, WeightedTree):
         dab = space.distance(a, b)
         if dab == 0.0:
             return lambda x: (1.0, a, 0)
@@ -269,21 +263,21 @@ def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
 
         return project_seg
     if isinstance(cset, Subtree):
-        assert isinstance(space, TreeSpace)
-        verts, parent, depth = cset.vertices, space.parent, space.depth
+        model = make_space(space.descriptor)
+        verts, parent, depth = cset.vertices, model.parent, model.depth
         # the set's top vertex: the one whose parent lies outside the set
         top = next(v for v in verts if parent[v] not in verts)
 
         def project_subtree(x: Point) -> tuple[Point, int]:
-            if _subtree_contains_point(space, cset, x, 0.0):
-                return space.canonical(x), 0
+            if _subtree_contains_point(model, cset, x, 0.0):
+                return model.canonical(x), 0
             # from outside, the geodesic to any subtree point enters through
             # one gate vertex: the first set vertex above x when x hangs
             # below the top vertex, else the top vertex itself
-            v = space.child[x.data[0]]
+            v = model.child[x.data[0]]
             while v not in verts and depth[v] > depth[top]:
                 v = parent[v]
-            return space.vertex_point(v if v in verts else top), 0
+            return model.vertex_point(v if v in verts else top), 0
 
         return project_subtree
     if isinstance(cset, HalfSpace):
@@ -354,8 +348,9 @@ def probe_points(
     elif isinstance(cset, Ball):
         # the first half on the boundary, the rest on interior shells
         shells = (0.25, 0.5, 0.75, 0.9)
+        draw = ball_sampler(space, cset.center, cset.radius)
         while len(pts) < count:
-            w = sample_in_ball(space, cset.center, cset.radius, rng)
+            w = draw(rng)
             d = space.distance(cset.center, w)
             if len(pts) < count // 2:
                 r = cset.radius
@@ -366,35 +361,34 @@ def probe_points(
             else:
                 pts.append(w)
     elif isinstance(cset, Subtree):
-        assert isinstance(space, TreeSpace)
+        model = make_space(space.descriptor)
         verts = sorted(cset.vertices)
         edges = [
             eid
-            for eid, (a, b, _) in enumerate(space.topology.edges)
+            for eid, (a, b, _) in enumerate(model.topology.edges)
             if a in cset.vertices and b in cset.vertices
         ]
         for v in verts:
-            pts.append(space.vertex_point(v))
+            pts.append(model.vertex_point(v))
         grid = max(1, (count - len(pts)) // max(1, len(edges)) if edges else 0)
         for eid in edges:
-            length = space.topology.edges[eid][2]
+            length = model.topology.edges[eid][2]
             for i in range(1, grid + 1):
                 pts.append(
-                    space.canonical(
-                        Point(space.descriptor, (eid, length * i / (grid + 1)))
+                    model.canonical(
+                        Point(model.descriptor, (eid, length * i / (grid + 1)))
                     )
                 )
         while len(pts) < count and edges:
             eid = int(rng.integers(len(edges)))
-            length = space.topology.edges[edges[eid]][2]
+            length = model.topology.edges[edges[eid]][2]
             pts.append(
-                space.canonical(
-                    Point(space.descriptor, (edges[eid], length * float(rng.random())))
+                model.canonical(
+                    Point(model.descriptor, (edges[eid], length * float(rng.random())))
                 )
             )
         pts = pts[:count]
     elif isinstance(cset, HalfSpace):
-        assert isinstance(space, EuclideanSpace)
         scale = 1.0 + abs(cset.offset) + math.sqrt(sum(c * c for c in u.data))
         project_halfspace = compile_set(space, cset)
         while len(pts) < count:
@@ -402,14 +396,14 @@ def probe_points(
                 space.descriptor,
                 tuple(
                     c + scale * g
-                    for c, g in zip(u.data, rng.standard_normal(space.dim).tolist())
+                    for c, g in zip(u.data, rng.standard_normal(space.descriptor.dim).tolist())
                 ),
             )
             pts.append(project_halfspace(w)[0])
     else:  # WholeSpace
-        scale = 1.0
+        draw = ball_sampler(space, u, 2.0)
         while len(pts) < count:
-            pts.append(sample_in_ball(space, u, 2.0 * scale, rng))
+            pts.append(draw(rng))
 
     # adversarial refinement: blend a slice of the probes toward u
     n_near = max(1, count // 8)

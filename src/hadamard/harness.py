@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import serialize
 from .geometry import cauchy_schwarz_gap, quasilinearization
-from .sampling import SamplingRegion, default_region, random_point, stream
+from .sampling import SamplingRegion, sampler, stream
 from .solvers import IterationTrace, PowerLaw
 from .spaces import Basepoint, Point, Space
 
@@ -156,13 +156,11 @@ def _check(trial, space: Space, trials: int, eps: float, seed: int, region) -> l
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = stream(seed, _FAMILIES[trial])
-    sampler = getattr(space, "inner", space)  # corrupted wrappers sample from the real space
-    if region is None:
-        region = default_region(sampler)
+    draw = sampler(space, region)
     keys = _inputs(trial)
     cols: dict[str, _Collector] = {}
     for _ in range(trials):
-        inputs = (*(random_point(sampler, region, rng) for _ in keys[:-1]), float(rng.random()))
+        inputs = (*(draw(rng) for _ in keys[:-1]), float(rng.random()))
         for name, slack, scale in trial(space, *inputs):
             col = cols.get(name)
             if col is None:

@@ -16,14 +16,7 @@ from typing import Callable, Optional, Union
 
 from . import convex
 from .convex import ConvexSetDescriptor, compile_set
-from .spaces import (
-    Euclidean,
-    EuclideanSpace,
-    Hyperbolic,
-    HyperbolicSpace,
-    Point,
-    Space,
-)
+from .spaces import Euclidean, Hyperbolic, Point, Space, make_space
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,7 @@ def _mat_mul(a, b):
     ]
 
 
-def _hyperbolic_rotation(space: HyperbolicSpace, center: Point, angle) -> Callable:
+def _hyperbolic_rotation(model: Space, center: Point, angle) -> Callable:
     # conjugate a spatial rotation at the base point by the boost to center
     c, s = math.cos(angle), math.sin(angle)
     rot = [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
@@ -111,7 +104,7 @@ def _hyperbolic_rotation(space: HyperbolicSpace, center: Point, angle) -> Callab
 
     def apply(p: Point) -> Point:
         x = p.data
-        return space._renormalize(
+        return model._renormalize(
             [mi[0] * x[0] + mi[1] * x[1] + mi[2] * x[2] for mi in m]
         )
 
@@ -124,15 +117,14 @@ COMPILE_CACHE_SIZE = 128
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Point]:
+    desc = space.descriptor
     if isinstance(mapping, Identity):
         return lambda p: p
     if isinstance(mapping, Rotation):
-        desc = space.descriptor
         if isinstance(desc, Euclidean) and desc.dim == 2:
             return _euclidean_rotation(mapping.center, mapping.angle)
         if isinstance(desc, Hyperbolic) and desc.dim == 2:
-            assert isinstance(space, HyperbolicSpace)
-            return _hyperbolic_rotation(space, mapping.center, mapping.angle)
+            return _hyperbolic_rotation(make_space(desc), mapping.center, mapping.angle)
         raise ValueError("rotations are supported in Euclidean(2) and Hyperbolic(2) only")
     if isinstance(mapping, ProjectionOnto):
         project = compile_set(space, mapping.target)
@@ -162,10 +154,10 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
         return apply_comp
     if isinstance(mapping, Translation):
         vec = mapping.vector
-        if not isinstance(space, EuclideanSpace):
+        if not isinstance(desc, Euclidean):
             raise ValueError("translations are Euclidean only")
-        if len(vec) != space.dim:
-            raise ValueError(f"translation vector has {len(vec)} coordinates, expected {space.dim}")
+        if len(vec) != desc.dim:
+            raise ValueError(f"translation vector has {len(vec)} coordinates, expected {desc.dim}")
 
         def apply_shift(p: Point) -> Point:
             return Point(p.space, tuple(c + v for c, v in zip(p.data, vec)))

@@ -11,21 +11,18 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .spaces import (
     Euclidean,
-    EuclideanSpace,
     Hyperbolic,
-    HyperbolicSpace,
     Point,
     Product,
-    ProductSpace,
     Space,
-    TreeSpace,
     WeightedTree,
+    make_space,
     minkowski,
 )
 
@@ -84,19 +81,20 @@ def default_region(space: Space, radius: float = 5.0) -> SamplingRegion:
     if isinstance(desc, Euclidean):
         return EuclideanBox((-radius,) * desc.dim, (radius,) * desc.dim)
     if isinstance(desc, Hyperbolic):
-        return HyperbolicBall(space.base, radius)
+        return HyperbolicBall(make_space(desc).base, radius)
     if isinstance(desc, WeightedTree):
         return TreeWhole()
     if isinstance(desc, Product):
-        assert isinstance(space, ProductSpace)
-        return ProductRegion(
-            default_region(space.left, radius), default_region(space.right, radius)
-        )
+        left, right = make_space(desc.left), make_space(desc.right)
+        return ProductRegion(default_region(left, radius), default_region(right, radius))
     raise ValueError(f"no default region for {desc!r}")
 
 
-def _hyperbolic_exp(space: HyperbolicSpace, center: Point, direction, r: float) -> Point:
-    """Exponential map: walk distance r from center along a unit tangent."""
+def _draw_hyperbolic(model: Space, center: Point, radius: float, rng) -> Point:
+    """Exponential map: walk a uniform distance up to ``radius`` from center
+    along a random unit tangent."""
+    direction = rng.standard_normal(len(center.data)).tolist()
+    r = radius * rng.random()
     c = center.data
     # project the ambient direction onto the tangent space at c
     dot = minkowski(c, direction)
@@ -106,72 +104,85 @@ def _hyperbolic_exp(space: HyperbolicSpace, center: Point, direction, r: float) 
         return center
     inv = 1.0 / math.sqrt(vv)
     ch, sh = math.cosh(r), math.sinh(r)
-    return space._renormalize([ch * ci + sh * inv * vi for ci, vi in zip(c, v)])
+    return model._renormalize([ch * ci + sh * inv * vi for ci, vi in zip(c, v)])
+
+
+def sampler(space: Space, region: Optional[SamplingRegion] = None) -> Callable[..., Point]:
+    """``rng -> random_point(space, region, rng)`` as a closure, on
+    ``default_region(space)`` by default.  The region is checked and the
+    model handle ``make_space(space.descriptor)`` looked up once, here;
+    drawing calls no primitive, so every handle of a descriptor samples alike."""
+    model = make_space(space.descriptor)
+    desc = model.descriptor
+    if region is None:
+        region = default_region(model)
+    elif not isinstance(region, type(default_region(model))):
+        raise ValueError(f"{type(desc).__name__} space has no {type(region).__name__} region")
+    if isinstance(desc, Euclidean):
+        if not len(region.lo) == len(region.hi) == desc.dim:
+            raise ValueError("box dimensions do not match the space")
+        bounds = tuple(zip(region.lo, region.hi))
+
+        def draw_box(rng) -> Point:
+            u = rng.random(desc.dim).tolist()
+            return Point(desc, tuple(lo + (hi - lo) * ui for (lo, hi), ui in zip(bounds, u)))
+
+        return draw_box
+    if isinstance(desc, Hyperbolic):
+        return lambda rng: _draw_hyperbolic(model, region.center, region.radius, rng)
+    if isinstance(desc, WeightedTree):
+        cumulative, edges = model.cumulative_length, desc.topology.edges
+
+        def draw_edge(rng) -> Point:
+            # uniform over total edge length
+            t = rng.random() * model.total_length
+            eid = bisect.bisect_left(cumulative, t)
+            start = cumulative[eid - 1] if eid else 0.0
+            return model.canonical(Point(desc, (eid, min(t - start, edges[eid][2]))))
+
+        return draw_edge
+    left, right = sampler(model.left, region.left), sampler(model.right, region.right)
+    return lambda rng: Point(desc, (left(rng), right(rng)))
 
 
 def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
     """Deterministic seeded sample from ``region``; the result always passes
-    point validation for ``space``."""
-    rng = _as_rng(seed_or_rng)
-    if isinstance(space, EuclideanSpace):
-        if not isinstance(region, EuclideanBox):
-            raise ValueError("Euclidean space needs a EuclideanBox region")
-        if len(region.lo) != space.dim or len(region.hi) != space.dim:
-            raise ValueError("box dimensions do not match the space")
-        u = rng.random(space.dim).tolist()
-        return Point(
-            space.descriptor,
-            tuple(lo + (hi - lo) * ui for lo, hi, ui in zip(region.lo, region.hi, u)),
-        )
-    if isinstance(space, HyperbolicSpace):
-        if not isinstance(region, HyperbolicBall):
-            raise ValueError("hyperbolic space needs a HyperbolicBall region")
-        direction = rng.standard_normal(space.dim + 1).tolist()
-        r = region.radius * rng.random()
-        return _hyperbolic_exp(space, region.center, direction, r)
-    if isinstance(space, TreeSpace):
-        if not isinstance(region, TreeWhole):
-            raise ValueError("tree space needs a TreeWhole region")
-        # uniform over total edge length
-        t = rng.random() * space.total_length
-        eid = bisect.bisect_left(space.cumulative_length, t)
-        start = space.cumulative_length[eid - 1] if eid else 0.0
-        length = space.topology.edges[eid][2]
-        return space.canonical(Point(space.descriptor, (eid, min(t - start, length))))
-    if isinstance(space, ProductSpace):
-        if not isinstance(region, ProductRegion):
-            raise ValueError("product space needs a ProductRegion region")
-        return space.pair(
-            random_point(space.left, region.left, rng),
-            random_point(space.right, region.right, rng),
-        )
-    raise ValueError(f"unsupported space handle {space!r}")
+    point validation for ``space``.  A loop draws from one :func:`sampler`."""
+    return sampler(space, region)(_as_rng(seed_or_rng))
+
+
+def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Point]:
+    """``rng ->`` a point at distance <= radius from center, built once like
+    :func:`sampler`'s closure.  Overshooting draws from the space's natural
+    region are pulled back along the geodesic to the center; the boundary
+    therefore carries positive mass, which the certificate probes rely on."""
+    desc = space.descriptor
+    if isinstance(desc, Euclidean):
+        def draw_euclidean(rng) -> Point:
+            g = rng.standard_normal(desc.dim)
+            nrm = math.sqrt(float(np.dot(g, g)))
+            if nrm == 0.0:
+                return center
+            r = radius * rng.random() ** (1.0 / desc.dim)
+            return Point(desc, tuple(c + r * d / nrm for c, d in zip(center.data, g.tolist())))
+
+        return draw_euclidean
+    if isinstance(desc, Hyperbolic):
+        return sampler(space, HyperbolicBall(center, min(radius, MAX_HYPERBOLIC_RADIUS)))
+    draw = sampler(space)
+
+    def pull_back(rng) -> Point:
+        w = draw(rng)
+        d = space.distance(center, w)
+        if d <= radius or d == 0.0:
+            return w
+        # pull back to a uniformly random depth inside the ball
+        target = radius * rng.random()
+        return space.geodesic_point(center, w, 1.0 - target / d)
+
+    return pull_back
 
 
 def sample_in_ball(space: Space, center: Point, radius: float, rng) -> Point:
-    """A random point at distance <= radius from center, any model space.
-
-    Samples from the space's natural region and pulls overshooting samples
-    back along the geodesic to the center; the boundary therefore carries
-    positive mass, which the projection certificate probes rely on.
-    """
-    rng = _as_rng(rng)
-    if isinstance(space, EuclideanSpace):
-        direction = rng.standard_normal(space.dim)
-        nrm = math.sqrt(float(np.dot(direction, direction)))
-        if nrm == 0.0:
-            return center
-        r = radius * rng.random() ** (1.0 / space.dim)
-        return Point(
-            space.descriptor,
-            tuple(c + r * d / nrm for c, d in zip(center.data, direction.tolist())),
-        )
-    if isinstance(space, HyperbolicSpace):
-        return random_point(space, HyperbolicBall(center, min(radius, MAX_HYPERBOLIC_RADIUS)), rng)
-    w = random_point(space, default_region(space), rng)
-    d = space.distance(center, w)
-    if d <= radius or d == 0.0:
-        return w
-    # pull back to a uniformly random depth inside the ball
-    target = radius * rng.random()
-    return space.geodesic_point(center, w, 1.0 - target / d)
+    """One draw of ``ball_sampler(space, center, radius)``."""
+    return ball_sampler(space, center, radius)(_as_rng(rng))

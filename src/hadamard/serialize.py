@@ -270,8 +270,12 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         )
     if cfg.max_inner < 1:
         raise ConfigError("max_inner: must be at least 1")
-    if algorithm == "explicit" and cfg.x0 is None:
-        raise ConfigError("x0: the explicit algorithm needs a starting point")
+    if algorithm == "explicit":
+        if cfg.x0 is None:
+            raise ConfigError("x0: the explicit algorithm needs a starting point")
+        # the check run_explicit makes before its first step
+        if not convex.contains(make_space(desc), cfg.convex_set, cfg.x0, convex.MEMBERSHIP_TOL):
+            raise ConfigError("x0: starting point must belong to the constraint set")
     return cfg
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .convex import (
+    MEMBERSHIP_TOL,
     ConvexSetDescriptor,
     Projection,
     compile_set,
@@ -32,7 +33,7 @@ from .convex import (
 )
 from .geometry import pairing_against
 from .mappings import MappingDescriptor, compile_mapping
-from .sampling import SamplingRegion, default_region, random_point, stream
+from .sampling import SamplingRegion, sampler, stream
 from .spaces import Basepoint, Point, Space
 
 STREAM_PERTURBATION = 1
@@ -246,16 +247,16 @@ def _measurer(
 def _perturbation_point(
     space: Space,
     base: Basepoint,
-    region: SamplingRegion,
+    draw: Callable[..., Point],
     rng,
     target_norm: float,
 ) -> Point:
     """A point at distance min(target_norm, reachable) from the base point, in
-    a random direction drawn from the sampling region."""
+    a random direction drawn by ``draw``, a closure from ``sampler``."""
     if target_norm <= 0.0:
         return base.o
     for _ in range(8):
-        w = random_point(space, region, rng)
+        w = draw(rng)
         d = space.distance(base.o, w)
         if d > 0.0:
             lam = 1.0 - min(1.0, target_norm / d)
@@ -333,8 +334,7 @@ def run_implicit(
     T = compile_mapping(space, mapping)
     P = compile_set(space, cset)
     rng = stream(seed, STREAM_PERTURBATION)
-    if region is None:
-        region = default_region(space)
+    draw = sampler(space, region)
 
     trace = IterationTrace(reference=reference)
     measure = _measurer(space, base, reference)
@@ -342,7 +342,7 @@ def run_implicit(
     prev = x
     for m in range(1, budget + 1):
         a = schedule.anchor_at(m)
-        u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(m))
+        u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(m))
         try:
             x, iterations, bound = implicit_step(
                 space, P, T, a, u, x, max(inner_tol, a * outer_tol), max_inner
@@ -392,14 +392,13 @@ def run_explicit(
     row for x_budget.
     """
     _require_schedule(schedule, "explicit", budget)
-    if not contains(space, cset, x0, 1e-9):
+    if not contains(space, cset, x0, MEMBERSHIP_TOL):
         raise ValueError("starting point must belong to the constraint set")
 
     T = compile_mapping(space, mapping)
     P = compile_set(space, cset)
     rng = stream(seed, STREAM_PERTURBATION)
-    if region is None:
-        region = default_region(space)
+    draw = sampler(space, region)
 
     trace = IterationTrace(reference=reference)
     measure = _measurer(space, base, reference)
@@ -409,7 +408,7 @@ def run_explicit(
         a = schedule.anchor_at(n)
         tx = T(x)
         residual = space.distance(x, tx)
-        u = _perturbation_point(space, base, region, rng, schedule.perturbation_at(n))
+        u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(n))
         y = space.geodesic_point(u, tx, a)
         z = P(y)[0]
         # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric

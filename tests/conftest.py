@@ -48,6 +48,14 @@ class OffsetMetric(hd.CorruptedSpace):
         return self.inner.distance(a, b) + 1.0
 
 
+class Forwarding(hd.CorruptedSpace):
+    """A wrapper whose ``distance`` is the wrapped handle's, unchanged: every
+    result computed on it must equal the wrapped model's bit for bit."""
+
+    def distance(self, a, b):
+        return self.inner.distance(a, b)
+
+
 @pytest.fixture(scope="session")
 def E2():
     return hd.make_space(hd.Euclidean(2))

@@ -159,12 +159,13 @@ def test_run_batch(runner, tmp_path):
         ({"mapping": {"type": "translation", "vector": [1.0]}}, "mapping:"),
         ({"mapping": {"type": "translation", "vector": [1.0, 0.0, 5.0]}}, "mapping:"),
         ({"convex_set": {"type": "halfspace", "normal": [1.0], "offset": 0.0}}, "convex_set:"),
+        ({"algorithm": "explicit", "x0": {"coords": [9.0, 9.0]}}, "x0: starting point must belong"),
     ],
     ids=[
         "dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges",
         "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list", "maps-int",
         "schedule-list", "max-inner-0", "max-inner-negative", "translation-1d", "translation-3d",
-        "halfspace-normal-1d",
+        "halfspace-normal-1d", "x0-outside-set",
     ],
 )
 @pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from io import StringIO
 from pathlib import Path
 
@@ -30,6 +31,26 @@ def test_checked_in_configs_round_trip(name):
     doc2 = serialize.config_to_json(cfg)
     cfg2 = serialize.config_from_json(doc2)
     assert serialize.config_to_json(cfg2) == doc2
+
+
+def test_hyperbolic_dimension_allocates_nothing_until_used():
+    # memory stays bounded in the size of the input: a 50-byte space entry
+    # must not build a point of dim + 1 coordinates before the basepoint fails
+    doc = json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
+    doc.update(
+        space={"type": "hyperbolic", "dim": 2_000_000},
+        convex_set={"type": "whole"},
+        mapping={"type": "identity"},
+        basepoint={"coords": [1.0, 0.0, 0.0]},
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(serialize.ConfigError, match="basepoint: expected 2000001 coordinates, got 3"):
+            serialize.config_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_space_round_trip_all_kinds():

@@ -216,9 +216,8 @@ def test_rows_keep_every_term_of_the_pairing(request, family):
         x0 = ept(inner, 2.0, -2.0)
     else:
         _, T, base, q, x0 = make_h2_scenario(inner)
-    # no perturbation: sampling serves the model spaces only, not wrappers
-    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(0.0, 1.0, 2.0), mixing=0.5)
-    kw = dict(base=base, x0=x0, reference=q, region=hd.default_region(inner))
+    sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
+    kw = dict(base=base, x0=x0, reference=q)
     rows = hd.run_explicit(space, hd.WholeSpace(), T, sched, budget=6, **kw).rows
     assert len(rows) == 7 and rows[0].qx_inner != hd.quasilinearization(inner, q, base.o, q, x0)
     for row in rows:
@@ -316,10 +315,10 @@ def test_run_implicit_rejects_underflowing_anchor_up_front(E2):
 def test_perturbation_point_hits_target_norm(E2, H2):
     for space in (E2, H2):
         base = hd.Basepoint(space.base if hasattr(space, "base") else ept(space, 0.25, 0.25))
-        region = hd.default_region(space)
+        draw = hd.sampler(space, hd.default_region(space))
         rng = hd.stream(3, 1)
         for target in (0.5, 0.01, 0.0):
-            u = _perturbation_point(space, base, region, rng, target)
+            u = _perturbation_point(space, base, draw, rng, target)
             assert space.distance(base.o, u) == pytest.approx(target, abs=1e-9)
 
 
