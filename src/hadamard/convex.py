@@ -1,7 +1,9 @@
 """Convex sets and the metric projection.
 
-Each supported convex set knows how to test membership and how to compute the
-nearest-point (metric) projection.  A projection can additionally be
+Each kind of convex set is written once, as a kind function in ``_KINDS``
+that compiles a validated set into one record: its metric projection, its
+membership test, its certificate probes and its scale.  Every public
+operation here reads that record.  A projection can additionally be
 *certified*: the projection of x onto C is the unique u in C with
 ``<xu, uy> >= 0`` for every y in C, so the minimum of that pairing over a
 probe sample of C is a checkable certificate.  For true projections the
@@ -18,9 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .geometry import pairing_against
+from .geometry import pairing_against, retract
 from .sampling import ball_sampler, stream
 from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space, minkowski
 
@@ -80,8 +82,8 @@ Projection = Callable[[Point], tuple[Point, int]]
 def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
     desc = space.descriptor
     if isinstance(cset, Ball):
-        if cset.radius <= 0.0:
-            raise IncompatibleSetError("ball radius must be positive")
+        if not 0.0 < cset.radius < math.inf:
+            raise IncompatibleSetError("ball radius must be positive and finite")
     elif isinstance(cset, Subtree):
         if not isinstance(desc, WeightedTree):
             raise IncompatibleSetError("subtree sets require a tree space")
@@ -105,36 +107,8 @@ def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
             )
         if len(cset.normal) != desc.dim:
             raise IncompatibleSetError("half-space normal has the wrong dimension")
-
-
-def _subtree_contains_point(space: Space, cset: Subtree, p: Point, tol: float) -> bool:
-    eid, off = p.data
-    u, v, length = space.descriptor.topology.edges[eid]
-    if u in cset.vertices and v in cset.vertices:
-        return True
-    if u in cset.vertices and off <= tol:
-        return True
-    if v in cset.vertices and off >= length - tol:
-        return True
-    return False
-
-
-def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0) -> bool:
-    """Membership within additive tolerance on the defining inequality."""
-    _validate_set(space, cset)
-    if isinstance(cset, WholeSpace):
-        return True
-    if isinstance(cset, Ball):
-        return space.distance(cset.center, p) <= cset.radius + tol
-    if isinstance(cset, Segment):
-        dab = space.distance(cset.a, cset.b)
-        return space.distance(cset.a, p) + space.distance(p, cset.b) <= dab + tol
-    if isinstance(cset, Subtree):
-        return _subtree_contains_point(space, cset, p, tol)
-    if isinstance(cset, HalfSpace):
-        dot = sum(n * c for n, c in zip(cset.normal, p.data))
-        return dot >= cset.offset - tol
-    raise IncompatibleSetError(f"unknown set {cset!r}")
+        if not math.isfinite(cset.offset):
+            raise IncompatibleSetError("half-space offset must be finite")
 
 
 def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, Point, int]:
@@ -153,8 +127,7 @@ def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, 
 
 def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tuple[float, Point, int]]:
     """``x -> project_segment(space, a, b, x)``, with every constant of the
-    segment computed here, once.  Closed forms for Euclidean, hyperboloid and
-    tree spaces; ternary search for products only."""
+    segment computed here, once."""
     if isinstance(space.descriptor, Euclidean):
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
@@ -225,6 +198,185 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
     return ternary
 
 
+# ---------------------------------------------------------------------------
+# set kinds: each turns a validated set into the record every operation reads
+
+
+class _Kind(NamedTuple):
+    """A set compiled against a space, its constants computed once: the
+    projection, membership ``(p, tol)`` within additive tolerance on the
+    defining inequality, the probe draw ``(u, count, rng)`` before the blend
+    toward u, and the set's size in a certificate's membership tolerance."""
+
+    project: Projection
+    contains: Callable[[Point, float], bool]
+    probes: Callable[[Point, int, object], list[Point]]
+    scale: float
+
+
+def _whole(space: Space, cset: WholeSpace) -> _Kind:
+    def probes(u: Point, count: int, rng) -> list[Point]:
+        draw = ball_sampler(space, u, 2.0)
+        return [draw(rng) for _ in range(count)]
+
+    return _Kind(lambda x: (x, 0), lambda p, tol: True, probes, 1.0)
+
+
+def _ball(space: Space, cset: Ball) -> _Kind:
+    center, radius = cset.center, cset.radius
+
+    def project(x: Point) -> tuple[Point, int]:
+        d = space.distance(center, x)
+        return (x if d <= radius else retract(space, center, x, radius, d)), 0
+
+    def contains(p: Point, tol: float) -> bool:
+        return space.distance(center, p) <= radius + tol
+
+    def probes(u: Point, count: int, rng) -> list[Point]:
+        # the first half on the boundary, the rest on interior shells
+        shells = (0.25, 0.5, 0.75, 0.9)
+        draw = ball_sampler(space, center, radius)
+        pts: list[Point] = []
+        while len(pts) < count:
+            w = draw(rng)
+            d = space.distance(center, w)
+            r = radius if len(pts) < count // 2 else radius * shells[len(pts) % len(shells)]
+            pts.append(retract(space, center, w, r, d) if d > 0.0 else w)
+        return pts
+
+    return _Kind(project, contains, probes, max(radius, 1.0))
+
+
+def _segment(space: Space, cset: Segment) -> _Kind:
+    a, b = cset.a, cset.b
+    dab = space.distance(a, b)
+    nearest = _segment_projector(space, a, b)
+
+    def contains(p: Point, tol: float) -> bool:
+        return space.distance(a, p) + space.distance(p, b) <= dab + tol
+
+    def probes(u: Point, count: int, rng) -> list[Point]:
+        grid = max(2, count // 2)
+        pts = [space.geodesic_point(a, b, i / (grid - 1)) for i in range(grid)]
+        while len(pts) < count:
+            pts.append(space.geodesic_point(a, b, float(rng.random())))
+        return pts
+
+    return _Kind(lambda x: nearest(x)[1:], contains, probes, max(dab, 1.0))
+
+
+def _subtree(space: Space, cset: Subtree) -> _Kind:
+    model = make_space(space.descriptor)
+    verts, parent, depth, edges = cset.vertices, model.parent, model.depth, model.topology.edges
+    # the set's top vertex: the one whose parent lies outside the set
+    top = next(v for v in verts if parent[v] not in verts)
+
+    def contains(p: Point, tol: float) -> bool:
+        eid, off = p.data
+        u, v, length = edges[eid]
+        return (u in verts and (v in verts or off <= tol)) or (v in verts and off >= length - tol)
+
+    def project(x: Point) -> tuple[Point, int]:
+        if contains(x, 0.0):
+            return model.canonical(x), 0
+        # from outside, the geodesic to any subtree point enters through one
+        # gate vertex: the first set vertex above x when x hangs below the
+        # top vertex, else the top vertex itself
+        v = model.child[x.data[0]]
+        while v not in verts and depth[v] > depth[top]:
+            v = parent[v]
+        return model.vertex_point(v if v in verts else top), 0
+
+    def probes(u: Point, count: int, rng) -> list[Point]:
+        # the set's vertices, a grid on each of its edges, then random points
+        inner = [eid for eid, (a, b, _) in enumerate(edges) if a in verts and b in verts]
+        pts = [model.vertex_point(v) for v in sorted(verts)]
+        grid = max(1, (count - len(pts)) // max(1, len(inner)) if inner else 0)
+        for eid in inner:
+            length = edges[eid][2]
+            for i in range(1, grid + 1):
+                pts.append(model.canonical(Point(model.descriptor, (eid, length * i / (grid + 1)))))
+        while len(pts) < count and inner:
+            eid = inner[int(rng.integers(len(inner)))]
+            pts.append(model.canonical(Point(model.descriptor, (eid, edges[eid][2] * float(rng.random())))))
+        return pts[:count]
+
+    return _Kind(project, contains, probes, 1.0)
+
+
+def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
+    normal, offset, desc = cset.normal, cset.offset, space.descriptor
+    # normal / |normal|^2: finite for every validated normal, so a far offset
+    # cannot overflow an intermediate step
+    nn = sum(n * n for n in normal)
+    w = tuple(n / nn for n in normal)
+
+    def contains(p: Point, tol: float) -> bool:
+        return sum(n * c for n, c in zip(normal, p.data)) >= offset - tol
+
+    def project(x: Point) -> tuple[Point, int]:
+        t = offset - sum(n * c for n, c in zip(normal, x.data))
+        return (x if t <= 0.0 else Point(desc, tuple(c + t * wi for c, wi in zip(x.data, w)))), 0
+
+    def probes(u: Point, count: int, rng) -> list[Point]:
+        # Gaussian steps from u, projected back onto the half-space
+        spread = 1.0 + abs(offset) + math.sqrt(sum(c * c for c in u.data))
+        steps = (rng.standard_normal(desc.dim).tolist() for _ in range(count))
+        return [project(Point(desc, tuple(c + spread * g for c, g in zip(u.data, step))))[0] for step in steps]
+
+    return _Kind(project, contains, probes, 1.0)
+
+
+_KINDS: dict[type, Callable[[Space, ConvexSetDescriptor], _Kind]] = {
+    WholeSpace: _whole,
+    Ball: _ball,
+    Segment: _segment,
+    Subtree: _subtree,
+    HalfSpace: _halfspace,
+}
+
+
+def _compile(space: Space, cset: ConvexSetDescriptor) -> _Kind:
+    _validate_set(space, cset)
+    kind = _KINDS.get(type(cset))
+    if kind is None:
+        raise IncompatibleSetError(f"unknown set {cset!r}")
+    return kind(space, cset)
+
+
+def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[Point]:
+    if count <= 0:
+        raise ValueError("probe count must be positive")
+    pts = kind.probes(u, count, stream(seed, 0xC0))
+    # adversarial refinement: blend a slice of the probes toward u
+    n_near = max(1, count // 8)
+    blend = (0.9, 0.99, 0.999)
+    for i in range(min(n_near, len(pts))):
+        pts.append(space.geodesic_point(u, pts[-1 - i], blend[i % len(blend)]))
+    return pts[: count + n_near]
+
+
+def _residual(
+    space: Space, kind: _Kind, x: Point, u: Point, probes: Union[int, Sequence[Point]], seed: int
+) -> float:
+    scale = 1.0 + space.distance(x, u) ** 2
+    if not kind.contains(u, 1e-6 * kind.scale * scale):
+        raise ValueError("candidate u is not a member of the set")
+    if isinstance(probes, int):
+        pts = _probes(space, kind, u, probes, seed)
+    else:
+        pts = list(probes)
+        if not pts:
+            raise ValueError("need at least one probe point")
+    pairing = pairing_against(space, x, u, u)
+    return min(pairing(y, space.distance(x, y)) for y in pts)
+
+
+def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0) -> bool:
+    """Membership within additive tolerance on the defining inequality."""
+    return _compile(space, cset).contains(p, tol)
+
+
 def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
     """The metric projection onto ``cset`` as a closure ``x -> (u, iterations)``.
 
@@ -236,66 +388,7 @@ def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
     ``space.distance`` and ``space.geodesic_point`` on each call, so a
     wrapped handle sees every primitive call.
     """
-    _validate_set(space, cset)
-    if isinstance(cset, WholeSpace):
-        return lambda x: (x, 0)
-    if isinstance(cset, Ball):
-        center, radius = cset.center, cset.radius
-
-        def project_ball(x: Point) -> tuple[Point, int]:
-            d = space.distance(center, x)
-            if d <= radius:
-                return x, 0
-            return space._geodesic(center, x, 1.0 - radius / d, d), 0
-
-        return project_ball
-    if isinstance(cset, Segment):
-        a, b = cset.a, cset.b
-        # the membership test of ``contains`` at MEMBERSHIP_TOL
-        bound = space.distance(a, b) + MEMBERSHIP_TOL
-        nearest = _segment_projector(space, a, b)
-
-        def project_seg(x: Point) -> tuple[Point, int]:
-            if space.distance(a, x) + space.distance(x, b) <= bound:
-                return x, 0
-            _, u, it = nearest(x)
-            return u, it
-
-        return project_seg
-    if isinstance(cset, Subtree):
-        model = make_space(space.descriptor)
-        verts, parent, depth = cset.vertices, model.parent, model.depth
-        # the set's top vertex: the one whose parent lies outside the set
-        top = next(v for v in verts if parent[v] not in verts)
-
-        def project_subtree(x: Point) -> tuple[Point, int]:
-            if _subtree_contains_point(model, cset, x, 0.0):
-                return model.canonical(x), 0
-            # from outside, the geodesic to any subtree point enters through
-            # one gate vertex: the first set vertex above x when x hangs
-            # below the top vertex, else the top vertex itself
-            v = model.child[x.data[0]]
-            while v not in verts and depth[v] > depth[top]:
-                v = parent[v]
-            return model.vertex_point(v if v in verts else top), 0
-
-        return project_subtree
-    if isinstance(cset, HalfSpace):
-        normal, offset, desc = cset.normal, cset.offset, space.descriptor
-        # normal / |normal|^2: finite for every validated normal, so a far
-        # offset cannot overflow an intermediate step
-        nn = sum(n * n for n in normal)
-        w = tuple(n / nn for n in normal)
-
-        def project_halfspace(x: Point) -> tuple[Point, int]:
-            dot = sum(n * c for n, c in zip(normal, x.data))
-            if dot >= offset:
-                return x, 0
-            t = offset - dot
-            return Point(desc, tuple(c + t * wi for c, wi in zip(x.data, w))), 0
-
-        return project_halfspace
-    raise IncompatibleSetError(f"unknown set {cset!r}")
+    return _compile(space, cset).project
 
 
 def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Point, int]:
@@ -304,19 +397,7 @@ def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Po
     Compiles the set on every call; a loop that projects many points onto
     one set should call :func:`compile_set` once and reuse its closure.
     """
-    return compile_set(space, cset)(x)
-
-
-# ---------------------------------------------------------------------------
-# certificate probes
-
-
-def _set_scale(space: Space, cset: ConvexSetDescriptor) -> float:
-    if isinstance(cset, Ball):
-        return max(cset.radius, 1.0)
-    if isinstance(cset, Segment):
-        return max(space.distance(cset.a, cset.b), 1.0)
-    return 1.0
+    return _compile(space, cset).project(x)
 
 
 def probe_points(
@@ -333,86 +414,7 @@ def probe_points(
     geodesic blends toward ``u`` so the sample is adversarially dense near the
     candidate projection.
     """
-    if count <= 0:
-        raise ValueError("probe count must be positive")
-    _validate_set(space, cset)
-    rng = stream(seed, 0xC0)
-    pts: list[Point] = []
-
-    if isinstance(cset, Segment):
-        grid = max(2, count // 2)
-        for i in range(grid):
-            pts.append(space.geodesic_point(cset.a, cset.b, i / (grid - 1)))
-        while len(pts) < count:
-            pts.append(space.geodesic_point(cset.a, cset.b, float(rng.random())))
-    elif isinstance(cset, Ball):
-        # the first half on the boundary, the rest on interior shells
-        shells = (0.25, 0.5, 0.75, 0.9)
-        draw = ball_sampler(space, cset.center, cset.radius)
-        while len(pts) < count:
-            w = draw(rng)
-            d = space.distance(cset.center, w)
-            if len(pts) < count // 2:
-                r = cset.radius
-            else:
-                r = cset.radius * shells[len(pts) % len(shells)]
-            if d > 0.0:
-                pts.append(space._geodesic(cset.center, w, max(0.0, 1.0 - r / d), d))
-            else:
-                pts.append(w)
-    elif isinstance(cset, Subtree):
-        model = make_space(space.descriptor)
-        verts = sorted(cset.vertices)
-        edges = [
-            eid
-            for eid, (a, b, _) in enumerate(model.topology.edges)
-            if a in cset.vertices and b in cset.vertices
-        ]
-        for v in verts:
-            pts.append(model.vertex_point(v))
-        grid = max(1, (count - len(pts)) // max(1, len(edges)) if edges else 0)
-        for eid in edges:
-            length = model.topology.edges[eid][2]
-            for i in range(1, grid + 1):
-                pts.append(
-                    model.canonical(
-                        Point(model.descriptor, (eid, length * i / (grid + 1)))
-                    )
-                )
-        while len(pts) < count and edges:
-            eid = int(rng.integers(len(edges)))
-            length = model.topology.edges[edges[eid]][2]
-            pts.append(
-                model.canonical(
-                    Point(model.descriptor, (edges[eid], length * float(rng.random())))
-                )
-            )
-        pts = pts[:count]
-    elif isinstance(cset, HalfSpace):
-        scale = 1.0 + abs(cset.offset) + math.sqrt(sum(c * c for c in u.data))
-        project_halfspace = compile_set(space, cset)
-        while len(pts) < count:
-            w = Point(
-                space.descriptor,
-                tuple(
-                    c + scale * g
-                    for c, g in zip(u.data, rng.standard_normal(space.descriptor.dim).tolist())
-                ),
-            )
-            pts.append(project_halfspace(w)[0])
-    else:  # WholeSpace
-        draw = ball_sampler(space, u, 2.0)
-        while len(pts) < count:
-            pts.append(draw(rng))
-
-    # adversarial refinement: blend a slice of the probes toward u
-    n_near = max(1, count // 8)
-    blend = (0.9, 0.99, 0.999)
-    for i in range(min(n_near, len(pts))):
-        w = pts[-1 - i]
-        lam = blend[i % len(blend)]
-        pts.append(space.geodesic_point(u, w, lam))
-    return pts[: count + n_near]
+    return _probes(space, _compile(space, cset), u, count, seed)
 
 
 def characterization_residual(
@@ -429,17 +431,7 @@ def characterization_residual(
     onto the set; strictly negative for some probe when u is displaced far
     enough from the projection relative to probe density.
     """
-    scale = 1.0 + space.distance(x, u) ** 2
-    if not contains(space, cset, u, 1e-6 * _set_scale(space, cset) * scale):
-        raise ValueError("candidate u is not a member of the set")
-    if isinstance(probes, int):
-        pts = probe_points(space, cset, u, probes, seed)
-    else:
-        pts = list(probes)
-        if not pts:
-            raise ValueError("need at least one probe point")
-    pairing = pairing_against(space, x, u, u)
-    return min(pairing(y, space.distance(x, y)) for y in pts)
+    return _residual(space, _compile(space, cset), x, u, probes, seed)
 
 
 def project(
@@ -451,10 +443,11 @@ def project(
 ) -> ProjectionResult:
     """Metric projection with a certificate.
 
-    Pass ``probes=0`` to skip certification (the solvers do, for speed).
+    The set is validated and compiled once, and the certificate reads the
+    same record as the projection.  Pass ``probes=0`` to skip certification
+    (the solvers do, for speed).
     """
-    u, it = project_point(space, cset, x)
-    cert = None
-    if probes:
-        cert = characterization_residual(space, cset, x, u, probes, seed)
+    kind = _compile(space, cset)
+    u, it = kind.project(x)
+    cert = _residual(space, kind, x, u, probes, seed) if probes else None
     return ProjectionResult(u=u, certificate_residual=cert, iterations_used=it)

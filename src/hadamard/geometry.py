@@ -44,6 +44,12 @@ def pairing_against(space: Space, a: Point, b: Point, c: Point) -> Callable[[Poi
     return pairing
 
 
+def retract(space: Space, c: Point, w: Point, r: float, d: float) -> Point:
+    """The point at distance min(r, d) from ``c`` toward ``w``, for a caller
+    that holds ``d = distance(c, w) > 0``."""
+    return space._geodesic(c, w, max(0.0, 1.0 - r / d), d)
+
+
 def cauchy_schwarz_gap(space: Space, a: Point, b: Point, c: Point, d: Point) -> float:
     """d(a,b)*d(c,d) - <ab, cd>; nonnegative (up to rounding) in CAT(0)."""
     return space.distance(a, b) * space.distance(c, d) - quasilinearization(

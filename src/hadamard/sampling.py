@@ -15,6 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .geometry import retract
 from .spaces import (
     Euclidean,
     Hyperbolic,
@@ -177,8 +178,7 @@ def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Po
         if d <= radius or d == 0.0:
             return w
         # pull back to a uniformly random depth inside the ball
-        target = radius * rng.random()
-        return space.geodesic_point(center, w, 1.0 - target / d)
+        return retract(space, center, w, radius * rng.random(), d)
 
     return pull_back
 

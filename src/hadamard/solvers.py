@@ -31,7 +31,7 @@ from .convex import (
     probe_points,
     project_point,
 )
-from .geometry import pairing_against
+from .geometry import pairing_against, retract
 from .mappings import MappingDescriptor, compile_mapping
 from .sampling import SamplingRegion, sampler, stream
 from .spaces import Basepoint, Point, Space
@@ -259,8 +259,7 @@ def _perturbation_point(
         w = draw(rng)
         d = space.distance(base.o, w)
         if d > 0.0:
-            lam = 1.0 - min(1.0, target_norm / d)
-            return space._geodesic(base.o, w, lam, d)
+            return retract(space, base.o, w, target_norm, d)
     return base.o
 
 

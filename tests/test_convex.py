@@ -1,5 +1,7 @@
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadamard as hd
+from hadamard import convex
 from hadamard.convex import IncompatibleSetError
 from conftest import CATERPILLAR, OffsetMetric, ept, hpt_polar, shuffled_random_tree
 import oracles
@@ -28,7 +31,7 @@ def test_contains_halfspace(E2):
     assert not hd.contains(E2, hs, ept(E2, 0.0, 0.9))
 
 
-def test_set_space_compatibility_enforced(E2, tree):
+def test_set_space_compatibility_enforced(E2, H2, tree):
     with pytest.raises(IncompatibleSetError):
         hd.contains(E2, hd.Subtree(frozenset({0, 1})), ept(E2, 0.0, 0.0))
     with pytest.raises(IncompatibleSetError):
@@ -40,6 +43,16 @@ def test_set_space_compatibility_enforced(E2, tree):
     with pytest.raises(IncompatibleSetError):
         # vertices 0 and 4 are not adjacent in the caterpillar
         hd.project_point(tree, hd.Subtree(frozenset({0, 4})), hd.tree_point(tree, 0, 0.5))
+    # a ball radius and a half-space offset must be finite
+    for space, center in ((E2, ept(E2, 0.0, 0.0)), (H2, H2.base)):
+        for radius in (math.nan, math.inf, -math.inf):
+            with pytest.raises(IncompatibleSetError):
+                hd.project_point(space, hd.Ball(center, radius), center)
+            with pytest.raises(IncompatibleSetError):
+                hd.project(space, hd.Ball(center, radius), center, probes=10)
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(IncompatibleSetError):
+            hd.project_point(E2, hd.HalfSpace((1.0, 0.0), offset), ept(E2, 0.0, 0.0))
 
 
 def test_ball_projection_euclidean_oracle(E3):
@@ -171,6 +184,27 @@ def test_segment_projection_tree_closed_form():
         best = min(tree.distance(x, tree.geodesic_point(a, b, g)) for g in grid)
         assert tree.distance(x, u) <= best + 1e-12
     assert hd.project_segment(tree, a, a, x) == (1.0, a, 0)
+
+
+def test_segment_projection_of_a_point_just_off_the_segment(E2, H2):
+    # d(a, x) + d(x, b) - d(a, b) grows only quadratically in x's height over
+    # the segment: about 2e-10 at height 1e-5, below the membership
+    # tolerance, yet the projection must still land on the segment
+    e_seg = hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))
+    h_seg = hd.Segment(hpt_polar(H2, 1.0, 0.0), hpt_polar(H2, 1.0, math.pi))
+    for h in (1e-5, 1.5e-5, 2e-5):
+        x = ept(E2, 0.5, h)
+        u, _ = hd.project_point(E2, e_seg, x)
+        assert u.data == (0.5, 0.0)
+        assert hd.contains(E2, e_seg, u)
+        assert hd.project(E2, e_seg, x, probes=1000).u == u
+        # the midpoint of the H2 segment is the sheet base point
+        x = hpt_polar(H2, h, 0.5 * math.pi)
+        u, _ = hd.project_point(H2, h_seg, x)
+        assert H2.distance(u, H2.base) <= 1e-9 * h
+        assert H2.distance(x, u) == pytest.approx(h, rel=1e-6)
+        Tx = hd.compile_mapping(H2, hd.ProjectionOnto(h_seg))(x)
+        assert H2.distance(x, Tx) == pytest.approx(h, rel=1e-6)
 
 
 def test_subtree_projection_gate_vertex(tree):
@@ -373,3 +407,59 @@ def test_certificate_is_the_min_pairing_on_broken_metrics(request, wrapper, fami
     x, u, probes = pts[0], pts[1], pts[2:]
     want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
     assert hd.characterization_residual(space, hd.WholeSpace(), x, u, probes) == want
+
+
+def test_certified_projection_validates_once(E2, H2, tree, monkeypatch):
+    # one certified projection validates its set once and looks a tree's
+    # model up at most twice: once to check a subtree, once to compile it
+    validated, lookups = [], []
+    validate, lookup = convex._validate_set, convex.make_space
+    monkeypatch.setattr(convex, "_validate_set", lambda *args: validated.append(1) or validate(*args))
+    monkeypatch.setattr(convex, "make_space", lambda desc: lookups.append(1) or lookup(desc))
+    cases = [
+        (E2, hd.WholeSpace(), ept(E2, 2.0, 1.0)),
+        (E2, hd.Ball(ept(E2, 0.0, 0.0), 1.0), ept(E2, 2.0, 1.0)),
+        (E2, hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0)), ept(E2, 2.0, 1.0)),
+        (E2, hd.HalfSpace((1.0, 0.0), 0.5), ept(E2, -2.0, 1.0)),
+        (H2, hd.WholeSpace(), hpt_polar(H2, 1.0, 0.5)),
+        (H2, hd.Ball(H2.base, 0.5), hpt_polar(H2, 1.0, 0.5)),
+        (H2, hd.Segment(hpt_polar(H2, 1.0, 0.0), hpt_polar(H2, 1.0, 2.0)), hpt_polar(H2, 2.0, -1.0)),
+        (tree, hd.WholeSpace(), hd.tree_point(tree, 3, 1.2)),
+        (tree, hd.Ball(tree.vertex_point(1), 0.5), hd.tree_point(tree, 3, 1.2)),
+        (tree, hd.Segment(tree.vertex_point(0), tree.vertex_point(2)), hd.tree_point(tree, 3, 1.2)),
+        (tree, hd.Subtree(frozenset({0, 1, 2})), hd.tree_point(tree, 3, 1.2)),
+    ]
+    for space, cset, x in cases:
+        validated.clear()
+        lookups.clear()
+        result = hd.project(space, cset, x, probes=200)
+        assert result.certificate_residual is not None
+        assert len(validated) == 1, cset
+        assert len(lookups) <= 2, cset
+
+
+def test_only_the_kind_table_dispatches_on_a_set_class():
+    # each set kind is written once: outside _validate_set, no function in
+    # convex.py names a set class (annotations aside); the kind table maps
+    # each class to the function that compiles it
+    set_classes = {"WholeSpace", "Ball", "Segment", "Subtree", "HalfSpace"}
+
+    class StripAnnotations(ast.NodeTransformer):
+        def visit_arg(self, node):
+            node.annotation = None
+            return node
+
+        def visit_FunctionDef(self, node):
+            node.returns = None
+            return self.generic_visit(node)
+
+    tree = StripAnnotations().visit(ast.parse(Path(convex.__file__).read_text()))
+    offenders = [
+        f"{fn.name}:{node.lineno}: {node.id}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_validate_set"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in set_classes
+    ]
+    assert not offenders
+    assert {cls.__name__ for cls in convex._KINDS} == set_classes
