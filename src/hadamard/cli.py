@@ -68,7 +68,8 @@ def parse_space_spec(spec: str):
     """Space handle from a compact spec string.
 
     Accepts ``euclidean:N``, ``hyperbolic:N``, ``tree-star:RAYS:LENGTH``,
-    ``tree-random:EDGES:SEED``, ``product:(A,B)``, and ``corrupted-demo``.
+    ``tree-random:EDGES:SEED``, ``product:(A,B)`` of two specs other than
+    ``corrupted-demo``, and ``corrupted-demo``.
     """
     spec = spec.strip()
     if spec == "corrupted-demo":
@@ -86,10 +87,16 @@ def parse_space_spec(spec: str):
             elif ch == "," and depth == 0:
                 left = parse_space_spec(body[:i])
                 right = parse_space_spec(body[i + 1:])
+                # a product is built from descriptors, which would drop the corruption
+                if isinstance(left, CorruptedSpace) or isinstance(right, CorruptedSpace):
+                    raise InvalidSpaceError(f"corrupted-demo cannot be a factor of {spec!r}")
                 return make_space(Product(left.descriptor, right.descriptor))
         raise InvalidSpaceError(f"cannot split product spec {spec!r}")
     parts = spec.split(":")
     kind = parts[0]
+    most = {"euclidean": 2, "hyperbolic": 2, "tree-star": 3, "tree-random": 3}.get(kind)
+    if most is not None and len(parts) > most:
+        raise InvalidSpaceError(f"too many fields in space spec {spec!r}")
     if kind == "euclidean":
         return make_space(Euclidean(int(parts[1])))
     if kind == "hyperbolic":

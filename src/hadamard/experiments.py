@@ -25,36 +25,15 @@ def execute(cfg: serialize.ExperimentConfig) -> tuple[IterationTrace, dict]:
     """
     space = make_space(cfg.space)
     base = Basepoint(cfg.basepoint)
+    args = (space, cfg.convex_set, cfg.mapping, cfg.schedule, base)
+    shared = dict(budget=cfg.budget, outer_tol=cfg.outer_tol, seed=cfg.seed,
+                  region=cfg.perturbation_region, reference=cfg.reference)
     start = time.perf_counter()
+    # looked up when called, so that a wrapper put on the module's name sees the run
     if cfg.algorithm == "implicit":
-        trace = run_implicit(
-            space,
-            cfg.convex_set,
-            cfg.mapping,
-            cfg.schedule,
-            base,
-            budget=cfg.budget,
-            outer_tol=cfg.outer_tol,
-            seed=cfg.seed,
-            region=cfg.perturbation_region,
-            inner_tol=cfg.inner_tol,
-            max_inner=cfg.max_inner,
-            reference=cfg.reference,
-        )
+        trace = run_implicit(*args, inner_tol=cfg.inner_tol, max_inner=cfg.max_inner, **shared)
     else:
-        trace = run_explicit(
-            space,
-            cfg.convex_set,
-            cfg.mapping,
-            cfg.schedule,
-            base,
-            x0=cfg.x0,
-            budget=cfg.budget,
-            outer_tol=cfg.outer_tol,
-            seed=cfg.seed,
-            region=cfg.perturbation_region,
-            reference=cfg.reference,
-        )
+        trace = run_explicit(*args, x0=cfg.x0, **shared)
     solved = time.perf_counter()
 
     certificates: dict[str, Optional[float]] = {"nearest_fixed_point_residual": None}

@@ -255,10 +255,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         basepoint=point_from_json(_field(doc, "basepoint", "$"), desc, "basepoint"),
         budget=budget,
         seed=seed,
-        outer_tol=_number(float, doc.get("outer_tol", 0.0), "outer_tol"),
-        inner_tol=_number(float, doc.get("inner_tol", 1e-10), "inner_tol"),
-        max_inner=_number(int, doc.get("max_inner", 10**6), "max_inner"),
-        output_dir=_string(doc.get("output_dir", "."), "output_dir"),
+        outer_tol=_number(float, doc.get("outer_tol", ExperimentConfig.outer_tol), "outer_tol"),
+        inner_tol=_number(float, doc.get("inner_tol", ExperimentConfig.inner_tol), "inner_tol"),
+        max_inner=_number(int, doc.get("max_inner", ExperimentConfig.max_inner), "max_inner"),
+        output_dir=_string(doc.get("output_dir", ExperimentConfig.output_dir), "output_dir"),
     )
     if "x0" in doc:
         cfg.x0 = point_from_json(doc["x0"], desc, "x0")

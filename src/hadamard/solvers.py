@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .convex import (
     MEMBERSHIP_TOL,
@@ -300,6 +300,38 @@ def implicit_step(
     raise InnerBudgetError(best=x, iterations=max_inner, gap=gap)
 
 
+def _run(
+    algorithm: str, steps: Callable[..., Iterator], space: Space, cset: ConvexSetDescriptor,
+    mapping: MappingDescriptor, schedule: Schedule, base: Basepoint, budget: int,
+    outer_tol: float, seed: int, region: Optional[SamplingRegion],
+    reference: Optional[Point], x0: Optional[Point] = None,
+) -> IterationTrace:
+    """Check the schedule and the starting point ``x0``, if given, then
+    record each ``(row, x, status)`` of ``steps(T, P, draw, rng)``, where
+    ``draw`` and ``rng`` feed :func:`_perturbation_point`.
+    The first status a step reports ends the run; otherwise the first row
+    whose residual falls to ``outer_tol`` ends it as ``"converged"``."""
+    _require_schedule(schedule, algorithm, budget)
+    if x0 is not None and not contains(space, cset, x0, MEMBERSHIP_TOL):
+        raise ValueError("starting point must belong to the constraint set")
+
+    T = compile_mapping(space, mapping)
+    P = compile_set(space, cset)
+    rng = stream(seed, STREAM_PERTURBATION)
+    draw = sampler(space, region)
+    trace = IterationTrace(reference=reference)
+    measure = _measurer(space, base, reference)
+    for row, x, status in steps(T, P, draw, rng):
+        trace.rows.append(measure(row, x))
+        if status is None and row.fixed_residual <= outer_tol:
+            status = "converged"
+        if status is not None:
+            trace.status = status
+            break
+    trace.final = x
+    return trace
+
+
 def run_implicit(
     space: Space,
     cset: ConvexSetDescriptor,
@@ -328,45 +360,29 @@ def run_implicit(
     ``outer_tol = 0`` every step is solved to ``inner_tol``.  Each row
     records the inner iterations and the error bound at exit.
     """
-    _require_schedule(schedule, "implicit", budget)
 
-    T = compile_mapping(space, mapping)
-    P = compile_set(space, cset)
-    rng = stream(seed, STREAM_PERTURBATION)
-    draw = sampler(space, region)
-
-    trace = IterationTrace(reference=reference)
-    measure = _measurer(space, base, reference)
-    x = P(base.o)[0]
-    prev = x
-    for m in range(1, budget + 1):
-        a = schedule.anchor_at(m)
-        u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(m))
-        try:
-            x, iterations, bound = implicit_step(
-                space, P, T, a, u, x, max(inner_tol, a * outer_tol), max_inner
+    def steps(T, P, draw, rng):
+        x = prev = P(base.o)[0]
+        for m in range(1, budget + 1):
+            a = schedule.anchor_at(m)
+            u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(m))
+            status = None
+            try:
+                x, iterations, bound = implicit_step(
+                    space, P, T, a, u, x, max(inner_tol, a * outer_tol), max_inner
+                )
+            except InnerBudgetError as err:
+                # the best inner iterate becomes the last row
+                x, iterations, bound, status = err.best, err.iterations, err.gap, "inner_budget"
+            row = TraceRow(
+                n=m, fixed_residual=space.distance(x, T(x)), step=space.distance(x, prev),
+                inner_iterations=iterations, inner_bound=bound,
             )
-        except InnerBudgetError as err:
-            # the best inner iterate becomes the last row
-            x, iterations, bound = err.best, err.iterations, err.gap
-            trace.status = "inner_budget"
-        residual = space.distance(x, T(x))
-        row = TraceRow(
-            n=m,
-            fixed_residual=residual,
-            step=space.distance(x, prev),
-            inner_iterations=iterations,
-            inner_bound=bound,
-        )
-        trace.rows.append(measure(row, x))
-        prev = x
-        if trace.status == "inner_budget":
-            break
-        if residual <= outer_tol:
-            trace.status = "converged"
-            break
-    trace.final = x
-    return trace
+            yield row, x, status
+            prev = x
+
+    return _run("implicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
+                seed, region, reference)
 
 
 def run_explicit(
@@ -390,47 +406,26 @@ def run_explicit(
     Row n records iterate x_n; a run that uses up its budget closes with a
     row for x_budget.
     """
-    _require_schedule(schedule, "explicit", budget)
-    if not contains(space, cset, x0, MEMBERSHIP_TOL):
-        raise ValueError("starting point must belong to the constraint set")
 
-    T = compile_mapping(space, mapping)
-    P = compile_set(space, cset)
-    rng = stream(seed, STREAM_PERTURBATION)
-    draw = sampler(space, region)
+    def steps(T, P, draw, rng):
+        x, b = x0, schedule.mixing
+        for n in range(budget):
+            a = schedule.anchor_at(n)
+            tx = T(x)
+            residual = space.distance(x, tx)
+            u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(n))
+            y = space.geodesic_point(u, tx, a)
+            z = P(y)[0]
+            # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
+            z_residual = space.distance(z, x)
+            nxt = space._geodesic(x, z, 1.0 - b, z_residual)
+            step = space.distance(nxt, x)
+            yield TraceRow(n=n, fixed_residual=residual, step=step, z_residual=z_residual), x, None
+            x = nxt
+        yield TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
 
-    trace = IterationTrace(reference=reference)
-    measure = _measurer(space, base, reference)
-    x = x0
-    b = schedule.mixing
-    for n in range(budget):
-        a = schedule.anchor_at(n)
-        tx = T(x)
-        residual = space.distance(x, tx)
-        u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(n))
-        y = space.geodesic_point(u, tx, a)
-        z = P(y)[0]
-        # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
-        z_residual = space.distance(z, x)
-        nxt = space._geodesic(x, z, 1.0 - b, z_residual)
-        row = TraceRow(
-            n=n,
-            fixed_residual=residual,
-            step=space.distance(nxt, x),
-            z_residual=z_residual,
-        )
-        trace.rows.append(measure(row, x))
-        if residual <= outer_tol:
-            trace.status = "converged"
-            break
-        x = nxt
-    else:
-        row = TraceRow(n=budget, fixed_residual=space.distance(x, T(x)))
-        trace.rows.append(measure(row, x))
-        if row.fixed_residual <= outer_tol:
-            trace.status = "converged"
-    trace.final = x
-    return trace
+    return _run("explicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
+                seed, region, reference, x0)
 
 
 def nearest_fixed_point_residual(

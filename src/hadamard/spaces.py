@@ -145,9 +145,6 @@ class Space:
         if not (0.0 <= lam <= 1.0):
             raise ValueError(f"interpolation weight {lam} outside [0, 1]")
 
-    def point(self, data) -> Point:
-        return Point(self.descriptor, data)
-
 
 class EuclideanSpace(Space):
     def __init__(self, desc: Euclidean):

@@ -233,8 +233,13 @@ def test_verify_corrupted_demo_fails(runner):
 
 def test_verify_bad_flags(runner):
     assert runner.invoke(main, ["verify", "--space", "euclidean:2", "--trials", "0"]).exit_code == 2
-    # a tree with no edges is rejected up front, not when it is sampled
-    for spec in ("nope:1", "tree-star:0", "tree-random:0:0"):
+    # a tree with no edges is rejected up front, not when it is sampled; a
+    # spec with extra fields, or with a corrupted factor, is rejected too
+    bad_specs = (
+        "nope:1", "tree-star:0", "tree-random:0:0", "euclidean:2:7", "hyperbolic:2:1",
+        "tree-star:3:1:9", "tree-random:5:1:2", "product:(corrupted-demo,euclidean:2)",
+    )
+    for spec in bad_specs:
         result = runner.invoke(main, ["verify", "--space", spec])
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from hadamard import convex, mappings, serialize
+from hadamard import convex, mappings, serialize, solvers
 from hadamard.experiments import execute
 from hadamard.solvers import _perturbation_point
 from conftest import OffsetMetric, ept, hpt_polar
@@ -128,6 +129,60 @@ def test_explicit_rows_leave_inner_cells_empty(E2):
     assert header.split(",")[-2:] == ["inner_iterations", "inner_bound"]
     assert len(rows) == 21
     assert all(row.split(",")[-2:] == ["", ""] for row in rows)
+
+
+def test_explicit_run_can_converge_on_its_closing_row():
+    # the closing row for x_budget meets the same stop test as every other row
+    cfg = serialize.config_from_json(json.loads((CONFIG_DIR / "segment_explicit.json").read_text()))
+    space = hd.make_space(cfg.space)
+    kw = dict(base=hd.Basepoint(cfg.basepoint), x0=cfg.x0, seed=cfg.seed)
+
+    def run(budget, outer_tol=0.0):
+        return hd.run_explicit(
+            space, cfg.convex_set, cfg.mapping, cfg.schedule, budget=budget, outer_tol=outer_tol, **kw
+        )
+
+    residuals = [row.fixed_residual for row in run(50).rows]
+    b = next(n for n in range(1, 51) if residuals[n] < min(residuals[:n]))
+    trace = run(b, outer_tol=residuals[b])
+    assert [row.n for row in trace.rows] == list(range(b + 1))
+    assert trace.status == "converged"
+
+
+def test_inner_budget_outranks_a_converged_residual(E2):
+    # T = identity leaves a residual of 0, but the inner solve ran out first
+    sched = hd.Schedule(anchor=law(1, 1), perturbation=law(1, 1))
+    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    trace = hd.run_implicit(
+        E2, hd.WholeSpace(), hd.Identity(), sched, base, budget=5, outer_tol=1e-3, max_inner=1
+    )
+    assert len(trace.rows) == 1 and trace.rows[0].fixed_residual == 0.0
+    assert trace.status == "inner_budget"
+
+
+def test_only_the_driver_records_a_run():
+    # the trace, the status and the stop test are written once: no function
+    # in solvers.py but the driver appends a row or sets a status or final point
+    def records(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            return node.func.attr == "append" and isinstance(owner, ast.Attribute) and owner.attr == "rows"
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return any(
+            isinstance(t, ast.Attribute) and t.attr in ("status", "final")
+            for target in targets if target is not None
+            for t in ast.walk(target)
+        )
+
+    tree = ast.parse(Path(solvers.__file__).read_text())
+    writers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if records(node)
+    }
+    assert writers == {"_run"}
 
 
 def test_run_implicit_rejects_constant_anchor(E2):
