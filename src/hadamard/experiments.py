@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import serialize
 from .mappings import known_fixed_set
 from .solvers import (
     IterationTrace,
+    TraceRow,
     nearest_fixed_point_residual,
     run_explicit,
     run_implicit,
@@ -17,17 +18,22 @@ from .solvers import (
 from .spaces import Basepoint, make_space
 
 
-def execute(cfg: serialize.ExperimentConfig) -> tuple[IterationTrace, dict]:
+def execute(
+    cfg: serialize.ExperimentConfig, sink: Optional[Callable[[TraceRow], None]] = None
+) -> tuple[IterationTrace, dict]:
     """Run the configured solver; returns the trace and the summary document.
 
-    The summary's ``timings`` hold ``solve_s`` and ``certify_s`` in seconds;
+    Each trace row goes to ``sink`` when one is given (the trace's ``rows``
+    then stay empty), so the summary is built from the trace's running
+    values, ``last`` and ``inner_iterations``.  The summary's ``timings``
+    hold ``solve_s`` (the solver's span) and ``certify_s`` in seconds;
     :func:`run_to_files` adds ``write_s``.
     """
     space = make_space(cfg.space)
     base = Basepoint(cfg.basepoint)
     args = (space, cfg.convex_set, cfg.mapping, cfg.schedule, base)
     shared = dict(budget=cfg.budget, outer_tol=cfg.outer_tol, seed=cfg.seed,
-                  region=cfg.perturbation_region, reference=cfg.reference)
+                  region=cfg.perturbation_region, reference=cfg.reference, sink=sink)
     start = time.perf_counter()
     # looked up when called, so that a wrapper put on the module's name sees the run
     if cfg.algorithm == "implicit":
@@ -47,7 +53,7 @@ def execute(cfg: serialize.ExperimentConfig) -> tuple[IterationTrace, dict]:
     summary = {
         "name": cfg.name,
         "status": trace.status,
-        "steps": trace.rows[-1].n,
+        "steps": trace.last.n,
         "final_point": serialize.point_to_json(trace.final),
         "final_fixed_residual": trace.final_fixed_residual,
         "certificates": certificates,
@@ -55,21 +61,29 @@ def execute(cfg: serialize.ExperimentConfig) -> tuple[IterationTrace, dict]:
         "config": serialize.config_to_json(cfg),
     }
     if cfg.algorithm == "implicit":
-        summary["inner_iterations"] = sum(row.inner_iterations for row in trace.rows)
+        summary["inner_iterations"] = trace.inner_iterations
     return trace, summary
 
 
 def run_to_files(cfg: serialize.ExperimentConfig) -> tuple[dict, Path]:
     """Execute and write ``<name>.trace.csv`` and ``<name>.summary.json``;
-    returns the summary and the trace's path."""
-    trace, summary = execute(cfg)
+    returns the summary and the trace's path.
+
+    The trace's rows are streamed to the CSV in fixed blocks while the
+    solver runs (see :class:`serialize.TraceFile`), so memory does not grow
+    with the budget.  Nothing is written, not even the output directory,
+    for a config the solver rejects before its first step, and a run that
+    raises leaves nothing behind.  ``timings.write_s`` is the summed time of
+    the block writes and ``timings.solve_s`` the solver's span without the
+    block writes made during it.
+    """
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / f"{cfg.name}.trace.csv"
-    start = time.perf_counter()
-    with open(trace_path, "w") as fh:
-        serialize.write_trace_csv(trace, fh)
-    summary["timings"]["write_s"] = time.perf_counter() - start
-    with open(out_dir / f"{cfg.name}.summary.json", "w") as fh:
-        fh.write(serialize.dumps(summary))
-    return summary, trace_path
+    with serialize.TraceFile(out_dir / f"{cfg.name}.trace.csv") as trace_file:
+        summary = execute(cfg, sink=trace_file.add)[1]
+        timings = summary["timings"]
+        timings["solve_s"] -= trace_file.write_s
+        trace_file.flush()
+        timings["write_s"] = trace_file.write_s
+        text = serialize.dumps(summary)
+    (out_dir / f"{cfg.name}.summary.json").write_text(text)
+    return summary, trace_file.path

@@ -111,6 +111,11 @@ def _hyperbolic_rotation(model: Space, center: Point, angle) -> Callable:
     return apply
 
 
+def _require_finite(name: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got {', '.join(map(repr, values))}")
+
+
 # Compiled mappings kept by _compile; each key holds its space handle.
 COMPILE_CACHE_SIZE = 128
 
@@ -121,11 +126,13 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
     if isinstance(mapping, Identity):
         return lambda p: p
     if isinstance(mapping, Rotation):
-        if isinstance(desc, Euclidean) and desc.dim == 2:
+        if not (isinstance(desc, (Euclidean, Hyperbolic)) and desc.dim == 2):
+            raise ValueError("rotations are supported in Euclidean(2) and Hyperbolic(2) only")
+        _require_finite("rotation angle", mapping.angle)
+        _require_finite("rotation center", *mapping.center.data)
+        if isinstance(desc, Euclidean):
             return _euclidean_rotation(mapping.center, mapping.angle)
-        if isinstance(desc, Hyperbolic) and desc.dim == 2:
-            return _hyperbolic_rotation(make_space(desc), mapping.center, mapping.angle)
-        raise ValueError("rotations are supported in Euclidean(2) and Hyperbolic(2) only")
+        return _hyperbolic_rotation(make_space(desc), mapping.center, mapping.angle)
     if isinstance(mapping, ProjectionOnto):
         project = compile_set(space, mapping.target)
 
@@ -158,6 +165,7 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
             raise ValueError("translations are Euclidean only")
         if len(vec) != desc.dim:
             raise ValueError(f"translation vector has {len(vec)} coordinates, expected {desc.dim}")
+        _require_finite("translation vector", *vec)
 
         def apply_shift(p: Point) -> Point:
             return Point(p.space, tuple(c + v for c, v in zip(p.data, vec)))

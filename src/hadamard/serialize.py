@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO
@@ -331,25 +332,78 @@ TRACE_HEADER = (
 )
 
 
+def _trace_line(row: solvers.TraceRow) -> str:
+    """A row's CSV line.  A field the row does not set is an empty cell
+    (explicit rows have no inner solve); numbers have 17 significant digits,
+    and an int ``inner_iterations`` prints exactly."""
+    s, z, d, q = row.step, row.z_residual, row.ref_distance, row.qx_inner
+    i, b = row.inner_iterations, row.inner_bound
+    return (
+        f"{row.n},{row.fixed_residual:.17g},"
+        f"{'' if s is None else f'{s:.17g}'},"
+        f"{'' if z is None else f'{z:.17g}'},"
+        f"{'' if d is None else f'{d:.17g}'},"
+        f"{'' if q is None else f'{q:.17g}'},"
+        f"{'' if i is None else f'{i:.17g}'},"
+        f"{'' if b is None else f'{b:.17g}'}\n"
+    )
+
+
 def write_trace_csv(trace: solvers.IterationTrace, out: TextIO) -> None:
-    """One header for both schemes; a field a row does not set is an empty
-    cell (explicit rows have no inner solve).  Numbers have 17 significant
-    digits (an int ``inner_iterations`` prints exactly), and each row is
-    written as soon as it is formatted."""
-    write = out.write
-    write(TRACE_HEADER + "\n")
-    for row in trace.rows:
-        s, z, d, q = row.step, row.z_residual, row.ref_distance, row.qx_inner
-        i, b = row.inner_iterations, row.inner_bound
-        write(
-            f"{row.n},{row.fixed_residual:.17g},"
-            f"{'' if s is None else f'{s:.17g}'},"
-            f"{'' if z is None else f'{z:.17g}'},"
-            f"{'' if d is None else f'{d:.17g}'},"
-            f"{'' if q is None else f'{q:.17g}'},"
-            f"{'' if i is None else f'{i:.17g}'},"
-            f"{'' if b is None else f'{b:.17g}'}\n"
-        )
+    """The header, then one line per row of ``trace.rows``, each written as
+    soon as it is formatted."""
+    out.write(TRACE_HEADER + "\n")
+    out.writelines(map(_trace_line, trace.rows))
+
+
+# rows a streamed trace holds before it formats and writes them in one call
+_BLOCK_ROWS = 1024
+
+
+class TraceFile:
+    """The trace CSV at ``path``, written while its run goes on: ``add`` is
+    the run's row sink, and ``flush`` writes the last, partial block.
+
+    Rows are formatted and written a block of ``_BLOCK_ROWS`` at a time.  The
+    file, and any directory missing above it, is created by the first block
+    write, so a run rejected before its first row leaves nothing behind;
+    leaving the ``with`` block by an exception removes what was created.
+    ``write_s`` sums the time spent in block writes."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.write_s = 0.0
+        self._block: list[solvers.TraceRow] = []
+        self._file: Optional[TextIO] = None
+        self._created: list[Path] = []
+
+    def add(self, row: solvers.TraceRow) -> None:
+        self._block.append(row)
+        if len(self._block) == _BLOCK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        start = time.perf_counter()
+        if self._file is None:
+            folder = self.path.parent
+            self._created = [d for d in (folder, *folder.parents) if not d.exists()]
+            folder.mkdir(parents=True, exist_ok=True)
+            self._file = open(self.path, "w")
+            self._file.write(TRACE_HEADER + "\n")
+        self._file.write("".join(map(_trace_line, self._block)))
+        self._block.clear()
+        self.write_s += time.perf_counter() - start
+
+    def __enter__(self) -> "TraceFile":
+        return self
+
+    def __exit__(self, kind, value, tb) -> None:
+        if self._file is not None:
+            self._file.close()
+            if kind is not None:
+                self.path.unlink()
+                for folder in self._created:
+                    folder.rmdir()
 
 
 def dumps(doc: dict) -> str:

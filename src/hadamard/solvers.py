@@ -213,16 +213,22 @@ class TraceRow:
 class IterationTrace:
     """The whole record of a run: one row per iterate, the last iterate and
     the status.  ``reference`` is the point each row's ``ref_distance`` and
-    ``qx_inner`` were measured against, or None when the run had none."""
+    ``qx_inner`` were measured against, or None when the run had none.
+
+    A run given a row sink hands its rows to the sink and leaves ``rows``
+    empty; ``last`` (the last row) and ``inner_iterations`` (the total over
+    the rows) are kept either way."""
 
     rows: list[TraceRow] = field(default_factory=list)
     final: Optional[Point] = None
     status: str = "budget"  # "converged" | "budget" | "inner_budget"
     reference: Optional[Point] = None
+    last: Optional[TraceRow] = None
+    inner_iterations: int = 0
 
     @property
     def final_fixed_residual(self) -> float:
-        return self.rows[-1].fixed_residual
+        return self.last.fixed_residual
 
 
 def _measurer(
@@ -305,10 +311,13 @@ def _run(
     mapping: MappingDescriptor, schedule: Schedule, base: Basepoint, budget: int,
     outer_tol: float, seed: int, region: Optional[SamplingRegion],
     reference: Optional[Point], x0: Optional[Point] = None,
+    sink: Optional[Callable[[TraceRow], None]] = None,
 ) -> IterationTrace:
     """Check the schedule and the starting point ``x0``, if given, then
     record each ``(row, x, status)`` of ``steps(T, P, draw, rng)``, where
-    ``draw`` and ``rng`` feed :func:`_perturbation_point`.
+    ``draw`` and ``rng`` feed :func:`_perturbation_point`.  Each row goes to
+    ``sink``, or is appended to the trace's rows when ``sink`` is None; no
+    row is recorded before every check has passed.
     The first status a step reports ends the run; otherwise the first row
     whose residual falls to ``outer_tol`` ends it as ``"converged"``."""
     _require_schedule(schedule, algorithm, budget)
@@ -320,15 +329,19 @@ def _run(
     rng = stream(seed, STREAM_PERTURBATION)
     draw = sampler(space, region)
     trace = IterationTrace(reference=reference)
+    if sink is None:
+        sink = trace.rows.append
     measure = _measurer(space, base, reference)
+    inner = 0
     for row, x, status in steps(T, P, draw, rng):
-        trace.rows.append(measure(row, x))
+        sink(measure(row, x))
+        inner += row.inner_iterations or 0
         if status is None and row.fixed_residual <= outer_tol:
             status = "converged"
         if status is not None:
             trace.status = status
             break
-    trace.final = x
+    trace.final, trace.last, trace.inner_iterations = x, row, inner
     return trace
 
 
@@ -345,6 +358,8 @@ def run_implicit(
     inner_tol: float = 1e-10,
     max_inner: int = 10**6,
     reference: Optional[Point] = None,
+    *,
+    sink: Optional[Callable[[TraceRow], None]] = None,
 ) -> IterationTrace:
     """Outer loop of the implicit scheme, steps m = 1..budget, warm-started.
 
@@ -359,6 +374,8 @@ def run_implicit(
     1976); the early stop still reads d(x, Tx) of the point returned.  With
     ``outer_tol = 0`` every step is solved to ``inner_tol``.  Each row
     records the inner iterations and the error bound at exit.
+
+    Rows go to ``sink`` when one is given, and ``trace.rows`` stays empty.
     """
 
     def steps(T, P, draw, rng):
@@ -382,7 +399,7 @@ def run_implicit(
             prev = x
 
     return _run("implicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
-                seed, region, reference)
+                seed, region, reference, sink=sink)
 
 
 def run_explicit(
@@ -397,6 +414,8 @@ def run_explicit(
     seed: int = 0,
     region: Optional[SamplingRegion] = None,
     reference: Optional[Point] = None,
+    *,
+    sink: Optional[Callable[[TraceRow], None]] = None,
 ) -> IterationTrace:
     """Explicit scheme, steps n = 0..budget-1.
 
@@ -404,7 +423,8 @@ def run_explicit(
     geodesic averaging with the previous iterate.  The starting point must be
     a member of the set; schedules must pass :func:`validate_schedules`.
     Row n records iterate x_n; a run that uses up its budget closes with a
-    row for x_budget.
+    row for x_budget.  Rows go to ``sink`` when one is given, and
+    ``trace.rows`` stays empty.
     """
 
     def steps(T, P, draw, rng):
@@ -425,7 +445,7 @@ def run_explicit(
         yield TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
 
     return _run("explicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
-                seed, region, reference, x0)
+                seed, region, reference, x0, sink=sink)
 
 
 def nearest_fixed_point_residual(

@@ -59,6 +59,15 @@ class TreeTopology:
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
 
+    def __hash__(self) -> int:
+        # hashed once, outside the fields: a make_space lookup that hits the
+        # cache must not rehash every edge
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.vertex_count, self.edges))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
 
 @dataclass(frozen=True)
 class WeightedTree:

@@ -115,3 +115,33 @@ def test_compile_mapping_is_cached(E2):
     assert hd.compile_mapping(E2, hd.ProjectionOnto(seg)) is hd.compile_mapping(
         E2, hd.ProjectionOnto(seg)
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "family, make, name",
+    [
+        ("E2", lambda E2, bad: hd.Rotation(ept(E2, 1.0, 0.0), bad), "rotation angle"),
+        ("E2", lambda E2, bad: hd.Rotation(hd.Point(E2.descriptor, (1.0, bad)), 0.5), "rotation center"),
+        ("H2", lambda H2, bad: hd.Rotation(hd.Point(H2.descriptor, (bad, 0.0, 0.0)), 0.5),
+         "rotation center"),
+        ("H2", lambda H2, bad: hd.Rotation(hpt_polar(H2, 1.0, 0.3), bad), "rotation angle"),
+        ("E2", lambda E2, bad: hd.Translation((bad, 0.0)), "translation vector"),
+        ("E2", lambda E2, bad: hd.Translation((0.5, bad)), "translation vector"),
+    ],
+    ids=["e2-angle", "e2-center", "h2-center", "h2-angle", "shift-x", "shift-y"],
+)
+def test_non_finite_mapping_parameters_are_rejected_at_compile(request, family, make, name, bad):
+    space = request.getfixturevalue(family)
+    mapping = make(space, bad)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        hd.compile_mapping(space, mapping)
+    # a run meets the fault before its first step: no row reaches the sink
+    rows = []
+    sched = hd.Schedule(
+        anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5
+    )
+    base = hd.Basepoint(ept(space, 0.0, 0.0) if family == "E2" else hpt_polar(space, 0.0, 0.0))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        hd.run_explicit(space, hd.WholeSpace(), mapping, sched, base, base.o, budget=5, sink=rows.append)
+    assert rows == []

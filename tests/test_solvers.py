@@ -162,14 +162,17 @@ def test_inner_budget_outranks_a_converged_residual(E2):
 
 def test_only_the_driver_records_a_run():
     # the trace, the status and the stop test are written once: no function
-    # in solvers.py but the driver appends a row or sets a status or final point
+    # in solvers.py but `_run` appends a row, calls the row sink, or sets
+    # a status, a final point or a running value (last row, inner total)
     def records(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id == "sink"
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner = node.func.value
             return node.func.attr == "append" and isinstance(owner, ast.Attribute) and owner.attr == "rows"
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         return any(
-            isinstance(t, ast.Attribute) and t.attr in ("status", "final")
+            isinstance(t, ast.Attribute) and t.attr in ("status", "final", "last", "inner_iterations")
             for target in targets if target is not None
             for t in ast.walk(target)
         )
@@ -183,6 +186,28 @@ def test_only_the_driver_records_a_run():
         if records(node)
     }
     assert writers == {"_run"}
+
+
+@pytest.mark.parametrize("algorithm", ["implicit", "explicit"])
+def test_a_sink_takes_every_row_and_the_trace_keeps_running_values(E2, algorithm):
+    C, T, base, q = make_scenario(E2)
+    sched = hd.Schedule(anchor=law(1, 0.7, 2), perturbation=law(1, 1, 2), mixing=0.5)
+    runner, start = (
+        (hd.run_implicit, {}) if algorithm == "implicit" else (hd.run_explicit, {"x0": ept(E2, 2.0, -2.0)})
+    )
+
+    def run(**kw):
+        return runner(E2, C, T, sched, base, budget=30, reference=q, **start, **kw)
+
+    kept, rows = run(), []
+    streamed = run(sink=rows.append)
+    assert streamed.rows == [] and rows == kept.rows
+    for trace in (kept, streamed):
+        assert trace.last == kept.rows[-1]
+        assert trace.final_fixed_residual == kept.rows[-1].fixed_residual
+        assert trace.inner_iterations == sum(row.inner_iterations or 0 for row in kept.rows)
+    assert (streamed.status, streamed.final) == (kept.status, kept.final)
+    assert (kept.inner_iterations > 0) == (algorithm == "implicit")
 
 
 def test_run_implicit_rejects_constant_anchor(E2):

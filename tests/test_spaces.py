@@ -288,6 +288,33 @@ def test_make_space_caches_handles():
     assert hd.make_space(hd.Euclidean(2)) is hd.make_space(hd.Euclidean(2))
 
 
+class _CountedLength(float):
+    """An edge length that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedLength.hashes += 1
+        return float.__hash__(self)
+
+
+def test_tree_topology_keeps_its_hash():
+    # a cached make_space lookup must not rehash every edge of a large tree
+    edges = tuple((u, v, float(length)) for u, v, length in shuffled_random_tree(300, 4).edges)
+    one, two = hd.TreeTopology(301, edges), hd.TreeTopology(301, tuple(list(edges)))
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert repr(one) == repr(two) == f"TreeTopology(vertex_count=301, edges={edges!r})"
+    assert hash(one) == hash((301, edges))
+    assert hd.make_space(hd.WeightedTree(one)) is hd.make_space(hd.WeightedTree(two))
+    assert [f.name for f in dataclasses.fields(one)] == ["vertex_count", "edges"]
+
+    counted = hd.TreeTopology(2, ((0, 1, _CountedLength(1.5)),))
+    for _ in range(3):
+        hash(counted)
+        hash(hd.WeightedTree(counted))
+    assert _CountedLength.hashes == 1
+
+
 def _point_pairs(E2, H2, tree, prod):
     """Two points of each space family, tagged by the handles themselves."""
     return [
