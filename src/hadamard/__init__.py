@@ -53,6 +53,7 @@ from .sampling import (
     random_point,
     sample_in_ball,
     sampler,
+    sphere,
     stream,
 )
 from .solvers import (

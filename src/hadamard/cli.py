@@ -21,7 +21,7 @@ import click
 
 from . import serialize
 from .harness import CorruptedSpace, check_lemmas, check_space_axioms
-from .sampling import default_region, stream
+from .sampling import default_region
 from .solvers import validate_schedules
 from .spaces import (
     Euclidean,
@@ -115,8 +115,12 @@ def parse_space_spec(spec: str):
 
 def random_tree_topology(n_edges: int, seed: int) -> TreeTopology:
     """Seeded random tree: vertex k+1 attaches to a uniform earlier vertex
-    with length uniform in [0.5, 2]."""
-    rng = stream(seed, 0x7E)
+    with length uniform in [0.5, 2].  The draws come from numpy's PCG64
+    stream for (seed, 0x7E), so every tree keeps the edges it has always
+    had; numpy is imported here, for ``tree-random`` specs alone."""
+    import numpy as np
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x7E,)))
     edges = []
     for k in range(n_edges):
         parent = int(rng.integers(k + 1))

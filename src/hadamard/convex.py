@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import pairing_against, retract
-from .sampling import ball_sampler, stream
+from .sampling import ball_sampler, normals, sphere, stream
 from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space, minkowski
 
 TERNARY_MAX_ITER = 200
@@ -233,16 +233,11 @@ def _ball(space: Space, cset: Ball) -> _Kind:
         return space.distance(center, p) <= radius + tol
 
     def probes(u: Point, count: int, rng) -> list[Point]:
-        # the first half on the boundary, the rest on interior shells
+        # the first half on the boundary, the rest on interior shells, each
+        # in a uniform direction from the center
         shells = (0.25, 0.5, 0.75, 0.9)
-        draw = ball_sampler(space, center, radius)
-        pts: list[Point] = []
-        while len(pts) < count:
-            w = draw(rng)
-            d = space.distance(center, w)
-            r = radius if len(pts) < count // 2 else radius * shells[len(pts) % len(shells)]
-            pts.append(retract(space, center, w, r, d) if d > 0.0 else w)
-        return pts
+        at = sphere(space, center)
+        return [at(rng, radius if i < count // 2 else radius * shells[i % len(shells)]) for i in range(count)]
 
     return _Kind(project, contains, probes, max(radius, 1.0))
 
@@ -259,7 +254,7 @@ def _segment(space: Space, cset: Segment) -> _Kind:
         grid = max(2, count // 2)
         pts = [space.geodesic_point(a, b, i / (grid - 1)) for i in range(grid)]
         while len(pts) < count:
-            pts.append(space.geodesic_point(a, b, float(rng.random())))
+            pts.append(space.geodesic_point(a, b, rng.random()))
         return pts
 
     return _Kind(lambda x: nearest(x)[1:], contains, probes, max(dab, 1.0))
@@ -297,8 +292,8 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
             for i in range(1, grid + 1):
                 pts.append(model.canonical(Point(model.descriptor, (eid, length * i / (grid + 1)))))
         while len(pts) < count and inner:
-            eid = inner[int(rng.integers(len(inner)))]
-            pts.append(model.canonical(Point(model.descriptor, (eid, edges[eid][2] * float(rng.random())))))
+            eid = inner[int(rng.random() * len(inner))]
+            pts.append(model.canonical(Point(model.descriptor, (eid, edges[eid][2] * rng.random()))))
         return pts[:count]
 
     return _Kind(project, contains, probes, 1.0)
@@ -321,7 +316,7 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
     def probes(u: Point, count: int, rng) -> list[Point]:
         # Gaussian steps from u, projected back onto the half-space
         spread = 1.0 + abs(offset) + math.sqrt(sum(c * c for c in u.data))
-        steps = (rng.standard_normal(desc.dim).tolist() for _ in range(count))
+        steps = (normals(rng, desc.dim) for _ in range(count))
         return [project(Point(desc, tuple(c + spread * g for c, g in zip(u.data, step))))[0] for step in steps]
 
     return _Kind(project, contains, probes, 1.0)

@@ -33,7 +33,7 @@ def execute(
     base = Basepoint(cfg.basepoint)
     args = (space, cfg.convex_set, cfg.mapping, cfg.schedule, base)
     shared = dict(budget=cfg.budget, outer_tol=cfg.outer_tol, seed=cfg.seed,
-                  region=cfg.perturbation_region, reference=cfg.reference, sink=sink)
+                  reference=cfg.reference, sink=sink)
     start = time.perf_counter()
     # looked up when called, so that a wrapper put on the module's name sees the run
     if cfg.algorithm == "implicit":

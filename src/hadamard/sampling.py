@@ -1,19 +1,21 @@
 """Seeded random point generation for the model spaces.
 
 Randomness is organized as one master seed plus per-purpose derived streams
-(numpy ``SeedSequence`` spawn keys), so e.g. solver perturbations and harness
-sampling never share a stream and stay reproducible independently of each
-other.
+(a standard-library ``random.Random`` seeded by a string naming the seed and
+the purpose), so e.g. solver perturbations and harness sampling never share a
+stream and stay reproducible independently of each other.  Every draw here
+asks its stream for ``random()`` alone, so a numpy ``Generator`` passed in
+its place works too.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
-
-import numpy as np
 
 from .geometry import retract
 from .spaces import (
@@ -24,7 +26,6 @@ from .spaces import (
     Space,
     WeightedTree,
     make_space,
-    minkowski,
 )
 
 # cosh overflow guard: a HyperbolicBall rejects a radius beyond this
@@ -63,15 +64,29 @@ class ProductRegion:
 SamplingRegion = Union[EuclideanBox, HyperbolicBall, TreeWhole, ProductRegion]
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> random.Random:
     """Derived random stream: deterministic in (seed, key)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return random.Random(f"hadamard:{seed}:{key}")
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
+def _as_rng(seed_or_rng):
+    if hasattr(seed_or_rng, "random"):
         return seed_or_rng
     return stream(int(seed_or_rng))
+
+
+def normals(rng, n: int) -> list[float]:
+    """``n`` standard normal values built from ``rng.random()`` by the
+    Box-Muller transform: Python pins the ``random()`` sequence of a seeded
+    stream, not that of ``gauss`` or ``normalvariate``."""
+    out: list[float] = []
+    while len(out) < n:
+        # 1 - random() lies in (0, 1], so the log is finite
+        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        theta = 2.0 * math.pi * rng.random()
+        out += (r * math.cos(theta), r * math.sin(theta))
+    del out[n:]
+    return out
 
 
 def default_region(space: Space, radius: float = 5.0) -> SamplingRegion:
@@ -91,23 +106,6 @@ def default_region(space: Space, radius: float = 5.0) -> SamplingRegion:
     raise ValueError(f"no default region for {desc!r}")
 
 
-def _draw_hyperbolic(model: Space, center: Point, radius: float, rng) -> Point:
-    """Exponential map: walk a uniform distance up to ``radius`` from center
-    along a random unit tangent."""
-    direction = rng.standard_normal(len(center.data)).tolist()
-    r = radius * rng.random()
-    c = center.data
-    # project the ambient direction onto the tangent space at c
-    dot = minkowski(c, direction)
-    v = [di + dot * ci for di, ci in zip(direction, c)]
-    vv = minkowski(v, v)
-    if vv <= 0.0:
-        return center
-    inv = 1.0 / math.sqrt(vv)
-    ch, sh = math.cosh(r), math.sinh(r)
-    return model._renormalize([ch * ci + sh * inv * vi for ci, vi in zip(c, v)])
-
-
 def sampler(space: Space, region: Optional[SamplingRegion] = None) -> Callable[..., Point]:
     """``rng -> random_point(space, region, rng)`` as a closure, on
     ``default_region(space)`` by default.  The region is checked and the
@@ -125,12 +123,13 @@ def sampler(space: Space, region: Optional[SamplingRegion] = None) -> Callable[.
         bounds = tuple(zip(region.lo, region.hi))
 
         def draw_box(rng) -> Point:
-            u = rng.random(desc.dim).tolist()
-            return Point(desc, tuple(lo + (hi - lo) * ui for (lo, hi), ui in zip(bounds, u)))
+            return Point(desc, tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds))
 
         return draw_box
     if isinstance(desc, Hyperbolic):
-        return lambda rng: _draw_hyperbolic(model, region.center, region.radius, rng)
+        at = sphere(model, region.center)
+        # uniform in distance up to the radius, not in volume
+        return lambda rng: at(rng, region.radius * rng.random())
     if isinstance(desc, WeightedTree):
         cumulative, edges = model.cumulative_length, desc.topology.edges
 
@@ -152,24 +151,95 @@ def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
     return sampler(space, region)(_as_rng(seed_or_rng))
 
 
+def _exponential(model: Space, c: Point):
+    """``(dim, exp)``: ``exp(g, s)`` is the exponential map at c of the
+    tangent vector s*g, the point s*|g| from c along g, for the coordinates
+    g of a tangent vector in an orthonormal frame at c of dimension
+    ``dim``.  None for a space with a tree factor, which has no tangent
+    space."""
+    desc = model.descriptor
+    if isinstance(desc, Euclidean):
+        cd = c.data
+        return desc.dim, lambda g, s: Point(desc, tuple(ci + s * gi for ci, gi in zip(cd, g)))
+    if isinstance(desc, Hyperbolic):
+        # the frame f_i = e_i + c_i / (1 + c_0) * (e_0 + c), i >= 1, is the
+        # boost taking the sheet base point to c applied to e_i: Minkowski
+        # orthonormal and tangent at c.  Only its constant k is kept.
+        cs = c.data[1:]
+        k = 1.0 / (1.0 + c.data[0])
+
+        def exp_hyperbolic(g, s):
+            nrm = math.hypot(*g)
+            if nrm == 0.0:
+                return c
+            t = min(s * nrm, MAX_HYPERBOLIC_RADIUS)
+            # the spatial part of cosh t * c + sinh t * sum g_i f_i / |g|
+            sh = math.sinh(t) / nrm
+            a = math.cosh(t) + sh * k * sum(map(operator.mul, cs, g))
+            ps = [a * ci + sh * gi for ci, gi in zip(cs, g)]
+            # the time coordinate sqrt(1 + |ps|^2) lifts the spatial part onto
+            # the sheet: unlike a rescaling, it stays exact far out
+            return Point(desc, (math.hypot(1.0, *ps), *ps))
+
+        return desc.dim, exp_hyperbolic
+    if isinstance(desc, Product):
+        left = _exponential(model.left, c.data[0])
+        right = _exponential(model.right, c.data[1])
+        if left is None or right is None:
+            return None
+        (n, exp_left), (m, exp_right) = left, right
+        return n + m, lambda g, s: Point(desc, (exp_left(g[:n], s), exp_right(g[n:], s)))
+    return None
+
+
+def sphere(space: Space, center: Point) -> Callable[..., Point]:
+    """``(rng, t) ->`` the point at distance t >= 0 from center in a
+    direction uniform at center, built once per center.
+
+    In E^n this is center + t g/|g| for a standard normal g; in H^n it is
+    cosh t * center + sinh t * v for the unit tangent v = sum g_i f_i / |g|
+    in an orthonormal frame f at center, with t capped at
+    ``MAX_HYPERBOLIC_RADIUS``; in a product of these, each factor takes its
+    part of g, so t splits between them in proportion to the two parts.  A
+    space with a tree factor has no tangent space: there a point w is drawn
+    from the default region and the result lies min(t, d(center, w)) along
+    the geodesic toward w.  Only that fallback calls the handle's
+    primitives."""
+    model = make_space(space.descriptor)
+    kernel = _exponential(model, center)
+    if kernel is not None:
+        dim, exp = kernel
+
+        def along_normal(rng, t):
+            g = normals(rng, dim)
+            nrm = math.hypot(*g)
+            return exp(g, t / nrm) if nrm > 0.0 else center
+
+        return along_normal
+    draw = sampler(model)
+
+    def toward_draw(rng, t):
+        w = draw(rng)
+        d = space.distance(center, w)
+        return retract(space, center, w, t, d) if d > 0.0 else center
+
+    return toward_draw
+
+
 def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Point]:
     """``rng ->`` a point at distance <= radius from center, built once like
-    :func:`sampler`'s closure.  Overshooting draws from the space's natural
-    region are pulled back along the geodesic to the center; the boundary
-    therefore carries positive mass, which the certificate probes rely on."""
+    :func:`sampler`'s closure.  In E^n it is uniform in volume; in H^n its
+    distance is uniform up to min(radius, ``MAX_HYPERBOLIC_RADIUS``); both
+    draw a uniform direction from :func:`sphere`.  Elsewhere draws from the
+    space's default region that overshoot are pulled back along the
+    geodesic to a uniform depth inside the ball."""
     desc = space.descriptor
     if isinstance(desc, Euclidean):
-        def draw_euclidean(rng) -> Point:
-            g = rng.standard_normal(desc.dim)
-            nrm = math.sqrt(float(np.dot(g, g)))
-            if nrm == 0.0:
-                return center
-            r = radius * rng.random() ** (1.0 / desc.dim)
-            return Point(desc, tuple(c + r * d / nrm for c, d in zip(center.data, g.tolist())))
-
-        return draw_euclidean
+        at = sphere(space, center)
+        return lambda rng: at(rng, radius * rng.random() ** (1.0 / desc.dim))
     if isinstance(desc, Hyperbolic):
-        return sampler(space, HyperbolicBall(center, min(radius, MAX_HYPERBOLIC_RADIUS)))
+        at, r = sphere(space, center), min(radius, MAX_HYPERBOLIC_RADIUS)
+        return lambda rng: at(rng, r * rng.random())
     draw = sampler(space)
 
     def pull_back(rng) -> Point:

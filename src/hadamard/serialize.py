@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO
 
-from . import convex, mappings, sampling, solvers, spaces
+from . import convex, mappings, solvers, spaces
 from .spaces import Point, make_space
 
 
@@ -79,12 +79,6 @@ CODEC = {
         "tree": (spaces.WeightedTree, [(None, "topology")]),
         "product": (spaces.Product, [("left", "space"), ("right", "space")]),
     },
-    "region": {
-        "box": (sampling.EuclideanBox, [("lo", "floats"), ("hi", "floats")]),
-        "ball": (sampling.HyperbolicBall, [("center", "point"), ("radius", "float")]),
-        "tree": (sampling.TreeWhole, []),
-        "product": (sampling.ProductRegion, [("left", "region"), ("right", "region")]),
-    },
     "set": {
         "whole": (convex.WholeSpace, []),
         "ball": (convex.Ball, [("center", "point"), ("radius", "float")]),
@@ -110,7 +104,7 @@ _TAGS = {cls: (tag, fields) for tags in CODEC.values() for tag, (cls, fields) in
 
 
 def to_json(obj) -> dict:
-    """The JSON object of a space, region, set, mapping, power law or schedule."""
+    """The JSON object of a space, set, mapping, power law or schedule."""
     if type(obj) not in _TAGS:
         raise ConfigError(f"cannot encode {obj!r}")
     tag, fields = _TAGS[type(obj)]
@@ -136,7 +130,7 @@ def _encode(value):
 
 def from_json(kind: str, doc, where: str, desc: Optional[spaces.SpaceDescriptor] = None):
     """Decode the ``CODEC`` kind ``kind`` from ``doc``, found at the JSON
-    path ``where``.  A region, set or mapping is decoded for the space
+    path ``where``.  A set or mapping is decoded for the space
     ``desc`` and built there as a run builds it, so one that does not fit
     the space is rejected here.  Every fault is a ConfigError naming its
     path."""
@@ -145,17 +139,12 @@ def from_json(kind: str, doc, where: str, desc: Optional[spaces.SpaceDescriptor]
     if tag not in tags:
         raise ConfigError(f"{where}: unknown {kind} type {tag!r}")
     cls, fields = tags[tag]
-    # a region is of the class of its space's default region
-    if kind == "region" and not isinstance(sampling.default_region(make_space(desc)), cls):
-        raise ConfigError(f"{where}: a {tag} region does not fit a {type(desc).__name__} space")
     args = []
     for (key, field_kind), attr in zip(fields, dataclasses.fields(cls)):
         if key is None:
             args.append(_decode(field_kind, doc, where, desc))
         elif key in doc:
-            # a product region's parts are regions of the matching factor
-            part = getattr(desc, key) if field_kind == "region" else desc
-            args.append(_decode(field_kind, doc[key], f"{where}.{key}", part))
+            args.append(_decode(field_kind, doc[key], f"{where}.{key}", desc))
         elif attr.default is dataclasses.MISSING:
             raise ConfigError(f"{where}: missing required field {key!r}")
         else:
@@ -168,8 +157,6 @@ def from_json(kind: str, doc, where: str, desc: Optional[spaces.SpaceDescriptor]
             convex.compile_set(make_space(desc), obj)
         elif kind == "mapping":
             mappings.compile_mapping(make_space(desc), obj)
-        elif tag == "box" and not len(obj.lo) == len(obj.hi) == desc.dim:
-            raise ValueError("box dimensions do not match the space")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return obj
@@ -220,13 +207,12 @@ class ExperimentConfig:
     max_inner: int = 10**6
     x0: Optional[Point] = None
     reference: Optional[Point] = None
-    perturbation_region: Optional[sampling.SamplingRegion] = None
     output_dir: str = "."
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    """Each field under its own name; an optional point or region left unset
-    is left out."""
+    """Each field under its own name; an optional point left unset is left
+    out."""
     fields = ((f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg))
     return {key: _encode(value) for key, value in fields if value is not None}
 
@@ -266,8 +252,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     if "reference" in doc:
         cfg.reference = point_from_json(doc["reference"], desc, "reference")
     if "perturbation_region" in doc:
-        cfg.perturbation_region = from_json(
-            "region", doc["perturbation_region"], "perturbation_region", desc
+        raise ConfigError(
+            "perturbation_region: no longer read; each perturbation takes a direction "
+            "uniform at the base point"
         )
     if cfg.max_inner < 1:
         raise ConfigError("max_inner: must be at least 1")

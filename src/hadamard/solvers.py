@@ -2,7 +2,7 @@
 
 Two algorithms are implemented, both driven by a vanishing anchor weight and
 a perturbation sequence whose distance to the base point follows a prescribed
-decay law:
+decay law, each perturbation in a direction uniform at the base point:
 
 * the *implicit* scheme solves, at every outer step, the fixed-point equation
   ``x = P_C(anchor_weight * u (+) (1 - anchor_weight) * T x)`` by Picard
@@ -31,9 +31,9 @@ from .convex import (
     probe_points,
     project_point,
 )
-from .geometry import pairing_against, retract
+from .geometry import pairing_against
 from .mappings import MappingDescriptor, compile_mapping
-from .sampling import SamplingRegion, sampler, stream
+from .sampling import sphere, stream
 from .spaces import Basepoint, Point, Space
 
 STREAM_PERTURBATION = 1
@@ -251,22 +251,13 @@ def _measurer(
 
 
 def _perturbation_point(
-    space: Space,
-    base: Basepoint,
-    draw: Callable[..., Point],
-    rng,
-    target_norm: float,
+    base: Basepoint, at: Callable[..., Point], rng, target_norm: float
 ) -> Point:
-    """A point at distance min(target_norm, reachable) from the base point, in
-    a random direction drawn by ``draw``, a closure from ``sampler``."""
-    if target_norm <= 0.0:
-        return base.o
-    for _ in range(8):
-        w = draw(rng)
-        d = space.distance(base.o, w)
-        if d > 0.0:
-            return retract(space, base.o, w, target_norm, d)
-    return base.o
+    """The base point for a zero target, else a point at distance
+    ``target_norm`` from it in a direction uniform there, drawn by ``at``,
+    the closure ``sphere(space, base.o)`` (which caps the distance as its
+    family does)."""
+    return base.o if target_norm <= 0.0 else at(rng, target_norm)
 
 
 def implicit_step(
@@ -309,13 +300,12 @@ def implicit_step(
 def _run(
     algorithm: str, steps: Callable[..., Iterator], space: Space, cset: ConvexSetDescriptor,
     mapping: MappingDescriptor, schedule: Schedule, base: Basepoint, budget: int,
-    outer_tol: float, seed: int, region: Optional[SamplingRegion],
-    reference: Optional[Point], x0: Optional[Point] = None,
+    outer_tol: float, seed: int, reference: Optional[Point], x0: Optional[Point] = None,
     sink: Optional[Callable[[TraceRow], None]] = None,
 ) -> IterationTrace:
     """Check the schedule and the starting point ``x0``, if given, then
-    record each ``(row, x, status)`` of ``steps(T, P, draw, rng)``, where
-    ``draw`` and ``rng`` feed :func:`_perturbation_point`.  Each row goes to
+    record each ``(row, x, status)`` of ``steps(T, P, at, rng)``, where
+    ``at`` and ``rng`` feed :func:`_perturbation_point`.  Each row goes to
     ``sink``, or is appended to the trace's rows when ``sink`` is None; no
     row is recorded before every check has passed.
     The first status a step reports ends the run; otherwise the first row
@@ -327,13 +317,13 @@ def _run(
     T = compile_mapping(space, mapping)
     P = compile_set(space, cset)
     rng = stream(seed, STREAM_PERTURBATION)
-    draw = sampler(space, region)
+    at = sphere(space, base.o)
     trace = IterationTrace(reference=reference)
     if sink is None:
         sink = trace.rows.append
     measure = _measurer(space, base, reference)
     inner = 0
-    for row, x, status in steps(T, P, draw, rng):
+    for row, x, status in steps(T, P, at, rng):
         sink(measure(row, x))
         inner += row.inner_iterations or 0
         if status is None and row.fixed_residual <= outer_tol:
@@ -354,7 +344,6 @@ def run_implicit(
     budget: int,
     outer_tol: float = 0.0,
     seed: int = 0,
-    region: Optional[SamplingRegion] = None,
     inner_tol: float = 1e-10,
     max_inner: int = 10**6,
     reference: Optional[Point] = None,
@@ -378,11 +367,11 @@ def run_implicit(
     Rows go to ``sink`` when one is given, and ``trace.rows`` stays empty.
     """
 
-    def steps(T, P, draw, rng):
+    def steps(T, P, at, rng):
         x = prev = P(base.o)[0]
         for m in range(1, budget + 1):
             a = schedule.anchor_at(m)
-            u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(m))
+            u = _perturbation_point(base, at, rng, schedule.perturbation_at(m))
             status = None
             try:
                 x, iterations, bound = implicit_step(
@@ -399,7 +388,7 @@ def run_implicit(
             prev = x
 
     return _run("implicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
-                seed, region, reference, sink=sink)
+                seed, reference, sink=sink)
 
 
 def run_explicit(
@@ -412,7 +401,6 @@ def run_explicit(
     budget: int,
     outer_tol: float = 0.0,
     seed: int = 0,
-    region: Optional[SamplingRegion] = None,
     reference: Optional[Point] = None,
     *,
     sink: Optional[Callable[[TraceRow], None]] = None,
@@ -427,13 +415,13 @@ def run_explicit(
     ``trace.rows`` stays empty.
     """
 
-    def steps(T, P, draw, rng):
+    def steps(T, P, at, rng):
         x, b = x0, schedule.mixing
         for n in range(budget):
             a = schedule.anchor_at(n)
             tx = T(x)
             residual = space.distance(x, tx)
-            u = _perturbation_point(space, base, draw, rng, schedule.perturbation_at(n))
+            u = _perturbation_point(base, at, rng, schedule.perturbation_at(n))
             y = space.geodesic_point(u, tx, a)
             z = P(y)[0]
             # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
@@ -445,7 +433,7 @@ def run_explicit(
         yield TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
 
     return _run("explicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
-                seed, region, reference, x0, sink=sink)
+                seed, reference, x0, sink=sink)
 
 
 def nearest_fixed_point_residual(

@@ -218,16 +218,25 @@ class HyperbolicSpace(Space):
     def distance(self, a: Point, b: Point) -> float:
         if a.space is not self.descriptor or b.space is not self.descriptor:
             self._check(a, b)
-        # acosh(-<a,b>_M) evaluated in the cancellation-free form
-        # 2*asinh(sqrt(<a-b, a-b>_M)/2); the Minkowski product is clamped so
-        # the argument never leaves the domain under rounding.
+        # acosh(-<a,b>_M), evaluated near the diagonal in the form
+        # 2*asinh(sqrt(<a-b, a-b>_M)/2), which does not cancel there; the
+        # chord's square is clamped so the argument never leaves the domain
+        # under rounding.  Past d = 2*asinh(1) the chord's squares cancel
+        # more than the Minkowski product does (at d = 20 they lose 1e-8).
         ad, bd = a.data, b.data
-        m = -((ad[0] - bd[0]) ** 2)
+        t = ad[0] - bd[0]
+        m = -(t * t)
         for i in range(1, len(ad)):
-            m += (ad[i] - bd[i]) ** 2
+            t = ad[i] - bd[i]
+            m += t * t
         if m <= 0.0:
             return 0.0
-        return 2.0 * math.asinh(0.5 * math.sqrt(m))
+        if m <= 4.0:
+            return 2.0 * math.asinh(0.5 * math.sqrt(m))
+        q = ad[0] * bd[0]
+        for i in range(1, len(ad)):
+            q -= ad[i] * bd[i]
+        return math.acosh(q)
 
     def _renormalize(self, coords: list) -> Point:
         # -<c, c>_M in the order ``minkowski`` sums it; negation is exact,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -416,15 +419,15 @@ def _tree_config():
         ),
         (
             dict(_e2_config(), perturbation_region={"type": "box", "lo": [0], "hi": [1]}),
-            "perturbation_region: box dimensions do not match the space",
+            "perturbation_region: no longer read",
         ),
         (
             dict(_e2_config(), perturbation_region={"type": "ball", "center": {"coords": [1, 0, 0]}, "radius": 1}),
-            "perturbation_region: a ball region does not fit a Euclidean space",
+            "perturbation_region: no longer read",
         ),
         (
             dict(_e2_config(), perturbation_region={"type": "product", "left": {"type": "tree"}, "right": {"type": "tree"}}),
-            "perturbation_region: a product region does not fit a Euclidean space",
+            "perturbation_region: no longer read",
         ),
     ],
     ids=[
@@ -466,3 +469,33 @@ def test_run_inner_budget_is_a_status(runner, tmp_path):
     iterations, bound = rows[-1].split(",")[-2:]
     assert iterations == "1" and float(bound) > 0.5 * 0.005  # above eps_1 = a_1 * outer_tol
     assert summary["inner_iterations"] == 1
+
+
+# runs the CLI in a fresh interpreter, then reports whether numpy was loaded
+_NUMPY_PROBE = """
+import sys
+from hadamard.cli import main
+try:
+    main(sys.argv[1:], prog_name="hadamard")
+except SystemExit as exc:
+    sys.stderr.write(f"exit={exc.code} numpy={'numpy' in sys.modules}\\n")
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", str(CONFIG_DIR / "segment_implicit.json")],
+        ["schedules", "--check", str(CONFIG_DIR / "segment_implicit.json")],
+        ["verify", "--space", "euclidean:2", "--trials", "100"],
+    ],
+    ids=["run", "schedules", "verify"],
+)
+def test_cli_does_not_import_numpy(tmp_path, args):
+    if args[0] == "run":
+        args = args + ["--output-dir", str(tmp_path)]
+    src = str(Path(hd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert "exit=0 numpy=False" in done.stderr, done.stderr

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import hadamard as hd
 from hadamard import convex
+from hadamard.cli import random_tree_topology
 from hadamard.convex import IncompatibleSetError
 from conftest import CATERPILLAR, OffsetMetric, ept, hpt_polar, shuffled_random_tree
 import oracles
@@ -463,3 +464,18 @@ def test_only_the_kind_table_dispatches_on_a_set_class():
     ]
     assert not offenders
     assert {cls.__name__ for cls in convex._KINDS} == set_classes
+
+
+@pytest.mark.parametrize("family", ["E2", "prod", "tree-200"])
+def test_ball_boundary_probes_lie_on_the_boundary(request, family):
+    # the first half of a ball's probes lies on its boundary; on a tree a
+    # probe stops early at a leaf closer to the center than the radius
+    if family == "tree-200":
+        space = hd.make_space(hd.WeightedTree(random_tree_topology(200, 0)))
+    else:
+        space = request.getfixturevalue(family)
+    center = hd.random_point(space, hd.default_region(space), hd.stream(0, 5))
+    for radius in (0.3, 2.5):
+        half = hd.probe_points(space, hd.Ball(center, radius), center, 1000, seed=1)[:500]
+        on = sum(abs(space.distance(center, p) - radius) <= 1e-9 * (1.0 + radius) for p in half)
+        assert on >= (450 if family == "tree-200" else 500), (radius, on)

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from hadamard.spaces import ProductSpace, TreeSpace
+from hadamard.spaces import ProductSpace, TreeSpace, minkowski
 from conftest import CATERPILLAR, ept, hpt_polar
 
 
 def test_stream_is_deterministic_and_keyed():
-    a = hd.stream(42, 7).random(5)
-    b = hd.stream(42, 7).random(5)
-    c = hd.stream(42, 8).random(5)
+    def five(rng):
+        return [rng.random() for _ in range(5)]
+
+    a = five(hd.stream(42, 7))
+    b = five(hd.stream(42, 7))
+    c = five(hd.stream(42, 8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -132,3 +135,49 @@ def test_sampled_and_probe_coordinates_are_floats(E2, H2, tree, prod):
         u = hd.project_point(space, cset, hd.random_point(space, hd.default_region(space), rng))[0]
         probes = hd.probe_points(space, cset, u, 64, seed=3)
         assert probes and all(exact_floats(space, p) for p in probes), cset
+
+
+def _sphere_cases():
+    for n in range(1, 5):
+        E = hd.make_space(hd.Euclidean(n))
+        yield f"E{n}", E, hd.Point(E.descriptor, tuple(0.5 - 0.75 * i for i in range(n)))
+        H = hd.make_space(hd.Hyperbolic(n))
+        yield f"H{n}-base", H, H.base
+        yield f"H{n}-off-base", H, hd.hyperboloid_point(H, math.cosh(1.0), *(0.0,) * (n - 1), math.sinh(1.0))
+    E2, H2 = hd.make_space(hd.Euclidean(2)), hd.make_space(hd.Hyperbolic(2))
+    prod = hd.make_space(hd.Product(E2.descriptor, H2.descriptor))
+    yield "E2xH2", prod, prod.pair(ept(E2, 0.5, -1.0), hpt_polar(H2, 1.0, 0.3))
+
+
+@pytest.mark.parametrize("space, center", [case[1:] for case in _sphere_cases()],
+                         ids=[case[0] for case in _sphere_cases()])
+def test_sphere_draws_at_the_given_distance(space, center):
+    at = hd.sphere(space, center)
+    rng = hd.stream(8, 1)
+    for t in (0.0, 1e-9, 0.5, 5.0, 20.0):
+        for _ in range(50):
+            p = at(rng, t)
+            # far out the sheet's 1e-9 tolerance lies below float resolution
+            assert hd.validate_point(space, p) is None or t > 5.0
+            assert abs(space.distance(center, p) - t) <= 1e-12 * (1.0 + t), t
+
+
+def test_sphere_direction_is_uniform_off_the_sheet_base(H2):
+    # the initial unit tangent of the geodesic from c to each draw, read in
+    # the polar frame at c (radial e_r, rotational e_phi): its angle must be
+    # uniform.  Chi-square over 20 bins of 10^4 angles, at p = 0.001.
+    R, phi = 2.0, 0.7
+    c = hpt_polar(H2, R, phi)
+    e_r = (math.sinh(R), math.cosh(R) * math.cos(phi), math.cosh(R) * math.sin(phi))
+    e_phi = (0.0, -math.sin(phi), math.cos(phi))
+    at, rng = hd.sphere(H2, c), hd.stream(9, 1)
+    bins, n, t = 20, 10_000, 1.0
+    counts = [0] * bins
+    for _ in range(n):
+        p = at(rng, t)
+        w = [(pi - math.cosh(t) * ci) / math.sinh(t) for pi, ci in zip(p.data, c.data)]
+        angle = math.atan2(minkowski(w, e_phi), minkowski(w, e_r)) % (2.0 * math.pi)
+        counts[min(bins - 1, int(angle / (2.0 * math.pi) * bins))] += 1
+    expected = n / bins
+    chi2 = sum((k - expected) ** 2 / expected for k in counts)
+    assert chi2 < 43.82, counts

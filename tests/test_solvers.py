@@ -395,10 +395,10 @@ def test_run_implicit_rejects_underflowing_anchor_up_front(E2):
 def test_perturbation_point_hits_target_norm(E2, H2):
     for space in (E2, H2):
         base = hd.Basepoint(space.base if hasattr(space, "base") else ept(space, 0.25, 0.25))
-        draw = hd.sampler(space, hd.default_region(space))
+        at = hd.sphere(space, base.o)
         rng = hd.stream(3, 1)
         for target in (0.5, 0.01, 0.0):
-            u = _perturbation_point(space, base, draw, rng, target)
+            u = _perturbation_point(base, at, rng, target)
             assert space.distance(base.o, u) == pytest.approx(target, abs=1e-9)
 
 
