@@ -231,12 +231,15 @@ class HyperbolicSpace(Space):
             m += t * t
         if m <= 0.0:
             return 0.0
-        if m <= 4.0:
-            return 2.0 * math.asinh(0.5 * math.sqrt(m))
-        q = ad[0] * bd[0]
-        for i in range(1, len(ad)):
-            q -= ad[i] * bd[i]
-        return math.acosh(q)
+        if m > 4.0:
+            q = ad[0] * bd[0]
+            for i in range(1, len(ad)):
+                q -= ad[i] * bd[i]
+            # q = 1 + m/2 exactly; when rounding breaks that far from the
+            # base point, the chord form decides and nothing raises
+            if q > 3.0:
+                return math.acosh(q)
+        return 2.0 * math.asinh(0.5 * math.sqrt(m))
 
     def _renormalize(self, coords: list) -> Point:
         # -<c, c>_M in the order ``minkowski`` sums it; negation is exact,

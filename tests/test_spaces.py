@@ -66,6 +66,18 @@ def test_hyperbolic_close_points_stable(H2):
     assert not H2.point_violations(mid)
 
 
+def test_hyperbolic_distance_far_out_never_raises(H2):
+    # 20 from the sheet base point, coordinates near 2.4e8 cannot resolve a
+    # unit distance, and the chord and Minkowski forms disagree; the
+    # distance must still be finite and exactly symmetric
+    out, rng = hd.sphere(H2, H2.base), hd.stream(2, 2)
+    for _ in range(500):
+        a = out(rng, 20.0)
+        b = hd.sphere(H2, a)(rng, 1.0)
+        d = H2.distance(a, b)
+        assert math.isfinite(d) and d == H2.distance(b, a)
+
+
 def test_hyperbolic_point_validation(H2):
     off_sheet = hd.Point(H2.descriptor, (1.0, 1.0, 0.0))
     assert hd.validate_point(H2, off_sheet)
