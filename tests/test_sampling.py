@@ -181,3 +181,12 @@ def test_sphere_direction_is_uniform_off_the_sheet_base(H2):
     expected = n / bins
     chi2 = sum((k - expected) ** 2 / expected for k in counts)
     assert chi2 < 43.82, counts
+
+
+def test_numpy_generator_still_draws(E2, H2, tree, prod):
+    # the library asks a stream for random() alone, which a numpy Generator has
+    rng = np.random.default_rng(0)
+    for space in (E2, H2, tree, prod):
+        center = hd.random_point(space, hd.default_region(space), rng)
+        for p in (hd.sample_in_ball(space, center, 0.8, rng), hd.sphere(space, center)(rng, 0.5)):
+            assert hd.validate_point(space, p) is None and exact_floats(space, p)
