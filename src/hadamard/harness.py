@@ -11,10 +11,11 @@ Tolerances are relative: a check fails only when its slack drops below
 ``-eps * scale`` with scale = 1 + the sum of squared pairwise distances of
 the tuple (the inequalities are homogeneous of degree two in distances).
 Each property is written once, in a trial function that yields the slack of
-every property of its family for one random tuple; the same function checks,
-reports and replays.  Every report carries the worst witness observed: all of
-that trial's points, each encoded with ``serialize.point_to_json``, plus
-``lam``, e.g. ``{"a": {"coords": [...]}, ..., "e": {...}, "lam": 0.41}``.
+every property of its family for one random tuple, measuring each ordered
+pair of points once; the same function checks, reports and replays.  Every
+report carries the worst witness observed: all of that trial's points, each
+encoded with ``serialize.point_to_json``, plus ``lam``, e.g.
+``{"a": {"coords": [...]}, ..., "e": {...}, "lam": 0.41}``.
 ``replay_witness`` decodes it and reruns the trial, reproducing the worst
 margin exactly, for all 13 properties and on every space family.
 """
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import serialize
-from .geometry import cauchy_schwarz_gap, quasilinearization
 from .sampling import SamplingRegion, sampler, stream
 from .solvers import IterationTrace, PowerLaw
 from .spaces import Basepoint, Point, Space
@@ -79,64 +79,79 @@ class _Collector:
         )
 
 
-def _tuple_scale(space: Space, pts: list[Point]) -> float:
-    s = 1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = space.distance(pts[i], pts[j])
-            s += d * d
-    return s
-
-
 def _axiom_trial(space: Space, a: Point, b: Point, c: Point, d: Point, e: Point, lam: float):
     """Metric axioms, geodesic interpolation contract, Cauchy-Schwarz and the
-    pairing identities on one tuple; yields (name, slack, scale)."""
-    scale = _tuple_scale(space, [a, b, c, d])
-    dab, dba = space.distance(a, b), space.distance(b, a)
-    yield "metric_symmetry", -abs(dab - dba), scale
-    dac, dbc = space.distance(a, c), space.distance(b, c)
-    yield "triangle_inequality", dab + dbc - dac, scale
+    pairing identities on one tuple; yields (name, slack, scale).
 
+    Each of the 19 ordered pairs the properties use is measured once.  A
+    mirrored pair such as d(b, a) is a measurement of its own, since the
+    metric under test need not be symmetric.  The pairing <xy, uv> is
+    0.5 * (d(x,v)^2 + d(y,u)^2 - d(x,u)^2 - d(y,v)^2), with its terms in
+    ``geometry.quasilinearization``'s order, and a scale sums the squared
+    distances of the pairs i < j in order, so every slack keeps the bits of
+    those definitions."""
+    dist = space.distance
+    dab, dac, dad = dist(a, b), dist(a, c), dist(a, d)
+    dbc, dbd, dcd = dist(b, c), dist(b, d), dist(c, d)
+    dba = dist(b, a)
     z = space.geodesic_point(a, b, lam)
-    yield "geodesic_distance_to_start", -abs(space.distance(z, a) - (1.0 - lam) * dab), 1.0 + dab
-    yield "geodesic_distance_to_end", -abs(space.distance(z, b) - lam * dab), 1.0 + dab
+    dza, dzb = dist(z, a), dist(z, b)
+    dcb, dda, dca, ddb = dist(c, b), dist(d, a), dist(c, a), dist(d, b)
+    dae, dbe, dce, dde = dist(a, e), dist(b, e), dist(c, e), dist(d, e)
+    dec, ded = dist(e, c), dist(e, d)
+    ab2, ac2, ad2, bc2, bd2, cd2 = dab * dab, dac * dac, dad * dad, dbc * dbc, dbd * dbd, dcd * dcd
+    scale = 1.0 + ab2 + ac2 + ad2 + bc2 + bd2 + cd2
 
-    yield "cauchy_schwarz", cauchy_schwarz_gap(space, a, b, c, d), scale
+    yield "metric_symmetry", -abs(dab - dba), scale
+    yield "triangle_inequality", dab + dbc - dac, scale
+    yield "geodesic_distance_to_start", -abs(dza - (1.0 - lam) * dab), 1.0 + dab
+    yield "geodesic_distance_to_end", -abs(dzb - lam * dab), 1.0 + dab
 
-    q_abcd = quasilinearization(space, a, b, c, d)
-    yield "pairing_symmetry", -abs(q_abcd - quasilinearization(space, c, d, a, b)), scale
-    yield "pairing_antisymmetry", -abs(q_abcd + quasilinearization(space, b, a, c, d)), scale
-    scale5 = _tuple_scale(space, [a, b, c, d, e])
-    yield "pairing_additivity", -abs(
-        quasilinearization(space, a, e, c, d) + quasilinearization(space, e, b, c, d) - q_abcd
-    ), scale5
+    q_abcd = 0.5 * (ad2 + bc2 - ac2 - bd2)
+    yield "cauchy_schwarz", dab * dcd - q_abcd, scale
+    q_cdab = 0.5 * (dcb * dcb + dda * dda - dca * dca - ddb * ddb)
+    yield "pairing_symmetry", -abs(q_abcd - q_cdab), scale
+    q_bacd = 0.5 * (bd2 + ac2 - bc2 - ad2)
+    yield "pairing_antisymmetry", -abs(q_abcd + q_bacd), scale
+    ec2, ed2 = dec * dec, ded * ded
+    q_aecd = 0.5 * (ad2 + ec2 - ac2 - ed2)
+    q_ebcd = 0.5 * (ed2 + bc2 - ec2 - bd2)
+    scale5 = (
+        1.0 + ab2 + ac2 + ad2 + dae * dae + bc2 + bd2 + dbe * dbe + cd2 + dce * dce + dde * dde
+    )
+    yield "pairing_additivity", -abs(q_aecd + q_ebcd - q_abcd), scale5
 
 
 def _lemma_trial(space: Space, p: Point, q: Point, r: Point, s: Point, lam: float):
     """The five geodesic interpolation inequalities on one tuple, with
-    mid = lam*p (+) (1-lam)*q; yields (name, slack, scale)."""
-    scale = _tuple_scale(space, [p, q, r, s])
+    mid = lam*p (+) (1-lam)*q; yields (name, slack, scale).
+
+    Each of the 14 ordered pairs is measured once, as in ``_axiom_trial``;
+    d(r, q) apart from d(q, r), and d(mid, mid) and d(r, r) too, since the
+    metric under test need not vanish on the diagonal."""
+    dist = space.distance
+    dpq, dpr, dps = dist(p, q), dist(p, r), dist(p, s)
+    dqr, dqs, drs = dist(q, r), dist(q, s), dist(r, s)
     mid = space.geodesic_point(p, q, lam)
     z2 = space.geodesic_point(r, s, lam)
-    yield "joint_interpolation_nonexpansive", (
-        lam * space.distance(p, r) + (1.0 - lam) * space.distance(q, s) - space.distance(mid, z2)
-    ), scale
+    dmz, dmr, dqm, dpm, dms, dmm = (
+        dist(mid, z2), dist(mid, r), dist(q, mid), dist(p, mid), dist(mid, s), dist(mid, mid)
+    )
+    drq, drr = dist(r, q), dist(r, r)
+    scale = 1.0 + dpq * dpq + dpr * dpr + dps * dps + dqr * dqr + dqs * dqs + drs * drs
+    mu = 1.0 - lam
 
-    dxz, dyz = space.distance(p, r), space.distance(q, r)
-    dmid = space.distance(mid, r)
-    yield "distance_convex_along_geodesics", lam * dxz + (1.0 - lam) * dyz - dmid, scale
-    dxy = space.distance(p, q)
+    yield "joint_interpolation_nonexpansive", lam * dpr + mu * dqs - dmz, scale
+    yield "distance_convex_along_geodesics", lam * dpr + mu * dqr - dmr, scale
     yield "squared_distance_strongly_convex", (
-        lam * dxz * dxz + (1.0 - lam) * dyz * dyz - lam * (1.0 - lam) * dxy * dxy - dmid * dmid
+        lam * dpr * dpr + mu * dqr * dqr - lam * mu * dpq * dpq - dmr * dmr
     ), scale
-    yield "interpolation_pairing_bound", (
-        lam * quasilinearization(space, p, q, mid, s) - quasilinearization(space, mid, q, mid, s)
-    ), scale
+    q_pq_ms = 0.5 * (dps * dps + dqm * dqm - dpm * dpm - dqs * dqs)
+    q_mq_ms = 0.5 * (dms * dms + dqm * dqm - dmm * dmm - dqs * dqs)
+    yield "interpolation_pairing_bound", lam * q_pq_ms - q_mq_ms, scale
+    q_pr_qr = 0.5 * (dpr * dpr + drq * drq - dpq * dpq - drr * drr)
     yield "interpolation_cross_term_bound", (
-        lam * lam * dxz * dxz
-        + (1.0 - lam) * (1.0 - lam) * dyz * dyz
-        + 2.0 * lam * (1.0 - lam) * quasilinearization(space, p, r, q, r)
-        - dmid * dmid
+        lam * lam * dpr * dpr + mu * mu * dqr * dqr + 2.0 * lam * mu * q_pr_qr - dmr * dmr
     ), scale
 
 

@@ -38,13 +38,15 @@ def point_to_json(p: Point) -> dict:
 
 def point_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "point") -> Point:
     """Decode a point of ``desc``, checked against its space with
-    ``validate_point``: an invalid point is a ConfigError naming ``where``.
+    ``validate_point``: an invalid point, or a key its encoding does not
+    have, is a ConfigError naming ``where``.
 
     The point is tagged with the cached handle's own descriptor object, the
     tag that lets the space primitives skip their per-call check.
     """
     space = make_space(desc)
     if isinstance(desc, spaces.Product):
+        _only(doc, ("left", "right"), where)
         return Point(
             space.descriptor,
             (
@@ -53,9 +55,11 @@ def point_from_json(doc: dict, desc: spaces.SpaceDescriptor, where: str = "point
             ),
         )
     if isinstance(desc, spaces.WeightedTree):
+        _only(doc, ("edge", "offset"), where)
         edge = _number(int, _field(doc, "edge", where), where + ".edge")
         data = (edge, _number(float, _field(doc, "offset", where), where + ".offset"))
     else:
+        _only(doc, ("coords",), where)
         data = _numbers(float, _field(doc, "coords", where), where + ".coords")
     p = Point(space.descriptor, data)
     problem = spaces.validate_point(space, p)
@@ -132,17 +136,21 @@ def from_json(kind: str, doc, where: str, desc: Optional[spaces.SpaceDescriptor]
     """Decode the ``CODEC`` kind ``kind`` from ``doc``, found at the JSON
     path ``where``.  A set or mapping is decoded for the space
     ``desc`` and built there as a run builds it, so one that does not fit
-    the space is rejected here.  Every fault is a ConfigError naming its
+    the space is rejected here.  A key other than ``type`` and the fields of
+    the tag is rejected too.  Every fault is a ConfigError naming its
     path."""
     tags, doc = CODEC[kind], _object(doc, where)
     tag = None if None in tags else _string(_field(doc, "type", where), where + ".type")
     if tag not in tags:
         raise ConfigError(f"{where}: unknown {kind} type {tag!r}")
+    _only(doc, _keys(kind, tag), where)
     cls, fields = tags[tag]
     args = []
     for (key, field_kind), attr in zip(fields, dataclasses.fields(cls)):
         if key is None:
-            args.append(_decode(field_kind, doc, where, desc))
+            # an inline object: its own keys, next to this object's
+            inline = {k: v for k, v in doc.items() if k in _keys(field_kind, None)}
+            args.append(_decode(field_kind, inline, where, desc))
         elif key in doc:
             args.append(_decode(field_kind, doc[key], f"{where}.{key}", desc))
         elif attr.default is dataclasses.MISSING:
@@ -160,6 +168,15 @@ def from_json(kind: str, doc, where: str, desc: Optional[spaces.SpaceDescriptor]
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return obj
+
+
+def _keys(kind: str, tag) -> set[str]:
+    """The keys an object of ``kind`` and ``tag`` holds: ``type`` if it is
+    tagged, and the keys of its fields, an inline object's included."""
+    keys = set() if tag is None else {"type"}
+    for key, field_kind in CODEC[kind][tag][1]:
+        keys |= _keys(field_kind, None) if key is None else {key}
+    return keys
 
 
 def _decode(field_kind: str, value, where: str, desc):
@@ -218,6 +235,14 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
+    """Decode an experiment config.  Its keys are ``ExperimentConfig``'s
+    field names; any other key is a ConfigError naming it."""
+    if "perturbation_region" in _object(doc, "$"):
+        raise ConfigError(
+            "perturbation_region: no longer read; each perturbation takes a direction "
+            "uniform at the base point"
+        )
+    _only(doc, [f.name for f in dataclasses.fields(ExperimentConfig)], "$")
     desc = from_json("space", _field(doc, "space", "$"), "space")
     algorithm = _field(doc, "algorithm", "$")
     if algorithm not in ("implicit", "explicit"):
@@ -251,11 +276,6 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         cfg.x0 = point_from_json(doc["x0"], desc, "x0")
     if "reference" in doc:
         cfg.reference = point_from_json(doc["reference"], desc, "reference")
-    if "perturbation_region" in doc:
-        raise ConfigError(
-            "perturbation_region: no longer read; each perturbation takes a direction "
-            "uniform at the base point"
-        )
     if cfg.max_inner < 1:
         raise ConfigError("max_inner: must be at least 1")
     if algorithm == "explicit":
@@ -271,6 +291,15 @@ def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object, got {value!r}")
     return value
+
+
+def _only(doc: dict, keys, where: str) -> None:
+    """Reject a key of the object ``doc`` that is not in ``keys``: nothing
+    would read it, so it is most likely misspelt."""
+    for key in _object(doc, where):
+        if key not in keys:
+            path = key if where == "$" else f"{where}.{key}"
+            raise ConfigError(f"{path}: unknown field; expected one of {', '.join(sorted(keys))}")
 
 
 def _field(doc: dict, key: str, where: str):

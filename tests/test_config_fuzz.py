@@ -92,3 +92,52 @@ def test_mutated_config_exits_cleanly(doc):
         assert "Traceback" not in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit), result.output
         assert sorted(os.listdir(".")) in (["case.json"], ["case.json", "out"])
+
+
+def _key_paths(doc):
+    """Every path into ``doc`` that ends at an object key."""
+    return [path for path in _paths(doc) if path and isinstance(path[-1], str)]
+
+
+@st.composite
+def renamed_keys(draw):
+    """A shipped config with one object key renamed, and the old and new
+    JSON paths of that key."""
+    doc = copy.deepcopy(draw(st.sampled_from(CONFIGS)))
+    path = draw(st.sampled_from(_key_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    new = path[-1] + draw(st.sampled_from(["_", "x", "2"]))
+    parent[new] = parent.pop(path[-1])
+    return doc, path, path[:-1] + (new,)
+
+
+def _run_exit_2(doc):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("case.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "case.json", "--budget", "3", "--output-dir", "out"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert sorted(os.listdir(".")) == ["case.json"]
+        return result.output
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=renamed_keys())
+def test_renamed_key_exits_2_naming_its_path(case):
+    doc, old, new = case
+    output = _run_exit_2(doc)
+    if old[-1] == "type":
+        # the tag decides which keys the object may hold
+        assert f"{'.'.join(old[:-1])}: missing required field 'type'" in output
+    else:
+        assert f"{'.'.join(new)}: unknown field" in output
+
+
+def test_unread_keys_exit_2_naming_their_paths():
+    doc = copy.deepcopy(IMPLICIT)
+    assert "error: outer_tl: unknown field" in _run_exit_2(dict(doc, outer_tl=0.5))
+    doc["convex_set"]["radiuss"] = 1
+    assert "error: convex_set.radiuss: unknown field" in _run_exit_2(doc)

@@ -5,9 +5,133 @@ import math
 import pytest
 
 import hadamard as hd
-from hadamard.harness import replay_witness
+from hadamard.harness import _axiom_trial, _lemma_trial, replay_witness
 from hadamard.solvers import IterationTrace, TraceRow
-from conftest import ept
+from conftest import OffsetMetric, ept
+
+
+class Asymmetric(hd.CorruptedSpace):
+    """A real space's distance plus 1e-3 when ``a.data < b.data``, so that
+    d(a, b) != d(b, a): a trial that reuses d(a, b) for d(b, a) gives
+    different bits on it."""
+
+    def distance(self, a, b):
+        return self.inner.distance(a, b) + (1e-3 if a.data < b.data else 0.0)
+
+
+class Counting(hd.CorruptedSpace):
+    """A real space's distance, counting its calls."""
+
+    calls = 0
+
+    def distance(self, a, b):
+        self.calls += 1
+        return self.inner.distance(a, b)
+
+
+def _scale(space, pts):
+    s = 1.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = space.distance(pts[i], pts[j])
+            s += d * d
+    return s
+
+
+def _reference_axioms(space, a, b, c, d, e, lam):
+    """The eight axiom-trial properties as defined through the pairing
+    functions of ``geometry``, one distance call per use."""
+    dist, ql = space.distance, hd.quasilinearization
+    scale = _scale(space, [a, b, c, d])
+    dab = dist(a, b)
+    z = space.geodesic_point(a, b, lam)
+    q = ql(space, a, b, c, d)
+    return [
+        ("metric_symmetry", -abs(dab - dist(b, a)), scale),
+        ("triangle_inequality", dab + dist(b, c) - dist(a, c), scale),
+        ("geodesic_distance_to_start", -abs(dist(z, a) - (1.0 - lam) * dab), 1.0 + dab),
+        ("geodesic_distance_to_end", -abs(dist(z, b) - lam * dab), 1.0 + dab),
+        ("cauchy_schwarz", hd.cauchy_schwarz_gap(space, a, b, c, d), scale),
+        ("pairing_symmetry", -abs(q - ql(space, c, d, a, b)), scale),
+        ("pairing_antisymmetry", -abs(q + ql(space, b, a, c, d)), scale),
+        (
+            "pairing_additivity",
+            -abs(ql(space, a, e, c, d) + ql(space, e, b, c, d) - q),
+            _scale(space, [a, b, c, d, e]),
+        ),
+    ]
+
+
+def _reference_lemmas(space, p, q, r, s, lam):
+    """The five lemma-trial properties, defined as ``_reference_axioms``."""
+    dist, ql = space.distance, hd.quasilinearization
+    scale = _scale(space, [p, q, r, s])
+    mid = space.geodesic_point(p, q, lam)
+    z2 = space.geodesic_point(r, s, lam)
+    dxz, dyz, dxy, dmid = dist(p, r), dist(q, r), dist(p, q), dist(mid, r)
+    return [
+        (
+            "joint_interpolation_nonexpansive",
+            lam * dist(p, r) + (1.0 - lam) * dist(q, s) - dist(mid, z2),
+            scale,
+        ),
+        ("distance_convex_along_geodesics", lam * dxz + (1.0 - lam) * dyz - dmid, scale),
+        (
+            "squared_distance_strongly_convex",
+            lam * dxz * dxz + (1.0 - lam) * dyz * dyz - lam * (1.0 - lam) * dxy * dxy - dmid * dmid,
+            scale,
+        ),
+        (
+            "interpolation_pairing_bound",
+            lam * ql(space, p, q, mid, s) - ql(space, mid, q, mid, s),
+            scale,
+        ),
+        (
+            "interpolation_cross_term_bound",
+            lam * lam * dxz * dxz
+            + (1.0 - lam) * (1.0 - lam) * dyz * dyz
+            + 2.0 * lam * (1.0 - lam) * ql(space, p, r, q, r)
+            - dmid * dmid,
+            scale,
+        ),
+    ]
+
+
+def _tuples(space, points, count, seed):
+    rng = hd.stream(seed)
+    draw = hd.sampler(space)
+    for _ in range(count):
+        yield (*(draw(rng) for _ in range(points)), rng.random())
+
+
+SPACES = {
+    "E2": lambda f: f("E2"),
+    "H2": lambda f: f("H2"),
+    "tree": lambda f: f("tree"),
+    "E2xH2": lambda f: f("prod"),
+    "corrupted": lambda f: hd.CorruptedSpace(f("E2")),
+    "offset": lambda f: OffsetMetric(f("prod")),
+    "asymmetric": lambda f: Asymmetric(f("H2")),
+}
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_trials_match_the_pairing_definitions_bit_for_bit(name, request):
+    space = SPACES[name](request.getfixturevalue)
+    for inputs in _tuples(space, 5, 200, seed=11):
+        assert list(_axiom_trial(space, *inputs)) == _reference_axioms(space, *inputs)
+    for inputs in _tuples(space, 4, 200, seed=12):
+        assert list(_lemma_trial(space, *inputs)) == _reference_lemmas(space, *inputs)
+
+
+@pytest.mark.parametrize("space", ["E2", "tree", "prod"])
+def test_trials_measure_each_ordered_pair_once(space, request):
+    counting = Counting(request.getfixturevalue(space))
+    for trial, points, properties, pairs in ((_axiom_trial, 5, 8, 19), (_lemma_trial, 4, 5, 14)):
+        for inputs in _tuples(counting, points, 5, seed=3):
+            counting.calls = 0
+            assert len(list(trial(counting, *inputs))) == properties
+            assert counting.calls == pairs
 
 
 def test_axioms_clean_on_euclidean(E2):
