@@ -102,11 +102,12 @@ def _hyperbolic_rotation(model: Space, center: Point, angle) -> Callable:
     back = _boost_to((p0, -p1, -p2))
     m = _mat_mul(_mat_mul(fwd, rot), back)
 
+    # only the spatial rows are applied; the lift supplies the time coordinate
+    rows = m[1:]
+
     def apply(p: Point) -> Point:
         x = p.data
-        return model._renormalize(
-            [mi[0] * x[0] + mi[1] * x[1] + mi[2] * x[2] for mi in m]
-        )
+        return model._lift([mi[0] * x[0] + mi[1] * x[1] + mi[2] * x[2] for mi in rows])
 
     return apply
 

@@ -176,10 +176,7 @@ def _exponential(model: Space, c: Point):
             # the spatial part of cosh t * c + sinh t * sum g_i f_i / |g|
             sh = math.sinh(t) / nrm
             a = math.cosh(t) + sh * k * sum(map(operator.mul, cs, g))
-            ps = [a * ci + sh * gi for ci, gi in zip(cs, g)]
-            # the time coordinate sqrt(1 + |ps|^2) lifts the spatial part onto
-            # the sheet: unlike a rescaling, it stays exact far out
-            return Point(desc, (math.hypot(1.0, *ps), *ps))
+            return model._lift([a * ci + sh * gi for ci, gi in zip(cs, g)])
 
         return desc.dim, exp_hyperbolic
     if isinstance(desc, Product):

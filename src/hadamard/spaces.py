@@ -30,7 +30,8 @@ class InvalidSpaceError(ValueError):
 # Nesting cap for product spaces (documented implementation limit).
 MAX_PRODUCT_DEPTH = 4
 
-# Tolerance on the hyperboloid constraint <x,x>_M = -1.
+# Tolerance on the hyperboloid constraint <x,x>_M = -1, relative to
+# max(1, x0^2).
 HYPERBOLOID_TOL = 1e-9
 
 # Space handles kept by make_space; a tree handle holds O(n) state.
@@ -241,19 +242,12 @@ class HyperbolicSpace(Space):
                 return math.acosh(q)
         return 2.0 * math.asinh(0.5 * math.sqrt(m))
 
-    def _renormalize(self, coords: list) -> Point:
-        # -<c, c>_M in the order ``minkowski`` sums it; negation is exact,
-        # so the bits are the same
-        s = coords[0] * coords[0]
-        for i in range(1, len(coords)):
-            s -= coords[i] * coords[i]
-        if s <= 0.0:
-            raise ValueError("interpolated point left the hyperboloid")
-        r = 1.0 / math.sqrt(s)
-        out = [c * r for c in coords]
-        if out[0] < 0.0:
-            out = [-c for c in out]
-        return Point(self.descriptor, tuple(out))
+    def _lift(self, spatial) -> Point:
+        """The point of the upper sheet with these spatial coordinates: its
+        time coordinate is sqrt(1 + |spatial|^2).  Unlike a rescaling by a
+        Minkowski norm, whose squares cancel far from the base point, the
+        lift is exact to rounding at any distance and never leaves the sheet."""
+        return Point(self.descriptor, (math.hypot(1.0, *spatial), *spatial))
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
         if x.space is not self.descriptor or y.space is not self.descriptor:
@@ -263,15 +257,17 @@ class HyperbolicSpace(Space):
         return self._geodesic(x, y, lam, self.distance(x, y))
 
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
-        xd, yd = x.data, y.data
+        # the weights combine the spatial coordinates only; the lift then
+        # supplies the time coordinate
+        xs, ys = x.data[1:], y.data[1:]
         if d < 1e-7:
-            # chord interpolation then renormalization; exact to O(d^3)
+            # chord weights; exact to O(d^3)
             mu = 1.0 - lam
-            return self._renormalize([lam * a + mu * b for a, b in zip(xd, yd)])
+            return self._lift([lam * a + mu * b for a, b in zip(xs, ys)])
         sd = math.sinh(d)
         wx = math.sinh(lam * d) / sd
         wy = math.sinh((1.0 - lam) * d) / sd
-        return self._renormalize([wx * a + wy * b for a, b in zip(xd, yd)])
+        return self._lift([wx * a + wy * b for a, b in zip(xs, ys)])
 
     def point_violations(self, p: Point) -> list[str]:
         out = []
@@ -281,8 +277,11 @@ class HyperbolicSpace(Space):
         if not all(math.isfinite(c) for c in p.data):
             out.append("non-finite coordinate")
             return out
+        # the residual is a difference of squares of size p0^2, so the
+        # tolerance scales with them; a residual or scale that overflows fails
+        p0 = p.data[0]
         resid = minkowski(p.data, p.data) + 1.0
-        if abs(resid) > HYPERBOLOID_TOL:
+        if not abs(resid) <= HYPERBOLOID_TOL * max(1.0, p0 * p0) < math.inf:
             out.append(f"hyperboloid constraint residual {resid:.3e}")
         if p.data[0] <= 0.0:
             out.append("first coordinate must be positive (upper sheet)")

@@ -228,6 +228,16 @@ def test_verify_clean_space(runner):
     assert "cauchy_schwarz" in result.output
 
 
+def test_verify_far_out_hyperbolic_ends_without_a_traceback(runner):
+    # 20 from the sheet base point floats lose the distance between nearby
+    # points, so violations may be reported, but every geodesic point exists
+    result = runner.invoke(main, ["verify", "--space", "hyperbolic:2", "--radius", "20", "--trials", "200"])
+    assert result.exit_code in (0, 1), result.output
+    # an exception inside the command also exits 1 under the runner
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "worst_margin" in result.output
+
+
 def test_verify_corrupted_demo_fails(runner):
     result = runner.invoke(main, ["verify", "--space", "corrupted-demo", "--trials", "500"])
     assert result.exit_code == 1

@@ -479,3 +479,13 @@ def test_ball_boundary_probes_lie_on_the_boundary(request, family):
         half = hd.probe_points(space, hd.Ball(center, radius), center, 1000, seed=1)[:500]
         on = sum(abs(space.distance(center, p) - radius) <= 1e-9 * (1.0 + radius) for p in half)
         assert on >= (450 if family == "tree-200" else 500), (radius, on)
+
+
+def test_hyperbolic_ball_far_out_certifies_without_raising(H2):
+    # the probes of a ball of radius 25 blend toward u along geodesics 20
+    # from the sheet base point, whose coordinates reach about 2.4e8
+    out = hd.sphere(H2, H2.base)
+    for seed in range(20):
+        x = out(hd.stream(seed, 19), 20.0)
+        res = hd.project(H2, hd.Ball(H2.base, 25.0), x, probes=1000, seed=seed)
+        assert res.u == x and math.isfinite(res.certificate_residual)

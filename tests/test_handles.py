@@ -1,7 +1,7 @@
 """Every function runs on any handle of a model descriptor.
 
 A space's family is chosen from ``space.descriptor``; structure (a tree's
-parent links, a product's factors, the hyperboloid's renormalization) comes
+parent links, a product's factors, the hyperboloid's lift) comes
 from the model handle ``make_space(space.descriptor)``, and the primitives
 ``distance`` and ``geodesic_point`` from the handle passed in.
 """

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from hadamard.spaces import minkowski
 from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree
 import oracles
 
@@ -78,12 +77,36 @@ def test_hyperbolic_distance_far_out_never_raises(H2):
         assert math.isfinite(d) and d == H2.distance(b, a)
 
 
+def test_hyperbolic_geodesic_far_out_stays_on_the_sheet(H2):
+    # 20 from the sheet base point the Minkowski squares reach about 6e16,
+    # and every geodesic point must still exist and lie on the sheet
+    out, rng = hd.sphere(H2, H2.base), hd.stream(19, 1)
+    for _ in range(500):
+        a = out(rng, 20.0)
+        b = hd.sphere(H2, a)(rng, 1.0)
+        for lam in (0.5, rng.random()):
+            z = H2.geodesic_point(a, b, lam)
+            assert hd.validate_point(H2, z) is None, (a, b, lam)
+
+
 def test_hyperbolic_point_validation(H2):
     off_sheet = hd.Point(H2.descriptor, (1.0, 1.0, 0.0))
     assert hd.validate_point(H2, off_sheet)
     lower = hd.Point(H2.descriptor, (-math.cosh(1.0), math.sinh(1.0), 0.0))
     assert hd.validate_point(H2, lower)
     assert hd.validate_point(H2, hpt_polar(H2, 2.0, 1.0)) is None
+
+
+def test_hyperbolic_sheet_tolerance_is_relative(H2):
+    # the residual is a difference of squares of size x0^2: far out it
+    # scales with them, near the base point it stays 1e-9, and a residual
+    # that overflows is never admitted
+    far = (math.cosh(20.0), math.sinh(20.0), 0.0)
+    assert hd.validate_point(H2, hd.Point(H2.descriptor, far)) is None
+    assert hd.validate_point(H2, hd.Point(H2.descriptor, (far[0] * (1.0 + 1e-6), *far[1:])))
+    assert hd.validate_point(H2, hd.Point(H2.descriptor, (1.0 + 1e-9, 0.0, 0.0)))
+    for big in ((1e200, 0.0, 0.0), (1e200, 1e200, 0.0)):
+        assert hd.validate_point(H2, hd.Point(H2.descriptor, big)), big
 
 
 def test_tree_vertex_distances_match_networkx(tree):
@@ -403,17 +426,16 @@ def test_hyperbolic_geodesic_at_known_distance_is_geodesic_point(dim):
 
 def _sinh_weighted_point(xd, yd, lam, d):
     """The hyperbolic geodesic kernel's formula, operation by operation: the
-    sinh-weighted (below d = 1e-7, chord) combination, scaled back onto the
-    upper sheet."""
+    sinh-weighted (below d = 1e-7, chord) combination of the spatial
+    coordinates, lifted onto the upper sheet by the time coordinate
+    sqrt(1 + |spatial|^2)."""
     if d < 1e-7:
-        c = tuple(lam * a + (1.0 - lam) * b for a, b in zip(xd, yd))
+        c = tuple(lam * a + (1.0 - lam) * b for a, b in zip(xd[1:], yd[1:]))
     else:
         sd = math.sinh(d)
         wx, wy = math.sinh(lam * d) / sd, math.sinh((1.0 - lam) * d) / sd
-        c = tuple(wx * a + wy * b for a, b in zip(xd, yd))
-    r = 1.0 / math.sqrt(-minkowski(c, c))
-    out = tuple(ci * r for ci in c)
-    return tuple(-ci for ci in out) if out[0] < 0.0 else out
+        c = tuple(wx * a + wy * b for a, b in zip(xd[1:], yd[1:]))
+    return (math.hypot(1.0, *c), *c)
 
 
 def test_geodesic_at_known_distance_falls_back_to_geodesic_point(E2, H2, tree, prod):
