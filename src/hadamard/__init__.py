@@ -44,12 +44,6 @@ from .mappings import (
     known_fixed_set,
 )
 from .sampling import (
-    EuclideanBox,
-    HyperbolicBall,
-    ProductRegion,
-    SamplingRegion,
-    TreeWhole,
-    default_region,
     random_point,
     sample_in_ball,
     sampler,

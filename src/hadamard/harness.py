@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import serialize
-from .sampling import SamplingRegion, sampler, stream
+from .sampling import sampler, stream
 from .solvers import IterationTrace, PowerLaw
 from .spaces import Basepoint, Point, Space
 
@@ -167,11 +167,11 @@ def _inputs(trial) -> tuple[str, ...]:
     return code.co_varnames[1:code.co_argcount]
 
 
-def _check(trial, space: Space, trials: int, eps: float, seed: int, region) -> list[PropertyReport]:
+def _check(trial, space: Space, trials: int, eps: float, seed: int, radius: float) -> list[PropertyReport]:
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = stream(seed, _FAMILIES[trial])
-    draw = sampler(space, region)
+    draw = sampler(space, radius)
     keys = _inputs(trial)
     cols: dict[str, _Collector] = {}
     for _ in range(trials):
@@ -189,11 +189,11 @@ def check_space_axioms(
     trials: int,
     eps: float = 1e-8,
     seed: int = 0,
-    region: Optional[SamplingRegion] = None,
+    radius: float = 5.0,
 ) -> list[PropertyReport]:
     """Metric axioms, geodesic interpolation contract, Cauchy-Schwarz, and
     the quasilinearization pairing identities, on random tuples."""
-    return _check(_axiom_trial, space, trials, eps, seed, region)
+    return _check(_axiom_trial, space, trials, eps, seed, radius)
 
 
 def check_lemmas(
@@ -201,7 +201,7 @@ def check_lemmas(
     trials: int,
     eps: float = 1e-8,
     seed: int = 0,
-    region: Optional[SamplingRegion] = None,
+    radius: float = 5.0,
 ) -> list[PropertyReport]:
     """The five geodesic interpolation inequalities used by the solvers.
 
@@ -214,7 +214,7 @@ def check_lemmas(
     * squared distance to an interpolated point is bounded by the squared
       endpoint terms plus twice the endpoint pairing cross term.
     """
-    return _check(_lemma_trial, space, trials, eps, seed, region)
+    return _check(_lemma_trial, space, trials, eps, seed, radius)
 
 
 def replay_witness(space: Space, report: PropertyReport) -> Optional[float]:

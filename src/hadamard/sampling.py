@@ -14,8 +14,7 @@ import bisect
 import math
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 from .geometry import retract
 from .spaces import (
@@ -28,40 +27,8 @@ from .spaces import (
     make_space,
 )
 
-# cosh overflow guard: a HyperbolicBall rejects a radius beyond this
+# cosh overflow guard: hyperbolic sampling rejects a radius beyond this
 MAX_HYPERBOLIC_RADIUS = 20.0
-
-
-@dataclass(frozen=True)
-class EuclideanBox:
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class HyperbolicBall:
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.radius <= MAX_HYPERBOLIC_RADIUS:
-            raise ValueError(
-                f"sampling radius {self.radius} outside [0, {MAX_HYPERBOLIC_RADIUS}]"
-            )
-
-
-@dataclass(frozen=True)
-class TreeWhole:
-    pass
-
-
-@dataclass(frozen=True)
-class ProductRegion:
-    left: "SamplingRegion"
-    right: "SamplingRegion"
-
-
-SamplingRegion = Union[EuclideanBox, HyperbolicBall, TreeWhole, ProductRegion]
 
 
 def stream(seed: int, *key: int) -> random.Random:
@@ -69,10 +36,9 @@ def stream(seed: int, *key: int) -> random.Random:
     return random.Random(f"hadamard:{seed}:{key}")
 
 
-def _as_rng(seed_or_rng):
-    if hasattr(seed_or_rng, "random"):
-        return seed_or_rng
-    return stream(int(seed_or_rng))
+def _check_radius(radius: float) -> None:
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"sampling radius {radius} is not a finite number >= 0")
 
 
 def normals(rng, n: int) -> list[float]:
@@ -89,47 +55,31 @@ def normals(rng, n: int) -> list[float]:
     return out
 
 
-def default_region(space: Space, radius: float = 5.0) -> SamplingRegion:
-    """A reasonable sampling region per space family: a coordinate box for
-    Euclidean space, a geodesic ball about the sheet base point for
-    hyperbolic space, the whole tree for trees, componentwise for products."""
-    desc = space.descriptor
-    if isinstance(desc, Euclidean):
-        return EuclideanBox((-radius,) * desc.dim, (radius,) * desc.dim)
-    if isinstance(desc, Hyperbolic):
-        return HyperbolicBall(make_space(desc).base, radius)
-    if isinstance(desc, WeightedTree):
-        return TreeWhole()
-    if isinstance(desc, Product):
-        left, right = make_space(desc.left), make_space(desc.right)
-        return ProductRegion(default_region(left, radius), default_region(right, radius))
-    raise ValueError(f"no default region for {desc!r}")
-
-
-def sampler(space: Space, region: Optional[SamplingRegion] = None) -> Callable[..., Point]:
-    """``rng -> random_point(space, region, rng)`` as a closure, on
-    ``default_region(space)`` by default.  The region is checked and the
-    model handle ``make_space(space.descriptor)`` looked up once, here;
-    drawing calls no primitive, so every handle of a descriptor samples alike."""
+def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
+    """``rng ->`` a random point of ``space`` as a closure, drawn at the
+    sampling radius r: uniform in the box [-r, r]^n in E^n; at a distance
+    uniform up to r from the sheet base point in H^n, where r may not
+    exceed ``MAX_HYPERBOLIC_RADIUS``; uniform over total edge length in a
+    tree, whatever r; each factor at r in a product.  Every draw passes
+    point validation for ``space``.  The radius is checked and the model
+    handle ``make_space(space.descriptor)`` looked up once, here; drawing
+    calls no primitive, so every handle of a descriptor samples alike."""
+    _check_radius(radius)
     model = make_space(space.descriptor)
     desc = model.descriptor
-    if region is None:
-        region = default_region(model)
-    elif not isinstance(region, type(default_region(model))):
-        raise ValueError(f"{type(desc).__name__} space has no {type(region).__name__} region")
     if isinstance(desc, Euclidean):
-        if not len(region.lo) == len(region.hi) == desc.dim:
-            raise ValueError("box dimensions do not match the space")
-        bounds = tuple(zip(region.lo, region.hi))
+        bounds = ((-radius, radius),) * desc.dim
 
         def draw_box(rng) -> Point:
             return Point(desc, tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds))
 
         return draw_box
     if isinstance(desc, Hyperbolic):
-        at = sphere(model, region.center)
+        if radius > MAX_HYPERBOLIC_RADIUS:
+            raise ValueError(f"sampling radius {radius} outside [0, {MAX_HYPERBOLIC_RADIUS}]")
+        at = sphere(model, model.base)
         # uniform in distance up to the radius, not in volume
-        return lambda rng: at(rng, region.radius * rng.random())
+        return lambda rng: at(rng, radius * rng.random())
     if isinstance(desc, WeightedTree):
         cumulative, edges = model.cumulative_length, desc.topology.edges
 
@@ -141,14 +91,14 @@ def sampler(space: Space, region: Optional[SamplingRegion] = None) -> Callable[.
             return model.canonical(Point(desc, (eid, min(t - start, edges[eid][2]))))
 
         return draw_edge
-    left, right = sampler(model.left, region.left), sampler(model.right, region.right)
+    left, right = sampler(model.left, radius), sampler(model.right, radius)
     return lambda rng: Point(desc, (left(rng), right(rng)))
 
 
-def random_point(space: Space, region: SamplingRegion, seed_or_rng) -> Point:
-    """Deterministic seeded sample from ``region``; the result always passes
-    point validation for ``space``.  A loop draws from one :func:`sampler`."""
-    return sampler(space, region)(_as_rng(seed_or_rng))
+def random_point(space: Space, rng, radius: float = 5.0) -> Point:
+    """One draw of ``sampler(space, radius)`` from the stream ``rng``.  A
+    loop draws from one :func:`sampler`."""
+    return sampler(space, radius)(rng)
 
 
 def _exponential(model: Space, c: Point):
@@ -199,8 +149,8 @@ def sphere(space: Space, center: Point) -> Callable[..., Point]:
     ``MAX_HYPERBOLIC_RADIUS``; in a product of these, each factor takes its
     part of g, so t splits between them in proportion to the two parts.  A
     space with a tree factor has no tangent space: there a point w is drawn
-    from the default region and the result lies min(t, d(center, w)) along
-    the geodesic toward w.  Only that fallback calls the handle's
+    by ``sampler(space)`` and the result lies min(t, d(center, w)) along the
+    geodesic toward w.  Only that fallback calls the handle's
     primitives."""
     model = make_space(space.descriptor)
     kernel = _exponential(model, center)
@@ -227,9 +177,11 @@ def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Po
     """``rng ->`` a point at distance <= radius from center, built once like
     :func:`sampler`'s closure.  In E^n it is uniform in volume; in H^n its
     distance is uniform up to min(radius, ``MAX_HYPERBOLIC_RADIUS``); both
-    draw a uniform direction from :func:`sphere`.  Elsewhere draws from the
-    space's default region that overshoot are pulled back along the
-    geodesic to a uniform depth inside the ball."""
+    draw a uniform direction from :func:`sphere`.  Elsewhere draws of
+    ``sampler(space)`` that overshoot are pulled back along the geodesic to
+    a uniform depth inside the ball.  The radius must be a finite number
+    >= 0."""
+    _check_radius(radius)
     desc = space.descriptor
     if isinstance(desc, Euclidean):
         at = sphere(space, center)
@@ -252,4 +204,4 @@ def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Po
 
 def sample_in_ball(space: Space, center: Point, radius: float, rng) -> Point:
     """One draw of ``ball_sampler(space, center, radius)``."""
-    return ball_sampler(space, center, radius)(_as_rng(rng))
+    return ball_sampler(space, center, radius)(rng)

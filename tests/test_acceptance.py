@@ -27,23 +27,20 @@ def record(number: int, ok: bool, detail: str) -> None:
 
 def lemma_spaces():
     return {
-        "euclidean-2": (hd.make_space(hd.Euclidean(2)), None),
-        "euclidean-5": (hd.make_space(hd.Euclidean(5)), None),
-        "hyperbolic-2": (
-            hd.make_space(hd.Hyperbolic(2)),
-            hd.HyperbolicBall(hd.make_space(hd.Hyperbolic(2)).base, 5.0),
-        ),
-        "tree-10": (hd.make_space(hd.WeightedTree(random_tree_topology(10, 0))), None),
-        "product": (hd.make_space(hd.Product(hd.Euclidean(2), hd.Hyperbolic(2))), None),
+        "euclidean-2": hd.make_space(hd.Euclidean(2)),
+        "euclidean-5": hd.make_space(hd.Euclidean(5)),
+        "hyperbolic-2": hd.make_space(hd.Hyperbolic(2)),
+        "tree-10": hd.make_space(hd.WeightedTree(random_tree_topology(10, 0))),
+        "product": hd.make_space(hd.Product(hd.Euclidean(2), hd.Hyperbolic(2))),
     }
 
 
 def test_criterion_1_inequality_suite():
     start = time.perf_counter()
     violations = []
-    for name, (space, region) in lemma_spaces().items():
-        reports = hd.check_space_axioms(space, 10000, 1e-8, 0, region)
-        reports += hd.check_lemmas(space, 10000, 1e-8, 0, region)
+    for name, space in lemma_spaces().items():
+        reports = hd.check_space_axioms(space, 10000, 1e-8, 0)
+        reports += hd.check_lemmas(space, 10000, 1e-8, 0)
         violations += [(name, r.name, r.violations) for r in reports if r.violations]
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed <= 30.0
@@ -71,19 +68,18 @@ def _projection_spaces():
     E2 = hd.make_space(hd.Euclidean(2))
     H2 = hd.make_space(hd.Hyperbolic(2))
     tree = hd.make_space(hd.WeightedTree(random_tree_topology(8, 1)))
-    return [(E2, None), (H2, None), (tree, None)]
+    return [E2, H2, tree]
 
 
-def _random_segment(space, region, rng):
+def _random_segment(space, draw, rng):
     while True:
-        a = hd.random_point(space, region, rng)
-        b = hd.random_point(space, region, rng)
+        a, b = draw(rng), draw(rng)
         if space.distance(a, b) > 0.5:
             return hd.Segment(a, b)
 
 
-def _random_ball(space, region, rng):
-    center = hd.random_point(space, region, rng)
+def _random_ball(draw, rng):
+    center = draw(rng)
     return hd.Ball(center, float(rng.uniform(0.5, 3.0)))
 
 
@@ -91,12 +87,12 @@ def test_criterion_2_projection_certificates_and_regularity():
     worst_cert = math.inf
     worst_reg = -math.inf
     checked = 0
-    for space, _ in _projection_spaces():
-        region = hd.default_region(space)
+    for space in _projection_spaces():
+        draw = hd.sampler(space)
         rng = hd.stream(10, 2)
         for i in range(100):
-            cset = _random_segment(space, region, rng) if i % 2 else _random_ball(space, region, rng)
-            x = hd.random_point(space, region, rng)
+            cset = _random_segment(space, draw, rng) if i % 2 else _random_ball(draw, rng)
+            x = draw(rng)
             res = hd.project(space, cset, x, probes=1000, seed=i)
             anchors = [cset.a, cset.b] if isinstance(cset, hd.Segment) else [cset.center]
             scale = _tuple_scale(space, [x, res.u] + anchors)
@@ -104,12 +100,12 @@ def test_criterion_2_projection_certificates_and_regularity():
             assert res.certificate_residual >= -1e-8 * scale
             checked += 1
         # nonexpansiveness and idempotence on random pairs
-        sets = [_random_ball(space, region, rng), _random_segment(space, region, rng)]
+        sets = [_random_ball(draw, rng), _random_segment(space, draw, rng)]
         pairs = 1700 if not isinstance(space, hd.spaces.EuclideanSpace) else 1600
         for cset in sets:
             for _ in range(pairs):
-                x = hd.random_point(space, region, rng)
-                y = hd.random_point(space, region, rng)
+                x = draw(rng)
+                y = draw(rng)
                 ux, _ = hd.project_point(space, cset, x)
                 uy, _ = hd.project_point(space, cset, y)
                 scale = _tuple_scale(space, [x, y, ux, uy])
@@ -129,16 +125,16 @@ def test_criterion_2_projection_certificates_and_regularity():
 def test_criterion_3_certificate_detects_displacement():
     detected = 0
     total = 0
-    for space, _ in _projection_spaces():
-        region = hd.default_region(space)
+    for space in _projection_spaces():
+        draw = hd.sampler(space)
         rng = hd.stream(11, 3)
         per_space = 34 if total == 0 else 33
         for i in range(per_space):
             # step 1e-2 inside the set, toward the farthest natural target;
             # redraw the rare instance where there is no room to move
             while True:
-                cset = _random_segment(space, region, rng) if i % 2 else _random_ball(space, region, rng)
-                x = hd.random_point(space, region, rng)
+                cset = _random_segment(space, draw, rng) if i % 2 else _random_ball(draw, rng)
+                x = draw(rng)
                 u, _ = hd.project_point(space, cset, x)
                 if isinstance(cset, hd.Segment):
                     far = cset.a if space.distance(u, cset.a) >= space.distance(u, cset.b) else cset.b
@@ -176,26 +172,26 @@ def test_criterion_4_segment_projection_grid_equivalence():
     vdist = oracles.tree_vertex_distances(topo)
 
     rng = hd.stream(12, 4)
-    region = hd.default_region(E2)
+    draw = hd.sampler(E2)
     for _ in range(100):
-        seg = _random_segment(E2, region, rng)
-        x = hd.random_point(E2, region, rng)
+        seg = _random_segment(E2, draw, rng)
+        x = draw(rng)
         lam, _, _ = hd.project_segment(E2, seg.a, seg.b, x)
         want = oracles.euclid_segment_argmin(seg.a.data, seg.b.data, x.data, n_grid)
         worst = max(worst, abs(lam - want))
 
-    region = hd.default_region(H2)
+    draw = hd.sampler(H2)
     for _ in range(100):
-        seg = _random_segment(H2, region, rng)
-        x = hd.random_point(H2, region, rng)
+        seg = _random_segment(H2, draw, rng)
+        x = draw(rng)
         lam, _, _ = hd.project_segment(H2, seg.a, seg.b, x)
         want = oracles.hyper_segment_argmin(seg.a.data, seg.b.data, x.data, n_grid)
         worst = max(worst, abs(lam - want))
 
-    region = hd.default_region(tree)
+    draw = hd.sampler(tree)
     for _ in range(100):
-        seg = _random_segment(tree, region, rng)
-        x = hd.random_point(tree, region, rng)
+        seg = _random_segment(tree, draw, rng)
+        x = draw(rng)
         lam, _, _ = hd.project_segment(tree, seg.a, seg.b, x)
         want = oracles.tree_segment_argmin(topo, seg.a.data, seg.b.data, x.data, n_grid, vdist)
         worst = max(worst, abs(lam - want))

@@ -226,7 +226,7 @@ def test_subtree_gate_matches_nearest_vertex():
     topo = shuffled_random_tree(300, 4)
     tree = hd.make_space(hd.WeightedTree(topo))
     graph = oracles.tree_graph(topo)
-    region = hd.default_region(tree)
+    draw = hd.sampler(tree)
     rng = np.random.default_rng(11)
     outside = 0
     for _ in range(200):
@@ -237,7 +237,7 @@ def test_subtree_gate_matches_nearest_vertex():
         cset = hd.Subtree(frozenset(chosen))
         project = hd.compile_set(tree, cset)
         for _ in range(30):
-            x = hd.random_point(tree, region, rng)
+            x = draw(rng)
             if hd.contains(tree, cset, x):
                 continue
             outside += 1
@@ -266,7 +266,7 @@ def test_probe_points_stay_in_set(E2, tree):
         (tree, hd.Subtree(frozenset({1, 3, 5}))),
     ]
     for space, cset in cases:
-        u, _ = hd.project_point(space, cset, hd.random_point(space, hd.default_region(space), hd.stream(0, 9)))
+        u, _ = hd.project_point(space, cset, hd.random_point(space, hd.stream(0, 9)))
         pts = hd.probe_points(space, cset, u, 64, seed=3)
         assert len(pts) >= 64
         for p in pts:
@@ -404,7 +404,8 @@ def test_certificate_is_the_min_pairing_on_broken_metrics(request, wrapper, fami
     # the pairing's d(u, u) term is kept: OffsetMetric has d(u, u) = 1
     inner = request.getfixturevalue(family)
     space = wrapper(inner)
-    pts = [hd.random_point(inner, hd.default_region(inner), hd.stream(5, 1)) for _ in range(60)]
+    draw, rng = hd.sampler(inner), hd.stream(5, 1)
+    pts = [draw(rng) for _ in range(60)]
     x, u, probes = pts[0], pts[1], pts[2:]
     want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
     assert hd.characterization_residual(space, hd.WholeSpace(), x, u, probes) == want
@@ -474,7 +475,7 @@ def test_ball_boundary_probes_lie_on_the_boundary(request, family):
         space = hd.make_space(hd.WeightedTree(random_tree_topology(200, 0)))
     else:
         space = request.getfixturevalue(family)
-    center = hd.random_point(space, hd.default_region(space), hd.stream(0, 5))
+    center = hd.random_point(space, hd.stream(0, 5))
     for radius in (0.3, 2.5):
         half = hd.probe_points(space, hd.Ball(center, radius), center, 1000, seed=1)[:500]
         on = sum(abs(space.distance(center, p) - radius) <= 1e-9 * (1.0 + radius) for p in half)

@@ -35,14 +35,14 @@ def test_forwarding_handle_gives_the_model_bits(request, family):
     model = request.getfixturevalue(family)
     wrapped = Forwarding(model)
     rng = hd.stream(11, 1)
-    x0, a, b, x, o = (hd.random_point(model, hd.default_region(model), rng) for _ in range(5))
+    x0, a, b, x, o = (hd.random_point(model, rng) for _ in range(5))
 
     def same(fn):
         want = fn(model)
         assert fn(wrapped) == want
         return want
 
-    # both solvers, on the default region with a nonzero perturbation
+    # both solvers, on the default sampling radius with a nonzero perturbation
     sched = hd.Schedule(hd.PowerLaw(1.0, 0.7, 2.0), hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
     C, T = hd.Ball(x0, 2.0), hd.ProjectionOnto(hd.Segment(a, b))
     for run in (_explicit, _implicit):
@@ -68,7 +68,7 @@ def test_forwarding_handle_gives_the_model_bits(request, family):
 
 
 def test_explicit_run_on_a_corrupted_handle_ends_in_a_status(H2):
-    # the default region and a nonzero perturbation: the run samples
+    # the default sampling radius and a nonzero perturbation: the run samples
     space = hd.CorruptedSpace(H2)
     sched = hd.Schedule(hd.PowerLaw(1.0, 0.7, 2.0), hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
     T = hd.ProjectionOnto(hd.Ball(H2.base, 1.0))

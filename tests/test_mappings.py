@@ -35,10 +35,9 @@ def test_rotation_is_isometry_and_fixes_center(E2, H2):
         T = hd.compile_mapping(space, rot)
         assert space.distance(T(rot.center), rot.center) <= 1e-9
         rng = hd.stream(9, 1)
-        region = hd.default_region(space)
+        draw = hd.sampler(space)
         for _ in range(100):
-            x = hd.random_point(space, region, rng)
-            y = hd.random_point(space, region, rng)
+            x, y = draw(rng), draw(rng)
             assert space.distance(T(x), T(y)) == pytest.approx(
                 space.distance(x, y), rel=1e-9, abs=1e-9
             )

@@ -3,7 +3,8 @@
 ``perfbench/run.py`` prints human-readable lines first and one JSON object
 last.  A traced run exercises the tracer's wrappers of the package's
 functions, so a change to the return shape of a wrapped function shows here
-as a run that ends in something other than a result.  Python's
+as a run that ends in something other than a result, and a wrapped
+function that is gone reads ``absent``: its metrics are null.  Python's
 ``json.dumps`` writes bare ``NaN`` and ``Infinity``, and plain
 ``json.loads`` accepts them; the line is parsed strictly.
 """
@@ -35,3 +36,5 @@ def test_traced_tiny_run_ends_in_a_correct_result(workload):
     result = json.loads(last, parse_constant=_reject)
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
+    absent = sorted(name for name, metric in result["metrics"].items() if metric["value"] is None)
+    assert not absent, absent

@@ -21,35 +21,40 @@ def test_stream_is_deterministic_and_keyed():
 
 
 def test_euclidean_box_sampling(E2):
-    region = hd.EuclideanBox((-1.0, 0.0), (2.0, 4.0))
-    rng = hd.stream(0, 1)
-    for _ in range(200):
-        p = hd.random_point(E2, region, rng)
-        assert -1.0 <= p.data[0] <= 2.0
-        assert 0.0 <= p.data[1] <= 4.0
+    # sampling radius r draws from the box [-r, r]^n
+    rng = hd.stream(6, 1)
+    for radius in (0.0, 2.0, 5.0):
+        draw = hd.sampler(E2, radius)
+        for _ in range(100):
+            assert max(abs(c) for c in draw(rng).data) <= radius + 1e-12
 
 
 def test_hyperbolic_sampling_stays_in_ball_and_on_sheet(H2):
-    region = hd.HyperbolicBall(H2.base, 3.0)
-    rng = hd.stream(1, 1)
+    draw, rng = hd.sampler(H2, 3.0), hd.stream(1, 1)
     for _ in range(200):
-        p = hd.random_point(H2, region, rng)
+        p = draw(rng)
         assert hd.validate_point(H2, p) is None
         assert H2.distance(H2.base, p) <= 3.0 + 1e-9
+    far = hd.sampler(H2, 20.0)
+    for _ in range(50):
+        assert hd.validate_point(H2, far(rng)) is None
+    with pytest.raises(ValueError, match=r"sampling radius 20.5 outside \[0, 20.0\]"):
+        hd.sampler(H2, 20.5)
 
 
 def test_tree_sampling_frequencies():
     # uniform over total length: each edge gets its share of the length, and
     # offsets are uniform along it, on a 3-ray star and on the caterpillar's
-    # unequal edges
+    # unequal edges.  A tree ignores the sampling radius, however large.
     star = hd.TreeTopology(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
     rng = hd.stream(2, 1)
     n = 6000
     for topo in (star, CATERPILLAR):
         space = hd.make_space(hd.WeightedTree(topo))
+        draw = hd.sampler(space, 1e9)
         counts, fractions = Counter(), Counter()
         for _ in range(n):
-            p = hd.random_point(space, hd.TreeWhole(), rng)
+            p = draw(rng)
             assert hd.validate_point(space, p) is None
             eid, off = p.data
             counts[eid] += 1
@@ -60,12 +65,29 @@ def test_tree_sampling_frequencies():
             assert abs(fractions[eid] / counts[eid] - 0.5) < 0.05
 
 
-def test_product_sampling_components_valid(prod):
-    region = hd.default_region(prod)
-    rng = hd.stream(3, 1)
+def test_product_sampling_components_valid(prod, H2):
+    # each factor is drawn at the same sampling radius
+    draw, rng = hd.sampler(prod, 1.5), hd.stream(3, 1)
     for _ in range(100):
-        p = hd.random_point(prod, region, rng)
+        p = draw(rng)
         assert hd.validate_point(prod, p) is None
+        assert max(abs(c) for c in p.data[0].data) <= 1.5
+        assert H2.distance(H2.base, p.data[1]) <= 1.5 + 1e-9
+    with pytest.raises(ValueError, match="outside"):
+        hd.sampler(prod, 21.0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_bad_radius_is_rejected_when_the_sampler_is_built(E2, H2, tree, prod, radius):
+    rng = hd.stream(10, 1)
+    for space in (E2, H2, tree, prod):
+        center = hd.random_point(space, rng)
+        with pytest.raises(ValueError, match="not a finite number >= 0"):
+            hd.sampler(space, radius)
+        with pytest.raises(ValueError, match="not a finite number >= 0"):
+            hd.random_point(space, rng, radius)
+        with pytest.raises(ValueError, match="not a finite number >= 0"):
+            hd.sample_in_ball(space, center, radius, rng)
 
 
 def test_sample_in_ball_respects_radius(E3, H2, tree):
@@ -93,11 +115,11 @@ def test_euclidean_ball_sampling_is_not_boundary_biased(E2):
 
 
 def test_default_region_radius(E2):
-    region = hd.default_region(E2, 2.0)
+    # random_point draws from [-r, r]^n, with r = 5 when no radius is given
     rng = hd.stream(6, 1)
-    for _ in range(100):
-        p = hd.random_point(E2, region, rng)
-        assert max(abs(c) for c in p.data) <= 2.0 + 1e-12
+    for radius, draw in ((2.0, lambda: hd.random_point(E2, rng, 2.0)), (5.0, lambda: hd.random_point(E2, rng))):
+        for _ in range(100):
+            assert max(abs(c) for c in draw().data) <= radius + 1e-12
 
 
 def exact_floats(space, p) -> bool:
@@ -113,12 +135,12 @@ def exact_floats(space, p) -> bool:
 def test_sampled_and_probe_coordinates_are_floats(E2, H2, tree, prod):
     rng = hd.stream(7, 1)
     for space in (E2, H2, tree, prod):
-        center = hd.random_point(space, hd.default_region(space), rng)
+        center = hd.random_point(space, rng)
         assert exact_floats(space, center)
         for _ in range(20):
-            assert exact_floats(space, hd.random_point(space, hd.default_region(space), rng))
+            assert exact_floats(space, hd.random_point(space, rng))
             assert exact_floats(space, hd.sample_in_ball(space, center, 0.8, rng))
-    far = hd.random_point(H2, hd.default_region(H2), rng)
+    far = hd.random_point(H2, rng)
     sets = [
         (E2, hd.Ball(ept(E2, 1.0, 0.0), 2.0)),
         (E2, hd.Segment(ept(E2, -1.0, 0.5), ept(E2, 2.0, 1.0))),
@@ -132,7 +154,7 @@ def test_sampled_and_probe_coordinates_are_floats(E2, H2, tree, prod):
         (prod, hd.WholeSpace()),
     ]
     for space, cset in sets:
-        u = hd.project_point(space, cset, hd.random_point(space, hd.default_region(space), rng))[0]
+        u = hd.project_point(space, cset, hd.random_point(space, rng))[0]
         probes = hd.probe_points(space, cset, u, 64, seed=3)
         assert probes and all(exact_floats(space, p) for p in probes), cset
 
@@ -186,6 +208,6 @@ def test_numpy_generator_still_draws(E2, H2, tree, prod):
     # the library asks a stream for random() alone, which a numpy Generator has
     rng = np.random.default_rng(0)
     for space in (E2, H2, tree, prod):
-        center = hd.random_point(space, hd.default_region(space), rng)
+        center = hd.random_point(space, rng)
         for p in (hd.sample_in_ball(space, center, 0.8, rng), hd.sphere(space, center)(rng, 0.5)):
             assert hd.validate_point(space, p) is None and exact_floats(space, p)

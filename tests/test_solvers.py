@@ -423,7 +423,8 @@ def test_nearest_fixed_point_residual_is_the_pairing(request, family):
     # max over p of quasilinearization(space, q, base, q, p), bit for bit
     inner = request.getfixturevalue(family[-2:])
     space = OffsetMetric(inner) if family.startswith("offset") else inner
-    pts = [hd.random_point(inner, hd.default_region(inner), hd.stream(4, 1)) for _ in range(50)]
+    draw, rng = hd.sampler(inner), hd.stream(4, 1)
+    pts = [draw(rng) for _ in range(50)]
     base, q = hd.Basepoint(pts[0]), pts[1]
     want = max(hd.quasilinearization(space, q, base.o, q, p) for p in pts[2:])
     assert hd.nearest_fixed_point_residual(space, q, base, pts[2:]) == want

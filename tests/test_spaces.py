@@ -401,8 +401,8 @@ def test_lambda_range_enforced_in_every_family(E2, H2, tree, prod, lam):
 
 def _random_points(space, count, seed):
     rng = np.random.default_rng(seed)
-    region = hd.default_region(space)
-    return [hd.random_point(space, region, rng) for _ in range(count)]
+    draw = hd.sampler(space)
+    return [draw(rng) for _ in range(count)]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
