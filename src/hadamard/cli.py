@@ -24,6 +24,7 @@ from .harness import CorruptedSpace, check_lemmas, check_space_axioms
 from .sampling import sampler
 from .solvers import validate_schedules
 from .spaces import (
+    MAX_SPEC_SIZE,
     Euclidean,
     Hyperbolic,
     InvalidSpaceError,
@@ -69,7 +70,8 @@ def parse_space_spec(spec: str):
 
     Accepts ``euclidean:N``, ``hyperbolic:N``, ``tree-star:RAYS:LENGTH``,
     ``tree-random:EDGES:SEED``, ``product:(A,B)`` of two specs other than
-    ``corrupted-demo``, and ``corrupted-demo``.
+    ``corrupted-demo``, and ``corrupted-demo``.  N, RAYS and EDGES are at
+    most ``MAX_SPEC_SIZE``.
     """
     spec = spec.strip()
     if spec == "corrupted-demo":
@@ -95,22 +97,23 @@ def parse_space_spec(spec: str):
     parts = spec.split(":")
     kind = parts[0]
     most = {"euclidean": 2, "hyperbolic": 2, "tree-star": 3, "tree-random": 3}.get(kind)
-    if most is not None and len(parts) > most:
+    if most is None:
+        raise InvalidSpaceError(f"unknown space spec {spec!r}")
+    if len(parts) > most:
         raise InvalidSpaceError(f"too many fields in space spec {spec!r}")
+    size = int(parts[1])
+    if size > MAX_SPEC_SIZE:
+        raise InvalidSpaceError(f"{size} in space spec {spec!r} is above the limit {MAX_SPEC_SIZE}")
     if kind == "euclidean":
-        return make_space(Euclidean(int(parts[1])))
+        return make_space(Euclidean(size))
     if kind == "hyperbolic":
-        return make_space(Hyperbolic(int(parts[1])))
+        return make_space(Hyperbolic(size))
     if kind == "tree-star":
-        rays = int(parts[1])
         length = float(parts[2]) if len(parts) > 2 else 1.0
-        edges = tuple((0, i + 1, length) for i in range(rays))
-        return make_space(WeightedTree(TreeTopology(rays + 1, edges)))
-    if kind == "tree-random":
-        n_edges = int(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return make_space(WeightedTree(random_tree_topology(n_edges, seed)))
-    raise InvalidSpaceError(f"unknown space spec {spec!r}")
+        edges = tuple((0, i + 1, length) for i in range(size))
+        return make_space(WeightedTree(TreeTopology(size + 1, edges)))
+    seed = int(parts[2]) if len(parts) > 2 else 0
+    return make_space(WeightedTree(random_tree_topology(size, seed)))
 
 
 def random_tree_topology(n_edges: int, seed: int) -> TreeTopology:
@@ -182,7 +185,7 @@ def verify_cmd(space_spec, trials, eps, seed, radius):
     try:
         space = parse_space_spec(space_spec)
     except (InvalidSpaceError, ValueError, IndexError) as exc:
-        click.echo(f"error: invalid space spec: {exc}", err=True)
+        click.echo(f"error: --space: invalid space spec: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
     try:
         sampler(space, radius)  # raises for a radius the space cannot sample at

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import pairing_against, retract
 from .sampling import ball_sampler, normals, sphere, stream
-from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space, minkowski
+from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space
 
 TERNARY_MAX_ITER = 200
 DEFAULT_LAMBDA_TOL = 1e-12
@@ -151,6 +151,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
         # unit tangent at b toward a; gamma(t) = cosh(t) b + sinh(t) v
         v = tuple((ai - cd * bi) / sd for ai, bi in zip(a.data, b.data))
         bd = b.data
+        minkowski = make_space(space.descriptor).minkowski
 
         def hyperbolic(x: Point) -> tuple[float, Point, int]:
             A = -minkowski(x.data, bd)

@@ -30,6 +30,12 @@ class InvalidSpaceError(ValueError):
 # Nesting cap for product spaces (documented implementation limit).
 MAX_PRODUCT_DEPTH = 4
 
+# Cap on the dimension, ray count or edge count of a command-line space
+# spec (documented implementation limit).  Without it hyperbolic:99999999999
+# ran out of memory and euclidean:100000000 ran for minutes; at the cap one
+# verify trial takes under a second.
+MAX_SPEC_SIZE = 100_000
+
 # Tolerance on the hyperboloid constraint <x,x>_M = -1, relative to
 # max(1, x0^2).
 HYPERBOLOID_TOL = 1e-9
@@ -198,6 +204,8 @@ def minkowski(a, b) -> float:
 class HyperbolicSpace(Space):
     """Hyperboloid model of curvature -1: the sheet <x,x>_M = -1, x0 > 0."""
 
+    minkowski = staticmethod(minkowski)
+
     def __init__(self, desc: Hyperbolic):
         if desc.dim < 1:
             raise InvalidSpaceError("hyperbolic dimension must be >= 1")
@@ -286,6 +294,56 @@ class HyperbolicSpace(Space):
         if p.data[0] <= 0.0:
             out.append("first coordinate must be positive (upper sheet)")
         return out
+
+
+class HyperbolicPlane(HyperbolicSpace):
+    """H^2: the kernels of :class:`HyperbolicSpace` written out over three
+    coordinates.  Every floating-point operation is the parent's, in the
+    parent's order, so every result is the same to the bit; only the
+    loops, slices and lists around them are gone, which on three
+    coordinates cost more than the arithmetic does.  A class rather than
+    per-instance bindings, so that wrapping the primitives on a handle and
+    deleting the wrappers again leaves these methods in place."""
+
+    @staticmethod
+    def minkowski(a, b) -> float:
+        return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def distance(self, a: Point, b: Point) -> float:
+        if a.space is not self.descriptor or b.space is not self.descriptor:
+            self._check(a, b)
+        a0, a1, a2 = a.data
+        b0, b1, b2 = b.data
+        t0 = a0 - b0
+        t1 = a1 - b1
+        t2 = a2 - b2
+        m = -(t0 * t0) + t1 * t1 + t2 * t2
+        if m <= 0.0:
+            return 0.0
+        if m > 4.0:
+            q = a0 * b0 - a1 * b1 - a2 * b2
+            if q > 3.0:
+                return math.acosh(q)
+        return 2.0 * math.asinh(0.5 * math.sqrt(m))
+
+    def _lift(self, spatial) -> Point:
+        s1, s2 = spatial
+        return Point(self.descriptor, (math.hypot(1.0, s1, s2), s1, s2))
+
+    def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
+        _, x1, x2 = x.data
+        _, y1, y2 = y.data
+        if d < 1e-7:
+            mu = 1.0 - lam
+            s1 = lam * x1 + mu * y1
+            s2 = lam * x2 + mu * y2
+        else:
+            sd = math.sinh(d)
+            wx = math.sinh(lam * d) / sd
+            wy = math.sinh((1.0 - lam) * d) / sd
+            s1 = wx * x1 + wy * y1
+            s2 = wx * x2 + wy * y2
+        return Point(self.descriptor, (math.hypot(1.0, s1, s2), s1, s2))
 
 
 class TreeSpace(Space):
@@ -523,7 +581,7 @@ def make_space(desc: SpaceDescriptor) -> Space:
     if isinstance(desc, Euclidean):
         return EuclideanSpace(desc)
     if isinstance(desc, Hyperbolic):
-        return HyperbolicSpace(desc)
+        return HyperbolicPlane(desc) if desc.dim == 2 else HyperbolicSpace(desc)
     if isinstance(desc, WeightedTree):
         return TreeSpace(desc)
     if isinstance(desc, Product):

@@ -6,9 +6,19 @@ real check and not a tautology.
 """
 
 import math
+from functools import lru_cache
 
 import networkx as nx
 import numpy as np
+
+
+@lru_cache(maxsize=1)
+def lambda_grid(n_grid):
+    """``np.linspace(0, 1, n_grid)``, built once for the grid searches below
+    and shared read-only."""
+    lams = np.linspace(0.0, 1.0, n_grid)
+    lams.flags.writeable = False
+    return lams
 
 
 # ---------------------------------------------------------------------------
@@ -21,11 +31,20 @@ def euclid_quasilin(a, b, c, d):
 
 
 def euclid_segment_argmin(a, b, x, n_grid):
-    """Brute-force lambda grid minimizing |x - (lam*a + (1-lam)*b)|."""
+    """Brute-force lambda grid minimizing |x - (lam*a + (1-lam)*b)|.  The
+    squared distances are summed one coordinate column at a time, in place,
+    each column's operations in the row-wise order."""
     a, b, x = (np.asarray(p, dtype=float) for p in (a, b, x))
-    lams = np.linspace(0.0, 1.0, n_grid)
-    pts = lams[:, None] * a[None, :] + (1.0 - lams)[:, None] * b[None, :]
-    d2 = np.sum((pts - x[None, :]) ** 2, axis=1)
+    lams = lambda_grid(n_grid)
+    mu = 1.0 - lams
+    d2 = np.zeros(n_grid)
+    col, tmp = np.empty(n_grid), np.empty(n_grid)
+    for ak, bk, xk in zip(a, b, x):
+        np.multiply(lams, ak, out=col)
+        col += np.multiply(mu, bk, out=tmp)
+        col -= xk
+        col *= col
+        d2 += col
     return float(lams[int(np.argmin(d2))])
 
 
@@ -55,20 +74,48 @@ def hyper_geodesic(a, b, lam):
 
 
 def hyper_segment_argmin(a, b, x, n_grid):
+    """Brute-force lambda grid minimizing d(x, gamma(lam)), with gamma(lam)
+    the sinh-weighted combination renormalized onto the sheet.  Built one
+    coordinate column at a time, in place, each column's operations in the
+    row-wise order; the spatial pairing with x is one matrix product, as
+    the row-wise form had it."""
     a, b, x = (np.asarray(p, dtype=float) for p in (a, b, x))
     d = hyper_distance(a, b)
-    lams = np.linspace(0.0, 1.0, n_grid)
+    lams = lambda_grid(n_grid)
     if d < 1e-12:
         return 1.0
-    w_a = np.sinh(lams * d) / math.sinh(d)
-    w_b = np.sinh((1.0 - lams) * d) / math.sinh(d)
-    pts = w_a[:, None] * a[None, :] + w_b[:, None] * b[None, :]
+    sd = math.sinh(d)
+    w_a = lams * d
+    np.sinh(w_a, out=w_a)
+    w_a /= sd
+    w_b = 1.0 - lams
+    w_b *= d
+    np.sinh(w_b, out=w_b)
+    w_b /= sd
+    tmp = np.empty(n_grid)
+    time = w_a * a[0]
+    time += np.multiply(w_b, b[0], out=tmp)
+    spatial = np.empty((n_grid, len(a) - 1))
+    square = np.zeros(n_grid)
+    for k in range(1, len(a)):
+        col = spatial[:, k - 1]
+        np.multiply(w_a, a[k], out=col)
+        col += np.multiply(w_b, b[k], out=tmp)
+        square += np.multiply(col, col, out=tmp)
     # renormalize each row onto the sheet
-    q = np.sqrt(pts[:, 0] ** 2 - np.sum(pts[:, 1:] ** 2, axis=1))
-    pts = pts / q[:, None]
-    inner = -(-pts[:, 0] * x[0] + pts[:, 1:] @ x[1:])
-    dists = np.arccosh(np.maximum(1.0, inner))
-    return float(lams[int(np.argmin(dists))])
+    q = time * time
+    q -= square
+    np.sqrt(q, out=q)
+    time /= q
+    spatial /= q[:, None]
+    # -<pt, x>_M
+    inner = spatial @ x[1:]
+    time *= x[0]
+    inner -= time
+    np.negative(inner, out=inner)
+    np.maximum(inner, 1.0, out=inner)
+    np.arccosh(inner, out=inner)
+    return float(lams[int(np.argmin(inner))])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +206,7 @@ def tree_segment_argmin(topology, a, b, x, n_grid, vdist=None):
     dxa = tree_point_distance(topology, x, a, vdist)
     dxb = tree_point_distance(topology, x, b, vdist)
     s_x = 0.5 * (dxa - dxb + L)  # foot of x on the path, arc length from a
-    lams = np.linspace(0.0, 1.0, n_grid)
+    lams = lambda_grid(n_grid)
     s = (1.0 - lams) * L
     d = (dxa - s_x) + np.abs(s - s_x)
     return float(lams[int(np.argmin(d))])

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import hadamard as hd
 from hadamard.cli import main, parse_space_spec, random_tree_topology
+from hadamard.spaces import MAX_SPEC_SIZE
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,6 +39,10 @@ def test_parse_space_spec_kinds():
     assert prod.descriptor == hd.Product(hd.Euclidean(2), hd.Hyperbolic(2))
     with pytest.raises(hd.InvalidSpaceError):
         parse_space_spec("banach:2")
+    # the size cap admits its own value
+    assert parse_space_spec(f"hyperbolic:{MAX_SPEC_SIZE}").dim == MAX_SPEC_SIZE
+    with pytest.raises(hd.InvalidSpaceError, match="above the limit"):
+        parse_space_spec(f"euclidean:{MAX_SPEC_SIZE + 1}")
 
 
 def test_random_tree_topology_is_seeded():
@@ -339,6 +344,11 @@ def test_run_rejects_anchor_too_small_for_inner_solve(runner, tmp_path):
         (["verify", "--space", "euclidean:2", "--radius", "-1"], {}, "--radius"),
         (["verify", "--space", "euclidean:2", "--radius", "nan"], {}, "--radius"),
         (["verify", "--space", "euclidean:2", "--eps", "nan"], {}, "--eps"),
+        (["verify", "--space", "euclidean:100000000", "--trials", "1"], {}, "--space"),
+        (["verify", "--space", "hyperbolic:99999999999", "--trials", "1"], {}, "--space"),
+        (["verify", "--space", "tree-star:100001:0.5", "--trials", "1"], {}, "--space"),
+        (["verify", "--space", "tree-random:100001:3", "--trials", "1"], {}, "--space"),
+        (["verify", "--space", "product:(euclidean:2,hyperbolic:100001)", "--trials", "1"], {}, "--space"),
         (["run", "{seed}"], {}, "seed: must be non-negative"),
         (["run", "{config}", "--seed", "-1"], {}, "--seed"),
         (["run", "{config}", "--budget", "0"], {}, "--budget"),
@@ -347,8 +357,9 @@ def test_run_rejects_anchor_too_small_for_inner_solve(runner, tmp_path):
     ],
     ids=[
         "verify-seed", "verify-h2-radius", "verify-product-radius", "verify-radius-negative",
-        "verify-radius-nan", "verify-eps-nan", "config-seed", "run-seed", "run-budget",
-        "env-seed", "env-seed-negative",
+        "verify-radius-nan", "verify-eps-nan", "verify-euclidean-size", "verify-hyperbolic-size",
+        "verify-tree-star-size", "verify-tree-random-size", "verify-product-size", "config-seed",
+        "run-seed", "run-budget", "env-seed", "env-seed-negative",
     ],
 )
 def test_bad_flag_names_its_source(runner, tmp_path, args, env, name):

@@ -14,7 +14,7 @@ import pytest
 import hadamard as hd
 from conftest import Forwarding, hpt_polar, shuffled_random_tree
 
-HANDLE_CLASSES = {"EuclideanSpace", "HyperbolicSpace", "TreeSpace", "ProductSpace"}
+HANDLE_CLASSES = {"EuclideanSpace", "HyperbolicSpace", "HyperbolicPlane", "TreeSpace", "ProductSpace"}
 
 
 @pytest.fixture(scope="module")

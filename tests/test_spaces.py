@@ -461,3 +461,57 @@ def test_distance_is_exactly_symmetric(family):
         assert space.distance(a, b) == space.distance(b, a)
         c = space.geodesic_point(a, b, 1.0 - 1e-9)  # a close pair
         assert space.distance(a, c) == space.distance(c, a)
+
+
+def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkeypatch):
+    # make_space gives H^2 its written-out kernels; the generic n-dimensional
+    # handle, built directly, must give the same floats and points with ==
+    from hadamard import convex, mappings, sampling
+    from hadamard.spaces import HyperbolicPlane, HyperbolicSpace, minkowski
+
+    assert type(H2) is HyperbolicPlane
+    assert type(hd.make_space(hd.Hyperbolic(3))) is HyperbolicSpace
+    generic = HyperbolicSpace(hd.Hyperbolic(2))
+    rng = hd.stream(21, 1)
+    near, out = hd.sampler(H2), hd.sphere(H2, H2.base)
+    pairs = [(near(rng), near(rng)) for _ in range(200)]
+    # pairs about 1.8 apart 19 to 20 out, where rounding can break q = 1 + m/2
+    for _ in range(200):
+        a = out(rng, 19.0 + rng.random())
+        pairs.append((a, hd.sphere(H2, a)(rng, 1.8)))
+    pairs += [(x, H2.geodesic_point(x, y, 1.0 - 10.0 ** -k)) for k, (x, y) in zip(range(8, 13), pairs)]
+    pairs += [(x, x) for x, _ in pairs[:3]]
+
+    branches = {"equal": 0, "chord": 0, "acosh": 0, "fallback": 0}
+    for x, y in pairs:
+        d = H2.distance(x, y)
+        assert d == generic.distance(x, y)
+        t = tuple(a - b for a, b in zip(x.data, y.data))
+        m, q = minkowski(t, t), -minkowski(x.data, y.data)
+        branches["equal" if m <= 0.0 else "chord" if m <= 4.0 else "acosh" if q > 3.0 else "fallback"] += 1
+        assert H2.minkowski(x.data, y.data) == generic.minkowski(x.data, y.data)
+        assert H2.minkowski(t, x.data) == generic.minkowski(t, x.data)
+        for lam in (0.0, 1.0, rng.random()):
+            assert H2._geodesic(x, y, lam, d) == generic._geodesic(x, y, lam, d)
+            assert H2.geodesic_point(x, y, lam) == generic.geodesic_point(x, y, lam)
+        spatial = [x.data[1] - y.data[2], 1e8 * y.data[1]]
+        assert H2._lift(spatial) == generic._lift(spatial)
+    assert min(branches.values()) >= 3, branches
+    assert sum(0.0 < H2.distance(x, y) < 1e-7 for x, y in pairs) >= 5
+
+    # the same draws, rotations and segment projections with the generic
+    # handle as every model lookup's H^2
+    def build(space):
+        draws = []
+        seeded = hd.stream(22, 1)
+        for x, y in pairs[::10]:
+            at = hd.sphere(space, x)
+            draws += [at(seeded, t) for t in (0.0, 1e-9, 0.7, 20.0)]
+            draws.append(hd.compile_mapping(space, hd.Rotation(x, 0.7))(y))
+            draws.append(hd.project_segment(space, x, y, pairs[0][0]))
+        return draws
+
+    want = build(H2)
+    for module in (convex, mappings, sampling):
+        monkeypatch.setattr(module, "make_space", lambda desc: generic)
+    assert build(generic) == want
