@@ -312,13 +312,13 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
 
     def project(x: Point) -> tuple[Point, int]:
         t = offset - sum(n * c for n, c in zip(normal, x.data))
-        return (x if t <= 0.0 else Point(desc, tuple(c + t * wi for c, wi in zip(x.data, w)))), 0
+        return (x if t <= 0.0 else Point(desc, tuple([c + t * wi for c, wi in zip(x.data, w)]))), 0
 
     def probes(u: Point, count: int, rng) -> list[Point]:
         # Gaussian steps from u, projected back onto the half-space
         spread = 1.0 + abs(offset) + math.sqrt(sum(c * c for c in u.data))
         steps = (normals(rng, desc.dim) for _ in range(count))
-        return [project(Point(desc, tuple(c + spread * g for c, g in zip(u.data, step))))[0] for step in steps]
+        return [project(Point(desc, tuple([c + spread * g for c, g in zip(u.data, step)])))[0] for step in steps]
 
     return _Kind(project, contains, probes, 1.0)
 

@@ -9,7 +9,8 @@ imply).
 
 Tolerances are relative: a check fails only when its slack drops below
 ``-eps * scale`` with scale = 1 + the sum of squared pairwise distances of
-the tuple (the inequalities are homogeneous of degree two in distances).
+the tuple (the inequalities are homogeneous of degree two in distances), or
+when the slack is NaN, as it is once squared distances overflow.
 Each property is written once, in a trial function that yields the slack of
 every property of its family for one random tuple, measuring each ordered
 pair of points once; the same function checks, reports and replays.  Every
@@ -17,7 +18,8 @@ report carries the worst witness observed: all of that trial's points, each
 encoded with ``serialize.point_to_json``, plus ``lam``, e.g.
 ``{"a": {"coords": [...]}, ..., "e": {...}, "lam": 0.41}``.
 ``replay_witness`` decodes it and reruns the trial, reproducing the worst
-margin exactly, for all 13 properties and on every space family.
+margin exactly (a NaN margin as NaN), for all 13 properties and on every
+space family.
 """
 
 from __future__ import annotations
@@ -60,8 +62,13 @@ class _Collector:
         if slack < self.worst:
             self.worst = slack
             self.inputs = inputs
-        if slack < -self.eps * scale:
+        # written so that a NaN slack fails too: distances that overflow
+        # leave nothing checked, and the first NaN ranks below every number
+        if not slack >= -self.eps * scale:
             self.violations += 1
+            if slack != slack and self.worst == self.worst:
+                self.worst = slack
+                self.inputs = inputs
 
     def report(self, keys: tuple[str, ...]) -> PropertyReport:
         witness = None
@@ -219,7 +226,8 @@ def check_lemmas(
 
 def replay_witness(space: Space, report: PropertyReport) -> Optional[float]:
     """Slack of ``report``'s property at its worst witness, recomputed from
-    the serialized witness alone; equals ``report.worst_margin`` exactly.
+    the serialized witness alone; equals ``report.worst_margin`` exactly,
+    or is NaN when that margin is.
 
     Returns None when the report has no witness.
     """

@@ -169,7 +169,7 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
         _require_finite("translation vector", *vec)
 
         def apply_shift(p: Point) -> Point:
-            return Point(p.space, tuple(c + v for c, v in zip(p.data, vec)))
+            return Point(p.space, tuple([c + v for c, v in zip(p.data, vec)]))
 
         return apply_shift
     raise ValueError(f"unknown mapping {mapping!r}")

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 import random
 from typing import Callable
 
 from .geometry import retract
 from .spaces import (
+    MAX_HYPERBOLIC_RADIUS,
     Euclidean,
     Hyperbolic,
     Point,
@@ -26,9 +26,6 @@ from .spaces import (
     WeightedTree,
     make_space,
 )
-
-# cosh overflow guard: hyperbolic sampling rejects a radius beyond this
-MAX_HYPERBOLIC_RADIUS = 20.0
 
 
 def stream(seed: int, *key: int) -> random.Random:
@@ -71,7 +68,7 @@ def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
         bounds = ((-radius, radius),) * desc.dim
 
         def draw_box(rng) -> Point:
-            return Point(desc, tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds))
+            return Point(desc, tuple([lo + (hi - lo) * rng.random() for lo, hi in bounds]))
 
         return draw_box
     if isinstance(desc, Hyperbolic):
@@ -110,25 +107,9 @@ def _exponential(model: Space, c: Point):
     desc = model.descriptor
     if isinstance(desc, Euclidean):
         cd = c.data
-        return desc.dim, lambda g, s: Point(desc, tuple(ci + s * gi for ci, gi in zip(cd, g)))
+        return desc.dim, lambda g, s: Point(desc, tuple([ci + s * gi for ci, gi in zip(cd, g)]))
     if isinstance(desc, Hyperbolic):
-        # the frame f_i = e_i + c_i / (1 + c_0) * (e_0 + c), i >= 1, is the
-        # boost taking the sheet base point to c applied to e_i: Minkowski
-        # orthonormal and tangent at c.  Only its constant k is kept.
-        cs = c.data[1:]
-        k = 1.0 / (1.0 + c.data[0])
-
-        def exp_hyperbolic(g, s):
-            nrm = math.hypot(*g)
-            if nrm == 0.0:
-                return c
-            t = min(s * nrm, MAX_HYPERBOLIC_RADIUS)
-            # the spatial part of cosh t * c + sinh t * sum g_i f_i / |g|
-            sh = math.sinh(t) / nrm
-            a = math.cosh(t) + sh * k * sum(map(operator.mul, cs, g))
-            return model._lift([a * ci + sh * gi for ci, gi in zip(cs, g)])
-
-        return desc.dim, exp_hyperbolic
+        return desc.dim, model.exponential(c)
     if isinstance(desc, Product):
         left = _exponential(model.left, c.data[0])
         right = _exponential(model.right, c.data[1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -348,21 +349,27 @@ TRACE_HEADER = (
 )
 
 
+# row shape (which of the six optional cells are None) -> the shape's line
+# format and the getter of the values it formats; at most 64 entries
+_TRACE_FORMATS: dict[tuple[bool, ...], tuple[str, operator.itemgetter]] = {}
+
+
 def _trace_line(row: solvers.TraceRow) -> str:
     """A row's CSV line.  A field the row does not set is an empty cell
     (explicit rows have no inner solve); numbers have 17 significant digits,
-    and an int ``inner_iterations`` prints exactly."""
+    and an int ``inner_iterations`` prints exactly.  Each row shape has one
+    ``%`` format, applied once per row: ``'%.17g' % v`` is ``f'{v:.17g}'``
+    for every float and int."""
     s, z, d, q = row.step, row.z_residual, row.ref_distance, row.qx_inner
     i, b = row.inner_iterations, row.inner_bound
-    return (
-        f"{row.n},{row.fixed_residual:.17g},"
-        f"{'' if s is None else f'{s:.17g}'},"
-        f"{'' if z is None else f'{z:.17g}'},"
-        f"{'' if d is None else f'{d:.17g}'},"
-        f"{'' if q is None else f'{q:.17g}'},"
-        f"{'' if i is None else f'{i:.17g}'},"
-        f"{'' if b is None else f'{b:.17g}'}\n"
-    )
+    shape = (s is None, z is None, d is None, q is None, i is None, b is None)
+    try:
+        fmt, picked = _TRACE_FORMATS[shape]
+    except KeyError:
+        fmt = "%d,%.17g," + ",".join(["" if none else "%.17g" for none in shape]) + "\n"
+        picked = operator.itemgetter(0, 1, *[k + 2 for k, none in enumerate(shape) if not none])
+        _TRACE_FORMATS[shape] = fmt, picked
+    return fmt % picked((row.n, row.fixed_residual, s, z, d, q, i, b))
 
 
 def write_trace_csv(trace: solvers.IterationTrace, out: TextIO) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -42,6 +43,10 @@ HYPERBOLOID_TOL = 1e-9
 
 # Space handles kept by make_space; a tree handle holds O(n) state.
 SPACE_CACHE_SIZE = 32
+
+# cosh overflow guard: the hyperbolic exponential map caps its distance, and
+# hyperbolic sampling rejects a radius, beyond this
+MAX_HYPERBOLIC_RADIUS = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +108,23 @@ class Point:
 
     space: SpaceDescriptor
     data: tuple
+
+
+# Only the generated __init__ is replaced: it assigns through
+# object.__setattr__, since the class is frozen, while the slots' own
+# setters store the same two fields in three quarters of the time.
+# Equality, hashing, repr, immutability, pickling and dataclasses.replace
+# stay the dataclass's own.
+_set_space, _set_data = Point.space.__set__, Point.data.__set__
+
+
+def _point_init(self, space: SpaceDescriptor, data: tuple) -> None:
+    _set_space(self, space)
+    _set_data(self, data)
+
+
+_point_init.__name__, _point_init.__qualname__ = "__init__", "Point.__init__"
+Point.__init__ = _point_init
 
 
 @dataclass(frozen=True)
@@ -181,7 +203,7 @@ class EuclideanSpace(Space):
             self._check_lambda(lam)
         xd, yd = x.data, y.data
         mu = 1.0 - lam
-        return Point(self.descriptor, tuple(lam * a + mu * b for a, b in zip(xd, yd)))
+        return Point(self.descriptor, tuple([lam * a + mu * b for a, b in zip(xd, yd)]))
 
     def point_violations(self, p: Point) -> list[str]:
         out = []
@@ -264,6 +286,28 @@ class HyperbolicSpace(Space):
             self._check_lambda(lam)
         return self._geodesic(x, y, lam, self.distance(x, y))
 
+    def exponential(self, c: Point):
+        """``exp(g, s)``: the exponential map at c of the tangent vector
+        s*g, the point min(s*|g|, ``MAX_HYPERBOLIC_RADIUS``) from c along g,
+        for the coordinates g of a tangent vector in the frame
+        f_i = e_i + c_i / (1 + c_0) * (e_0 + c), i >= 1.  That frame is the
+        boost taking the sheet base point to c applied to e_i: Minkowski
+        orthonormal and tangent at c.  Only its constant k is kept."""
+        cs = c.data[1:]
+        k = 1.0 / (1.0 + c.data[0])
+
+        def exp(g, s):
+            nrm = math.hypot(*g)
+            if nrm == 0.0:
+                return c
+            t = min(s * nrm, MAX_HYPERBOLIC_RADIUS)
+            # the spatial part of cosh t * c + sinh t * sum g_i f_i / |g|
+            sh = math.sinh(t) / nrm
+            a = math.cosh(t) + sh * k * sum(map(operator.mul, cs, g))
+            return self._lift([a * ci + sh * gi for ci, gi in zip(cs, g)])
+
+        return exp
+
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         # the weights combine the spatial coordinates only; the lift then
         # supplies the time coordinate
@@ -344,6 +388,27 @@ class HyperbolicPlane(HyperbolicSpace):
             s1 = wx * x1 + wy * y1
             s2 = wx * x2 + wy * y2
         return Point(self.descriptor, (math.hypot(1.0, s1, s2), s1, s2))
+
+    def exponential(self, c: Point):
+        # the parent's sum starts from the int 0, which can only turn a -0.0
+        # into 0.0, and a signed zero added to cosh t >= 1 leaves the same a
+        _, c1, c2 = c.data
+        k = 1.0 / (1.0 + c.data[0])
+        desc = self.descriptor
+
+        def exp(g, s):
+            g1, g2 = g
+            nrm = math.hypot(g1, g2)
+            if nrm == 0.0:
+                return c
+            t = min(s * nrm, MAX_HYPERBOLIC_RADIUS)
+            sh = math.sinh(t) / nrm
+            a = math.cosh(t) + sh * k * (c1 * g1 + c2 * g2)
+            s1 = a * c1 + sh * g1
+            s2 = a * c2 + sh * g2
+            return Point(desc, (math.hypot(1.0, s1, s2), s1, s2))
+
+        return exp
 
 
 class TreeSpace(Space):

@@ -243,6 +243,21 @@ def test_verify_far_out_hyperbolic_ends_without_a_traceback(runner):
     assert "worst_margin" in result.output
 
 
+def test_verify_reports_nan_slacks_as_violations(runner):
+    # at radius 1e300 squared distances overflow and seven slacks are NaN:
+    # the run exits 1 and prints a witness for each
+    result = runner.invoke(main, ["verify", "--space", "euclidean:2", "--radius", "1e300", "--trials", "20"])
+    assert result.exit_code == 1, result.output
+    assert "7 properties violated" in result.output
+    for name in (
+        "cauchy_schwarz", "pairing_symmetry", "pairing_antisymmetry", "pairing_additivity",
+        "squared_distance_strongly_convex", "interpolation_pairing_bound",
+        "interpolation_cross_term_bound",
+    ):
+        assert f"\n  {name}: {{" in result.output
+        assert any(line.split()[:4] == [name, "20", "20", "nan"] for line in result.output.splitlines())
+
+
 def test_verify_corrupted_demo_fails(runner):
     result = runner.invoke(main, ["verify", "--space", "corrupted-demo", "--trials", "500"])
     assert result.exit_code == 1

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import hadamard as hd
-from hadamard.harness import _axiom_trial, _lemma_trial, replay_witness
+from hadamard.harness import _axiom_trial, _Collector, _lemma_trial, replay_witness
 from hadamard.solvers import IterationTrace, TraceRow
 from conftest import OffsetMetric, ept
 
@@ -179,6 +179,36 @@ def test_corrupted_space_is_flagged_with_replayable_witness(space, request):
         slack = replay_witness(cor, printed)
         assert slack == r.worst_margin, r.name
         assert slack < 0
+
+
+OVERFLOWING = {
+    "cauchy_schwarz", "pairing_symmetry", "pairing_antisymmetry", "pairing_additivity",
+    "squared_distance_strongly_convex", "interpolation_pairing_bound", "interpolation_cross_term_bound",
+}
+
+
+def test_nan_slacks_are_violations_with_replayable_witnesses(E2):
+    # squared distances of points 1e300 apart overflow, so these slacks are
+    # inf - inf; a NaN slack fails its check, where slack < -eps * scale
+    # would let it pass
+    reports = hd.check_space_axioms(E2, trials=20, radius=1e300)
+    reports += hd.check_lemmas(E2, trials=20, radius=1e300)
+    assert {r.name for r in reports if r.violations} == OVERFLOWING
+    for r in reports:
+        if r.name in OVERFLOWING:
+            assert r.violations == r.trials == 20 and math.isnan(r.worst_margin), r
+            printed = dataclasses.replace(r, worst_witness=json.loads(json.dumps(r.worst_witness)))
+            assert math.isnan(replay_witness(E2, printed)), r.name
+        else:
+            assert not math.isnan(r.worst_margin), r
+
+
+def test_a_nan_slack_ranks_below_every_number():
+    col = _Collector("p", 1e-8)
+    for slack, inputs in ((0.5, "a"), (-1.0, "b"), (math.nan, "c"), (-math.inf, "d"), (math.nan, "e"), (0.0, "f")):
+        col.record(slack, 1.0, inputs)
+    assert col.trials == 6 and col.violations == 4
+    assert math.isnan(col.worst) and col.inputs == "c"
 
 
 def test_corrupted_space_lemma_violations(E2):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from hadamard import serialize
+from hadamard import experiments, serialize
 from hadamard.solvers import IterationTrace, TraceRow
 from conftest import CATERPILLAR, ept, hpt_polar
 
@@ -187,3 +187,55 @@ def test_trace_csv_matches_reference_format():
     assert out.getvalue() == reference(trace)
     assert "-0," in out.getvalue() and "4.9406564584124654e-324" in out.getvalue()
     assert ",123456789," in out.getvalue() and ",1e+308" in out.getvalue()
+
+
+def _f_string_trace_line(row):
+    # the f-string form each row shape's % format replaced, kept as the oracle
+    s, z, d, q = row.step, row.z_residual, row.ref_distance, row.qx_inner
+    i, b = row.inner_iterations, row.inner_bound
+    return (
+        f"{row.n},{row.fixed_residual:.17g},"
+        f"{'' if s is None else f'{s:.17g}'},"
+        f"{'' if z is None else f'{z:.17g}'},"
+        f"{'' if d is None else f'{d:.17g}'},"
+        f"{'' if q is None else f'{q:.17g}'},"
+        f"{'' if i is None else f'{i:.17g}'},"
+        f"{'' if b is None else f'{b:.17g}'}\n"
+    )
+
+
+def test_trace_lines_match_the_f_string_form_byte_for_byte():
+    # rows of real runs: explicit with and without a reference (each closing
+    # with a row for x_budget), implicit with a reference
+    def run(name, drop=()):
+        doc = json.loads((CONFIG_DIR / name).read_text())
+        doc.update(budget=40, outer_tol=0.0)
+        for key in drop:
+            del doc[key]
+        return experiments.execute(serialize.config_from_json(doc))[0].rows
+
+    rows = run("segment_explicit.json") + run("segment_explicit.json", ["reference"])
+    rows += run("segment_implicit.json")
+    assert {r.step is None for r in rows} == {True, False}
+    assert {r.inner_iterations is None for r in rows} == {True, False}
+    assert {r.ref_distance is None for r in rows} == {True, False}
+    # implicit rows at 1 and 10**6 inner iterations, and every row shape
+    # (each of the six optional cells set or None) at each hard value
+    rows += [
+        TraceRow(n=7, fixed_residual=0.5, step=0.25, inner_iterations=1, inner_bound=1e-11),
+        TraceRow(n=8, fixed_residual=0.5, step=0.25, ref_distance=2.0, qx_inner=-0.5,
+                 inner_iterations=10**6, inner_bound=3e-9),
+        TraceRow(n=9, fixed_residual=0.5),
+    ]
+    hard = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2**60 + 1, 0.1]
+    for shape in range(64):
+        for k, v in enumerate(hard):
+            cells = [v if shape >> j & 1 else None for j in range(6)]
+            rows.append(TraceRow(10 * shape + k, hard[k - 1], *cells))
+    for row in rows:
+        assert serialize._trace_line(row) == _f_string_trace_line(row), row
+    assert len(serialize._TRACE_FORMATS) <= 64
+    out = StringIO()
+    serialize.write_trace_csv(IterationTrace(rows=rows), out)
+    assert out.getvalue() == serialize.TRACE_HEADER + "\n" + "".join(map(_f_string_trace_line, rows))
+    assert ",nan," in out.getvalue() and ",-inf," in out.getvalue() and ",1.152921504606847e+18," in out.getvalue()

@@ -463,11 +463,39 @@ def test_distance_is_exactly_symmetric(family):
         assert space.distance(a, c) == space.distance(c, a)
 
 
+def test_point_keeps_the_dataclass_behaviour(H2):
+    # Point's own __init__ stores through the slots; everything else is the
+    # frozen slots dataclass's
+    import copy
+    import pickle
+
+    desc, data = H2.descriptor, (1.0, 0.0, -0.0)
+    p = hd.Point(desc, data)
+    assert p == hd.Point(space=desc, data=data) == hd.Point(desc, data=data)
+    assert p != hd.Point(desc, (1.0, 0.0, 1e-300))
+    assert hash(p) == hash((desc, data))
+    assert repr(p) == "Point(space=Hyperbolic(dim=2), data=(1.0, 0.0, -0.0))"
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.data = (2.0,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.space
+    for other in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(other) is hd.Point and other == p and repr(other) == repr(p)
+    moved = dataclasses.replace(p, data=(2.0, 1.0, 1.0))
+    assert moved.space is desc and moved.data == (2.0, 1.0, 1.0) and p.data is data
+    assert [f.name for f in dataclasses.fields(hd.Point)] == ["space", "data"]
+    with pytest.raises(TypeError, match=r"^Point\.__init__\(\) missing 1 required positional argument: 'data'"):
+        hd.Point(desc)
+    with pytest.raises(TypeError, match=r"^Point\.__init__\(\) got an unexpected keyword argument 'coords'"):
+        hd.Point(desc, data, coords=data)
+
+
 def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkeypatch):
     # make_space gives H^2 its written-out kernels; the generic n-dimensional
     # handle, built directly, must give the same floats and points with ==
     from hadamard import convex, mappings, sampling
-    from hadamard.spaces import HyperbolicPlane, HyperbolicSpace, minkowski
+    from hadamard.spaces import MAX_HYPERBOLIC_RADIUS, HyperbolicPlane, HyperbolicSpace, minkowski
 
     assert type(H2) is HyperbolicPlane
     assert type(hd.make_space(hd.Hyperbolic(3))) is HyperbolicSpace
@@ -498,6 +526,21 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkey
         assert H2._lift(spatial) == generic._lift(spatial)
     assert min(branches.values()) >= 3, branches
     assert sum(0.0 < H2.distance(x, y) < 1e-7 for x, y in pairs) >= 5
+
+    # the exponential map at g = 0 (which sphere never passes), past the
+    # radius cap, at a tiny s and on random inputs; at the base point
+    # c_i * g_i can be -0.0, where the generic sum starts from the int 0.
+    # repr tells the bits apart, -0.0 from 0.0 too
+    cap = 0
+    for c, _ in [(H2.base, None)] + pairs[::5]:
+        exp, want = H2.exponential(c), generic.exponential(c)
+        g = sampling.normals(rng, 2)
+        cases = [([0.0, 0.0], 1.0), ([-1.0, -2.0], 0.3), (g, 25.0), (g, 1e-12), (g, 3.0 * rng.random())]
+        for g, s in cases:
+            assert repr(exp(g, s)) == repr(want(g, s))
+            cap += s * math.hypot(*g) >= MAX_HYPERBOLIC_RADIUS
+    assert H2.exponential(H2.base)([0.0, 0.0], 1.0) is H2.base
+    assert cap >= 40
 
     # the same draws, rotations and segment projections with the generic
     # handle as every model lookup's H^2
