@@ -161,9 +161,11 @@ def run_cmd(configs, seed, budget, output_dir):
 
     status = EXIT_OK
     for summary, trace_path in results:
+        # a diverged run's residual is null in its summary
+        residual = summary["final_fixed_residual"]
         click.echo(
             f"{summary['name']}: {summary['status']} after {summary['steps']} steps, "
-            f"final residual {summary['final_fixed_residual']:.3e} -> {trace_path}"
+            f"final residual {'null' if residual is None else f'{residual:.3e}'} -> {trace_path}"
         )
         if summary["status"] != "converged":
             status = EXIT_FAILED

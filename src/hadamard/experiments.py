@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from typing import Callable, Optional
@@ -27,7 +28,8 @@ def execute(
     then stay empty), so the summary is built from the trace's running
     values, ``last`` and ``inner_iterations``.  The summary's ``timings``
     hold ``solve_s`` (the solver's span) and ``certify_s`` in seconds;
-    :func:`run_to_files` adds ``write_s``.
+    :func:`run_to_files` adds ``write_s``.  A number of the summary that is
+    not finite, such as a diverged run's residual, is None (JSON null).
     """
     space = make_space(cfg.space)
     base = Basepoint(cfg.basepoint)
@@ -62,7 +64,18 @@ def execute(
     }
     if cfg.algorithm == "implicit":
         summary["inner_iterations"] = trace.inner_iterations
-    return trace, summary
+    return trace, _finite_or_null(summary)
+
+
+def _finite_or_null(doc):
+    """``doc`` with every float that is not finite replaced by None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_finite_or_null(value) for value in doc]
+    return doc
 
 
 def run_to_files(cfg: serialize.ExperimentConfig) -> tuple[dict, Path]:

@@ -221,7 +221,7 @@ class IterationTrace:
 
     rows: list[TraceRow] = field(default_factory=list)
     final: Optional[Point] = None
-    status: str = "budget"  # "converged" | "budget" | "inner_budget"
+    status: str = "budget"  # "converged" | "budget" | "inner_budget" | "diverged"
     reference: Optional[Point] = None
     last: Optional[TraceRow] = None
     inner_iterations: int = 0
@@ -309,7 +309,9 @@ def _run(
     ``sink``, or is appended to the trace's rows when ``sink`` is None; no
     row is recorded before every check has passed.
     The first status a step reports ends the run; otherwise the first row
-    whose residual falls to ``outer_tol`` ends it as ``"converged"``."""
+    whose residual falls to ``outer_tol`` ends it as ``"converged"``.  A run
+    whose last residual is not finite (its iterates overflowed) ends as
+    ``"diverged"``, whatever ended it."""
     _require_schedule(schedule, algorithm, budget)
     if x0 is not None and not contains(space, cset, x0, MEMBERSHIP_TOL):
         raise ValueError("starting point must belong to the constraint set")
@@ -331,6 +333,8 @@ def _run(
         if status is not None:
             trace.status = status
             break
+    if not math.isfinite(row.fixed_residual):
+        trace.status = "diverged"
     trace.final, trace.last, trace.inner_iterations = x, row, inner
     return trace
 

@@ -418,10 +418,11 @@ class TreeSpace(Space):
     O(n): each vertex's parent, the edge to it, its depth in edges and its
     distance from the root (its height); each vertex's lowest-indexed
     incident edge; each edge's child endpoint (the end farther from the
-    root); and the running sums of the edge lengths.  A distance walks up
-    to the lowest common ancestor, and a geodesic point then climbs from
-    one end until its height is reached, so each costs O(depth): O(log n)
-    on random trees, O(n) on a path-shaped tree.
+    root) and its record ``edge_rec``; and the running sums of the edge
+    lengths.  A distance walks up to the lowest common ancestor, and a
+    geodesic point then climbs from one end until its height is reached, so
+    each costs O(depth): O(log n) on random trees, O(n) on a path-shaped
+    tree.
     """
 
     def __init__(self, desc: WeightedTree):
@@ -472,6 +473,14 @@ class TreeSpace(Space):
         self.depth = depth
         self.root_dist = root_dist
         self.child = child
+        # per edge (child, base, length, down): its child end, the height of
+        # its other end, its length, and whether the child end is the second
+        # endpoint; the point at offset t on it has height base + t when
+        # down, else base + (length - t)
+        self.edge_rec = [
+            (c, root_dist[u if c == v else v], length, c == v)
+            for c, (u, v, length) in zip(child, topo.edges)
+        ]
         self.incident = [min(eid for _, eid in a) for a in adj]
         self.cumulative_length = list(itertools.accumulate(e[2] for e in topo.edges))
         self.total_length = self.cumulative_length[-1]
@@ -486,7 +495,8 @@ class TreeSpace(Space):
         return Point(self.descriptor, (eid, 0.0 if v == u else length))
 
     def canonical(self, p: Point) -> Point:
-        self._check(p)
+        if p.space is not self.descriptor:
+            self._check(p)
         eid, off = p.data
         u, v, length = self.topology.edges[eid]
         if off == 0.0:
@@ -511,21 +521,17 @@ class TreeSpace(Space):
 
     # -- metric
 
-    def _height(self, eid: int, off: float) -> float:
-        """Distance from the root of the point at ``off`` on edge ``eid``."""
-        u, v, length = self.topology.edges[eid]
-        if self.child[eid] == v:
-            return self.root_dist[u] + off
-        return self.root_dist[v] + (length - off)
-
     def _lca(self, x: int, y: int) -> int:
-        """Lowest common ancestor of vertices x and y."""
+        """Lowest common ancestor of vertices x and y: the deeper one first
+        climbs to the other's depth, then both climb together."""
         depth, parent = self.depth, self.parent
+        k = depth[x] - depth[y]
+        if k < 0:
+            x, y, k = y, x, -k
+        for _ in range(k):
+            x = parent[x]
         while x != y:
-            if depth[x] >= depth[y]:
-                x = parent[x]
-            else:
-                y = parent[y]
+            x, y = parent[x], parent[y]
         return x
 
     def _path(self, ea: int, ta: float, eb: int, tb: float) -> tuple[float, float, float, int]:
@@ -533,8 +539,10 @@ class TreeSpace(Space):
         their heights ``ha`` and ``hb``, the height of the path's highest
         point, and the path's top vertex, which no climb along it passes.
         The length of the path is ``ha + hb - 2 * peak``."""
-        ha, hb = self._height(ea, ta), self._height(eb, tb)
-        ca, cb = self.child[ea], self.child[eb]
+        ca, base, length, down = self.edge_rec[ea]
+        ha = base + ta if down else base + (length - ta)
+        cb, base, length, down = self.edge_rec[eb]
+        hb = base + tb if down else base + (length - tb)
         top = self._lca(ca, cb)
         # when b lies below a's edge the path only descends from a, and vice
         # versa; otherwise it climbs to top and descends
@@ -551,7 +559,13 @@ class TreeSpace(Space):
         eb, tb = b.data
         if ea == eb:
             return abs(ta - tb)
-        ha, hb, peak, _ = self._path(ea, ta, eb, tb)
+        # _path's heights and peak, without the top vertex it also returns
+        ca, base, length, down = self.edge_rec[ea]
+        ha = base + ta if down else base + (length - ta)
+        cb, base, length, down = self.edge_rec[eb]
+        hb = base + tb if down else base + (length - tb)
+        top = self._lca(ca, cb)
+        peak = ha if top == ca else hb if top == cb else self.root_dist[top]
         return ha + hb - 2.0 * peak
 
     def _climb(self, eid: int, h: float, top: int) -> Point:
@@ -563,8 +577,8 @@ class TreeSpace(Space):
         while parent[v] != top and h < root_dist[parent[v]]:
             v = parent[v]
         eid = self.parent_edge[v]
-        u, w, length = self.topology.edges[eid]
-        off = h - root_dist[u] if w == v else length - (h - root_dist[w])
+        _, base, length, down = self.edge_rec[eid]
+        off = h - base if down else length - (h - base)
         return self.canonical(Point(self.descriptor, (eid, min(length, max(0.0, off)))))
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:

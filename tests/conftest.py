@@ -23,20 +23,23 @@ CATERPILLAR = hd.TreeTopology(
 )
 
 
-def shuffled_random_tree(n_edges, seed):
-    """``random_tree_topology(n_edges, seed)`` with its vertices relabeled and
-    about half of its edges written child end first, so a handle's root
-    (vertex 0) is not the generator's first vertex and both edge
-    orientations occur."""
-    topo = random_tree_topology(n_edges, seed)
+def shuffled_tree(topo, seed):
+    """``topo`` with its vertices relabeled and about half of its edges
+    written the other way round, so a handle's root (vertex 0) is not the
+    first vertex of ``topo`` and both edge orientations occur."""
     rng = np.random.default_rng(seed)
     label = [int(i) for i in rng.permutation(topo.vertex_count)]
-    flip = rng.random(n_edges) < 0.5
+    flip = rng.random(len(topo.edges)) < 0.5
     edges = tuple(
         (label[v], label[u], length) if f else (label[u], label[v], length)
         for (u, v, length), f in zip(topo.edges, flip)
     )
     return hd.TreeTopology(topo.vertex_count, edges)
+
+
+def shuffled_random_tree(n_edges, seed):
+    """``random_tree_topology(n_edges, seed)``, shuffled by ``shuffled_tree``."""
+    return shuffled_tree(random_tree_topology(n_edges, seed), seed)
 
 
 class OffsetMetric(hd.CorruptedSpace):

@@ -75,6 +75,29 @@ def test_run_budget_exhausted_exit_one(runner, tmp_path):
     assert (tmp_path / "segment-implicit.trace.csv").exists()  # partial outputs
 
 
+def test_run_whose_iterates_overflow_ends_diverged(runner, tmp_path):
+    # the last residual is nan: the run ends as a status with exit 1, and
+    # the summary stays strict JSON with null for each non-finite number
+    doc = json.loads((CONFIG_DIR / "segment_explicit.json").read_text())
+    doc.update(budget=5, mapping={"type": "translation", "vector": [1e308, 0.0]}, convex_set={"type": "whole"})
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "diverged after 5 steps, final residual null" in result.output
+    summary = json.loads(
+        (tmp_path / "segment-explicit.summary.json").read_text(),
+        parse_constant=lambda name: pytest.fail(f"summary holds {name}"),
+    )
+    assert summary["status"] == "diverged"
+    assert summary["final_fixed_residual"] is None
+    assert None in summary["final_point"]["coords"]
+    rows = (tmp_path / "segment-explicit.trace.csv").read_text().splitlines()
+    assert rows[-1].startswith("5,nan,")
+
+
 def test_run_rerun_is_byte_identical(runner, tmp_path):
     cfg = write_config(tmp_path, budget=80)
     for sub in ("one", "two"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree
+from conftest import CATERPILLAR, ept, hpt_polar, shuffled_random_tree, shuffled_tree
 import oracles
 
 
@@ -243,6 +243,147 @@ def test_tree_geodesic_never_climbs_past_the_root():
     assert tree.geodesic_point(x, y, 1.0 - a / (a + b)) == tree.vertex_point(0)
 
 
+class _ReferenceTree:
+    """The tree kernels as they stood before the per-edge record: heights
+    from the edge's endpoints and ``child``, and an LCA walk that compares
+    depths at every step.  They read only a handle's rooted-tree lists, so
+    the handle's own kernels must give the same floats and points."""
+
+    def __init__(self, tree):
+        self.t = tree
+
+    def _height(self, eid, off):
+        u, v, length = self.t.topology.edges[eid]
+        if self.t.child[eid] == v:
+            return self.t.root_dist[u] + off
+        return self.t.root_dist[v] + (length - off)
+
+    def _lca(self, x, y):
+        depth, parent = self.t.depth, self.t.parent
+        while x != y:
+            if depth[x] >= depth[y]:
+                x = parent[x]
+            else:
+                y = parent[y]
+        return x
+
+    def _path(self, ea, ta, eb, tb):
+        ha, hb = self._height(ea, ta), self._height(eb, tb)
+        ca, cb = self.t.child[ea], self.t.child[eb]
+        top = self._lca(ca, cb)
+        if top == ca:
+            return ha, hb, ha, self.t.parent[ca]
+        if top == cb:
+            return ha, hb, hb, self.t.parent[cb]
+        return ha, hb, self.t.root_dist[top], top
+
+    def distance(self, a, b):
+        ea, ta = a.data
+        eb, tb = b.data
+        if ea == eb:
+            return abs(ta - tb)
+        ha, hb, peak, _ = self._path(ea, ta, eb, tb)
+        return ha + hb - 2.0 * peak
+
+    def _climb(self, eid, h, top):
+        parent, root_dist = self.t.parent, self.t.root_dist
+        v = self.t.child[eid]
+        while parent[v] != top and h < root_dist[parent[v]]:
+            v = parent[v]
+        eid = self.t.parent_edge[v]
+        u, w, length = self.t.topology.edges[eid]
+        off = h - root_dist[u] if w == v else length - (h - root_dist[w])
+        return self.t.canonical(hd.Point(self.t.descriptor, (eid, min(length, max(0.0, off)))))
+
+    def geodesic_point(self, x, y, lam):
+        if lam == 1.0:
+            return self.t.canonical(x)
+        if lam == 0.0:
+            return self.t.canonical(y)
+        ex, tx = x.data
+        ey, ty = y.data
+        if ex == ey:
+            return self.t.canonical(hd.Point(self.t.descriptor, (ex, tx + (ty - tx) * (1.0 - lam))))
+        hx, hy, peak, top = self._path(ex, tx, ey, ty)
+        d = hx + hy - 2.0 * peak
+        t = (1.0 - lam) * d
+        if t <= hx - peak:
+            return self._climb(ex, hx - t, top)
+        return self._climb(ey, hy - (d - t), top)
+
+
+def _kernel_trees():
+    rng = np.random.default_rng(30)
+    path = [(i, i + 1, 0.5 + 1.5 * float(rng.random())) for i in range(5000)]
+    star = [(0, k, 0.5 + 1.5 * float(rng.random())) for k in range(1, 60)]
+    trees = [
+        pytest.param(shuffled_random_tree(n, seed), id=f"random-{n}-{seed}")
+        for n, seed in ((200, 0), (200, 1), (200, 5), (2000, 1), (2000, 5))
+    ]
+    return trees + [
+        pytest.param(shuffled_tree(hd.TreeTopology(5001, tuple(path)), 31), id="path-5000"),
+        pytest.param(shuffled_tree(hd.TreeTopology(60, tuple(star)), 32), id="star-59"),
+    ]
+
+
+@pytest.mark.parametrize("topo", _kernel_trees())
+def test_tree_kernels_match_the_depth_compare_walk_bit_for_bit(topo):
+    # each float is compared by repr, which tells every bit apart, -0.0
+    # from 0.0 too (a point's own repr would spell out the whole tree)
+    tree = hd.make_space(hd.WeightedTree(topo))
+    ref = _ReferenceTree(tree)
+    rng = np.random.default_rng(len(topo.edges))
+    n_edges = len(topo.edges)
+
+    def point(eid):
+        return hd.Point(tree.descriptor, (eid, topo.edges[eid][2] * float(rng.random())))
+
+    def ends(eid):
+        # the edge's two vertices at offsets 0 and length, as given
+        return [hd.Point(tree.descriptor, (eid, 0.0)), hd.Point(tree.descriptor, (eid, topo.edges[eid][2]))]
+
+    def ancestor_edge(eid):
+        chain, v = [], tree.parent[tree.child[eid]]
+        while v != 0:
+            chain.append(tree.parent_edge[v])
+            v = tree.parent[v]
+        return chain[int(rng.integers(len(chain)))] if chain else None
+
+    pairs = []
+    for _ in range(150 if n_edges > 2000 else 300):
+        a, b = int(rng.integers(n_edges)), int(rng.integers(n_edges))
+        pairs.append((point(a), point(b)))
+        pairs.append((point(a), point(a)))
+        up = ancestor_edge(a)
+        if up is not None:
+            pairs += [(point(a), point(up)), (point(up), point(a))]
+        pairs += [(p, q) for p in ends(a) for q in ends(b) + [point(b)]]
+        v = int(rng.integers(topo.vertex_count))
+        pairs += [(tree.vertex_point(v), point(b)), (point(a), tree.vertex_point(0))]
+
+    shapes = {"same edge": 0, "climb": 0, "descend": 0, "turn": 0}
+    for x, y in pairs:
+        if x.data[0] == y.data[0]:
+            shapes["same edge"] += 1
+            continue
+        cx, cy = tree.child[x.data[0]], tree.child[y.data[0]]
+        top = ref._lca(cx, cy)
+        assert tree._lca(cx, cy) == top and tree._lca(cy, cx) == top
+        shapes["descend" if top == cx else "climb" if top == cy else "turn"] += 1
+    assert min(shapes.values()) >= 20, shapes
+
+    for x, y in pairs:
+        d = tree.distance(x, y)
+        assert repr(d) == repr(ref.distance(x, y))
+        lams = [0.0, 1.0, float(rng.random())]
+        if x.data[0] != y.data[0] and d > 0.0:
+            hx, _, peak, _ = ref._path(*x.data, *y.data)
+            lams.append(min(1.0, max(0.0, 1.0 - (hx - peak) / d)))  # the path's top
+        for lam in lams:
+            z, want = tree.geodesic_point(x, y, lam), ref.geodesic_point(x, y, lam)
+            assert z.space is want.space and repr(z.data) == repr(want.data)
+
+
 def test_tree_vertex_points_are_canonical(tree):
     # any (edge, endpoint) description of a vertex collapses to one encoding
     v3 = tree.vertex_point(3)
@@ -377,6 +518,10 @@ def test_equal_descriptor_copy_takes_the_checked_path(E2, H2, tree, prod):
         assert space.distance(x, ry) == space.distance(x, y)
         assert space.geodesic_point(rx, ry, 0.3) == space.geodesic_point(x, y, 0.3)
         assert space.geodesic_point(x, ry, 0.3) == space.geodesic_point(x, y, 0.3)
+    # canonical too checks only a point tagged with another descriptor object
+    for p in (hd.tree_point(tree, 1, 0.7), hd.tree_point(tree, 2, 0.5), hd.Point(tree.descriptor, (3, 0.0))):
+        rp = _retag(p)
+        assert rp.space is not tree.descriptor and tree.canonical(rp) == tree.canonical(p)
 
 
 def test_foreign_point_rejected_in_every_family(E2, E3, H2, tree, prod):
@@ -390,6 +535,9 @@ def test_foreign_point_rejected_in_every_family(E2, E3, H2, tree, prod):
         ):
             with pytest.raises(hd.SpaceMismatchError):
                 call()
+    for p in (foreign, hd.Point(E2.descriptor, (1, 0.5))):
+        with pytest.raises(hd.SpaceMismatchError):
+            tree.canonical(p)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, -math.inf, math.nan])
