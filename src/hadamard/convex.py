@@ -18,6 +18,7 @@ defaults here are tuned for displacements of order 1e-2 on unit-scale sets.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -136,7 +137,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
         bd = b.data
 
         def affine(x: Point) -> tuple[float, Point, int]:
-            lam = sum((xi - bi) * wi for xi, bi, wi in zip(x.data, bd, w)) / ww
+            lam = sum(map(operator.mul, map(operator.sub, x.data, bd), w)) / ww
             lam = min(1.0, max(0.0, lam))
             return lam, space.geodesic_point(a, b, lam), 0
 
@@ -308,15 +309,15 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
     w = tuple(n / nn for n in normal)
 
     def contains(p: Point, tol: float) -> bool:
-        return sum(n * c for n, c in zip(normal, p.data)) >= offset - tol
+        return sum(map(operator.mul, normal, p.data)) >= offset - tol
 
     def project(x: Point) -> tuple[Point, int]:
-        t = offset - sum(n * c for n, c in zip(normal, x.data))
+        t = offset - sum(map(operator.mul, normal, x.data))
         return (x if t <= 0.0 else Point(desc, tuple([c + t * wi for c, wi in zip(x.data, w)]))), 0
 
     def probes(u: Point, count: int, rng) -> list[Point]:
         # Gaussian steps from u, projected back onto the half-space
-        spread = 1.0 + abs(offset) + math.sqrt(sum(c * c for c in u.data))
+        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, u.data, u.data)))
         steps = (normals(rng, desc.dim) for _ in range(count))
         return [project(Point(desc, tuple([c + spread * g for c, g in zip(u.data, step)])))[0] for step in steps]
 

@@ -105,10 +105,7 @@ def _exponential(model: Space, c: Point):
     ``dim``.  None for a space with a tree factor, which has no tangent
     space."""
     desc = model.descriptor
-    if isinstance(desc, Euclidean):
-        cd = c.data
-        return desc.dim, lambda g, s: Point(desc, tuple([ci + s * gi for ci, gi in zip(cd, g)]))
-    if isinstance(desc, Hyperbolic):
+    if isinstance(desc, (Euclidean, Hyperbolic)):
         return desc.dim, model.exponential(c)
     if isinstance(desc, Product):
         left = _exponential(model.left, c.data[0])

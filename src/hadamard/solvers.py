@@ -276,7 +276,8 @@ def implicit_step(
     The update map is a contraction with factor (1 - anchor_weight), so the
     a-posteriori bound d(x_{k+1}, x*) <= d(x_{k+1}, x_k)*(1-a)/a is
     available; the loop exits with x = x_{k+1} once that bound drops below
-    ``inner_tol``, and returns the bound.
+    ``inner_tol``, or is nan because the iterates overflowed, and returns
+    the bound.
 
     ``cset`` is a set descriptor, compiled here once per call, or a closure
     from :func:`compile_set`, as ``mapping`` is one from ``compile_mapping``.
@@ -292,7 +293,8 @@ def implicit_step(
         nxt = project(space.geodesic_point(u, mapping(x), anchor_weight))[0]
         gap = space.distance(nxt, x) * factor
         x = nxt
-        if gap <= inner_tol:
+        # a nan gap (the iterates overflowed) exits too, and is returned
+        if not gap > inner_tol:
             return x, it, gap
     raise InnerBudgetError(best=x, iterations=max_inner, gap=gap)
 
@@ -361,6 +363,9 @@ def run_implicit(
     status ``"inner_budget"`` once an inner solve runs out of its
     ``max_inner`` iterations; the best inner iterate is then the last row.
 
+    A step whose inner bound is nan (its iterates overflowed) ends the run
+    on its row with status ``"diverged"``.
+
     Step m solves its inner equation to ``max(inner_tol, a_m * outer_tol)``.
     The inner fixed point depends only on (a_m, u_m), so inner errors that
     vanish with a_m do not accumulate (inexact proximal point, Rockafellar
@@ -384,6 +389,8 @@ def run_implicit(
             except InnerBudgetError as err:
                 # the best inner iterate becomes the last row
                 x, iterations, bound, status = err.best, err.iterations, err.gap, "inner_budget"
+            if math.isnan(bound):
+                status = "diverged"
             row = TraceRow(
                 n=m, fixed_residual=space.distance(x, T(x)), step=space.distance(x, prev),
                 inner_iterations=iterations, inner_bound=bound,

@@ -205,6 +205,12 @@ class EuclideanSpace(Space):
         mu = 1.0 - lam
         return Point(self.descriptor, tuple([lam * a + mu * b for a, b in zip(xd, yd)]))
 
+    def exponential(self, c: Point):
+        """``exp(g, s)``: the point c + s*g, the exponential map at c of the
+        tangent vector s*g in the standard frame."""
+        cd, desc = c.data, self.descriptor
+        return lambda g, s: Point(desc, tuple([ci + s * gi for ci, gi in zip(cd, g)]))
+
     def point_violations(self, p: Point) -> list[str]:
         out = []
         if len(p.data) != self.dim:
@@ -213,6 +219,36 @@ class EuclideanSpace(Space):
         if not all(math.isfinite(c) for c in p.data):
             out.append("non-finite coordinate")
         return out
+
+
+class EuclideanPlane(EuclideanSpace):
+    """E^2: the kernels of :class:`EuclideanSpace` written out over two
+    coordinates.  Every floating-point operation is the parent's, in the
+    parent's order, so every result is the same to the bit; only the
+    comprehension, which runs in a frame of its own, is gone.  ``distance``
+    stays ``math.dist``, and ``_geodesic`` stays the base class's call of
+    ``geodesic_point``.  A class for the reason given at
+    :class:`HyperbolicPlane`."""
+
+    def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
+        if x.space is not self.descriptor or y.space is not self.descriptor:
+            self._check(x, y)
+        if not 0.0 <= lam <= 1.0:
+            self._check_lambda(lam)
+        x1, x2 = x.data
+        y1, y2 = y.data
+        mu = 1.0 - lam
+        return Point(self.descriptor, (lam * x1 + mu * y1, lam * x2 + mu * y2))
+
+    def exponential(self, c: Point):
+        c1, c2 = c.data
+        desc = self.descriptor
+
+        def exp(g, s):
+            g1, g2 = g
+            return Point(desc, (c1 + s * g1, c2 + s * g2))
+
+        return exp
 
 
 def minkowski(a, b) -> float:
@@ -658,7 +694,7 @@ class ProductSpace(Space):
 def make_space(desc: SpaceDescriptor) -> Space:
     """Build (and cache) the validated handle for a space descriptor."""
     if isinstance(desc, Euclidean):
-        return EuclideanSpace(desc)
+        return EuclideanPlane(desc) if desc.dim == 2 else EuclideanSpace(desc)
     if isinstance(desc, Hyperbolic):
         return HyperbolicPlane(desc) if desc.dim == 2 else HyperbolicSpace(desc)
     if isinstance(desc, WeightedTree):

@@ -98,6 +98,29 @@ def test_run_whose_iterates_overflow_ends_diverged(runner, tmp_path):
     assert rows[-1].startswith("5,nan,")
 
 
+def test_implicit_run_whose_iterates_overflow_ends_diverged(runner, tmp_path):
+    # the inner loop leaves on its first nan gap instead of spending all of
+    # max_inner, and the run ends on that row
+    cfg = write_config(
+        tmp_path, budget=3, max_inner=100_000, convex_set={"type": "whole"},
+        mapping={"type": "translation", "vector": [1e308, 0.0]},
+    )
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "Traceback" not in result.output
+    assert "diverged after 1 steps, final residual null" in result.output
+    summary = json.loads(
+        (tmp_path / "segment-implicit.summary.json").read_text(),
+        parse_constant=lambda name: pytest.fail(f"summary holds {name}"),
+    )
+    assert summary["status"] == "diverged" and summary["steps"] == 1
+    assert summary["inner_iterations"] < 10
+    rows = (tmp_path / "segment-implicit.trace.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("1,nan,")
+    iterations, bound = rows[1].split(",")[-2:]
+    assert int(iterations) < 10 and bound == "nan"
+
+
 def test_run_rerun_is_byte_identical(runner, tmp_path):
     cfg = write_config(tmp_path, budget=80)
     for sub in ("one", "two"):

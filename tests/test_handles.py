@@ -14,7 +14,9 @@ import pytest
 import hadamard as hd
 from conftest import Forwarding, hpt_polar, shuffled_random_tree
 
-HANDLE_CLASSES = {"EuclideanSpace", "HyperbolicSpace", "HyperbolicPlane", "TreeSpace", "ProductSpace"}
+HANDLE_CLASSES = {
+    "EuclideanSpace", "EuclideanPlane", "HyperbolicSpace", "HyperbolicPlane", "TreeSpace", "ProductSpace",
+}
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +32,7 @@ def _implicit(space, C, T, sched, base, x0, ref):
     return hd.run_implicit(space, C, T, sched, base, budget=4, seed=1, max_inner=500, reference=ref)
 
 
-@pytest.mark.parametrize("family", ["E2", "H2", "shuffled_tree", "prod"])
+@pytest.mark.parametrize("family", ["E2", "E3", "H2", "shuffled_tree", "prod"])
 def test_forwarding_handle_gives_the_model_bits(request, family):
     model = request.getfixturevalue(family)
     wrapped = Forwarding(model)
@@ -58,6 +60,8 @@ def test_forwarding_handle_gives_the_model_bits(request, family):
         sets = [hd.Subtree(frozenset({v, model.parent[v], model.parent[model.parent[v]]}))]
     elif family == "E2":
         sets = [hd.HalfSpace((1.0, 2.0), 0.5)]
+    elif family == "E3":
+        sets = [hd.HalfSpace((1.0, 2.0, -0.5), 0.5)]
     else:
         sets = []
     for cset in sets:
@@ -65,6 +69,15 @@ def test_forwarding_handle_gives_the_model_bits(request, family):
         same(lambda s: hd.probe_points(s, cset, hd.project_point(s, cset, x)[0], 40, seed=4))
     if family in ("E2", "H2"):
         same(lambda s: hd.compile_mapping(s, hd.Rotation(a, 0.7))(x))
+
+
+def test_make_space_writes_out_only_the_euclidean_plane():
+    # E^2 gets written-out kernels; the E3 family above keeps the generic
+    # n-dimensional handle under test
+    from hadamard.spaces import EuclideanPlane, EuclideanSpace
+
+    assert type(hd.make_space(hd.Euclidean(2))) is EuclideanPlane
+    assert type(hd.make_space(hd.Euclidean(3))) is EuclideanSpace
 
 
 def test_explicit_run_on_a_corrupted_handle_ends_in_a_status(H2):

@@ -706,3 +706,61 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkey
     for module in (convex, mappings, sampling):
         monkeypatch.setattr(module, "make_space", lambda desc: generic)
     assert build(generic) == want
+
+
+def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeypatch):
+    # make_space gives E^2 its written-out kernels; the generic n-dimensional
+    # handle, built directly, must give the same floats and points.  repr
+    # tells the bits apart, -0.0 from 0.0 too
+    from hadamard import convex, sampling
+    from hadamard.spaces import EuclideanPlane, EuclideanSpace
+
+    assert type(E2) is EuclideanPlane
+    generic = EuclideanSpace(hd.Euclidean(2))
+    rng = hd.stream(23, 1)
+    draw = hd.sampler(E2)
+    # signed zeros, subnormals and coordinates near 1e300, where a sum can
+    # overflow and the rounding of each term shows
+    special = (0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1.7e300, 3.25)
+    edge = [hd.Point(E2.descriptor, (a, b)) for a in special for b in special]
+    pts = edge + [draw(rng) for _ in range(60)]
+    pairs = list(zip(pts, pts[::-1])) + list(zip(pts, pts[1:] + pts[:1])) + [(x, x) for x in edge]
+
+    for x, y in pairs:
+        for lam in (0.0, 1.0, rng.random()):
+            assert repr(E2.geodesic_point(x, y, lam)) == repr(generic.geodesic_point(x, y, lam))
+            assert repr(E2._geodesic(x, y, lam, 0.0)) == repr(generic._geodesic(x, y, lam, 0.0))
+        exp, want = E2.exponential(x), generic.exponential(x)
+        for g, s in [((0.0, -0.0), 2.0), ((-0.0, -0.0), 0.0), (sampling.normals(rng, 2), rng.random()),
+                     ((1e300, -3.0), 1e10), ((5e-324, 1.0), 1e-300)]:
+            assert repr(exp(g, s)) == repr(want(g, s))
+
+    # the affine segment projection is the generator sum's lam, clamped,
+    # and the generic geodesic point there
+    for (a, b), x in zip(pairs[::3], pts[5:]):
+        w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
+        ww = sum(wi * wi for wi in w)
+        if ww == 0.0 or not math.isfinite(ww):
+            continue
+        lam = sum((xi - bi) * wi for xi, bi, wi in zip(x.data, b.data, w)) / ww
+        lam = min(1.0, max(0.0, lam))
+        assert repr(hd.project_segment(E2, a, b, x)) == repr((lam, generic.geodesic_point(a, b, lam), 0))
+
+    # the same draws and probes with the generic handle as every model
+    # lookup's E^2
+    def build(space):
+        seeded = hd.stream(24, 1)
+        draws = []
+        for x, y in pairs[::7]:
+            at, ball = hd.sphere(space, x), sampling.ball_sampler(space, x, 1.5)
+            draws += [at(seeded, t) for t in (0.0, 1e-300, 0.7, 1e10)]
+            draws += [ball(seeded) for _ in range(3)]
+            for cset in (hd.Ball(x, 2.0), hd.Segment(x, y), hd.WholeSpace()):
+                draws += hd.probe_points(space, cset, x, 20, seed=4)
+            draws.append(hd.project_segment(space, x, y, pairs[0][0]))
+        return repr(draws)
+
+    want = build(E2)
+    for module in (convex, sampling):
+        monkeypatch.setattr(module, "make_space", lambda desc: generic)
+    assert build(generic) == want
