@@ -310,10 +310,10 @@ def _run(
     ``at`` and ``rng`` feed :func:`_perturbation_point`.  Each row goes to
     ``sink``, or is appended to the trace's rows when ``sink`` is None; no
     row is recorded before every check has passed.
-    The first status a step reports ends the run; otherwise the first row
-    whose residual falls to ``outer_tol`` ends it as ``"converged"``.  A run
-    whose last residual is not finite (its iterates overflowed) ends as
-    ``"diverged"``, whatever ended it."""
+    One stop rule serves both schemes.  The first row whose residual is not
+    finite (its iterates overflowed) ends the run as ``"diverged"``;
+    otherwise the first status a step reports ends it; otherwise the first
+    row whose residual falls to ``outer_tol`` ends it as ``"converged"``."""
     _require_schedule(schedule, algorithm, budget)
     if x0 is not None and not contains(space, cset, x0, MEMBERSHIP_TOL):
         raise ValueError("starting point must belong to the constraint set")
@@ -330,13 +330,14 @@ def _run(
     for row, x, status in steps(T, P, at, rng):
         sink(measure(row, x))
         inner += row.inner_iterations or 0
-        if status is None and row.fixed_residual <= outer_tol:
+        # true for nan and for inf
+        if not row.fixed_residual < math.inf:
+            status = "diverged"
+        elif status is None and row.fixed_residual <= outer_tol:
             status = "converged"
         if status is not None:
             trace.status = status
             break
-    if not math.isfinite(row.fixed_residual):
-        trace.status = "diverged"
     trace.final, trace.last, trace.inner_iterations = x, row, inner
     return trace
 
@@ -358,13 +359,12 @@ def run_implicit(
 ) -> IterationTrace:
     """Outer loop of the implicit scheme, steps m = 1..budget, warm-started.
 
-    Rejects schedules that fail :func:`validate_schedules`.  Stops early
-    once the fixed-point residual d(x, Tx) falls to ``outer_tol``, or with
-    status ``"inner_budget"`` once an inner solve runs out of its
-    ``max_inner`` iterations; the best inner iterate is then the last row.
-
-    A step whose inner bound is nan (its iterates overflowed) ends the run
-    on its row with status ``"diverged"``.
+    Rejects schedules that fail :func:`validate_schedules`.  Stops by the
+    rule of :func:`_run`: as ``"diverged"`` on the first row whose residual
+    d(x, Tx) is not finite, else as ``"inner_budget"`` once an inner solve
+    runs out of its ``max_inner`` iterations (the best inner iterate is then
+    the last row), else as ``"converged"`` once the residual falls to
+    ``outer_tol``.
 
     Step m solves its inner equation to ``max(inner_tol, a_m * outer_tol)``.
     The inner fixed point depends only on (a_m, u_m), so inner errors that
@@ -389,8 +389,6 @@ def run_implicit(
             except InnerBudgetError as err:
                 # the best inner iterate becomes the last row
                 x, iterations, bound, status = err.best, err.iterations, err.gap, "inner_budget"
-            if math.isnan(bound):
-                status = "diverged"
             row = TraceRow(
                 n=m, fixed_residual=space.distance(x, T(x)), step=space.distance(x, prev),
                 inner_iterations=iterations, inner_bound=bound,
@@ -422,8 +420,10 @@ def run_explicit(
     geodesic averaging with the previous iterate.  The starting point must be
     a member of the set; schedules must pass :func:`validate_schedules`.
     Row n records iterate x_n; a run that uses up its budget closes with a
-    row for x_budget.  Rows go to ``sink`` when one is given, and
-    ``trace.rows`` stays empty.
+    row for x_budget.  Stops by the rule of :func:`_run`: as ``"diverged"``
+    on the first row whose residual d(x_n, Tx_n) is not finite, else as
+    ``"converged"`` once it falls to ``outer_tol``.  Rows go to ``sink``
+    when one is given, and ``trace.rows`` stays empty.
     """
 
     def steps(T, P, at, rng):

@@ -37,6 +37,11 @@ def test_parse_space_spec_kinds():
     assert rnd.n == 11
     prod = parse_space_spec("product:(euclidean:2,hyperbolic:2)")
     assert prod.descriptor == hd.Product(hd.Euclidean(2), hd.Hyperbolic(2))
+    # a comma inside a nested product's parentheses does not split the outer one
+    nested = parse_space_spec("product:(product:(euclidean:2,hyperbolic:2),tree-star:3)")
+    assert nested.descriptor == hd.Product(prod.descriptor, parse_space_spec("tree-star:3").descriptor)
+    nested = parse_space_spec("product:(euclidean:1,product:(hyperbolic:2,euclidean:1))")
+    assert nested.descriptor == hd.Product(hd.Euclidean(1), hd.Product(hd.Hyperbolic(2), hd.Euclidean(1)))
     with pytest.raises(hd.InvalidSpaceError):
         parse_space_spec("banach:2")
     # the size cap admits its own value
@@ -76,26 +81,26 @@ def test_run_budget_exhausted_exit_one(runner, tmp_path):
 
 
 def test_run_whose_iterates_overflow_ends_diverged(runner, tmp_path):
-    # the last residual is nan: the run ends as a status with exit 1, and
-    # the summary stays strict JSON with null for each non-finite number
+    # at the shipped budget of 50,000 the run ends on its first row whose
+    # residual is not finite, as a status with exit 1, and the summary
+    # stays strict JSON with null for each non-finite number
     doc = json.loads((CONFIG_DIR / "segment_explicit.json").read_text())
-    doc.update(budget=5, mapping={"type": "translation", "vector": [1e308, 0.0]}, convex_set={"type": "whole"})
+    doc.update(mapping={"type": "translation", "vector": [1e308, 0.0]}, convex_set={"type": "whole"})
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps(doc))
     result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    assert "diverged after 5 steps, final residual null" in result.output
+    assert "diverged after 4 steps, final residual null" in result.output
     summary = json.loads(
         (tmp_path / "segment-explicit.summary.json").read_text(),
         parse_constant=lambda name: pytest.fail(f"summary holds {name}"),
     )
     assert summary["status"] == "diverged"
     assert summary["final_fixed_residual"] is None
-    assert None in summary["final_point"]["coords"]
     rows = (tmp_path / "segment-explicit.trace.csv").read_text().splitlines()
-    assert rows[-1].startswith("5,nan,")
+    assert len(rows) == 6 and rows[-1].startswith("4,inf,")
 
 
 def test_implicit_run_whose_iterates_overflow_ends_diverged(runner, tmp_path):

@@ -44,6 +44,9 @@ def test_set_space_compatibility_enforced(E2, H2, tree):
     with pytest.raises(IncompatibleSetError):
         # vertices 0 and 4 are not adjacent in the caterpillar
         hd.project_point(tree, hd.Subtree(frozenset({0, 4})), hd.tree_point(tree, 0, 0.5))
+    for vertices, message in ((frozenset(), "empty"), (frozenset({0, 99}), "out of range")):
+        with pytest.raises(IncompatibleSetError, match=message):
+            hd.project_point(tree, hd.Subtree(vertices), hd.tree_point(tree, 0, 0.5))
     # a ball radius and a half-space offset must be finite
     for space, center in ((E2, ept(E2, 0.0, 0.0)), (H2, H2.base)):
         for radius in (math.nan, math.inf, -math.inf):

@@ -187,6 +187,14 @@ def test_only_the_driver_records_a_run():
     }
     assert writers == {"_run"}
 
+    # one stop rule: only `_run` names the status "diverged" (a docstring
+    # that mentions it is a longer constant and does not count)
+    def diverged(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Constant) and n.value == "diverged"]
+
+    run = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_run")
+    assert len(diverged(tree)) == len(diverged(run)) > 0
+
 
 @pytest.mark.parametrize("algorithm", ["implicit", "explicit"])
 def test_a_sink_takes_every_row_and_the_trace_keeps_running_values(E2, algorithm):
