@@ -70,8 +70,10 @@ def parse_space_spec(spec: str):
 
     Accepts ``euclidean:N``, ``hyperbolic:N``, ``tree-star:RAYS:LENGTH``,
     ``tree-random:EDGES:SEED``, ``product:(A,B)`` of two specs other than
-    ``corrupted-demo``, and ``corrupted-demo``.  N, RAYS and EDGES are at
-    most ``MAX_SPEC_SIZE``.
+    ``corrupted-demo``, and ``corrupted-demo``.  N, RAYS and EDGES are
+    positive integers at most ``MAX_SPEC_SIZE``, LENGTH (1 by default) is a
+    positive finite number and SEED (0 by default) a non-negative integer;
+    an ``InvalidSpaceError`` names the field at fault and the spec.
     """
     spec = spec.strip()
     if spec == "corrupted-demo":
@@ -96,23 +98,37 @@ def parse_space_spec(spec: str):
         raise InvalidSpaceError(f"cannot split product spec {spec!r}")
     parts = spec.split(":")
     kind = parts[0]
-    most = {"euclidean": 2, "hyperbolic": 2, "tree-star": 3, "tree-random": 3}.get(kind)
-    if most is None:
+    names = {"euclidean": ("N",), "hyperbolic": ("N",), "tree-star": ("RAYS", "LENGTH"),
+             "tree-random": ("EDGES", "SEED")}.get(kind)
+    if names is None:
         raise InvalidSpaceError(f"unknown space spec {spec!r}")
-    if len(parts) > most:
+    if len(parts) > len(names) + 1:
         raise InvalidSpaceError(f"too many fields in space spec {spec!r}")
-    size = int(parts[1])
+    if len(parts) < 2:
+        raise InvalidSpaceError(f"{names[0]} missing from space spec {spec!r}")
+
+    def field(i: int, parse, ok, want: str):
+        # field i of the spec, parsed, or an error naming the field and the spec
+        try:
+            value = parse(parts[i])
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise InvalidSpaceError(f"{names[i - 1]} in space spec {spec!r} must be {want}, got {parts[i]!r}")
+        return value
+
+    size = field(1, int, lambda n: n >= 1, "a positive integer")
     if size > MAX_SPEC_SIZE:
-        raise InvalidSpaceError(f"{size} in space spec {spec!r} is above the limit {MAX_SPEC_SIZE}")
+        raise InvalidSpaceError(f"{names[0]} = {size} in space spec {spec!r} is above the limit {MAX_SPEC_SIZE}")
     if kind == "euclidean":
         return make_space(Euclidean(size))
     if kind == "hyperbolic":
         return make_space(Hyperbolic(size))
     if kind == "tree-star":
-        length = float(parts[2]) if len(parts) > 2 else 1.0
+        length = field(2, float, lambda x: 0.0 < x < math.inf, "a positive finite number") if len(parts) > 2 else 1.0
         edges = tuple((0, i + 1, length) for i in range(size))
         return make_space(WeightedTree(TreeTopology(size + 1, edges)))
-    seed = int(parts[2]) if len(parts) > 2 else 0
+    seed = field(2, int, lambda n: n >= 0, "a non-negative integer") if len(parts) > 2 else 0
     return make_space(WeightedTree(random_tree_topology(size, seed)))
 
 
@@ -186,7 +202,7 @@ def verify_cmd(space_spec, trials, eps, seed, radius):
     """Run the metric/geodesic property harness over one space."""
     try:
         space = parse_space_spec(space_spec)
-    except (InvalidSpaceError, ValueError, IndexError) as exc:
+    except ValueError as exc:
         click.echo(f"error: --space: invalid space spec: {exc}", err=True)
         sys.exit(EXIT_BAD_CONFIG)
     try:

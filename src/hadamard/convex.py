@@ -153,6 +153,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
         v = tuple((ai - cd * bi) / sd for ai, bi in zip(a.data, b.data))
         bd = b.data
         minkowski = make_space(space.descriptor).minkowski
+        at = space.geodesic(a, b)
 
         def hyperbolic(x: Point) -> tuple[float, Point, int]:
             A = -minkowski(x.data, bd)
@@ -162,7 +163,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
             else:
                 t = min(d, max(0.0, math.atanh(-B / A)))
             lam = t / d
-            return lam, space._geodesic(a, b, lam, d), 0
+            return lam, at(lam), 0
 
         return hyperbolic
 
@@ -253,10 +254,11 @@ def _segment(space: Space, cset: Segment) -> _Kind:
         return space.distance(a, p) + space.distance(p, b) <= dab + tol
 
     def probes(u: Point, count: int, rng) -> list[Point]:
+        at = space.geodesic(a, b)
         grid = max(2, count // 2)
-        pts = [space.geodesic_point(a, b, i / (grid - 1)) for i in range(grid)]
+        pts = [at(i / (grid - 1)) for i in range(grid)]
         while len(pts) < count:
-            pts.append(space.geodesic_point(a, b, rng.random()))
+            pts.append(at(rng.random()))
         return pts
 
     return _Kind(lambda x: nearest(x)[1:], contains, probes, max(dab, 1.0))
@@ -316,10 +318,16 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
         return (x if t <= 0.0 else Point(desc, tuple([c + t * wi for c, wi in zip(x.data, w)]))), 0
 
     def probes(u: Point, count: int, rng) -> list[Point]:
-        # Gaussian steps from u, projected back onto the half-space
-        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, u.data, u.data)))
-        steps = (normals(rng, desc.dim) for _ in range(count))
-        return [project(Point(desc, tuple([c + spread * g for c, g in zip(u.data, step)])))[0] for step in steps]
+        # Gaussian steps from u, projected back onto the half-space: project's
+        # arithmetic, in one loop with the draw
+        ud, dim = u.data, desc.dim
+        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud)))
+        pts = []
+        for _ in range(count):
+            p = tuple([c + spread * g for c, g in zip(ud, normals(rng, dim))])
+            t = offset - sum(map(operator.mul, normal, p))
+            pts.append(Point(desc, p if t <= 0.0 else tuple([c + t * wi for c, wi in zip(p, w)])))
+        return pts
 
     return _Kind(project, contains, probes, 1.0)
 
@@ -366,7 +374,7 @@ def _residual(
         if not pts:
             raise ValueError("need at least one probe point")
     pairing = pairing_against(space, x, u, u)
-    return min(pairing(y, space.distance(x, y)) for y in pts)
+    return min(map(pairing, space.distances(x, pts), space.distances(u, pts)))
 
 
 def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0) -> bool:
@@ -381,9 +389,9 @@ def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
     (segment length and direction, ball center and radius, half-space normal
     over its squared norm) are computed once; the closure checks nothing, so
     it is what the solver loops call.  ``iterations`` counts ternary-search
-    steps and is 0 for every closed form.  The closure looks up
-    ``space.distance`` and ``space.geodesic_point`` on each call, so a
-    wrapped handle sees every primitive call.
+    steps and is 0 for every closed form.  The closure measures through the
+    handle passed in: its ``distance`` and ``geodesic_point`` on each call,
+    and a hyperbolic segment's ``geodesic(a, b)`` kernel, built here.
     """
     return _compile(space, cset).project
 

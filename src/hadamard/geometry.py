@@ -25,20 +25,20 @@ def quasilinearization(space: Space, a: Point, b: Point, c: Point, d: Point) -> 
     return 0.5 * (dad * dad + dbc * dbc - dac * dac - dbd * dbd)
 
 
-def pairing_against(space: Space, a: Point, b: Point, c: Point) -> Callable[[Point, float], float]:
-    """``(d, dad) -> quasilinearization(space, a, b, c, d)`` bit for bit, for
-    a caller that holds ``dad = distance(a, d)`` already.
+def pairing_against(space: Space, a: Point, b: Point, c: Point) -> Callable[[float, float], float]:
+    """``(dad, dbd) -> quasilinearization(space, a, b, c, d)`` bit for bit,
+    for a caller that holds ``dad = distance(a, d)`` and
+    ``dbd = distance(b, d)`` already.
 
-    The two distances without ``d`` are measured once, here, so a call
-    measures only d(b, d): a certificate over many probes d costs two
-    distances per probe, not four.
+    The two distances without ``d`` are measured once, here, so a
+    certificate over many probes d measures only the two distances it
+    passes, each list in one ``space.distances`` call.
     """
     dbc = space.distance(b, c)
     dac = space.distance(a, c)
     dbc2, dac2 = dbc * dbc, dac * dac
 
-    def pairing(d: Point, dad: float) -> float:
-        dbd = space.distance(b, d)
+    def pairing(dad: float, dbd: float) -> float:
         return 0.5 * (dad * dad + dbc2 - dac2 - dbd * dbd)
 
     return pairing

@@ -129,8 +129,17 @@ def sphere(space: Space, center: Point) -> Callable[..., Point]:
     space with a tree factor has no tangent space: there a point w is drawn
     by ``sampler(space)`` and the result lies min(t, d(center, w)) along the
     geodesic toward w.  Only that fallback calls the handle's
-    primitives."""
+    primitives.  The center's tag is checked once, here.
+
+    The draw is the model handle's ``sphere(center)`` where it has one: on
+    E^2 and H^2, which call no primitive, for every handle of the
+    descriptor; on a tree, which measures, only for the model itself, so
+    a wrapper keeps its own metric."""
+    space._check(center)
     model = make_space(space.descriptor)
+    own = getattr(model, "sphere", None)
+    if own is not None and (space is model or not isinstance(model.descriptor, WeightedTree)):
+        return own(center)
     kernel = _exponential(model, center)
     if kernel is not None:
         dim, exp = kernel
@@ -158,7 +167,8 @@ def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Po
     draw a uniform direction from :func:`sphere`.  Elsewhere draws of
     ``sampler(space)`` that overshoot are pulled back along the geodesic to
     a uniform depth inside the ball.  The radius must be a finite number
-    >= 0."""
+    >= 0; it and the center's tag are checked once, here or in
+    :func:`sphere`."""
     _check_radius(radius)
     desc = space.descriptor
     if isinstance(desc, Euclidean):
@@ -167,6 +177,7 @@ def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Po
     if isinstance(desc, Hyperbolic):
         at, r = sphere(space, center), min(radius, MAX_HYPERBOLIC_RADIUS)
         return lambda rng: at(rng, r * rng.random())
+    space._check(center)
     draw = sampler(space)
 
     def pull_back(rng) -> Point:

@@ -244,7 +244,7 @@ def _measurer(
 
     def measure(row: TraceRow, x: Point) -> TraceRow:
         row.ref_distance = d = space.distance(x, reference)
-        row.qx_inner = pairing(x, d)
+        row.qx_inner = pairing(d, space.distance(base.o, x))
         return row
 
     return measure
@@ -469,7 +469,7 @@ def nearest_fixed_point_residual(
         anchor = project_point(space, fixed_set, q)[0]
         pts = probe_points(space, fixed_set, anchor, probes, seed=stream_seed(seed))
     pairing = pairing_against(space, q, base.o, q)
-    return max(pairing(p, space.distance(q, p)) for p in pts)
+    return max(map(pairing, space.distances(q, pts), space.distances(base.o, pts)))
 
 
 def stream_seed(seed: int) -> int:

@@ -12,11 +12,12 @@ operations return fresh values and keep no hidden state.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Union
 
 
@@ -163,6 +164,19 @@ class Space:
         ``lam``.  Only the hyperbolic handle uses ``d``."""
         return self.geodesic_point(x, y, lam)
 
+    # -- kernels bound to fixed points, each built once per center, segment
+    # or source point; a handle may write one out with every floating-point
+    # operation of the primitives it replaces, in their order
+
+    def distances(self, a: Point, pts) -> list[float]:
+        """``[distance(a, p) for p in pts]``."""
+        distance = self.distance
+        return [distance(a, p) for p in pts]
+
+    def geodesic(self, x: Point, y: Point):
+        """``lam -> geodesic_point(x, y, lam)``, for weights in [0, 1]."""
+        return partial(self.geodesic_point, x, y)
+
     def point_violations(self, p: Point) -> list[str]:
         raise NotImplementedError
 
@@ -227,7 +241,8 @@ class EuclideanPlane(EuclideanSpace):
     parent's order, so every result is the same to the bit; only the
     comprehension, which runs in a frame of its own, is gone.  ``distance``
     stays ``math.dist``, and ``_geodesic`` stays the base class's call of
-    ``geodesic_point``.  A class for the reason given at
+    ``geodesic_point``; the exponential map is written out only inside
+    :meth:`sphere`.  A class for the reason given at
     :class:`HyperbolicPlane`."""
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
@@ -240,15 +255,24 @@ class EuclideanPlane(EuclideanSpace):
         mu = 1.0 - lam
         return Point(self.descriptor, (lam * x1 + mu * y1, lam * x2 + mu * y2))
 
-    def exponential(self, c: Point):
+    def sphere(self, c: Point):
+        """``sampling.sphere``'s draw at c, ``(rng, t) ->`` c + t g/|g|: the
+        Box-Muller pair of ``sampling.normals`` and the exponential map in
+        one frame.  The caller has checked c."""
         c1, c2 = c.data
-        desc = self.descriptor
+        desc, log, sqrt, cos, sin, hypot = self.descriptor, math.log, math.sqrt, math.cos, math.sin, math.hypot
 
-        def exp(g, s):
-            g1, g2 = g
+        def at(rng, t):
+            r = sqrt(-2.0 * log(1.0 - rng.random()))
+            theta = 2.0 * math.pi * rng.random()
+            g1, g2 = r * cos(theta), r * sin(theta)
+            nrm = hypot(g1, g2)
+            if not nrm > 0.0:
+                return c
+            s = t / nrm
             return Point(desc, (c1 + s * g1, c2 + s * g2))
 
-        return exp
+        return at
 
 
 def minkowski(a, b) -> float:
@@ -344,6 +368,10 @@ class HyperbolicSpace(Space):
 
         return exp
 
+    def geodesic(self, x: Point, y: Point):
+        d = self.distance(x, y)
+        return lambda lam: self._geodesic(x, y, lam, d)
+
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         # the weights combine the spatial coordinates only; the lift then
         # supplies the time coordinate
@@ -425,26 +453,68 @@ class HyperbolicPlane(HyperbolicSpace):
             s2 = wx * x2 + wy * y2
         return Point(self.descriptor, (math.hypot(1.0, s1, s2), s1, s2))
 
-    def exponential(self, c: Point):
+    def distances(self, a: Point, pts) -> list[float]:
+        desc = self.descriptor
+        if a.space is not desc:
+            self._check(a)
+        a0, a1, a2 = a.data
+        acosh, asinh, sqrt = math.acosh, math.asinh, math.sqrt
+        out = []
+        for p in pts:
+            if p.space is not desc:
+                self._check(p)
+            b0, b1, b2 = p.data
+            t0, t1, t2 = a0 - b0, a1 - b1, a2 - b2
+            m = -(t0 * t0) + t1 * t1 + t2 * t2
+            if m <= 0.0:
+                out.append(0.0)
+            elif m > 4.0 and (q := a0 * b0 - a1 * b1 - a2 * b2) > 3.0:
+                out.append(acosh(q))
+            else:
+                out.append(2.0 * asinh(0.5 * sqrt(m)))
+        return out
+
+    def geodesic(self, x: Point, y: Point):
+        # d and sinh d once; the chord weights of a short segment stay _geodesic's
+        d = self.distance(x, y)
+        if d < 1e-7:
+            return lambda lam: self._geodesic(x, y, lam, d)
+        _, x1, x2 = x.data
+        _, y1, y2 = y.data
+        desc, sinh, hypot, sd = self.descriptor, math.sinh, math.hypot, math.sinh(d)
+
+        def at(lam):
+            wx = sinh(lam * d) / sd
+            wy = sinh((1.0 - lam) * d) / sd
+            s1 = wx * x1 + wy * y1
+            s2 = wx * x2 + wy * y2
+            return Point(desc, (hypot(1.0, s1, s2), s1, s2))
+
+        return at
+
+    def sphere(self, c: Point):
+        """As :meth:`EuclideanPlane.sphere`, through this exponential map."""
         # the parent's sum starts from the int 0, which can only turn a -0.0
         # into 0.0, and a signed zero added to cosh t >= 1 leaves the same a
         _, c1, c2 = c.data
         k = 1.0 / (1.0 + c.data[0])
-        desc = self.descriptor
+        desc, log, sqrt, cos, sin, hypot = self.descriptor, math.log, math.sqrt, math.cos, math.sin, math.hypot
 
-        def exp(g, s):
-            g1, g2 = g
-            nrm = math.hypot(g1, g2)
-            if nrm == 0.0:
+        def at(rng, t):
+            r = sqrt(-2.0 * log(1.0 - rng.random()))
+            theta = 2.0 * math.pi * rng.random()
+            g1, g2 = r * cos(theta), r * sin(theta)
+            nrm = hypot(g1, g2)
+            if not nrm > 0.0:
                 return c
-            t = min(s * nrm, MAX_HYPERBOLIC_RADIUS)
+            t = min(t / nrm * nrm, MAX_HYPERBOLIC_RADIUS)
             sh = math.sinh(t) / nrm
             a = math.cosh(t) + sh * k * (c1 * g1 + c2 * g2)
             s1 = a * c1 + sh * g1
             s2 = a * c2 + sh * g2
-            return Point(desc, (math.hypot(1.0, s1, s2), s1, s2))
+            return Point(desc, (hypot(1.0, s1, s2), s1, s2))
 
-        return exp
+        return at
 
 
 class TreeSpace(Space):
@@ -637,6 +707,88 @@ class TreeSpace(Space):
         if t <= hx - peak:
             return self._climb(ex, hx - t, top)
         return self._climb(ey, hy - (d - t), top)
+
+    def distances(self, a: Point, pts) -> list[float]:
+        # distance's walk, with a's edge record read once
+        desc, rec, lca, root_dist = self.descriptor, self.edge_rec, self._lca, self.root_dist
+        if a.space is not desc:
+            self._check(a)
+        ea, ta = a.data
+        ca, base, length, down = rec[ea]
+        ha = base + ta if down else base + (length - ta)
+        out = []
+        for p in pts:
+            if p.space is not desc:
+                self._check(p)
+            eb, tb = p.data
+            if ea == eb:
+                out.append(abs(ta - tb))
+                continue
+            cb, base, length, down = rec[eb]
+            hb = base + tb if down else base + (length - tb)
+            top = lca(ca, cb)
+            out.append(ha + hb - 2.0 * (ha if top == ca else hb if top == cb else root_dist[top]))
+        return out
+
+    def geodesic(self, x: Point, y: Point):
+        # geodesic_point's branches, with the path between x and y found once
+        if x.space is not self.descriptor or y.space is not self.descriptor:
+            self._check(x, y)
+        ex, tx = x.data
+        ey, ty = y.data
+        if ex == ey:
+            return super().geodesic(x, y)
+        hx, hy, peak, top = self._path(ex, tx, ey, ty)
+        d = hx + hy - 2.0 * peak
+        canonical, climb = self.canonical, self._climb
+
+        def at(lam):
+            if lam == 1.0:
+                return canonical(x)
+            if lam == 0.0:
+                return canonical(y)
+            t = (1.0 - lam) * d
+            if t <= hx - peak:
+                return climb(ex, hx - t, top)
+            return climb(ey, hy - (d - t), top)
+
+        return at
+
+    def sphere(self, c: Point):
+        """``sampling.sphere``'s fallback at c, ``(rng, t) ->`` the point
+        min(t, d(c, w)) from c toward a point w drawn uniformly over total
+        edge length, with one ``_path`` per draw for the distance and the
+        climb.  It measures with this handle's own metric, so only this
+        handle may draw through it.  The caller has checked c."""
+        desc, edges, cum, total = self.descriptor, self.topology.edges, self.cumulative_length, self.total_length
+        canonical, path, climb = self.canonical, self._path, self._climb
+        ec, tc = c.data
+
+        def at(rng, t):
+            s = rng.random() * total
+            ew = bisect.bisect_left(cum, s)
+            w = canonical(Point(desc, (ew, min(s - (cum[ew - 1] if ew else 0.0), edges[ew][2]))))
+            ew, tw = w.data
+            if ew == ec:
+                d = abs(tc - tw)
+            else:
+                hc, hw, peak, top = path(ec, tc, ew, tw)
+                d = hc + hw - 2.0 * peak
+            if not d > 0.0:
+                return c
+            lam = max(0.0, 1.0 - t / d)
+            if lam == 1.0:
+                return canonical(c)
+            if lam == 0.0:
+                return canonical(w)
+            if ew == ec:
+                return canonical(Point(desc, (ec, tc + (tw - tc) * (1.0 - lam))))
+            t = (1.0 - lam) * d
+            if t <= hc - peak:
+                return climb(ec, hc - t, top)
+            return climb(ew, hw - (d - t), top)
+
+        return at
 
 
 class ProductSpace(Space):

@@ -329,6 +329,23 @@ def test_verify_bad_flags(runner):
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ("euclidean", "N"),
+        ("hyperbolic:x", "N"),
+        ("tree-star:3:", "LENGTH"),
+        ("tree-star:2:1e400", "LENGTH"),
+        ("tree-random:5:-1", "SEED"),
+    ],
+)
+def test_bad_space_spec_names_its_field(runner, spec, field):
+    result = runner.invoke(main, ["verify", "--space", spec, "--trials", "1"])
+    assert result.exit_code == 2, result.output
+    assert f"invalid space spec: {field} " in result.output and repr(spec) in result.output, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_schedules_check(runner, tmp_path):
     result = runner.invoke(main, ["schedules", "--check", str(CONFIG_DIR / "segment_explicit.json")])
     assert result.exit_code == 0, result.output

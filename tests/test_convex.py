@@ -493,3 +493,58 @@ def test_hyperbolic_ball_far_out_certifies_without_raising(H2):
         x = out(hd.stream(seed, 19), 20.0)
         res = hd.project(H2, hd.Ball(H2.base, 25.0), x, probes=1000, seed=seed)
         assert res.u == x and math.isfinite(res.certificate_residual)
+
+
+@pytest.mark.parametrize("family", ["E2", "H2", "tree", "prod"])
+def test_wrapper_certificates_keep_their_metric(request, family):
+    # a certificate measures through space.distances, which a wrapper
+    # inherits as a loop over its own distance: on CorruptedSpace it must
+    # equal the per-probe loop of its pairing
+    from hadamard.geometry import pairing_against
+
+    model = request.getfixturevalue(family)
+    space = hd.CorruptedSpace(model)
+    draw, rng = hd.sampler(model), hd.stream(7, 1)
+    for _ in range(4):
+        a, b, x = draw(rng), draw(rng), draw(rng)
+        for cset in (hd.WholeSpace(), hd.Ball(a, 1.5), hd.Segment(a, b)):
+            result = hd.project(space, cset, x, probes=120, seed=3)
+            u = result.u
+            pairing = pairing_against(space, x, u, u)
+            pts = hd.probe_points(space, cset, u, 120, seed=3)
+            want = min(pairing(space.distance(x, y), space.distance(u, y)) for y in pts)
+            assert result.certificate_residual == want
+            assert want == min(hd.quasilinearization(space, x, u, u, y) for y in pts)
+
+
+def test_a_wrapper_around_a_tree_draws_its_ball_probes_through_its_own_distance(tree):
+    # the tree handle's written-out sphere measures with the tree's metric,
+    # so a wrapper takes the fallback, which measures through its distance:
+    # once per draw, and the same bits as the model where the metric is the
+    # model's
+    class Counting(hd.CorruptedSpace):
+        calls = 0
+
+        def distance(self, a, b):
+            Counting.calls += 1
+            return self.inner.distance(a, b)
+
+    space, cset, center = Counting(tree), hd.Ball(tree.vertex_point(1), 1.2), tree.vertex_point(1)
+    pts = hd.probe_points(space, cset, center, 80, seed=2)
+    assert Counting.calls == 80
+    assert pts == hd.probe_points(tree, cset, center, 80, seed=2)
+    # under a metric twice the tree's, a boundary probe lies min(0.6, d(c, w))
+    # from the center along the tree, not 1.2
+    doubled = type("Doubled", (hd.CorruptedSpace,), {"distance": lambda s, a, b: 2.0 * s.inner.distance(a, b)})
+    half = [tree.distance(center, p) for p in hd.probe_points(doubled(tree), cset, center, 80, seed=2)[:40]]
+    assert max(half) <= 0.6 + 1e-12 and sum(abs(d - 0.6) <= 1e-12 for d in half) >= 20
+
+
+@pytest.mark.parametrize("family", ["E2", "H2", "tree", "prod"])
+def test_a_foreign_probe_is_rejected(request, E3, family):
+    space = request.getfixturevalue(family)
+    draw, rng = hd.sampler(space), hd.stream(8, 1)
+    x, pts = draw(rng), [draw(rng) for _ in range(5)]
+    foreign = hd.random_point(E3, rng)
+    with pytest.raises(hd.SpaceMismatchError):
+        hd.characterization_residual(space, hd.WholeSpace(), x, x, pts[:2] + [foreign] + pts[2:])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
+from hadamard import sampling
 from hadamard.spaces import ProductSpace, TreeSpace, minkowski
 from conftest import CATERPILLAR, ept, hpt_polar
 
@@ -211,3 +212,15 @@ def test_numpy_generator_still_draws(E2, H2, tree, prod):
         center = hd.random_point(space, rng)
         for p in (hd.sample_in_ball(space, center, 0.8, rng), hd.sphere(space, center)(rng, 0.5)):
             assert hd.validate_point(space, p) is None and exact_floats(space, p)
+
+
+def test_a_foreign_center_is_rejected_when_the_draw_is_built(E2, E3, H2, tree, prod):
+    # an E2 center on E3 once drew 2-coordinate points tagged E3; on E2 and
+    # H2 a foreign center failed on unpacking, at the first draw
+    e2, h2 = ept(E2, 1.0, 2.0), H2.base
+    cases = [(E3, e2), (E2, h2), (H2, e2), (tree, e2), (prod, e2), (hd.CorruptedSpace(tree), h2)]
+    for space, center in cases:
+        with pytest.raises(hd.SpaceMismatchError):
+            hd.sphere(space, center)
+        with pytest.raises(hd.SpaceMismatchError):
+            sampling.ball_sampler(space, center, 1.0)

@@ -637,7 +637,7 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkey
     # make_space gives H^2 its written-out kernels; the generic n-dimensional
     # handle, built directly, must give the same floats and points with ==
     from hadamard import convex, mappings, sampling
-    from hadamard.spaces import MAX_HYPERBOLIC_RADIUS, HyperbolicPlane, HyperbolicSpace, minkowski
+    from hadamard.spaces import HyperbolicPlane, HyperbolicSpace, minkowski
 
     assert type(H2) is HyperbolicPlane
     assert type(hd.make_space(hd.Hyperbolic(3))) is HyperbolicSpace
@@ -669,23 +669,9 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkey
     assert min(branches.values()) >= 3, branches
     assert sum(0.0 < H2.distance(x, y) < 1e-7 for x, y in pairs) >= 5
 
-    # the exponential map at g = 0 (which sphere never passes), past the
-    # radius cap, at a tiny s and on random inputs; at the base point
-    # c_i * g_i can be -0.0, where the generic sum starts from the int 0.
-    # repr tells the bits apart, -0.0 from 0.0 too
-    cap = 0
-    for c, _ in [(H2.base, None)] + pairs[::5]:
-        exp, want = H2.exponential(c), generic.exponential(c)
-        g = sampling.normals(rng, 2)
-        cases = [([0.0, 0.0], 1.0), ([-1.0, -2.0], 0.3), (g, 25.0), (g, 1e-12), (g, 3.0 * rng.random())]
-        for g, s in cases:
-            assert repr(exp(g, s)) == repr(want(g, s))
-            cap += s * math.hypot(*g) >= MAX_HYPERBOLIC_RADIUS
-    assert H2.exponential(H2.base)([0.0, 0.0], 1.0) is H2.base
-    assert cap >= 40
-
     # the same draws, rotations and segment projections with the generic
-    # handle as every model lookup's H^2
+    # handle as every model lookup's H^2: the draws compare H2.sphere with
+    # sampling.normals and the generic exponential map
     def build(space):
         draws = []
         seeded = hd.stream(22, 1)
@@ -724,10 +710,6 @@ def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeyp
         for lam in (0.0, 1.0, rng.random()):
             assert repr(E2.geodesic_point(x, y, lam)) == repr(generic.geodesic_point(x, y, lam))
             assert repr(E2._geodesic(x, y, lam, 0.0)) == repr(generic._geodesic(x, y, lam, 0.0))
-        exp, want = E2.exponential(x), generic.exponential(x)
-        for g, s in [((0.0, -0.0), 2.0), ((-0.0, -0.0), 0.0), (sampling.normals(rng, 2), rng.random()),
-                     ((1e300, -3.0), 1e10), ((5e-324, 1.0), 1e-300)]:
-            assert repr(exp(g, s)) == repr(want(g, s))
 
     # the affine segment projection is the generator sum's lam, clamped,
     # and the generic geodesic point there
@@ -741,7 +723,8 @@ def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeyp
         assert repr(hd.project_segment(E2, a, b, x)) == repr((lam, generic.geodesic_point(a, b, lam), 0))
 
     # the same draws and probes with the generic handle as every model
-    # lookup's E^2
+    # lookup's E^2, E2.sphere against sampling.normals and the generic
+    # exponential map among them
     def build(space):
         seeded = hd.stream(24, 1)
         draws = []
@@ -758,3 +741,136 @@ def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeyp
     for module in (convex, sampling):
         monkeypatch.setattr(module, "make_space", lambda desc: generic)
     assert build(generic) == want
+
+
+# ---------------------------------------------------------------------------
+# kernels bound to a fixed point: each must give, bit for bit, what the
+# primitives it replaces give, compared by repr (which tells -0.0 from 0.0)
+
+
+def _kernel_spaces():
+    """(handle, points) per family: E2 and E3 with signed zeros, H2 from the
+    base point out to 20 (where distances take the acosh branch), the
+    caterpillar, the path-5000 tree of the walk test and E2 x H2."""
+    from hadamard import sampling
+
+    rng = hd.stream(25, 1)
+    E2, E3, H2 = (hd.make_space(d) for d in (hd.Euclidean(2), hd.Euclidean(3), hd.Hyperbolic(2)))
+    signed = [hd.Point(E2.descriptor, (a, b)) for a in (0.0, -0.0, 3.5) for b in (-0.0, 0.0, -1e300)]
+    e2 = signed + [hd.random_point(E2, rng) for _ in range(30)]
+    e3 = [hd.Point(E3.descriptor, (0.0, -0.0, 1.0))] + [hd.random_point(E3, rng) for _ in range(30)]
+    out = hd.sphere(H2, H2.base)
+    far = [out(rng, 15.0 + 5.0 * rng.random()) for _ in range(20)]
+    near = [hd.random_point(H2, rng) for _ in range(20)]
+    # pairs 1e-9 apart, near the base point and far out, for the chord weights
+    h2 = [H2.base] + far + near + [p for c in far[:3] + near[:3] for p in (c, hd.sphere(H2, c)(rng, 1e-9))]
+    lengths = np.random.default_rng(30).random(5000)
+    path = hd.TreeTopology(5001, tuple((i, i + 1, 0.5 + 1.5 * float(f)) for i, f in enumerate(lengths)))
+    trees = []
+    for topo in (CATERPILLAR, shuffled_tree(path, 31)):
+        tree = hd.make_space(hd.WeightedTree(topo))
+        draw = sampling.sampler(tree)
+        ends = [hd.Point(tree.descriptor, (e, off)) for e in (0, 1, 3) for off in (0.0, topo.edges[e][2])]
+        same = [hd.Point(tree.descriptor, (2, topo.edges[2][2] * f)) for f in (0.25, 0.5)]
+        trees.append((tree, ends + same + [tree.vertex_point(v) for v in (0, 1, 4)] + [draw(rng) for _ in range(40)]))
+    prod = hd.make_space(hd.Product(E2.descriptor, H2.descriptor))
+    pp = [prod.pair(a, b) for a, b in zip(e2, h2)]
+    return [(E2, e2), (E3, e3), (H2, h2), trees[0], trees[1], (prod, pp)]
+
+
+@pytest.fixture(scope="module")
+def kernel_spaces():
+    return _kernel_spaces()
+
+
+def _bits(p):
+    # a tree point's own repr would spell out the whole tree
+    return (p.space, repr(p.data)) if isinstance(p.space, hd.WeightedTree) else repr(p)
+
+
+def test_distances_is_the_per_point_distance_bit_for_bit(kernel_spaces):
+    from hadamard.spaces import HyperbolicSpace
+
+    generic = HyperbolicSpace(hd.Hyperbolic(2))
+    acosh = 0
+    for space, pts in kernel_spaces:
+        for a in pts[::3]:
+            want = [space.distance(a, p) for p in pts]
+            assert repr(space.distances(a, pts)) == repr(want)
+            if isinstance(space.descriptor, hd.Hyperbolic):
+                assert repr(want) == repr([generic.distance(a, p) for p in pts])
+                acosh += sum(d > 2.0 * math.asinh(1.0) for d in want)
+        assert space.distances(pts[0], []) == []
+    assert acosh >= 100
+
+
+def test_geodesic_is_geodesic_point_bit_for_bit(kernel_spaces):
+    rng = hd.stream(26, 1)
+    lams = [0.0, 1.0, 0.5, 1e-17, 1.0 - 1e-16] + [rng.random() for _ in range(5)]
+    shapes = {"short": 0, "one edge": 0}
+    for space, pts in kernel_spaces:
+        for x, y in zip(pts, pts[1:] + pts[:1]):
+            at = space.geodesic(x, y)
+            for lam in lams:
+                assert _bits(at(lam)) == _bits(space.geodesic_point(x, y, lam))
+            if isinstance(space.descriptor, hd.Hyperbolic):
+                shapes["short"] += space.distance(x, y) < 1e-7
+            if isinstance(space.descriptor, hd.WeightedTree):
+                shapes["one edge"] += x.data[0] == y.data[0]
+    assert min(shapes.values()) >= 3, shapes
+
+
+def test_sphere_is_the_generic_draw_bit_for_bit(kernel_spaces):
+    # each handle's sphere(c) against the composition sampling.sphere used
+    # before it: normals, then the exponential map of the generic class, on
+    # E2 and H2; a sampler draw, its distance and the retraction toward it
+    # on a tree.  t runs from 0 and -0.0 past the H2 cap of 20
+    from hadamard import sampling
+    from hadamard.geometry import retract
+    from hadamard.spaces import EuclideanSpace, HyperbolicSpace
+
+    def along_normal(generic):
+        def draw(c, rng, t):
+            g = sampling.normals(rng, 2)
+            nrm = math.hypot(*g)
+            return generic.exponential(c)(g, t / nrm) if nrm > 0.0 else c
+
+        return draw
+
+    def toward_draw(tree):
+        sample = sampling.sampler(tree)
+
+        def draw(c, rng, t):
+            w = sample(rng)
+            d = tree.distance(c, w)
+            return retract(tree, c, w, t, d) if d > 0.0 else c
+
+        return draw
+
+    ts = [0.0, -0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 19.0, 20.0, 25.0, 1e6] + [3.0 * k / 7 for k in range(7)]
+    zero = type("Zero", (), {"random": staticmethod(lambda: 0.0)})
+    families = 0
+    for space, pts in kernel_spaces:
+        if isinstance(space.descriptor, hd.Euclidean) and space.descriptor.dim == 2:
+            want = along_normal(EuclideanSpace(space.descriptor))
+        elif isinstance(space.descriptor, hd.Hyperbolic):
+            want = along_normal(HyperbolicSpace(space.descriptor))
+        elif isinstance(space.descriptor, hd.WeightedTree):
+            want = toward_draw(space)
+        else:
+            assert not hasattr(space, "sphere")
+            continue
+        families += 1
+        for k, c in enumerate(pts[::2]):
+            at, got_rng, want_rng = space.sphere(c), hd.stream(27, k), hd.stream(27, k)
+            for t in ts:
+                assert _bits(at(got_rng, t)) == _bits(want(c, want_rng, t)), (k, t)
+            # random() = 0 draws g = (-0.0, -0.0) on E2 and H2, whose norm 0
+            # gives back the center, and a tree's first vertex
+            assert _bits(at(zero, 1.0)) == _bits(want(c, zero, 1.0))
+    assert families == 4
+    # a draw that lands on the center returns the center as given, here
+    # vertex 0 on edge 1 rather than on its canonical edge 0
+    star = hd.make_space(hd.WeightedTree(hd.TreeTopology(3, ((0, 1, 1.0), (0, 2, 2.0)))))
+    c = hd.Point(star.descriptor, (1, 0.0))
+    assert star.sphere(c)(zero, 0.5) is c is toward_draw(star)(c, zero, 0.5)
