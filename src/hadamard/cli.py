@@ -12,18 +12,19 @@ Exit status: 0 success/clean, 1 non-convergence or property violations,
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import math
 import os
 import sys
-
-import click
 
 from . import serialize
 from .harness import CorruptedSpace, check_lemmas, check_space_axioms
 from .sampling import sampler
 from .solvers import validate_schedules
 from .spaces import (
+    MAX_PRODUCT_DEPTH,
     MAX_SPEC_SIZE,
     Euclidean,
     Hyperbolic,
@@ -44,7 +45,7 @@ def _load_config(path: str, seed, budget, output_dir):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:
         raise serialize.ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise serialize.ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -65,7 +66,7 @@ def _load_config(path: str, seed, budget, output_dir):
     return cfg
 
 
-def parse_space_spec(spec: str):
+def parse_space_spec(spec: str, nesting: int = 0):
     """Space handle from a compact spec string.
 
     Accepts ``euclidean:N``, ``hyperbolic:N``, ``tree-star:RAYS:LENGTH``,
@@ -74,11 +75,14 @@ def parse_space_spec(spec: str):
     positive integers at most ``MAX_SPEC_SIZE``, LENGTH (1 by default) is a
     positive finite number and SEED (0 by default) a non-negative integer;
     an ``InvalidSpaceError`` names the field at fault and the spec.
+    ``nesting`` counts the products around ``spec``, checked before a split.
     """
     spec = spec.strip()
     if spec == "corrupted-demo":
         return CorruptedSpace(make_space(Euclidean(2)))
     if spec.startswith("product:"):
+        if nesting >= MAX_PRODUCT_DEPTH:
+            raise InvalidSpaceError(f"product nesting deeper than {MAX_PRODUCT_DEPTH} is not supported")
         body = spec[len("product:"):]
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
@@ -89,8 +93,8 @@ def parse_space_spec(spec: str):
             elif ch == ")":
                 depth -= 1
             elif ch == "," and depth == 0:
-                left = parse_space_spec(body[:i])
-                right = parse_space_spec(body[i + 1:])
+                left = parse_space_spec(body[:i], nesting + 1)
+                right = parse_space_spec(body[i + 1:], nesting + 1)
                 # a product is built from descriptors, which would drop the corruption
                 if isinstance(left, CorruptedSpace) or isinstance(right, CorruptedSpace):
                     raise InvalidSpaceError(f"corrupted-demo cannot be a factor of {spec!r}")
@@ -148,23 +152,23 @@ def random_tree_topology(n_edges: int, seed: int) -> TreeTopology:
     return TreeTopology(n_edges + 1, tuple(edges))
 
 
-@click.group()
-def main():
-    """Computation toolkit for Hadamard (complete CAT(0)) spaces."""
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return integer
 
 
-def _positive_finite(ctx, param, value: float) -> float:
-    # click.FloatRange lets nan through
+def _positive_finite(text: str) -> float:
+    # float() accepts nan and inf
+    value = float(text)
     if not 0.0 < value < math.inf:
-        raise click.BadParameter(f"{value} is not a positive finite number")
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
     return value
 
 
-@main.command("run")
-@click.argument("configs", nargs=-1, required=True, type=click.Path())
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
-@click.option("--budget", type=click.IntRange(min=1), default=None, help="Override the iteration budget.")
-@click.option("--output-dir", type=click.Path(), default=None, help="Override the output directory.")
 def run_cmd(configs, seed, budget, output_dir):
     """Run solver experiments from JSON config files."""
     # every input error (ConfigError, ScheduleError, InvalidSpaceError) is a ValueError
@@ -172,14 +176,14 @@ def run_cmd(configs, seed, budget, output_dir):
         cfgs = [_load_config(p, seed, budget, output_dir) for p in configs]
         results = [run_to_files(cfg) for cfg in cfgs]
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
 
     status = EXIT_OK
     for summary, trace_path in results:
         # a diverged run's residual is null in its summary
         residual = summary["final_fixed_residual"]
-        click.echo(
+        print(
             f"{summary['name']}: {summary['status']} after {summary['steps']} steps, "
             f"final residual {'null' if residual is None else f'{residual:.3e}'} -> {trace_path}"
         )
@@ -188,59 +192,75 @@ def run_cmd(configs, seed, budget, output_dir):
     sys.exit(status)
 
 
-@main.command("verify")
-@click.option("--space", "space_spec", required=True, help="Space spec, e.g. euclidean:2.")
-@click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--eps", type=float, default=1e-8, show_default=True, callback=_positive_finite)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option(
-    "--radius", type=float, default=5.0, show_default=True, callback=_positive_finite,
-    help="Sampling radius r: the box [-r, r]^n in E^n, distance up to r <= 20 from the "
-    "base point in H^n, each factor at r in a product; trees ignore it.",
-)
 def verify_cmd(space_spec, trials, eps, seed, radius):
     """Run the metric/geodesic property harness over one space."""
     try:
         space = parse_space_spec(space_spec)
     except ValueError as exc:
-        click.echo(f"error: --space: invalid space spec: {exc}", err=True)
+        print(f"error: --space: invalid space spec: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
     try:
         sampler(space, radius)  # raises for a radius the space cannot sample at
     except ValueError as exc:
-        click.echo(f"error: --radius: {exc}", err=True)
+        print(f"error: --radius: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
     reports = check_space_axioms(space, trials, eps, seed, radius)
     reports += check_lemmas(space, trials, eps, seed, radius)
 
     width = max(len(r.name) for r in reports)
-    click.echo(f"{'property'.ljust(width)}  trials  violations  worst_margin")
+    print(f"{'property'.ljust(width)}  trials  violations  worst_margin")
     for r in reports:
-        click.echo(
-            f"{r.name.ljust(width)}  {r.trials:6d}  {r.violations:10d}  {r.worst_margin: .3e}"
-        )
+        print(f"{r.name.ljust(width)}  {r.trials:6d}  {r.violations:10d}  {r.worst_margin: .3e}")
     bad = [r for r in reports if r.violations]
     if bad:
-        click.echo(f"\n{len(bad)} propert{'y' if len(bad) == 1 else 'ies'} violated; worst witnesses:")
+        print(f"\n{len(bad)} propert{'y' if len(bad) == 1 else 'ies'} violated; worst witnesses:")
         for r in bad:
-            click.echo(f"  {r.name}: {json.dumps(r.worst_witness)}")
+            print(f"  {r.name}: {json.dumps(r.worst_witness)}")
         sys.exit(EXIT_FAILED)
     sys.exit(EXIT_OK)
 
 
-@main.command("schedules")
-@click.option("--check", "config_path", required=True, type=click.Path())
 def schedules_cmd(config_path):
     """Check the schedule conditions of an experiment config's algorithm."""
     try:
         cfg = _load_config(config_path, None, None, None)
         conditions = validate_schedules(cfg.schedule, cfg.algorithm, cfg.budget)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
     for cond in conditions:
-        click.echo(f"{cond.name}: {'pass' if cond.passed else 'FAIL'} {cond.detail}")
+        print(f"{cond.name}: {'pass' if cond.passed else 'FAIL'} {cond.detail}")
     sys.exit(EXIT_OK if all(c.passed for c in conditions) else EXIT_FAILED)
+
+
+# built once: building it costs about ten times what a parse does
+_PARSER = argparse.ArgumentParser(prog="hadamard", description="Toolkit for Hadamard (complete CAT(0)) spaces.")
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True, parser_class=functools.partial(
+    argparse.ArgumentParser, allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter))
+_run = _COMMANDS.add_parser("run", help=run_cmd.__doc__, description=run_cmd.__doc__)
+_run.set_defaults(func=run_cmd)
+_run.add_argument("configs", nargs="+", metavar="CONFIG", help="Experiment config files (JSON).")
+_run.add_argument("--seed", type=_int_at_least(0), help="Override the config seed.")
+_run.add_argument("--budget", type=_int_at_least(1), help="Override the iteration budget.")
+_run.add_argument("--output-dir", help="Override the output directory.")
+_verify = _COMMANDS.add_parser("verify", help=verify_cmd.__doc__, description=verify_cmd.__doc__)
+_verify.set_defaults(func=verify_cmd)
+_verify.add_argument("--space", dest="space_spec", required=True, help="Space spec, e.g. euclidean:2.")
+_verify.add_argument("--trials", type=_int_at_least(1), default=10000, help="Random trials per property.")
+_verify.add_argument("--eps", type=_positive_finite, default=1e-8, help="Tolerance of each inequality.")
+_verify.add_argument("--seed", type=_int_at_least(0), default=0, help="Seed of the trial streams.")
+_verify.add_argument("--radius", type=_positive_finite, default=5.0, help="Sampling radius r: the box [-r, r]^n in "
+                     "E^n, distance up to r <= 20 from the base point in H^n, each factor at r in a product; "
+                     "trees ignore it.")
+_schedules = _COMMANDS.add_parser("schedules", help=schedules_cmd.__doc__, description=schedules_cmd.__doc__)
+_schedules.set_defaults(func=schedules_cmd)
+_schedules.add_argument("--check", dest="config_path", metavar="CONFIG", required=True, help="Config file (JSON).")
+
+
+def main(args=None, prog_name=None):
+    """Run the subcommand ``args`` names; it ends in SystemExit.  ``prog_name`` is unused."""
+    kwargs = vars(_PARSER.parse_args(args))
+    kwargs.pop("func")(**kwargs)
 
 
 if __name__ == "__main__":

@@ -131,15 +131,13 @@ def sphere(space: Space, center: Point) -> Callable[..., Point]:
     geodesic toward w.  Only that fallback calls the handle's
     primitives.  The center's tag is checked once, here.
 
-    The draw is the model handle's ``sphere(center)`` where it has one: on
-    E^2 and H^2, which call no primitive, for every handle of the
-    descriptor; on a tree, which measures, only for the model itself, so
-    a wrapper keeps its own metric."""
+    The draw is the passed handle's own ``sphere(center)`` where it has one,
+    so a wrapper keeps its own metric."""
     space._check(center)
-    model = make_space(space.descriptor)
-    own = getattr(model, "sphere", None)
-    if own is not None and (space is model or not isinstance(model.descriptor, WeightedTree)):
+    own = getattr(space, "sphere", None)
+    if own is not None:
         return own(center)
+    model = make_space(space.descriptor)
     kernel = _exponential(model, center)
     if kernel is not None:
         dim, exp = kernel

@@ -25,6 +25,12 @@ class ConfigError(ValueError):
     """Invalid configuration document; message carries a JSON-path anchor."""
 
 
+# a config nests objects and lists at most this deep: its decoders, encoders
+# and the mapping it builds recurse at least once a level, and this keeps
+# them far inside the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 # ---------------------------------------------------------------------------
 # points
 
@@ -244,6 +250,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             "uniform at the base point"
         )
     _only(doc, [f.name for f in dataclasses.fields(ExperimentConfig)], "$")
+    _check_nesting(doc)
     desc = from_json("space", _field(doc, "space", "$"), "space")
     algorithm = _field(doc, "algorithm", "$")
     if algorithm not in ("implicit", "explicit"):
@@ -286,6 +293,21 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         if not convex.contains(make_space(desc), cfg.convex_set, cfg.x0, convex.MEMBERSHIP_TOL):
             raise ConfigError("x0: starting point must belong to the constraint set")
     return cfg
+
+
+def _check_nesting(doc: dict) -> None:
+    """Reject a field of ``doc`` nested deeper than ``MAX_NESTING``, by
+    name, before any decoder recurses into it."""
+    stack = [(key, value, 1) for key, value in doc.items()]
+    while stack:
+        key, value, depth = stack.pop()
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, list):
+            continue
+        if depth > MAX_NESTING:
+            raise ConfigError(f"{key}: nested deeper than {MAX_NESTING} objects and lists")
+        stack.extend((key, child, depth + 1) for child in value)
 
 
 def _object(value, where: str) -> dict:

@@ -1,4 +1,10 @@
+import io
 import math
+import os
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +21,35 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process.  ``invoke`` returns its
+    ``exit_code``, its ``output`` (stdout and stderr together) and the
+    ``exception`` that escaped it, ``SystemExit`` included."""
+
+    def invoke(self, main, args, env=None):
+        out, exception, code = io.StringIO(), None, 0
+        with redirect_stdout(out), redirect_stderr(out), mock.patch.dict(os.environ, env or {}):
+            try:
+                main(list(args), prog_name="hadamard")
+            except SystemExit as exc:
+                exception, code = exc, exc.code
+            except Exception as exc:
+                exception, code = exc, 1
+        return SimpleNamespace(exit_code=code, output=out.getvalue(), exception=exception)
+
+    @contextmanager
+    def isolated_filesystem(self):
+        """A fresh temporary directory as the working directory."""
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                yield tmp
+            finally:
+                os.chdir(cwd)
+
 
 # shared fixed topology: a 6-vertex caterpillar with mixed edge lengths
 CATERPILLAR = hd.TreeTopology(

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 import hadamard as hd
+from hadamard import serialize
 from hadamard.cli import main, parse_space_spec, random_tree_topology
 from hadamard.spaces import MAX_SPEC_SIZE
 
@@ -437,12 +439,15 @@ def test_run_rejects_anchor_too_small_for_inner_solve(runner, tmp_path):
         (["run", "{config}", "--budget", "0"], {}, "--budget"),
         (["run", "{config}"], {"HADAMARD_SEED": "abc"}, "HADAMARD_SEED"),
         (["schedules", "--check", "{config}"], {"HADAMARD_SEED": "-1"}, "HADAMARD_SEED"),
+        # rejected before the parser recurses 1,200 times
+        (["verify", "--space", "product:(" * 1200 + "euclidean:1" + ",euclidean:1)" * 1200], {},
+         "--space: invalid space spec: product nesting deeper than 4"),
     ],
     ids=[
         "verify-seed", "verify-h2-radius", "verify-product-radius", "verify-radius-negative",
         "verify-radius-nan", "verify-eps-nan", "verify-euclidean-size", "verify-hyperbolic-size",
         "verify-tree-star-size", "verify-tree-random-size", "verify-product-size", "config-seed",
-        "run-seed", "run-budget", "env-seed", "env-seed-negative",
+        "run-seed", "run-budget", "env-seed", "env-seed-negative", "verify-product-depth-1200",
     ],
 )
 def test_bad_flag_names_its_source(runner, tmp_path, args, env, name):
@@ -457,6 +462,60 @@ def test_bad_flag_names_its_source(runner, tmp_path, args, env, name):
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not out.exists()
+
+
+_NESTED = {
+    "space": ('{"type": "product", "right": {"type": "euclidean", "dim": 1}, "left": ', '{"type": "euclidean", "dim": 1}'),
+    "mapping": ('{"type": "average", "weight": 0.5, "inner": ', '{"type": "identity"}'),
+}
+
+
+def _nested_config(tmp_path, field, depth, **overrides):
+    # written by hand: json.dumps recurses once a level
+    doc = json.loads((CONFIG_DIR / "segment_implicit.json").read_text())
+    doc.update(overrides, **{field: "@"})
+    opening, leaf = _NESTED[field]
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', opening * depth + leaf + "}" * depth))
+    return cfg
+
+
+@pytest.mark.parametrize("field", ["space", "mapping"])
+def test_deeply_nested_config_exits_2_naming_its_field(runner, tmp_path, monkeypatch, field):
+    cfg = _nested_config(tmp_path, field, 800)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {field}: nested deeper than {serialize.MAX_NESTING}" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+
+
+def test_mapping_nested_to_the_limit_runs(runner, tmp_path):
+    # MAX_NESTING - 1 averages around the identity: every level is read, built and run
+    cfg = _nested_config(tmp_path, "mapping", serialize.MAX_NESTING - 1, budget=3)
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code in (0, 1), result.output
+    assert (tmp_path / "out" / "segment-implicit.summary.json").exists()
+
+
+def test_help_lists_every_flag_with_its_default(runner):
+    assert runner.invoke(main, ["--help"]).exit_code == 0
+    result = runner.invoke(main, ["verify", "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.output.split())
+    assert "--space " in text
+    for flag, default in (("--trials", "10000"), ("--eps", "1e-08"), ("--seed", "0"), ("--radius", "5.0")):
+        # the flag's own entry, up to the next flag
+        entry = text.rsplit(f" {flag} ", 1)[1].split(" --", 1)[0]
+        assert re.search(rf"default: {re.escape(default)}\b", entry), (flag, entry)
+
+
+def test_no_command_exits_2(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
 
 
 def _h2_config():
@@ -575,14 +634,14 @@ def test_run_inner_budget_is_a_status(runner, tmp_path):
     assert summary["inner_iterations"] == 1
 
 
-# runs the CLI in a fresh interpreter, then reports whether numpy was loaded
+# runs the CLI in a fresh interpreter, then reports whether numpy and click were loaded
 _NUMPY_PROBE = """
 import sys
 from hadamard.cli import main
 try:
     main(sys.argv[1:], prog_name="hadamard")
 except SystemExit as exc:
-    sys.stderr.write(f"exit={exc.code} numpy={'numpy' in sys.modules}\\n")
+    sys.stderr.write(f"exit={exc.code} numpy={'numpy' in sys.modules} click={'click' in sys.modules}\\n")
 """
 
 
@@ -602,4 +661,4 @@ def test_cli_does_not_import_numpy(tmp_path, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
-    assert "exit=0 numpy=False" in done.stderr, done.stderr
+    assert "exit=0 numpy=False click=False" in done.stderr, done.stderr

@@ -12,7 +12,7 @@ import math
 import os
 from pathlib import Path
 
-from click.testing import CliRunner
+from conftest import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
