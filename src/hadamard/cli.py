@@ -162,10 +162,13 @@ def _int_at_least(low: int):
 
 
 def _positive_finite(text: str) -> float:
-    # float() accepts nan and inf
-    value = float(text)
+    # float() accepts nan and inf; text that is no number is refused as nan is
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 

@@ -209,12 +209,15 @@ class _Kind(NamedTuple):
     """A set compiled against a space, its constants computed once: the
     projection, membership ``(p, tol)`` within additive tolerance on the
     defining inequality, the probe draw ``(u, count, rng)`` before the blend
-    toward u, and the set's size in a certificate's membership tolerance."""
+    toward u, the set's size in a certificate's membership tolerance, and
+    the projection as ``x -> u`` where a kind has one nearer its closed form
+    than ``project(x)[0]``."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
     probes: Callable[[Point, int, object], list[Point]]
     scale: float
+    nearest: Optional[Callable[[Point], Point]] = None
 
 
 def _whole(space: Space, cset: WholeSpace) -> _Kind:
@@ -248,7 +251,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
 def _segment(space: Space, cset: Segment) -> _Kind:
     a, b = cset.a, cset.b
     dab = space.distance(a, b)
-    nearest = _segment_projector(space, a, b)
+    foot = _segment_projector(space, a, b)
 
     def contains(p: Point, tol: float) -> bool:
         return space.distance(a, p) + space.distance(p, b) <= dab + tol
@@ -261,7 +264,7 @@ def _segment(space: Space, cset: Segment) -> _Kind:
             pts.append(at(rng.random()))
         return pts
 
-    return _Kind(lambda x: nearest(x)[1:], contains, probes, max(dab, 1.0))
+    return _Kind(lambda x: foot(x)[1:], contains, probes, max(dab, 1.0), lambda x: foot(x)[1])
 
 
 def _subtree(space: Space, cset: Subtree) -> _Kind:
@@ -394,6 +397,14 @@ def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
     and a hyperbolic segment's ``geodesic(a, b)`` kernel, built here.
     """
     return _compile(space, cset).project
+
+
+def compile_nearest(space: Space, cset: ConvexSetDescriptor) -> Callable[[Point], Point]:
+    """``x -> compile_set(space, cset)(x)[0]``: the projection's point alone,
+    one call above the set's closed form."""
+    kind = _compile(space, cset)
+    project = kind.project
+    return kind.nearest or (lambda x: project(x)[0])
 
 
 def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Point, int]:

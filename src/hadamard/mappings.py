@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import convex
-from .convex import ConvexSetDescriptor, compile_set
+from .convex import ConvexSetDescriptor, compile_nearest
 from .spaces import Euclidean, Hyperbolic, Point, Space, make_space
 
 
@@ -135,12 +135,7 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
             return _euclidean_rotation(mapping.center, mapping.angle)
         return _hyperbolic_rotation(make_space(desc), mapping.center, mapping.angle)
     if isinstance(mapping, ProjectionOnto):
-        project = compile_set(space, mapping.target)
-
-        def apply_proj(p: Point) -> Point:
-            return project(p)[0]
-
-        return apply_proj
+        return compile_nearest(space, mapping.target)
     if isinstance(mapping, GeodesicAverage):
         if not (0.0 <= mapping.weight <= 1.0):
             raise ValueError("average weight must lie in [0, 1]")

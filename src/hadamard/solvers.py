@@ -77,12 +77,6 @@ class Schedule:
     perturbation: PowerLaw
     mixing: Optional[float] = None
 
-    def anchor_at(self, n: int) -> float:
-        return self.anchor.value(n)
-
-    def perturbation_at(self, n: int) -> float:
-        return self.perturbation.value(n)
-
 
 @dataclass(frozen=True)
 class Condition:
@@ -240,11 +234,12 @@ def _measurer(
     here is exactly symmetric."""
     if reference is None:
         return lambda row, x: row
-    pairing = pairing_against(space, reference, base.o, reference)
+    distance, o = space.distance, base.o
+    pairing = pairing_against(space, reference, o, reference)
 
     def measure(row: TraceRow, x: Point) -> TraceRow:
-        row.ref_distance = d = space.distance(x, reference)
-        row.qx_inner = pairing(d, space.distance(base.o, x))
+        row.ref_distance = d = distance(x, reference)
+        row.qx_inner = pairing(d, distance(o, x))
         return row
 
     return measure
@@ -287,11 +282,12 @@ def implicit_step(
     if max_inner < 1:
         raise ValueError(f"max_inner must be at least 1, got {max_inner}")
     project = cset if callable(cset) else compile_set(space, cset)
+    geodesic_point, distance = space.geodesic_point, space.distance
     factor = (1.0 - anchor_weight) / anchor_weight
     x = x_start
     for it in range(1, max_inner + 1):
-        nxt = project(space.geodesic_point(u, mapping(x), anchor_weight))[0]
-        gap = space.distance(nxt, x) * factor
+        nxt = project(geodesic_point(u, mapping(x), anchor_weight))[0]
+        gap = distance(nxt, x) * factor
         x = nxt
         # a nan gap (the iterates overflowed) exits too, and is returned
         if not gap > inner_tol:
@@ -377,10 +373,11 @@ def run_implicit(
     """
 
     def steps(T, P, at, rng):
+        distance, anchor, perturbation = space.distance, schedule.anchor.value, schedule.perturbation.value
         x = prev = P(base.o)[0]
         for m in range(1, budget + 1):
-            a = schedule.anchor_at(m)
-            u = _perturbation_point(base, at, rng, schedule.perturbation_at(m))
+            a = anchor(m)
+            u = _perturbation_point(base, at, rng, perturbation(m))
             status = None
             try:
                 x, iterations, bound = implicit_step(
@@ -389,11 +386,7 @@ def run_implicit(
             except InnerBudgetError as err:
                 # the best inner iterate becomes the last row
                 x, iterations, bound, status = err.best, err.iterations, err.gap, "inner_budget"
-            row = TraceRow(
-                n=m, fixed_residual=space.distance(x, T(x)), step=space.distance(x, prev),
-                inner_iterations=iterations, inner_bound=bound,
-            )
-            yield row, x, status
+            yield TraceRow(m, distance(x, T(x)), distance(x, prev), None, None, None, iterations, bound), x, status
             prev = x
 
     return _run("implicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
@@ -427,21 +420,23 @@ def run_explicit(
     """
 
     def steps(T, P, at, rng):
-        x, b = x0, schedule.mixing
+        distance, geodesic_point, geodesic = space.distance, space.geodesic_point, space._geodesic
+        a, p, o, b = schedule.anchor, schedule.perturbation, base.o, schedule.mixing
+        x = x0
         for n in range(budget):
-            a = schedule.anchor_at(n)
             tx = T(x)
-            residual = space.distance(x, tx)
-            u = _perturbation_point(base, at, rng, schedule.perturbation_at(n))
-            y = space.geodesic_point(u, tx, a)
+            residual = distance(x, tx)
+            # PowerLaw.value and _perturbation_point, written out
+            t = p.scale * (n + p.shift) ** (-p.power)
+            u = o if t <= 0.0 else at(rng, t)
+            y = geodesic_point(u, tx, a.scale * (n + a.shift) ** (-a.power))
             z = P(y)[0]
             # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
-            z_residual = space.distance(z, x)
-            nxt = space._geodesic(x, z, 1.0 - b, z_residual)
-            step = space.distance(nxt, x)
-            yield TraceRow(n=n, fixed_residual=residual, step=step, z_residual=z_residual), x, None
+            z_residual = distance(z, x)
+            nxt = geodesic(x, z, 1.0 - b, z_residual)
+            yield TraceRow(n, residual, distance(nxt, x), z_residual), x, None
             x = nxt
-        yield TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
+        yield TraceRow(budget, distance(x, T(x))), x, None
 
     return _run("explicit", steps, space, cset, mapping, schedule, base, budget, outer_tol,
                 seed, reference, x0, sink=sink)

@@ -224,7 +224,7 @@ def test_criterion_5_implicit_scheme():
     err = E2.distance(trace.final, q)
     M = 10.0
     bound_ok = all(
-        r.fixed_residual <= 2.0 * sched.anchor_at(r.n) * M + 1e-6 for r in trace.rows
+        r.fixed_residual <= 2.0 * sched.anchor.value(r.n) * M + 1e-6 for r in trace.rows
     )
     ok = err <= 1e-2 and bound_ok
     record(

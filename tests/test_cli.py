@@ -429,6 +429,8 @@ def test_run_rejects_anchor_too_small_for_inner_solve(runner, tmp_path):
         (["verify", "--space", "euclidean:2", "--radius", "-1"], {}, "--radius"),
         (["verify", "--space", "euclidean:2", "--radius", "nan"], {}, "--radius"),
         (["verify", "--space", "euclidean:2", "--eps", "nan"], {}, "--eps"),
+        (["verify", "--space", "euclidean:2", "--eps", "x"], {}, "--eps: 'x' is not a positive finite number"),
+        (["verify", "--space", "euclidean:2", "--radius", "x"], {}, "--radius: 'x' is not a positive finite number"),
         (["verify", "--space", "euclidean:100000000", "--trials", "1"], {}, "--space"),
         (["verify", "--space", "hyperbolic:99999999999", "--trials", "1"], {}, "--space"),
         (["verify", "--space", "tree-star:100001:0.5", "--trials", "1"], {}, "--space"),
@@ -445,7 +447,8 @@ def test_run_rejects_anchor_too_small_for_inner_solve(runner, tmp_path):
     ],
     ids=[
         "verify-seed", "verify-h2-radius", "verify-product-radius", "verify-radius-negative",
-        "verify-radius-nan", "verify-eps-nan", "verify-euclidean-size", "verify-hyperbolic-size",
+        "verify-radius-nan", "verify-eps-nan", "verify-eps-text", "verify-radius-text",
+        "verify-euclidean-size", "verify-hyperbolic-size",
         "verify-tree-star-size", "verify-tree-random-size", "verify-product-size", "config-seed",
         "run-seed", "run-budget", "env-seed", "env-seed-negative", "verify-product-depth-1200",
     ],
@@ -459,7 +462,7 @@ def test_bad_flag_names_its_source(runner, tmp_path, args, env, name):
     result = runner.invoke(main, args, env=env)
     assert result.exit_code == 2, result.output
     assert name in result.output
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.output and "_positive_finite" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not out.exists()
 

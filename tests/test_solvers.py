@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import hadamard as hd
 from hadamard import convex, mappings, serialize, solvers
 from hadamard.experiments import execute
+from hadamard.geometry import pairing_against
 from hadamard.solvers import _perturbation_point
 from conftest import OffsetMetric, ept, hpt_polar
 
@@ -103,7 +105,7 @@ def test_shipped_implicit_config_solves_inner_steps_inexactly():
     assert trace.final_fixed_residual <= cfg.outer_tol
     assert math.dist(trace.final.data, (0.0, 1.0)) <= 1e-2
     for row in trace.rows:
-        eps = max(cfg.inner_tol, cfg.schedule.anchor_at(row.n) * cfg.outer_tol)
+        eps = max(cfg.inner_tol, cfg.schedule.anchor.value(row.n) * cfg.outer_tol)
         assert row.inner_iterations >= 1
         assert 0.0 <= row.inner_bound <= eps
     total = sum(row.inner_iterations for row in trace.rows)
@@ -460,3 +462,256 @@ def test_set_validation_runs_once_per_run(E2, monkeypatch):
         assert len(trace.rows) == budget
         counts.append(len(calls))
     assert counts[0] == counts[1] >= 1
+
+
+# ---------------------------------------------------------------------------
+# a test-side copy of both schemes' step bodies, primitive call by primitive
+# call, as the loops read before their kernels and laws were bound once per
+# run; every row and final point must match it bit for bit
+
+
+def _reference_mapping(space, mapping):
+    """``compile_mapping``'s closure, with projections, averages and
+    compositions applied by their definitions."""
+    if isinstance(mapping, hd.ProjectionOnto):
+        project = hd.compile_set(space, mapping.target)
+        return lambda p: project(p)[0]
+    if isinstance(mapping, hd.GeodesicAverage):
+        inner, w = _reference_mapping(space, mapping.inner), mapping.weight
+        return lambda p: space.geodesic_point(p, inner(p), w)
+    if isinstance(mapping, hd.Composition):
+        parts = [_reference_mapping(space, part) for part in mapping.parts]
+
+        def apply(p):
+            for f in parts:
+                p = f(p)
+            return p
+
+        return apply
+    return hd.compile_mapping(space, mapping)
+
+
+def _law(law, n):
+    return law.scale * (n + law.shift) ** (-law.power)
+
+
+def _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0=None, outer_tol=0.0,
+                   seed=0, reference=None, inner_tol=1e-10, max_inner=10**6):
+    """``(rows, final, status)`` of ``run_<algorithm>`` on these arguments."""
+    T, P = _reference_mapping(space, mapping), hd.compile_set(space, cset)
+    rng, at = hd.stream(seed, solvers.STREAM_PERTURBATION), hd.sphere(space, base.o)
+
+    def perturbation(n):
+        t = _law(schedule.perturbation, n)
+        return base.o if t <= 0.0 else at(rng, t)
+
+    def explicit():
+        x, b = x0, schedule.mixing
+        for n in range(budget):
+            a = _law(schedule.anchor, n)
+            tx = T(x)
+            residual = space.distance(x, tx)
+            u = perturbation(n)
+            z = P(space.geodesic_point(u, tx, a))[0]
+            z_residual = space.distance(z, x)
+            nxt = space._geodesic(x, z, 1.0 - b, z_residual)
+            step = space.distance(nxt, x)
+            yield solvers.TraceRow(n=n, fixed_residual=residual, step=step, z_residual=z_residual), x, None
+            x = nxt
+        yield solvers.TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
+
+    def implicit():
+        x = prev = P(base.o)[0]
+        for m in range(1, budget + 1):
+            a = _law(schedule.anchor, m)
+            u = perturbation(m)
+            tol, factor, status = max(inner_tol, a * outer_tol), (1.0 - a) / a, "inner_budget"
+            for it in range(1, max_inner + 1):
+                nxt = P(space.geodesic_point(u, T(x), a))[0]
+                gap = space.distance(nxt, x) * factor
+                x = nxt
+                if not gap > tol:
+                    status = None
+                    break
+            row = solvers.TraceRow(
+                n=m, fixed_residual=space.distance(x, T(x)), step=space.distance(x, prev),
+                inner_iterations=it, inner_bound=gap,
+            )
+            yield row, x, status
+            prev = x
+
+    if reference is not None:
+        pairing = pairing_against(space, reference, base.o, reference)
+    rows = []
+    for row, x, status in (explicit if algorithm == "explicit" else implicit)():
+        if reference is not None:
+            row.ref_distance = d = space.distance(x, reference)
+            row.qx_inner = pairing(d, space.distance(base.o, x))
+        rows.append(row)
+        if not row.fixed_residual < math.inf:
+            status = "diverged"
+        elif status is None and row.fixed_residual <= outer_tol:
+            status = "converged"
+        if status is not None:
+            return rows, x, status
+    return rows, x, "budget"
+
+
+def _same_as_reference(algorithm, space, cset, mapping, schedule, base, budget, x0=None, **kw):
+    if algorithm == "explicit":
+        for key in ("inner_tol", "max_inner"):
+            kw.pop(key, None)
+        trace = hd.run_explicit(space, cset, mapping, schedule, base, x0, budget, **kw)
+    else:
+        trace = hd.run_implicit(space, cset, mapping, schedule, base, budget, **kw)
+    rows, final, status = _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0, **kw)
+    assert repr(trace.rows) == repr(rows)
+    assert (repr(trace.final), trace.status) == (repr(final), status)
+    return trace
+
+
+# schedules whose laws round differently when written as scale / (n + shift)
+# ** power, with an averaging weight b for which 1 - b != b
+REFERENCE_SCHEDULES = {
+    "explicit": hd.Schedule(law(0.9, 0.7, 2), law(0.8, 1.3, 2), 0.6),
+    "implicit": hd.Schedule(law(0.9, 1), law(0.8, 2)),
+}
+
+
+def _reference_case(name, request):
+    """(space, set, mapping, base, x0, reference) of one family and mapping kind."""
+    if name == "E2-projection":
+        E2 = request.getfixturevalue("E2")
+        C, T, base, q = make_scenario(E2)
+        return E2, C, T, base, ept(E2, 2.0, -2.0), q
+    if name == "E2-rotation":
+        E2 = request.getfixturevalue("E2")
+        center = ept(E2, 1.0, 0.5)
+        return E2, hd.Ball(ept(E2, 1.0, 0.0), 3.0), hd.Rotation(center, 0.9), hd.Basepoint(ept(E2, 0.5, 0.5)), ept(E2, 2.0, 1.0), center
+    if name == "E3-average":
+        E3 = request.getfixturevalue("E3")
+        e3 = lambda *c: hd.euclidean_point(E3, *c)  # noqa: E731
+        T = hd.GeodesicAverage(0.3, hd.ProjectionOnto(hd.Segment(e3(-1.0, 1.0, 0.0), e3(2.0, 1.0, 1.0))))
+        return E3, hd.Ball(e3(0.0, 0.0, 0.0), 4.0), T, hd.Basepoint(e3(0.0, 0.0, 0.0)), e3(1.0, -1.0, 2.0), e3(0.0, 1.0, 0.5)
+    if name == "H2-projection":
+        H2 = request.getfixturevalue("H2")
+        C, T, base, q, x0 = make_h2_scenario(H2)
+        return H2, C, T, base, x0, q
+    if name == "H2-composition":
+        H2 = request.getfixturevalue("H2")
+        T = hd.Composition((hd.Rotation(H2.base, 0.4), hd.ProjectionOnto(hd.Ball(hpt_polar(H2, 0.5, 1.0), 1.0))))
+        base = hd.Basepoint(hpt_polar(H2, 1.0, 0.5 * math.pi))
+        return H2, hd.Ball(H2.base, 4.0), T, base, hpt_polar(H2, 1.2, 2.0), H2.base
+    if name == "tree-projection":
+        tree = request.getfixturevalue("tree")
+        T = hd.ProjectionOnto(hd.Segment(hd.tree_point(tree, 1, 0.5), hd.tree_point(tree, 3, 1.0)))
+        base = hd.Basepoint(hd.tree_point(tree, 4, 0.5))
+        return tree, hd.WholeSpace(), T, base, hd.tree_point(tree, 4, 0.7), hd.tree_point(tree, 2, 0.25)
+    if name == "tree-average":
+        tree = request.getfixturevalue("tree")
+        seg = hd.Segment(hd.tree_point(tree, 0, 0.5), hd.tree_point(tree, 3, 1.0))
+        T = hd.GeodesicAverage(0.5, hd.ProjectionOnto(seg))
+        base = hd.Basepoint(hd.tree_point(tree, 1, 1.0))
+        return tree, hd.Ball(hd.tree_point(tree, 2, 0.1), 3.0), T, base, hd.tree_point(tree, 2, 0.3), hd.tree_point(tree, 0, 0.2)
+    prod, E2, H2 = (request.getfixturevalue(f) for f in ("prod", "E2", "H2"))
+    T = hd.ProjectionOnto(hd.Ball(prod.pair(ept(E2, 1.0, 0.0), hpt_polar(H2, 0.5, 1.0)), 0.05))
+    base = hd.Basepoint(prod.pair(ept(E2, 0.0, 0.0), H2.base))
+    q = prod.pair(ept(E2, 0.5, 0.5), hpt_polar(H2, 0.3, 0.2))
+    return prod, hd.WholeSpace(), T, base, prod.pair(ept(E2, 2.0, -1.0), hpt_polar(H2, 1.0, 2.0)), q
+
+
+@pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
+@pytest.mark.parametrize("algorithm", ["explicit", "implicit"])
+@pytest.mark.parametrize(
+    "case",
+    ["E2-projection", "E2-rotation", "E3-average", "H2-projection", "H2-composition",
+     "tree-projection", "tree-average", "E2xH2-projection"],
+)
+def test_runs_match_the_reference_loops_bit_for_bit(request, case, algorithm, with_reference):
+    space, C, T, base, x0, q = _reference_case(case, request)
+    budget = 25 if algorithm == "explicit" else 8
+    trace = _same_as_reference(
+        algorithm, space, C, T, REFERENCE_SCHEDULES[algorithm], base, budget, x0,
+        seed=7, reference=q if with_reference else None,
+    )
+    assert trace.status == "budget" and trace.rows[-1].n == budget
+    assert (trace.rows[-1].ref_distance is None) == (not with_reference)
+
+
+@pytest.mark.parametrize("name", ["segment_explicit.json", "segment_implicit.json"])
+def test_overflowing_runs_match_the_reference_loops(name):
+    # the two translation-by-1e308 configs of test_cli, which end as diverged
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    doc.update(mapping={"type": "translation", "vector": [1e308, 0.0]}, convex_set={"type": "whole"})
+    if doc["algorithm"] == "implicit":
+        doc.update(budget=3, max_inner=100_000)
+    cfg = serialize.config_from_json(doc)
+    trace = _same_as_reference(
+        cfg.algorithm, hd.make_space(cfg.space), cfg.convex_set, cfg.mapping, cfg.schedule,
+        hd.Basepoint(cfg.basepoint), cfg.budget, cfg.x0, outer_tol=cfg.outer_tol, seed=cfg.seed,
+        reference=cfg.reference, inner_tol=cfg.inner_tol, max_inner=cfg.max_inner,
+    )
+    assert trace.status == "diverged"
+
+
+def test_inner_budget_run_matches_the_reference_loop(E2):
+    C, T, base, q = make_scenario(E2)
+    trace = _same_as_reference(
+        "implicit", E2, C, T, REFERENCE_SCHEDULES["implicit"], base, 10, outer_tol=1e-3, seed=2,
+        reference=q, max_inner=4,
+    )
+    assert trace.status == "inner_budget" and trace.rows[-1].inner_iterations == 4
+
+
+class CountingH2(hd.spaces.Space):
+    """The H2 model's primitives, forwarded, each call counted by name."""
+
+    def __init__(self, inner):
+        self.inner, self.descriptor, self.calls = inner, inner.descriptor, Counter()
+
+    def distance(self, a, b):
+        self.calls["distance"] += 1
+        return self.inner.distance(a, b)
+
+    def geodesic_point(self, x, y, lam):
+        self.calls["geodesic_point"] += 1
+        return self.inner.geodesic_point(x, y, lam)
+
+    def _geodesic(self, x, y, lam, d):
+        self.calls["_geodesic"] += 1
+        return self.inner._geodesic(x, y, lam, d)
+
+    def distances(self, a, pts):
+        self.calls["distances"] += 1
+        return self.inner.distances(a, pts)
+
+    def point_violations(self, p):
+        return self.inner.point_violations(p)
+
+
+@pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
+def test_each_step_calls_the_handle_passed_in_as_often_as_before(H2, with_reference):
+    # every primitive of a step goes through the handle the run was given;
+    # the counts are those of the loops before binding, none added or dropped
+    C, T, base, q, x0 = make_h2_scenario(H2)
+    reference = q if with_reference else None
+    ref = 2 if with_reference else 0
+
+    def counts(run, budget, **kw):
+        space = CountingH2(H2)
+        trace = run(space, C, T, budget=budget, base=base, reference=reference, **kw)
+        return space.calls, trace
+
+    sched = hd.Schedule(anchor=law(1, 0.7, 2), perturbation=law(1, 1, 2), mixing=0.5)
+    (short, _), (long, _) = (counts(hd.run_explicit, b, schedule=sched, x0=x0) for b in (10, 20))
+    # residual, the ball projection, z_residual and step; the anchored point
+    # and the segment foot; the averaging step
+    assert long - short == Counter(distance=10 * (4 + ref), geodesic_point=20, _geodesic=10)
+
+    sched = hd.Schedule(anchor=law(1, 1), perturbation=law(1, 2))
+    (short, _), (long, trace) = (counts(hd.run_implicit, b, schedule=sched) for b in (3, 4))
+    it = trace.rows[-1].inner_iterations
+    assert it > 1
+    # per inner iteration: the anchored point, the segment foot, the ball
+    # projection and the gap; then the row's residual and step
+    assert long - short == Counter(distance=2 * it + 2 + ref, geodesic_point=2 * it + 1)
