@@ -7,7 +7,8 @@ Subcommands::
     hadamard schedules --check <config.json>
 
 Exit status: 0 success/clean, 1 non-convergence or property violations,
-2 invalid configuration.  HADAMARD_SEED overrides the configured seed.
+2 invalid configuration or an output file that cannot be written.
+HADAMARD_SEED overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -180,6 +181,10 @@ def run_cmd(configs, seed, budget, output_dir):
         results = [run_to_files(cfg) for cfg in cfgs]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_BAD_CONFIG)
+    except OSError as exc:
+        # an output the system refuses: a path too long or under a file
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
 
     status = EXIT_OK

@@ -86,7 +86,8 @@ def run_to_files(cfg: serialize.ExperimentConfig) -> tuple[dict, Path]:
     solver runs (see :class:`serialize.TraceFile`), so memory does not grow
     with the budget.  Nothing is written, not even the output directory,
     for a config the solver rejects before its first step, and a run that
-    raises leaves nothing behind.  ``timings.write_s`` is the summed time of
+    raises, or whose trace or summary cannot be written, leaves nothing
+    behind.  ``timings.write_s`` is the summed time of
     the block writes and ``timings.solve_s`` the solver's span without the
     block writes made during it.
     """
@@ -97,6 +98,5 @@ def run_to_files(cfg: serialize.ExperimentConfig) -> tuple[dict, Path]:
         timings["solve_s"] -= trace_file.write_s
         trace_file.flush()
         timings["write_s"] = trace_file.write_s
-        text = serialize.dumps(summary)
-    (out_dir / f"{cfg.name}.summary.json").write_text(text)
+        (out_dir / f"{cfg.name}.summary.json").write_text(serialize.dumps(summary))
     return summary, trace_file.path

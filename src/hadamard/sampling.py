@@ -15,13 +15,11 @@ import math
 import random
 from typing import Callable
 
-from .geometry import retract
 from .spaces import (
     MAX_HYPERBOLIC_RADIUS,
     Euclidean,
     Hyperbolic,
     Point,
-    Product,
     Space,
     WeightedTree,
     make_space,
@@ -99,22 +97,21 @@ def random_point(space: Space, rng, radius: float = 5.0) -> Point:
 
 
 def _exponential(model: Space, c: Point):
-    """``(dim, exp)``: ``exp(g, s)`` is the exponential map at c of the
-    tangent vector s*g, the point s*|g| from c along g, for the coordinates
-    g of a tangent vector in an orthonormal frame at c of dimension
-    ``dim``.  None for a space with a tree factor, which has no tangent
-    space."""
+    """``(dim, exp)``: ``exp(rng, g, s)`` is the exponential map at c of
+    the tangent vector s*g, the point s*|g| from c along g, for the
+    coordinates g of a tangent vector in an orthonormal frame at c of
+    dimension ``dim``.  A tree has no tangent space: a tree factor takes
+    one coordinate g_T and draws at |g_T|*s through the tree's own
+    :meth:`sphere`, in a direction drawn from ``rng``."""
     desc = model.descriptor
     if isinstance(desc, (Euclidean, Hyperbolic)):
-        return desc.dim, model.exponential(c)
-    if isinstance(desc, Product):
-        left = _exponential(model.left, c.data[0])
-        right = _exponential(model.right, c.data[1])
-        if left is None or right is None:
-            return None
-        (n, exp_left), (m, exp_right) = left, right
-        return n + m, lambda g, s: Point(desc, (exp_left(g[:n], s), exp_right(g[n:], s)))
-    return None
+        exp = model.exponential(c)
+        return desc.dim, lambda rng, g, s: exp(g, s)
+    if isinstance(desc, WeightedTree):
+        at = model.sphere(c)
+        return 1, lambda rng, g, s: at(rng, abs(g[0]) * s)
+    (n, exp_left), (m, exp_right) = _exponential(model.left, c.data[0]), _exponential(model.right, c.data[1])
+    return n + m, lambda rng, g, s: Point(desc, (exp_left(rng, g[:n], s), exp_right(rng, g[n:], s)))
 
 
 def sphere(space: Space, center: Point) -> Callable[..., Point]:
@@ -124,69 +121,41 @@ def sphere(space: Space, center: Point) -> Callable[..., Point]:
     In E^n this is center + t g/|g| for a standard normal g; in H^n it is
     cosh t * center + sinh t * v for the unit tangent v = sum g_i f_i / |g|
     in an orthonormal frame f at center, with t capped at
-    ``MAX_HYPERBOLIC_RADIUS``; in a product of these, each factor takes its
-    part of g, so t splits between them in proportion to the two parts.  A
-    space with a tree factor has no tangent space: there a point w is drawn
-    by ``sampler(space)`` and the result lies min(t, d(center, w)) along the
-    geodesic toward w.  Only that fallback calls the handle's
-    primitives.  The center's tag is checked once, here.
-
-    The draw is the passed handle's own ``sphere(center)`` where it has one,
-    so a wrapper keeps its own metric."""
+    ``MAX_HYPERBOLIC_RADIUS``; in a tree it lies min(t, d(center, w))
+    toward a point w drawn uniformly over total edge length; in a product
+    each factor takes its part of g, so t splits between them in
+    proportion to the parts.  The draw is the model's own ``sphere`` where
+    it has one, and it calls no primitive of the handle passed in, so
+    every handle of a descriptor draws alike.  The center's tag is checked
+    once, here."""
     space._check(center)
-    own = getattr(space, "sphere", None)
+    model = make_space(space.descriptor)
+    own = getattr(model, "sphere", None)
     if own is not None:
         return own(center)
-    model = make_space(space.descriptor)
-    kernel = _exponential(model, center)
-    if kernel is not None:
-        dim, exp = kernel
+    dim, exp = _exponential(model, center)
 
-        def along_normal(rng, t):
-            g = normals(rng, dim)
-            nrm = math.hypot(*g)
-            return exp(g, t / nrm) if nrm > 0.0 else center
+    def along_normal(rng, t):
+        g = normals(rng, dim)
+        nrm = math.hypot(*g)
+        return exp(rng, g, t / nrm) if nrm > 0.0 else center
 
-        return along_normal
-    draw = sampler(model)
-
-    def toward_draw(rng, t):
-        w = draw(rng)
-        d = space.distance(center, w)
-        return retract(space, center, w, t, d) if d > 0.0 else center
-
-    return toward_draw
+    return along_normal
 
 
 def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Point]:
     """``rng ->`` a point at distance <= radius from center, built once like
-    :func:`sampler`'s closure.  In E^n it is uniform in volume; in H^n its
-    distance is uniform up to min(radius, ``MAX_HYPERBOLIC_RADIUS``); both
-    draw a uniform direction from :func:`sphere`.  Elsewhere draws of
-    ``sampler(space)`` that overshoot are pulled back along the geodesic to
-    a uniform depth inside the ball.  The radius must be a finite number
-    >= 0; it and the center's tag are checked once, here or in
-    :func:`sphere`."""
+    :func:`sampler`'s closure, in a direction drawn by :func:`sphere`.  Its
+    distance is radius * U^(1/n) in E^n, uniform in volume; uniform up to
+    min(radius, ``MAX_HYPERBOLIC_RADIUS``) in H^n; and uniform up to the
+    radius elsewhere.  The radius must be a finite number >= 0; it and the
+    center's tag are checked once, here or in :func:`sphere`."""
     _check_radius(radius)
-    desc = space.descriptor
+    desc, at = space.descriptor, sphere(space, center)
     if isinstance(desc, Euclidean):
-        at = sphere(space, center)
         return lambda rng: at(rng, radius * rng.random() ** (1.0 / desc.dim))
-    if isinstance(desc, Hyperbolic):
-        at, r = sphere(space, center), min(radius, MAX_HYPERBOLIC_RADIUS)
-        return lambda rng: at(rng, r * rng.random())
-    space._check(center)
-    draw = sampler(space)
-
-    def pull_back(rng) -> Point:
-        w = draw(rng)
-        d = space.distance(center, w)
-        if d <= radius or d == 0.0:
-            return w
-        # pull back to a uniformly random depth inside the ball
-        return retract(space, center, w, radius * rng.random(), d)
-
-    return pull_back
+    r = min(radius, MAX_HYPERBOLIC_RADIUS) if isinstance(desc, Hyperbolic) else radius
+    return lambda rng: at(rng, r * rng.random())
 
 
 def sample_in_ball(space: Space, center: Point, radius: float, rng) -> Point:

@@ -349,6 +349,9 @@ def _number(kind: type, value, where: str):
 def _string(value, where: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {value!r}")
+    # no path or file name can hold a NUL character
+    if "\0" in value:
+        raise ConfigError(f"{where}: must not contain a NUL character, got {value!r}")
     return value
 
 
@@ -412,8 +415,8 @@ class TraceFile:
     Rows are formatted and written a block of ``_BLOCK_ROWS`` at a time.  The
     file, and any directory missing above it, is created by the first block
     write, so a run rejected before its first row leaves nothing behind;
-    leaving the ``with`` block by an exception removes what was created.
-    ``write_s`` sums the time spent in block writes."""
+    a failed create, or leaving the ``with`` block by an exception, removes
+    what was created.  ``write_s`` sums the time spent in block writes."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -432,8 +435,12 @@ class TraceFile:
         if self._file is None:
             folder = self.path.parent
             self._created = [d for d in (folder, *folder.parents) if not d.exists()]
-            folder.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "w")
+            try:
+                folder.mkdir(parents=True, exist_ok=True)
+                self._file = open(self.path, "w")
+            except OSError:
+                self._remove_folders()
+                raise
             self._file.write(TRACE_HEADER + "\n")
         self._file.write("".join(map(_trace_line, self._block)))
         self._block.clear()
@@ -447,8 +454,13 @@ class TraceFile:
             self._file.close()
             if kind is not None:
                 self.path.unlink()
-                for folder in self._created:
-                    folder.rmdir()
+                self._remove_folders()
+
+    def _remove_folders(self) -> None:
+        # deepest first; a failed mkdir may have made only the upper ones
+        for folder in self._created:
+            if folder.is_dir():
+                folder.rmdir()
 
 
 def dumps(doc: dict) -> str:

@@ -755,11 +755,10 @@ class TreeSpace(Space):
         return at
 
     def sphere(self, c: Point):
-        """``sampling.sphere``'s fallback at c, ``(rng, t) ->`` the point
+        """``sampling.sphere``'s draw at c, ``(rng, t) ->`` the point
         min(t, d(c, w)) from c toward a point w drawn uniformly over total
         edge length, with one ``_path`` per draw for the distance and the
-        climb.  It measures with this handle's own metric, so only this
-        handle may draw through it.  The caller has checked c."""
+        climb.  The caller has checked c."""
         desc, edges, cum, total = self.descriptor, self.topology.edges, self.cumulative_length, self.total_length
         canonical, path, climb = self.canonical, self._path, self._climb
         ec, tc = c.data

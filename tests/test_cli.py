@@ -213,6 +213,8 @@ def test_run_batch(runner, tmp_path):
         ({"name": None}, "name:"),
         ({"output_dir": None}, "output_dir:"),
         ({"output_dir": ["out"]}, "output_dir:"),
+        ({"name": "a\u0000b"}, "name: must not contain a NUL character"),
+        ({"output_dir": "out\u0000x"}, "output_dir: must not contain a NUL character"),
         ({"mapping": {"type": "composition", "maps": 5}}, "mapping.maps:"),
         ({"schedule": [1]}, "schedule:"),
         ({"max_inner": 0}, "max_inner:"),
@@ -224,7 +226,8 @@ def test_run_batch(runner, tmp_path):
     ],
     ids=[
         "dim-null", "dim-x", "edges-int", "dim-2.9", "dim-true", "edge-endpoint-0.7", "tree-no-edges",
-        "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list", "maps-int",
+        "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list", "name-nul", "output-dir-nul",
+        "maps-int",
         "schedule-list", "max-inner-0", "max-inner-negative", "translation-1d", "translation-3d",
         "halfspace-normal-1d", "x0-outside-set",
     ],
@@ -277,6 +280,30 @@ def test_run_writes_only_under_output_dir(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "name:" in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.json"]
+
+
+@pytest.mark.parametrize(
+    "name, out, reason",
+    [
+        ("n" * 243, "out", "File name too long"),
+        ("n" * 300, "made/by/run", "File name too long"),
+        ("run", "blocker/out", "Not a directory"),
+        ("run", "blocker", "File exists"),
+    ],
+    ids=["summary-name-too-long", "trace-name-too-long", "output-dir-under-a-file", "output-dir-is-a-file"],
+)
+def test_an_output_the_system_refuses_exits_two_and_leaves_nothing(runner, tmp_path, name, out, reason):
+    # a 243-character name fits the trace's file name but not the summary's
+    cfg = write_config(tmp_path, name="case.json", budget=10)
+    doc = json.loads(cfg.read_text())
+    doc["name"] = name
+    cfg.write_text(json.dumps(doc))
+    (tmp_path / "blocker").write_text("")
+    result = runner.invoke(main, ["run", str(cfg), "--output-dir", str(tmp_path / out)])
+    assert result.exit_code == 2, result.output
+    assert re.search(rf"^error: {re.escape(str(tmp_path))}/\S+: {reason}$", result.output, re.M), result.output
+    assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "case.json"]
 
 
 def test_verify_clean_space(runner):

@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hadamard as hd
-from hadamard import convex
+from hadamard import convex, sampling
 from hadamard.cli import random_tree_topology
 from hadamard.convex import IncompatibleSetError
 from conftest import CATERPILLAR, OffsetMetric, ept, hpt_polar, shuffled_random_tree
@@ -517,27 +518,46 @@ def test_wrapper_certificates_keep_their_metric(request, family):
             assert want == min(hd.quasilinearization(space, x, u, u, y) for y in pts)
 
 
-def test_a_wrapper_around_a_tree_draws_its_ball_probes_through_its_own_distance(tree):
-    # the tree handle's written-out sphere measures with the tree's metric,
-    # so a wrapper takes the fallback, which measures through its distance:
-    # once per draw, and the same bits as the model where the metric is the
-    # model's
-    class Counting(hd.CorruptedSpace):
-        calls = 0
+class Counting(hd.CorruptedSpace):
+    """The wrapped handle's metric, unchanged, with a count of the calls of
+    each primitive: ``distances``, ``geodesic`` and ``_geodesic`` reach the
+    wrapper through these two."""
 
-        def distance(self, a, b):
-            Counting.calls += 1
-            return self.inner.distance(a, b)
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = Counter()
 
-    space, cset, center = Counting(tree), hd.Ball(tree.vertex_point(1), 1.2), tree.vertex_point(1)
-    pts = hd.probe_points(space, cset, center, 80, seed=2)
-    assert Counting.calls == 80
-    assert pts == hd.probe_points(tree, cset, center, 80, seed=2)
-    # under a metric twice the tree's, a boundary probe lies min(0.6, d(c, w))
-    # from the center along the tree, not 1.2
-    doubled = type("Doubled", (hd.CorruptedSpace,), {"distance": lambda s, a, b: 2.0 * s.inner.distance(a, b)})
-    half = [tree.distance(center, p) for p in hd.probe_points(doubled(tree), cset, center, 80, seed=2)[:40]]
-    assert max(half) <= 0.6 + 1e-12 and sum(abs(d - 0.6) <= 1e-12 for d in half) >= 20
+    def distance(self, a, b):
+        self.calls["distance"] += 1
+        return self.inner.distance(a, b)
+
+    def geodesic_point(self, x, y, lam):
+        self.calls["geodesic_point"] += 1
+        return self.inner.geodesic_point(x, y, lam)
+
+
+@pytest.mark.parametrize("family", ["tree", "E2_tree"])
+def test_a_wrapper_draws_its_ball_probes_like_its_model_without_measuring(E2, tree, family):
+    # every draw is a function of the model and the stream: a wrapper around
+    # a tree, or around a product with a tree factor, draws the model's bits
+    # and calls none of its primitives.  probe_points measures only in its
+    # count // 8 blends toward u, after the draw.
+    if family == "tree":
+        model, center = tree, tree.vertex_point(1)
+    else:
+        model = hd.make_space(hd.Product(E2.descriptor, tree.descriptor))
+        center = model.pair(ept(E2, 0.5, -1.0), tree.vertex_point(1))
+    space = Counting(model)
+
+    def draws(handle):
+        at, inside, rng = hd.sphere(handle, center), sampling.ball_sampler(handle, center, 1.2), hd.stream(12, 1)
+        return [(at(rng, 0.9), inside(rng)) for _ in range(40)]
+
+    assert draws(space) == draws(model)
+    assert not space.calls
+    cset = hd.Ball(center, 1.2)
+    assert hd.probe_points(space, cset, center, 80, seed=2) == hd.probe_points(model, cset, center, 80, seed=2)
+    assert space.calls == {"geodesic_point": 80 // 8}
 
 
 @pytest.mark.parametrize("family", ["E2", "H2", "tree", "prod"])

@@ -26,8 +26,8 @@ def shuffled_tree():
 
 @pytest.fixture(scope="module")
 def E2_tree(E2, tree):
-    # a product with a tree factor has no tangent space: its draws take
-    # the fallbacks of `sphere` and `ball_sampler`
+    # a product with a tree factor: its draws give the tree factor its
+    # share of the distance through the tree's own sphere
     return hd.make_space(hd.Product(E2.descriptor, tree.descriptor))
 
 

@@ -1,11 +1,14 @@
+import ast
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hadamard as hd
 from hadamard import sampling
+from hadamard.cli import random_tree_topology
 from hadamard.spaces import ProductSpace, TreeSpace, minkowski
 from conftest import CATERPILLAR, ept, hpt_polar
 
@@ -224,3 +227,55 @@ def test_a_foreign_center_is_rejected_when_the_draw_is_built(E2, E3, H2, tree, p
             hd.sphere(space, center)
         with pytest.raises(hd.SpaceMismatchError):
             sampling.ball_sampler(space, center, 1.0)
+
+
+def test_no_draw_measures():
+    # every draw is a function of the model and the random stream: nothing
+    # in sampling.py calls a metric or geodesic primitive, on any handle
+    measuring = {"distance", "distances", "geodesic_point", "_geodesic", "geodesic", "retract"}
+    tree = ast.parse(Path(sampling.__file__).read_text())
+    calls = [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "attr", None) or getattr(node.func, "id", None)]
+        if name in measuring
+    ]
+    assert not calls
+
+
+@pytest.fixture(scope="module")
+def E2_random_tree(E2):
+    # E2 x a 20-edge random tree, centered at (origin, vertex 0)
+    tree = hd.make_space(hd.WeightedTree(random_tree_topology(20, 1)))
+    space = hd.make_space(hd.Product(E2.descriptor, tree.descriptor))
+    return space, space.pair(ept(E2, 0.0, 0.0), tree.vertex_point(0))
+
+
+def test_a_tree_factor_draws_its_share_at_any_distance(E2_random_tree):
+    # a tree factor takes one coordinate of the normal vector and stops at
+    # min(share, d(c_T, w)): no draw passes t, and the draws whose tree
+    # share fits land at t, however far t is
+    space, c = E2_random_tree
+    at, rng = hd.sphere(space, c), hd.stream(13, 1)
+    for t in (1.0, 9.0, 15.0, 30.0):
+        ds = []
+        for _ in range(500):
+            p = at(rng, t)
+            assert hd.validate_point(space, p) is None and exact_floats(space, p)
+            ds.append(space.distance(c, p))
+        assert max(ds) <= t * (1.0 + 1e-12), t
+        assert sum(abs(d - t) <= 1e-9 * t for d in ds) >= 20, t
+
+
+def test_ball_draws_and_probes_reach_the_radius_on_products(E2_random_tree, prod):
+    space, c = E2_random_tree
+    draw, rng = sampling.ball_sampler(space, c, 50.0), hd.stream(13, 2)
+    assert max(space.distance(c, draw(rng)) for _ in range(2000)) > 25.0
+    probes = hd.probe_points(space, hd.Ball(c, 50.0), c, 500, seed=1)
+    assert abs(max(space.distance(c, p) for p in probes) - 50.0) <= 1e-9
+    E2, H2 = prod.left, prod.right
+    center = prod.pair(ept(E2, 0.0, 0.0), H2.base)
+    draw = sampling.ball_sampler(prod, center, 30.0)
+    reach = [prod.distance(center, draw(rng)) for _ in range(2000)]
+    assert 25.0 < max(reach) <= 30.0 * (1.0 + 1e-12)
