@@ -22,7 +22,7 @@ from .convex import (
     project_point,
     project_segment,
 )
-from .geometry import cauchy_schwarz_gap, norm, quasilinearization
+from .geometry import quasilinearization
 from .harness import (
     CorruptedSpace,
     PropertyReport,
@@ -39,7 +39,6 @@ from .mappings import (
     ProjectionOnto,
     Rotation,
     Translation,
-    apply_mapping,
     compile_mapping,
     known_fixed_set,
 )
@@ -64,7 +63,6 @@ from .solvers import (
     validate_schedules,
 )
 from .spaces import (
-    Basepoint,
     Euclidean,
     Hyperbolic,
     InvalidSpaceError,

@@ -174,11 +174,22 @@ def _positive_finite(text: str) -> float:
 
 
 def run_cmd(configs, seed, budget, output_dir):
-    """Run solver experiments from JSON config files."""
+    """Run solver experiments from JSON config files.  All are loaded before
+    the first run; each is reported as soon as its files are written."""
+    status = EXIT_OK
     # every input error (ConfigError, ScheduleError, InvalidSpaceError) is a ValueError
     try:
         cfgs = [_load_config(p, seed, budget, output_dir) for p in configs]
-        results = [run_to_files(cfg) for cfg in cfgs]
+        for cfg in cfgs:
+            summary, trace_path = run_to_files(cfg)
+            # a diverged run's residual is null in its summary
+            residual = summary["final_fixed_residual"]
+            print(
+                f"{summary['name']}: {summary['status']} after {summary['steps']} steps, "
+                f"final residual {'null' if residual is None else f'{residual:.3e}'} -> {trace_path}"
+            )
+            if summary["status"] != "converged":
+                status = EXIT_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
@@ -186,17 +197,6 @@ def run_cmd(configs, seed, budget, output_dir):
         # an output the system refuses: a path too long or under a file
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
-
-    status = EXIT_OK
-    for summary, trace_path in results:
-        # a diverged run's residual is null in its summary
-        residual = summary["final_fixed_residual"]
-        print(
-            f"{summary['name']}: {summary['status']} after {summary['steps']} steps, "
-            f"final residual {'null' if residual is None else f'{residual:.3e}'} -> {trace_path}"
-        )
-        if summary["status"] != "converged":
-            status = EXIT_FAILED
     sys.exit(status)
 
 

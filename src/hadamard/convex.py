@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .geometry import pairing_against, retract
+from .geometry import pairing_against
 from .sampling import ball_sampler, normals, sphere, stream
 from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space
 
@@ -233,7 +233,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
 
     def project(x: Point) -> tuple[Point, int]:
         d = space.distance(center, x)
-        return (x if d <= radius else retract(space, center, x, radius, d)), 0
+        return (x if d <= radius else space._geodesic(center, x, max(0.0, 1.0 - radius / d), d)), 0
 
     def contains(p: Point, tol: float) -> bool:
         return space.distance(center, p) <= radius + tol
@@ -356,11 +356,11 @@ def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[
     if count <= 0:
         raise ValueError("probe count must be positive")
     pts = kind.probes(u, count, stream(seed, 0xC0))
-    # adversarial refinement: blend a slice of the probes toward u
+    # adversarial refinement: blend the last probes drawn toward u, one each
     n_near = max(1, count // 8)
     blend = (0.9, 0.99, 0.999)
-    for i in range(min(n_near, len(pts))):
-        pts.append(space.geodesic_point(u, pts[-1 - i], blend[i % len(blend)]))
+    near = range(min(n_near, len(pts)))
+    pts += [space.geodesic_point(u, pts[-1 - i], blend[i % len(blend)]) for i in near]
     return pts[: count + n_near]
 
 

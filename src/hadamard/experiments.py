@@ -16,7 +16,7 @@ from .solvers import (
     run_explicit,
     run_implicit,
 )
-from .spaces import Basepoint, make_space
+from .spaces import make_space
 
 
 def execute(
@@ -32,8 +32,7 @@ def execute(
     not finite, such as a diverged run's residual, is None (JSON null).
     """
     space = make_space(cfg.space)
-    base = Basepoint(cfg.basepoint)
-    args = (space, cfg.convex_set, cfg.mapping, cfg.schedule, base)
+    args = (space, cfg.convex_set, cfg.mapping, cfg.schedule, cfg.basepoint)
     shared = dict(budget=cfg.budget, outer_tol=cfg.outer_tol, seed=cfg.seed,
                   reference=cfg.reference, sink=sink)
     start = time.perf_counter()
@@ -48,7 +47,7 @@ def execute(
     fixed = known_fixed_set(cfg.mapping)
     if fixed is not None and fixed != []:
         certificates["nearest_fixed_point_residual"] = nearest_fixed_point_residual(
-            space, trace.final, base, fixed, probes=1000, seed=cfg.seed
+            space, trace.final, cfg.basepoint, fixed, probes=1000, seed=cfg.seed
         )
     certified = time.perf_counter()
 
@@ -57,7 +56,7 @@ def execute(
         "status": trace.status,
         "steps": trace.last.n,
         "final_point": serialize.point_to_json(trace.final),
-        "final_fixed_residual": trace.final_fixed_residual,
+        "final_fixed_residual": trace.last.fixed_residual,
         "certificates": certificates,
         "timings": {"solve_s": solved - start, "certify_s": certified - solved},
         "config": serialize.config_to_json(cfg),

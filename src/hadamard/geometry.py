@@ -1,20 +1,19 @@
-"""Quasilinearization form and derived scalar quantities.
+"""The quasilinearization pairing.
 
 The quasilinearization pairing assigns to two ordered point pairs the value
 
     <ab, cd> = (d(a,d)^2 + d(b,c)^2 - d(a,c)^2 - d(b,d)^2) / 2,
 
 which behaves like an inner product of the displacement "vectors" ab and cd.
-In a CAT(0) space it obeys the Cauchy-Schwarz bound <ab, cd> <= d(a,b)d(c,d);
-the signed gap of that bound is exposed here so the property harness can test
-it directly.
+In a CAT(0) space it obeys the Cauchy-Schwarz bound <ab, cd> <= d(a,b)d(c,d)
+(Berg and Nikolaev 2008).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .spaces import Basepoint, Point, Space
+from .spaces import Point, Space
 
 
 def quasilinearization(space: Space, a: Point, b: Point, c: Point, d: Point) -> float:
@@ -42,21 +41,3 @@ def pairing_against(space: Space, a: Point, b: Point, c: Point) -> Callable[[flo
         return 0.5 * (dad * dad + dbc2 - dac2 - dbd * dbd)
 
     return pairing
-
-
-def retract(space: Space, c: Point, w: Point, r: float, d: float) -> Point:
-    """The point at distance min(r, d) from ``c`` toward ``w``, for a caller
-    that holds ``d = distance(c, w) > 0``."""
-    return space._geodesic(c, w, max(0.0, 1.0 - r / d), d)
-
-
-def cauchy_schwarz_gap(space: Space, a: Point, b: Point, c: Point, d: Point) -> float:
-    """d(a,b)*d(c,d) - <ab, cd>; nonnegative (up to rounding) in CAT(0)."""
-    return space.distance(a, b) * space.distance(c, d) - quasilinearization(
-        space, a, b, c, d
-    )
-
-
-def norm(space: Space, x: Point, base: Basepoint) -> float:
-    """Distance to the configured base point."""
-    return space.distance(x, base.o)

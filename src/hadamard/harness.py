@@ -31,7 +31,7 @@ from typing import Optional
 from . import serialize
 from .sampling import sampler, stream
 from .solvers import IterationTrace, PowerLaw
-from .spaces import Basepoint, Point, Space
+from .spaces import Point, Space
 
 
 @dataclass
@@ -334,7 +334,7 @@ class TraceDiagnostics:
 def trace_diagnostics(
     space: Space,
     trace: IterationTrace,
-    base: Basepoint,
+    base: Point,
     tail_fraction: float = 0.1,
 ) -> TraceDiagnostics:
     """Tail statistics of a solver trace, read from its rows.
@@ -357,7 +357,7 @@ def trace_diagnostics(
     max_qx = scale = None
     if trace.reference is not None:
         max_qx = max(r.qx_inner for r in rows)
-        base_sq = space.distance(trace.reference, base.o) ** 2
+        base_sq = space.distance(trace.reference, base) ** 2
         scale = max(1.0 + base_sq + r.ref_distance**2 for r in rows)
     return TraceDiagnostics(
         rows_considered=k,

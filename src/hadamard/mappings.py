@@ -175,10 +175,6 @@ def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point
     return _compile(space, mapping)
 
 
-def apply_mapping(space: Space, mapping: MappingDescriptor, x: Point) -> Point:
-    return _compile(space, mapping)(x)
-
-
 FixedSet = Union[ConvexSetDescriptor, list]
 
 

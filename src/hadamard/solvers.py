@@ -34,7 +34,7 @@ from .convex import (
 from .geometry import pairing_against
 from .mappings import MappingDescriptor, compile_mapping
 from .sampling import sphere, stream
-from .spaces import Basepoint, Point, Space
+from .spaces import Point, Space
 
 STREAM_PERTURBATION = 1
 STREAM_PROBES = 2
@@ -220,13 +220,9 @@ class IterationTrace:
     last: Optional[TraceRow] = None
     inner_iterations: int = 0
 
-    @property
-    def final_fixed_residual(self) -> float:
-        return self.last.fixed_residual
-
 
 def _measurer(
-    space: Space, base: Basepoint, reference: Optional[Point]
+    space: Space, base: Point, reference: Optional[Point]
 ) -> Callable[[TraceRow, Point], TraceRow]:
     """``measure(row, x)``: fill ``row``'s distance d(x, reference) and
     pairing <reference->base, reference->x> when the run has a reference.
@@ -234,25 +230,15 @@ def _measurer(
     here is exactly symmetric."""
     if reference is None:
         return lambda row, x: row
-    distance, o = space.distance, base.o
-    pairing = pairing_against(space, reference, o, reference)
+    distance = space.distance
+    pairing = pairing_against(space, reference, base, reference)
 
     def measure(row: TraceRow, x: Point) -> TraceRow:
         row.ref_distance = d = distance(x, reference)
-        row.qx_inner = pairing(d, distance(o, x))
+        row.qx_inner = pairing(d, distance(base, x))
         return row
 
     return measure
-
-
-def _perturbation_point(
-    base: Basepoint, at: Callable[..., Point], rng, target_norm: float
-) -> Point:
-    """The base point for a zero target, else a point at distance
-    ``target_norm`` from it in a direction uniform there, drawn by ``at``,
-    the closure ``sphere(space, base.o)`` (which caps the distance as its
-    family does)."""
-    return base.o if target_norm <= 0.0 else at(rng, target_norm)
 
 
 def implicit_step(
@@ -297,13 +283,15 @@ def implicit_step(
 
 def _run(
     algorithm: str, steps: Callable[..., Iterator], space: Space, cset: ConvexSetDescriptor,
-    mapping: MappingDescriptor, schedule: Schedule, base: Basepoint, budget: int,
+    mapping: MappingDescriptor, schedule: Schedule, base: Point, budget: int,
     outer_tol: float, seed: int, reference: Optional[Point], x0: Optional[Point] = None,
     sink: Optional[Callable[[TraceRow], None]] = None,
 ) -> IterationTrace:
     """Check the schedule and the starting point ``x0``, if given, then
     record each ``(row, x, status)`` of ``steps(T, P, at, rng)``, where
-    ``at`` and ``rng`` feed :func:`_perturbation_point`.  Each row goes to
+    ``at(rng, t)``, the closure ``sphere(space, base)``, draws a
+    perturbation at distance t from the base point (capped as its family
+    caps it) in a direction uniform there.  Each row goes to
     ``sink``, or is appended to the trace's rows when ``sink`` is None; no
     row is recorded before every check has passed.
     One stop rule serves both schemes.  The first row whose residual is not
@@ -317,7 +305,7 @@ def _run(
     T = compile_mapping(space, mapping)
     P = compile_set(space, cset)
     rng = stream(seed, STREAM_PERTURBATION)
-    at = sphere(space, base.o)
+    at = sphere(space, base)
     trace = IterationTrace(reference=reference)
     if sink is None:
         sink = trace.rows.append
@@ -343,7 +331,7 @@ def run_implicit(
     cset: ConvexSetDescriptor,
     mapping: MappingDescriptor,
     schedule: Schedule,
-    base: Basepoint,
+    base: Point,
     budget: int,
     outer_tol: float = 0.0,
     seed: int = 0,
@@ -374,10 +362,10 @@ def run_implicit(
 
     def steps(T, P, at, rng):
         distance, anchor, perturbation = space.distance, schedule.anchor.value, schedule.perturbation.value
-        x = prev = P(base.o)[0]
+        x = prev = P(base)[0]
         for m in range(1, budget + 1):
-            a = anchor(m)
-            u = _perturbation_point(base, at, rng, perturbation(m))
+            a, t = anchor(m), perturbation(m)
+            u = base if t <= 0.0 else at(rng, t)
             status = None
             try:
                 x, iterations, bound = implicit_step(
@@ -398,7 +386,7 @@ def run_explicit(
     cset: ConvexSetDescriptor,
     mapping: MappingDescriptor,
     schedule: Schedule,
-    base: Basepoint,
+    base: Point,
     x0: Point,
     budget: int,
     outer_tol: float = 0.0,
@@ -421,14 +409,14 @@ def run_explicit(
 
     def steps(T, P, at, rng):
         distance, geodesic_point, geodesic = space.distance, space.geodesic_point, space._geodesic
-        a, p, o, b = schedule.anchor, schedule.perturbation, base.o, schedule.mixing
+        a, p, b = schedule.anchor, schedule.perturbation, schedule.mixing
         x = x0
         for n in range(budget):
             tx = T(x)
             residual = distance(x, tx)
-            # PowerLaw.value and _perturbation_point, written out
+            # PowerLaw.value, written out
             t = p.scale * (n + p.shift) ** (-p.power)
-            u = o if t <= 0.0 else at(rng, t)
+            u = base if t <= 0.0 else at(rng, t)
             y = geodesic_point(u, tx, a.scale * (n + a.shift) ** (-a.power))
             z = P(y)[0]
             # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
@@ -445,7 +433,7 @@ def run_explicit(
 def nearest_fixed_point_residual(
     space: Space,
     q: Point,
-    base: Basepoint,
+    base: Point,
     fixed_set: Union[ConvexSetDescriptor, Sequence[Point]],
     probes: int = 1000,
     seed: int = 0,
@@ -463,8 +451,8 @@ def nearest_fixed_point_residual(
         # anchor probe blending at a true member so every probe stays in the set
         anchor = project_point(space, fixed_set, q)[0]
         pts = probe_points(space, fixed_set, anchor, probes, seed=stream_seed(seed))
-    pairing = pairing_against(space, q, base.o, q)
-    return max(map(pairing, space.distances(q, pts), space.distances(base.o, pts)))
+    pairing = pairing_against(space, q, base, q)
+    return max(map(pairing, space.distances(q, pts), space.distances(base, pts)))
 
 
 def stream_seed(seed: int) -> int:

@@ -3,8 +3,9 @@
 Four concrete model families are provided: Euclidean space, real hyperbolic
 space in the hyperboloid model, metric trees with positive edge lengths, and
 binary products of the above.  A space handle built by :func:`make_space`
-exposes the two primitive operations everything else is built from: the
-metric ``distance`` and geodesic interpolation ``geodesic_point``.
+exposes the primitives ``distance`` and ``geodesic_point``, and kernels
+bound to fixed points: ``distances`` from one point, the ``geodesic``
+between two and, on E^2, H^2 and trees, the ``sphere`` draw about one.
 
 Points are immutable values tagged with their space descriptor.  All
 operations return fresh values and keep no hidden state.
@@ -126,13 +127,6 @@ def _point_init(self, space: SpaceDescriptor, data: tuple) -> None:
 
 _point_init.__name__, _point_init.__qualname__ = "__init__", "Point.__init__"
 Point.__init__ = _point_init
-
-
-@dataclass(frozen=True)
-class Basepoint:
-    """The distinguished reference element used to define norms."""
-
-    o: Point
 
 
 def product_depth(desc: SpaceDescriptor) -> int:

@@ -212,7 +212,7 @@ def _planar_scenario():
     E2 = hd.make_space(hd.Euclidean(2))
     C = hd.Ball(ept(E2, 0.0, 0.0), 3.0)
     T = hd.ProjectionOnto(hd.Segment(ept(E2, -2.0, 1.0), ept(E2, 2.0, 1.0)))
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     q = ept(E2, 0.0, 1.0)
     return E2, C, T, base, q
 
@@ -269,8 +269,7 @@ def test_criterion_7_hyperbolic_cross_space():
     )
     T = hd.ProjectionOnto(seg)
     C = hd.Ball(H2.base, 4.0)
-    o = hd.hyperboloid_point(H2, math.cosh(1.0), 0.0, math.sinh(1.0))
-    base = hd.Basepoint(o)
+    base = o = hd.hyperboloid_point(H2, math.cosh(1.0), 0.0, math.sinh(1.0))
 
     sched_i = hd.Schedule(anchor=hd.PowerLaw(1.0, 1.0, 1.0), perturbation=hd.PowerLaw(1.0, 2.0, 1.0))
     tr_i = hd.run_implicit(H2, C, T, sched_i, base, budget=200, seed=0)

@@ -306,6 +306,23 @@ def test_an_output_the_system_refuses_exits_two_and_leaves_nothing(runner, tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "case.json"]
 
 
+
+def test_a_refused_output_still_reports_the_runs_before_it(runner, tmp_path):
+    # a's files are written before b's name is refused, and a's line is
+    # printed before the error
+    a = write_config(tmp_path, name="a.json", budget=10)
+    b = write_config(tmp_path, name="b.json", budget=10)
+    doc = json.loads(b.read_text())
+    doc["name"] = "n" * 300
+    b.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(a), str(b), "--output-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()
+    assert lines[0].startswith("segment-implicit: ") and lines[0].endswith(f"-> {out / 'segment-implicit.trace.csv'}")
+    assert lines[1].startswith("error: ") and "File name too long" in lines[1]
+    assert sorted(p.name for p in out.iterdir()) == ["segment-implicit.summary.json", "segment-implicit.trace.csv"]
+
 def test_verify_clean_space(runner):
     result = runner.invoke(main, ["verify", "--space", "euclidean:2", "--trials", "2000"])
     assert result.exit_code == 0, result.output

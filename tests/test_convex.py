@@ -277,6 +277,14 @@ def test_probe_points_stay_in_set(E2, tree):
             assert hd.contains(space, cset, p, 1e-8)
 
 
+
+def test_probe_blends_each_read_their_own_probe(E2):
+    # the 125 blends of a 1,000-probe certificate pull 125 different probes
+    # toward u, not one probe at three weights
+    pts = hd.probe_points(E2, hd.Ball(ept(E2, 0.0, 0.0), 1.0), ept(E2, 1.0, 0.0), 1000, seed=3)
+    blends = pts[-125:]
+    assert len(pts) == 1125 and len(set(blends)) == 125
+
 def test_certificate_accepts_true_projection(E2):
     seg = hd.Segment(ept(E2, -2.0, 1.0), ept(E2, 2.0, 1.0))
     x = ept(E2, 0.5, 4.0)

@@ -55,7 +55,7 @@ def test_forwarding_handle_gives_the_model_bits(request, family):
     sched = hd.Schedule(hd.PowerLaw(1.0, 0.7, 2.0), hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
     C, T = hd.Ball(x0, 2.0), hd.ProjectionOnto(hd.Segment(a, b))
     for run in (_explicit, _implicit):
-        assert same(lambda s: run(s, C, T, sched, hd.Basepoint(o), x0, a)).rows
+        assert same(lambda s: run(s, C, T, sched, o, x0, a)).rows
     same(lambda s: hd.check_space_axioms(s, 30, seed=2))
     # segments: closed forms on E2, H2 and trees, ternary search on products only
     u, iterations = same(lambda s: hd.project_point(s, hd.Segment(a, b), x))
@@ -93,7 +93,7 @@ def test_explicit_run_on_a_corrupted_handle_ends_in_a_status(H2):
     sched = hd.Schedule(hd.PowerLaw(1.0, 0.7, 2.0), hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
     T = hd.ProjectionOnto(hd.Ball(H2.base, 1.0))
     x0 = hpt_polar(H2, 3.0, 0.3)
-    trace = hd.run_explicit(space, hd.WholeSpace(), T, sched, hd.Basepoint(H2.base), x0, 50)
+    trace = hd.run_explicit(space, hd.WholeSpace(), T, sched, H2.base, x0, 50)
     assert trace.status in ("converged", "budget") and len(trace.rows) > 1
 
 

@@ -51,7 +51,7 @@ def _reference_axioms(space, a, b, c, d, e, lam):
         ("triangle_inequality", dab + dist(b, c) - dist(a, c), scale),
         ("geodesic_distance_to_start", -abs(dist(z, a) - (1.0 - lam) * dab), 1.0 + dab),
         ("geodesic_distance_to_end", -abs(dist(z, b) - lam * dab), 1.0 + dab),
-        ("cauchy_schwarz", hd.cauchy_schwarz_gap(space, a, b, c, d), scale),
+        ("cauchy_schwarz", dab * dist(c, d) - ql(space, a, b, c, d), scale),
         ("pairing_symmetry", -abs(q - ql(space, c, d, a, b)), scale),
         ("pairing_antisymmetry", -abs(q + ql(space, b, a, c, d)), scale),
         (
@@ -265,7 +265,7 @@ def test_liu_recursion_flags_unmet_hypotheses():
 
 def test_trace_diagnostics_constant_trace(E2):
     q = ept(E2, 0.0, 1.0)
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     trace = IterationTrace(
         rows=[TraceRow(n=i, fixed_residual=0.0, ref_distance=0.0, qx_inner=0.0) for i in range(20)],
         final=q,
@@ -281,7 +281,7 @@ def test_trace_diagnostics_constant_trace(E2):
 def test_trace_diagnostics_flags_translation(E2):
     # fixed-point-free translation: residual stays at the shift norm
     C = hd.Ball(ept(E2, 0.0, 0.0), 50.0)
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     sched = hd.Schedule(
         anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5
     )
@@ -300,7 +300,7 @@ def test_trace_diagnostics_flags_translation(E2):
 
 
 def test_trace_diagnostics_validates_input(E2):
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     with pytest.raises(ValueError):
         hd.trace_diagnostics(E2, IterationTrace(), base)
     trace = IterationTrace(rows=[TraceRow(n=0, fixed_residual=0.0)], final=ept(E2, 0, 0))

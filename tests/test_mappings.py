@@ -9,7 +9,7 @@ from conftest import ept, hpt_polar
 
 def test_identity(E2):
     x = ept(E2, 1.0, 2.0)
-    assert hd.apply_mapping(E2, hd.Identity(), x) == x
+    assert hd.compile_mapping(E2, hd.Identity())(x) == x
     assert isinstance(hd.known_fixed_set(hd.Identity()), hd.WholeSpace)
 
 
@@ -21,7 +21,7 @@ def test_euclidean_rotation_matches_matrix(E2):
     R = np.array([[c, -s], [s, c]])
     for _ in range(50):
         p = rng.normal(scale=3.0, size=2)
-        got = hd.apply_mapping(E2, rot, ept(E2, *p))
+        got = hd.compile_mapping(E2, rot)(ept(E2, *p))
         want = np.array(center.data) + R @ (p - np.array(center.data))
         assert np.allclose(got.data, want, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_geodesic_average(E2):
     seg = hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 2.0, 0.0))
     avg = hd.GeodesicAverage(0.5, hd.ProjectionOnto(seg))
     x = ept(E2, 1.0, 4.0)
-    got = hd.apply_mapping(E2, avg, x)
+    got = hd.compile_mapping(E2, avg)(x)
     assert got.data == pytest.approx((1.0, 2.0))
     assert hd.known_fixed_set(avg) == seg
     assert isinstance(hd.known_fixed_set(hd.GeodesicAverage(1.0, hd.ProjectionOnto(seg))), hd.WholeSpace)
@@ -84,7 +84,7 @@ def test_composition_order_and_fixed_set(E2):
     rot = hd.Rotation(ept(E2, 0.0, 0.0), math.pi / 2)
     shift = hd.Translation((1.0, 0.0))
     comp = hd.Composition((rot, shift))  # rotate first, then shift
-    got = hd.apply_mapping(E2, comp, ept(E2, 1.0, 0.0))
+    got = hd.compile_mapping(E2, comp)(ept(E2, 1.0, 0.0))
     assert got.data == pytest.approx((1.0, 1.0), abs=1e-12)
     seg = hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))
     comp2 = hd.Composition((hd.Identity(), hd.ProjectionOnto(seg)))
@@ -95,7 +95,7 @@ def test_composition_order_and_fixed_set(E2):
 def test_translation_negative_control(E2, H2):
     t = hd.Translation((0.5, 0.0))
     x = ept(E2, 0.0, 0.0)
-    assert hd.apply_mapping(E2, t, x).data == (0.5, 0.0)
+    assert hd.compile_mapping(E2, t)(x).data == (0.5, 0.0)
     assert hd.known_fixed_set(t) == []
     assert isinstance(hd.known_fixed_set(hd.Translation((0.0, 0.0))), hd.WholeSpace)
     with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ def test_translation_negative_control(E2, H2):
 def test_translation_vector_must_match_dimension(E2, vector):
     # zip would silently drop or ignore the extra coordinates
     with pytest.raises(ValueError, match=f"translation vector has {len(vector)} coordinates, expected 2"):
-        hd.apply_mapping(E2, hd.Translation(vector), ept(E2, 0.0, 0.0))
+        hd.compile_mapping(E2, hd.Translation(vector))(ept(E2, 0.0, 0.0))
 
 
 def test_compile_mapping_is_cached(E2):
@@ -140,7 +140,7 @@ def test_non_finite_mapping_parameters_are_rejected_at_compile(request, family, 
     sched = hd.Schedule(
         anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5
     )
-    base = hd.Basepoint(ept(space, 0.0, 0.0) if family == "E2" else hpt_polar(space, 0.0, 0.0))
+    base = ept(space, 0.0, 0.0) if family == "E2" else hpt_polar(space, 0.0, 0.0)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        hd.run_explicit(space, hd.WholeSpace(), mapping, sched, base, base.o, budget=5, sink=rows.append)
+        hd.run_explicit(space, hd.WholeSpace(), mapping, sched, base, base, budget=5, sink=rows.append)
     assert rows == []

@@ -12,7 +12,6 @@ import hadamard as hd
 from hadamard import convex, mappings, serialize, solvers
 from hadamard.experiments import execute
 from hadamard.geometry import pairing_against
-from hadamard.solvers import _perturbation_point
 from conftest import OffsetMetric, ept, hpt_polar
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -21,7 +20,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def make_scenario(E2):
     C = hd.Ball(ept(E2, 0.0, 0.0), 3.0)
     T = hd.ProjectionOnto(hd.Segment(ept(E2, -2.0, 1.0), ept(E2, 2.0, 1.0)))
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     q = ept(E2, 0.0, 1.0)
     return C, T, base, q
 
@@ -60,7 +59,7 @@ def test_inner_budget_below_one_is_rejected(E2, max_inner):
     # no inner iteration would leave no iterate to return
     C, T, base, _ = make_scenario(E2)
     with pytest.raises(ValueError, match="max_inner must be at least 1"):
-        hd.implicit_step(E2, C, hd.compile_mapping(E2, T), 0.5, base.o, base.o, max_inner=max_inner)
+        hd.implicit_step(E2, C, hd.compile_mapping(E2, T), 0.5, base, base, max_inner=max_inner)
     sched = hd.Schedule(anchor=law(1, 1), perturbation=law(1, 2))
     with pytest.raises(ValueError, match="max_inner must be at least 1"):
         hd.run_implicit(E2, C, T, sched, base, budget=5, max_inner=max_inner)
@@ -82,10 +81,10 @@ def test_implicit_step_inner_budget(E2):
 def test_run_implicit_identity_converges_to_base(E2):
     # T = identity fixes everything, so the scheme drives x to the base point
     C = hd.Ball(ept(E2, 1.0, 0.0), 2.0)
-    base = hd.Basepoint(ept(E2, 1.0, 0.5))
+    base = ept(E2, 1.0, 0.5)
     sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 1.0, 1.0), perturbation=hd.PowerLaw(0.0, 1.0, 1.0))
     trace = hd.run_implicit(E2, C, hd.Identity(), sched, base, budget=50)
-    assert E2.distance(trace.final, base.o) <= 1e-6
+    assert E2.distance(trace.final, base) <= 1e-6
 
 
 def test_run_implicit_scenario_error_decays_like_anchor(E2):
@@ -102,7 +101,7 @@ def test_shipped_implicit_config_solves_inner_steps_inexactly():
     cfg = serialize.config_from_json(doc)
     trace, summary = execute(cfg)
     assert trace.status == "converged"
-    assert trace.final_fixed_residual <= cfg.outer_tol
+    assert trace.last.fixed_residual <= cfg.outer_tol
     assert math.dist(trace.final.data, (0.0, 1.0)) <= 1e-2
     for row in trace.rows:
         eps = max(cfg.inner_tol, cfg.schedule.anchor.value(row.n) * cfg.outer_tol)
@@ -137,7 +136,7 @@ def test_explicit_run_can_converge_on_its_closing_row():
     # the closing row for x_budget meets the same stop test as every other row
     cfg = serialize.config_from_json(json.loads((CONFIG_DIR / "segment_explicit.json").read_text()))
     space = hd.make_space(cfg.space)
-    kw = dict(base=hd.Basepoint(cfg.basepoint), x0=cfg.x0, seed=cfg.seed)
+    kw = dict(base=cfg.basepoint, x0=cfg.x0, seed=cfg.seed)
 
     def run(budget, outer_tol=0.0):
         return hd.run_explicit(
@@ -154,7 +153,7 @@ def test_explicit_run_can_converge_on_its_closing_row():
 def test_inner_budget_outranks_a_converged_residual(E2):
     # T = identity leaves a residual of 0, but the inner solve ran out first
     sched = hd.Schedule(anchor=law(1, 1), perturbation=law(1, 1))
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     trace = hd.run_implicit(
         E2, hd.WholeSpace(), hd.Identity(), sched, base, budget=5, outer_tol=1e-3, max_inner=1
     )
@@ -214,7 +213,6 @@ def test_a_sink_takes_every_row_and_the_trace_keeps_running_values(E2, algorithm
     assert streamed.rows == [] and rows == kept.rows
     for trace in (kept, streamed):
         assert trace.last == kept.rows[-1]
-        assert trace.final_fixed_residual == kept.rows[-1].fixed_residual
         assert trace.inner_iterations == sum(row.inner_iterations or 0 for row in kept.rows)
     assert (streamed.status, streamed.final) == (kept.status, kept.final)
     assert (kept.inner_iterations > 0) == (algorithm == "implicit")
@@ -267,7 +265,7 @@ def make_h2_scenario(H2):
     # sheet base point, nearest the base point (cosh 1, 0, sinh 1) at q
     C = hd.Ball(H2.base, 4.0)
     T = hd.ProjectionOnto(hd.Segment(hpt_polar(H2, 1.5, 0.0), hpt_polar(H2, 1.5, math.pi)))
-    base = hd.Basepoint(hpt_polar(H2, 1.0, 0.5 * math.pi))
+    base = hpt_polar(H2, 1.0, 0.5 * math.pi)
     return C, T, base, H2.base, hpt_polar(H2, 1.2, 2.0)
 
 
@@ -289,7 +287,7 @@ def test_explicit_rows_match_recomputed_iterates(request, family):
     for row in trace.rows[-10:]:
         x = hd.run_explicit(space, C, T, sched, budget=row.n, **kw).final
         assert row.ref_distance == space.distance(x, q), row.n
-        assert row.qx_inner == hd.quasilinearization(space, q, base.o, q, x), row.n
+        assert row.qx_inner == hd.quasilinearization(space, q, base, q, x), row.n
         if prev is not None:
             assert prev.step == space.distance(x, prev_x), prev.n
         prev, prev_x = row, x
@@ -309,11 +307,11 @@ def test_rows_keep_every_term_of_the_pairing(request, family):
     sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 0.7, 2.0), perturbation=hd.PowerLaw(1.0, 1.0, 2.0), mixing=0.5)
     kw = dict(base=base, x0=x0, reference=q)
     rows = hd.run_explicit(space, hd.WholeSpace(), T, sched, budget=6, **kw).rows
-    assert len(rows) == 7 and rows[0].qx_inner != hd.quasilinearization(inner, q, base.o, q, x0)
+    assert len(rows) == 7 and rows[0].qx_inner != hd.quasilinearization(inner, q, base, q, x0)
     for row in rows:
         x = hd.run_explicit(space, hd.WholeSpace(), T, sched, budget=row.n, **kw).final if row.n else x0
         assert row.ref_distance == space.distance(x, q)
-        assert row.qx_inner == hd.quasilinearization(space, q, base.o, q, x)
+        assert row.qx_inner == hd.quasilinearization(space, q, base, q, x)
 
 
 def law(scale, power, shift=1.0):
@@ -403,17 +401,20 @@ def test_run_implicit_rejects_underflowing_anchor_up_front(E2):
 
 
 def test_perturbation_point_hits_target_norm(E2, H2):
+    # with T the identity on the whole space, step 1's inner fixed point is
+    # its perturbation u_1, so the row's ref_distance against the base point
+    # is d(u_1, base), the perturbation law's value 2 * target / 2 at m = 1
     for space in (E2, H2):
-        base = hd.Basepoint(space.base if hasattr(space, "base") else ept(space, 0.25, 0.25))
-        at = hd.sphere(space, base.o)
-        rng = hd.stream(3, 1)
+        base = space.base if hasattr(space, "base") else ept(space, 0.25, 0.25)
         for target in (0.5, 0.01, 0.0):
-            u = _perturbation_point(base, at, rng, target)
-            assert space.distance(base.o, u) == pytest.approx(target, abs=1e-9)
+            sched = hd.Schedule(anchor=law(1, 1), perturbation=law(2.0 * target, 1))
+            trace = hd.run_implicit(space, hd.WholeSpace(), hd.Identity(), sched, base, budget=1, seed=3,
+                                    reference=base)
+            assert trace.rows[0].ref_distance == pytest.approx(target, abs=1e-9)
 
 
 def test_nearest_fixed_point_residual_list_and_set(E2):
-    base = hd.Basepoint(ept(E2, 0.0, 0.0))
+    base = ept(E2, 0.0, 0.0)
     seg = hd.Segment(ept(E2, -2.0, 1.0), ept(E2, 2.0, 1.0))
     q = ept(E2, 0.0, 1.0)
     # at the true nearest point the pairing stays nonpositive
@@ -435,14 +436,14 @@ def test_nearest_fixed_point_residual_is_the_pairing(request, family):
     space = OffsetMetric(inner) if family.startswith("offset") else inner
     draw, rng = hd.sampler(inner), hd.stream(4, 1)
     pts = [draw(rng) for _ in range(50)]
-    base, q = hd.Basepoint(pts[0]), pts[1]
-    want = max(hd.quasilinearization(space, q, base.o, q, p) for p in pts[2:])
+    base, q = pts[0], pts[1]
+    want = max(hd.quasilinearization(space, q, base, q, p) for p in pts[2:])
     assert hd.nearest_fixed_point_residual(space, q, base, pts[2:]) == want
     seg = hd.Segment(pts[2], pts[3])
     if space is inner:
         anchor = hd.project_point(space, seg, q)[0]
         probes = hd.probe_points(space, seg, anchor, 200, seed=hd.solvers.stream_seed(9))
-        want = max(hd.quasilinearization(space, q, base.o, q, p) for p in probes)
+        want = max(hd.quasilinearization(space, q, base, q, p) for p in probes)
         assert hd.nearest_fixed_point_residual(space, q, base, seg, probes=200, seed=9) == want
 
 
@@ -499,11 +500,11 @@ def _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0=N
                    seed=0, reference=None, inner_tol=1e-10, max_inner=10**6):
     """``(rows, final, status)`` of ``run_<algorithm>`` on these arguments."""
     T, P = _reference_mapping(space, mapping), hd.compile_set(space, cset)
-    rng, at = hd.stream(seed, solvers.STREAM_PERTURBATION), hd.sphere(space, base.o)
+    rng, at = hd.stream(seed, solvers.STREAM_PERTURBATION), hd.sphere(space, base)
 
     def perturbation(n):
         t = _law(schedule.perturbation, n)
-        return base.o if t <= 0.0 else at(rng, t)
+        return base if t <= 0.0 else at(rng, t)
 
     def explicit():
         x, b = x0, schedule.mixing
@@ -521,7 +522,7 @@ def _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0=N
         yield solvers.TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
 
     def implicit():
-        x = prev = P(base.o)[0]
+        x = prev = P(base)[0]
         for m in range(1, budget + 1):
             a = _law(schedule.anchor, m)
             u = perturbation(m)
@@ -541,12 +542,12 @@ def _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0=N
             prev = x
 
     if reference is not None:
-        pairing = pairing_against(space, reference, base.o, reference)
+        pairing = pairing_against(space, reference, base, reference)
     rows = []
     for row, x, status in (explicit if algorithm == "explicit" else implicit)():
         if reference is not None:
             row.ref_distance = d = space.distance(x, reference)
-            row.qx_inner = pairing(d, space.distance(base.o, x))
+            row.qx_inner = pairing(d, space.distance(base, x))
         rows.append(row)
         if not row.fixed_residual < math.inf:
             status = "diverged"
@@ -587,12 +588,12 @@ def _reference_case(name, request):
     if name == "E2-rotation":
         E2 = request.getfixturevalue("E2")
         center = ept(E2, 1.0, 0.5)
-        return E2, hd.Ball(ept(E2, 1.0, 0.0), 3.0), hd.Rotation(center, 0.9), hd.Basepoint(ept(E2, 0.5, 0.5)), ept(E2, 2.0, 1.0), center
+        return E2, hd.Ball(ept(E2, 1.0, 0.0), 3.0), hd.Rotation(center, 0.9), ept(E2, 0.5, 0.5), ept(E2, 2.0, 1.0), center
     if name == "E3-average":
         E3 = request.getfixturevalue("E3")
         e3 = lambda *c: hd.euclidean_point(E3, *c)  # noqa: E731
         T = hd.GeodesicAverage(0.3, hd.ProjectionOnto(hd.Segment(e3(-1.0, 1.0, 0.0), e3(2.0, 1.0, 1.0))))
-        return E3, hd.Ball(e3(0.0, 0.0, 0.0), 4.0), T, hd.Basepoint(e3(0.0, 0.0, 0.0)), e3(1.0, -1.0, 2.0), e3(0.0, 1.0, 0.5)
+        return E3, hd.Ball(e3(0.0, 0.0, 0.0), 4.0), T, e3(0.0, 0.0, 0.0), e3(1.0, -1.0, 2.0), e3(0.0, 1.0, 0.5)
     if name == "H2-projection":
         H2 = request.getfixturevalue("H2")
         C, T, base, q, x0 = make_h2_scenario(H2)
@@ -600,22 +601,22 @@ def _reference_case(name, request):
     if name == "H2-composition":
         H2 = request.getfixturevalue("H2")
         T = hd.Composition((hd.Rotation(H2.base, 0.4), hd.ProjectionOnto(hd.Ball(hpt_polar(H2, 0.5, 1.0), 1.0))))
-        base = hd.Basepoint(hpt_polar(H2, 1.0, 0.5 * math.pi))
+        base = hpt_polar(H2, 1.0, 0.5 * math.pi)
         return H2, hd.Ball(H2.base, 4.0), T, base, hpt_polar(H2, 1.2, 2.0), H2.base
     if name == "tree-projection":
         tree = request.getfixturevalue("tree")
         T = hd.ProjectionOnto(hd.Segment(hd.tree_point(tree, 1, 0.5), hd.tree_point(tree, 3, 1.0)))
-        base = hd.Basepoint(hd.tree_point(tree, 4, 0.5))
+        base = hd.tree_point(tree, 4, 0.5)
         return tree, hd.WholeSpace(), T, base, hd.tree_point(tree, 4, 0.7), hd.tree_point(tree, 2, 0.25)
     if name == "tree-average":
         tree = request.getfixturevalue("tree")
         seg = hd.Segment(hd.tree_point(tree, 0, 0.5), hd.tree_point(tree, 3, 1.0))
         T = hd.GeodesicAverage(0.5, hd.ProjectionOnto(seg))
-        base = hd.Basepoint(hd.tree_point(tree, 1, 1.0))
+        base = hd.tree_point(tree, 1, 1.0)
         return tree, hd.Ball(hd.tree_point(tree, 2, 0.1), 3.0), T, base, hd.tree_point(tree, 2, 0.3), hd.tree_point(tree, 0, 0.2)
     prod, E2, H2 = (request.getfixturevalue(f) for f in ("prod", "E2", "H2"))
     T = hd.ProjectionOnto(hd.Ball(prod.pair(ept(E2, 1.0, 0.0), hpt_polar(H2, 0.5, 1.0)), 0.05))
-    base = hd.Basepoint(prod.pair(ept(E2, 0.0, 0.0), H2.base))
+    base = prod.pair(ept(E2, 0.0, 0.0), H2.base)
     q = prod.pair(ept(E2, 0.5, 0.5), hpt_polar(H2, 0.3, 0.2))
     return prod, hd.WholeSpace(), T, base, prod.pair(ept(E2, 2.0, -1.0), hpt_polar(H2, 1.0, 2.0)), q
 
@@ -648,7 +649,7 @@ def test_overflowing_runs_match_the_reference_loops(name):
     cfg = serialize.config_from_json(doc)
     trace = _same_as_reference(
         cfg.algorithm, hd.make_space(cfg.space), cfg.convex_set, cfg.mapping, cfg.schedule,
-        hd.Basepoint(cfg.basepoint), cfg.budget, cfg.x0, outer_tol=cfg.outer_tol, seed=cfg.seed,
+        cfg.basepoint, cfg.budget, cfg.x0, outer_tol=cfg.outer_tol, seed=cfg.seed,
         reference=cfg.reference, inner_tol=cfg.inner_tol, max_inner=cfg.max_inner,
     )
     assert trace.status == "diverged"
