@@ -79,5 +79,28 @@ from .spaces import (
     validate_point,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # convex
+    "Ball", "ConvexSetDescriptor", "HalfSpace", "ProjectionResult", "Segment", "Subtree",
+    "WholeSpace", "characterization_residual", "compile_set", "contains", "probe_points",
+    "project", "project_point", "project_segment",
+    # geometry
+    "quasilinearization",
+    # harness
+    "CorruptedSpace", "PropertyReport", "check_lemmas", "check_space_axioms", "liu_recursion",
+    "trace_diagnostics",
+    # mappings
+    "Composition", "GeodesicAverage", "Identity", "MappingDescriptor", "ProjectionOnto",
+    "Rotation", "Translation", "compile_mapping", "known_fixed_set",
+    # sampling
+    "random_point", "sample_in_ball", "sampler", "sphere", "stream",
+    # solvers
+    "Condition", "InnerBudgetError", "IterationTrace", "PowerLaw", "Schedule", "ScheduleError",
+    "implicit_step", "nearest_fixed_point_residual", "run_explicit", "run_implicit",
+    "validate_schedules",
+    # spaces
+    "Euclidean", "Hyperbolic", "InvalidSpaceError", "Point", "Product", "SpaceDescriptor",
+    "SpaceMismatchError", "TreeTopology", "WeightedTree", "euclidean_point", "hyperboloid_point",
+    "make_space", "tree_point", "validate_point",
+]
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ Subcommands::
     hadamard verify --space <spec>     # property harness over one space
     hadamard schedules --check <config.json>
 
-Exit status: 0 success/clean, 1 non-convergence or property violations,
-2 invalid configuration or an output file that cannot be written.
+Exit status: 0 success/clean, 1 non-convergence, property violations or a
+closed stdout, 2 invalid configuration or an output file that cannot be
+written.
 HADAMARD_SEED overrides the configured seed.
 """
 
@@ -193,6 +194,8 @@ def run_cmd(configs, seed, budget, output_dir):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
+    except BrokenPipeError:
+        raise  # a closed stdout, which main handles
     except OSError as exc:
         # an output the system refuses: a path too long or under a file
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
@@ -266,9 +269,20 @@ _schedules.add_argument("--check", dest="config_path", metavar="CONFIG", require
 
 
 def main(args=None, prog_name=None):
-    """Run the subcommand ``args`` names; it ends in SystemExit.  ``prog_name`` is unused."""
+    """Run the subcommand ``args`` names; it ends in SystemExit.  ``prog_name`` is unused.
+
+    A stdout whose reader has gone ends the command with exit status 1 and
+    no traceback, whatever the command found."""
     kwargs = vars(_PARSER.parse_args(args))
-    kwargs.pop("func")(**kwargs)
+    try:
+        try:
+            kwargs.pop("func")(**kwargs)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_FAILED)
 
 
 if __name__ == "__main__":

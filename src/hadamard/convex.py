@@ -2,17 +2,23 @@
 
 Each kind of convex set is written once, as a kind function in ``_KINDS``
 that compiles a validated set into one record: its metric projection, its
-membership test, its certificate probes and its scale.  Every public
-operation here reads that record.  A projection can additionally be
-*certified*: the projection of x onto C is the unique u in C with
-``<xu, uy> >= 0`` for every y in C, so the minimum of that pairing over a
-probe sample of C is a checkable certificate.  For true projections the
-minimum is nonnegative up to rounding; for points sufficiently far from the
-projection some probe goes strictly negative.
+membership test, its certificate probes, its scale and, where it has them,
+its extreme points.  Every public operation here reads that record.  A
+projection can additionally be *certified*: the projection of x onto C is
+the unique u in C with ``<xu, uy> >= 0`` for every y in C, so the minimum of
+that pairing over C is a checkable certificate.  For true projections the
+minimum is nonnegative up to rounding; for any other member it is negative.
 
-Any finite probe family only approximates the "for every y" quantifier; probe
-density trades run time against the smallest detectable displacement, and the
-defaults here are tuned for displacements of order 1e-2 on unit-scale sets.
+In E^n the pairing is linear in y, and along each edge of a tree it is
+linear between the feet of x and of u, because the quadratic terms of the
+two squared distances cancel.  So on the model E^n and tree handles a ball,
+a segment and a subtree take the exact minimum over a few extreme points
+of the set.  Hyperbolic sets, product sets, half-spaces (whose exact
+minimum is 0 or -inf, decided by rounding) and every wrapper handle take it
+over a probe sample instead, which only approximates the "for every y"
+quantifier: probe density trades run time against the smallest detectable
+displacement, and the defaults here are tuned for displacements of order
+1e-2 on unit-scale sets.
 """
 
 from __future__ import annotations
@@ -209,15 +215,18 @@ class _Kind(NamedTuple):
     """A set compiled against a space, its constants computed once: the
     projection, membership ``(p, tol)`` within additive tolerance on the
     defining inequality, the probe draw ``(u, count, rng)`` before the blend
-    toward u, the set's size in a certificate's membership tolerance, and
-    the projection as ``x -> u`` where a kind has one nearer its closed form
-    than ``project(x)[0]``."""
+    toward u, the set's size in a certificate's membership tolerance, the
+    projection as ``x -> u`` where a kind has one nearer its closed form
+    than ``project(x)[0]``, and ``(x, u) ->`` points of the set at which
+    ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
+    where the model handle has them."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
     probes: Callable[[Point, int, object], list[Point]]
     scale: float
     nearest: Optional[Callable[[Point], Point]] = None
+    extremes: Optional[Callable[[Point, Point], list[Point]]] = None
 
 
 def _whole(space: Space, cset: WholeSpace) -> _Kind:
@@ -245,7 +254,45 @@ def _ball(space: Space, cset: Ball) -> _Kind:
         at = sphere(space, center)
         return [at(rng, radius if i < count // 2 else radius * shells[i % len(shells)]) for i in range(count)]
 
-    return _Kind(project, contains, probes, max(radius, 1.0))
+    desc, model = space.descriptor, make_space(space.descriptor)
+    extremes = None
+    if space is model and isinstance(desc, Euclidean):
+        cd = center.data
+
+        def extremes(x: Point, u: Point) -> list[Point]:
+            # <xu, uy> = <u - x, y - u> is least at c + r (x - u) / |x - u|
+            d = math.dist(x.data, u.data)
+            if d == 0.0:
+                return [center]
+            return [Point(desc, tuple([c + radius * (xi - ui) / d for c, xi, ui in zip(cd, x.data, u.data)]))]
+
+    elif space is model and isinstance(desc, WeightedTree):
+        edges, adj, (ec, tc) = desc.topology.edges, model.adj, center.data
+
+        def extremes(x: Point, u: Point) -> list[Point]:
+            # walk out from the center: each vertex within the radius, the
+            # point at the radius on each edge that leaves the ball, and x
+            # and u, the only breaks of the pairing inside an edge
+            pts, todo = [p for p in (x, u) if contains(p, 0.0)], []
+            a, b, length = edges[ec]
+            for v, rest, cut in ((a, radius - tc, tc - radius), (b, radius - (length - tc), tc + radius)):
+                if rest >= 0.0:
+                    todo.append((v, ec, rest))
+                else:
+                    pts.append(Point(desc, (ec, cut)))
+            for v, came, rest in todo:
+                pts.append(model.vertex_point(v))
+                for w, eid in adj[v]:
+                    if eid != came:
+                        length = edges[eid][2]
+                        if length <= rest:
+                            todo.append((w, eid, rest - length))
+                        else:
+                            off = rest if edges[eid][0] == v else length - rest
+                            pts.append(model.canonical(Point(desc, (eid, off))))
+            return pts
+
+    return _Kind(project, contains, probes, max(radius, 1.0), extremes=extremes)
 
 
 def _segment(space: Space, cset: Segment) -> _Kind:
@@ -264,7 +311,15 @@ def _segment(space: Space, cset: Segment) -> _Kind:
             pts.append(at(rng.random()))
         return pts
 
-    return _Kind(lambda x: foot(x)[1:], contains, probes, max(dab, 1.0), lambda x: foot(x)[1])
+    def extremes(x: Point, u: Point) -> list[Point]:
+        # linear in y in E^n; in a tree, linear between the feet of x and of u
+        return [a, b] if euclidean else [a, b, foot(x)[1], foot(u)[1]]
+
+    desc = space.descriptor
+    euclidean = isinstance(desc, Euclidean)
+    if space is not make_space(desc) or not (euclidean or isinstance(desc, WeightedTree)):
+        extremes = None
+    return _Kind(lambda x: foot(x)[1:], contains, probes, max(dab, 1.0), lambda x: foot(x)[1], extremes)
 
 
 def _subtree(space: Space, cset: Subtree) -> _Kind:
@@ -303,7 +358,12 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
             pts.append(model.canonical(Point(model.descriptor, (eid, edges[eid][2] * rng.random()))))
         return pts[:count]
 
-    return _Kind(project, contains, probes, 1.0)
+    def extremes(x: Point, u: Point) -> list[Point]:
+        # the pairing is linear along each edge of the set between its
+        # vertices and x and u, when they lie on one
+        return [model.vertex_point(v) for v in verts] + [p for p in (x, u) if contains(p, 0.0)]
+
+    return _Kind(project, contains, probes, 1.0, extremes=extremes if space is model else None)
 
 
 def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
@@ -364,6 +424,13 @@ def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[
     return pts[: count + n_near]
 
 
+def _extremes(kind: _Kind, x: Point, u: Point, count: int) -> list[Point]:
+    """``kind.extremes(x, u)``, for a certificate asked for ``count`` probes."""
+    if count <= 0:
+        raise ValueError("probe count must be positive")
+    return kind.extremes(x, u)
+
+
 def _residual(
     space: Space, kind: _Kind, x: Point, u: Point, probes: Union[int, Sequence[Point]], seed: int
 ) -> float:
@@ -371,7 +438,7 @@ def _residual(
     if not kind.contains(u, 1e-6 * kind.scale * scale):
         raise ValueError("candidate u is not a member of the set")
     if isinstance(probes, int):
-        pts = _probes(space, kind, u, probes, seed)
+        pts = _extremes(kind, x, u, probes) if kind.extremes else _probes(space, kind, u, probes, seed)
     else:
         pts = list(probes)
         if not pts:

@@ -52,10 +52,11 @@ def normals(rng, n: int) -> list[float]:
 
 def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
     """``rng ->`` a random point of ``space`` as a closure, drawn at the
-    sampling radius r: uniform in the box [-r, r]^n in E^n; at a distance
-    uniform up to r from the sheet base point in H^n, where r may not
-    exceed ``MAX_HYPERBOLIC_RADIUS``; uniform over total edge length in a
-    tree, whatever r; each factor at r in a product.  Every draw passes
+    sampling radius r: uniform in the box [-r, r]^n in E^n, where
+    4 (2r)^2 n must be finite; at a distance uniform up to r from the sheet
+    base point in H^n, where r may not exceed ``MAX_HYPERBOLIC_RADIUS``;
+    uniform over total edge length in a tree, whatever r; each factor at r
+    in a product.  Every draw passes
     point validation for ``space``.  The radius is checked and the model
     handle ``make_space(space.descriptor)`` looked up once, here; drawing
     calls no primitive, so every handle of a descriptor samples alike."""
@@ -63,6 +64,11 @@ def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
     model = make_space(space.descriptor)
     desc = model.descriptor
     if isinstance(desc, Euclidean):
+        # the pairings sum squared distances of box points up to 2r sqrt(n) apart
+        if not 4.0 * (2.0 * radius) * (2.0 * radius) * desc.dim < math.inf:
+            raise ValueError(
+                f"sampling radius {radius} in E^{desc.dim} is so large that squared distances overflow"
+            )
         bounds = ((-radius, radius),) * desc.dim
 
         def draw_box(rng) -> Point:

@@ -13,7 +13,8 @@ decay law, each perturbation in a direction uniform at the base point:
 
 Both converge, under the validated schedule conditions, to the fixed point of
 T nearest the base point; ``nearest_fixed_point_residual`` certifies that
-limit against a probe sample of the known fixed-point set.
+limit against the known fixed-point set, exactly where the set has extreme
+points and against a probe sample of it elsewhere.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .convex import (
     MEMBERSHIP_TOL,
     ConvexSetDescriptor,
     Projection,
+    _compile,
+    _extremes,
+    _probes,
     compile_set,
     contains,
-    probe_points,
-    project_point,
 )
 from .geometry import pairing_against
 from .mappings import MappingDescriptor, compile_mapping
@@ -438,19 +440,25 @@ def nearest_fixed_point_residual(
     probes: int = 1000,
     seed: int = 0,
 ) -> float:
-    """max over sampled fixed points p of <q->base, q->p>.
+    """max over fixed points p of <q->base, q->p>.
 
-    A value <= tolerance certifies (at probe resolution) that q is the point
-    of the fixed-point set nearest the base point.
+    A value <= tolerance certifies that q is the point of the fixed-point
+    set nearest the base point.  The maximum is minus the minimum of
+    ``<base->q, q->p>``, so a set with extreme points is certified exactly
+    over ``extremes(base, q)``; any other set at the resolution of
+    ``probes`` sample points.
     """
     if isinstance(fixed_set, (list, tuple)):
         pts = list(fixed_set)
         if not pts:
             raise ValueError("fixed-point set is empty")
     else:
-        # anchor probe blending at a true member so every probe stays in the set
-        anchor = project_point(space, fixed_set, q)[0]
-        pts = probe_points(space, fixed_set, anchor, probes, seed=stream_seed(seed))
+        kind = _compile(space, fixed_set)
+        if kind.extremes:
+            pts = _extremes(kind, base, q, probes)
+        else:
+            # anchor probe blending at a true member so every probe stays in the set
+            pts = _probes(space, kind, kind.project(q)[0], probes, stream_seed(seed))
     pairing = pairing_against(space, q, base, q)
     return max(map(pairing, space.distances(q, pts), space.distances(base, pts)))
 

@@ -516,10 +516,10 @@ class TreeSpace(Space):
 
     The handle keeps the tree rooted at vertex 0 and nothing larger than
     O(n): each vertex's parent, the edge to it, its depth in edges and its
-    distance from the root (its height); each vertex's lowest-indexed
-    incident edge; each edge's child endpoint (the end farther from the
-    root) and its record ``edge_rec``; and the running sums of the edge
-    lengths.  A distance walks up to the lowest common ancestor, and a
+    distance from the root (its height); each vertex's (neighbour, edge)
+    pairs ``adj`` and its lowest-indexed incident edge; each edge's child
+    endpoint (the end farther from the root) and its record ``edge_rec``;
+    and the running sums of the edge lengths.  A distance walks up to the lowest common ancestor, and a
     geodesic point then climbs from one end until its height is reached, so
     each costs O(depth): O(log n) on random trees, O(n) on a path-shaped
     tree.
@@ -573,6 +573,7 @@ class TreeSpace(Space):
         self.depth = depth
         self.root_dist = root_dist
         self.child = child
+        self.adj = adj
         # per edge (child, base, length, down): its child end, the height of
         # its other end, its length, and whether the child end is the second
         # endpoint; the point at offset t on it has height base + t when

@@ -341,9 +341,9 @@ def test_verify_far_out_hyperbolic_ends_without_a_traceback(runner):
 
 
 def test_verify_reports_nan_slacks_as_violations(runner):
-    # at radius 1e300 squared distances overflow and seven slacks are NaN:
+    # on rays 1e300 long squared distances overflow and seven slacks are NaN:
     # the run exits 1 and prints a witness for each
-    result = runner.invoke(main, ["verify", "--space", "euclidean:2", "--radius", "1e300", "--trials", "20"])
+    result = runner.invoke(main, ["verify", "--space", "tree-star:3:1e300", "--trials", "20"])
     assert result.exit_code == 1, result.output
     assert "7 properties violated" in result.output
     for name in (
@@ -353,6 +353,15 @@ def test_verify_reports_nan_slacks_as_violations(runner):
     ):
         assert f"\n  {name}: {{" in result.output
         assert any(line.split()[:4] == [name, "20", "20", "nan"] for line in result.output.splitlines())
+
+
+@pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:100000", "product:(tree-star:3,euclidean:3)"])
+def test_verify_refuses_a_radius_whose_squared_distances_overflow(runner, spec):
+    # at radius 1e160 in E^2 the pairings overflowed and 200 trials reported
+    # seven false violations; an E^n factor refuses it as E^n does
+    result = runner.invoke(main, ["verify", "--space", spec, "--radius", "1e160", "--trials", "200"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: --radius: sampling radius 1e+160 in E^") and "overflow" in result.output
 
 
 def test_verify_corrupted_demo_fails(runner):
@@ -709,3 +718,27 @@ def test_cli_does_not_import_numpy(tmp_path, args):
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert "exit=0 numpy=False click=False" in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, command, buffered):
+    # stdout is a pipe whose read end is closed before the command starts:
+    # unbuffered, the first print fails; buffered, the flush at exit does
+    args = {
+        "run": ["run", str(CONFIG_DIR / "segment_implicit.json"), "--output-dir", str(tmp_path)],
+        "verify": ["verify", "--space", "euclidean:2", "--trials", "20"],
+    }[command]
+    src = str(Path(hd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "hadamard.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1 and done.stderr == "", done.stderr

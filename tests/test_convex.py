@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hadamard as hd
@@ -333,6 +333,9 @@ _SET_KINDS = {
     "tree": ("whole", "ball", "segment", "subtree"),
     "product": ("whole", "ball", "segment"),
 }
+# the kinds whose certificate takes its minimum over extreme points
+_EXACT_KINDS = {("euclidean", "ball"), ("euclidean", "segment"), ("tree", "ball"), ("tree", "segment"),
+                ("tree", "subtree")}
 _coord = st.floats(-4.0, 4.0, allow_nan=False)
 _unit = st.floats(0.0, 1.0)
 
@@ -393,8 +396,9 @@ def test_compiled_set_equals_project_point(E2, H2, tree, prod, family, kind):
     "family, kind", [(f, k) for f, kinds in _SET_KINDS.items() for k in kinds]
 )
 def test_certificate_is_the_min_pairing(E2, H2, tree, prod, family, kind):
-    # min over probes y of quasilinearization(space, x, u, u, y), bit for bit,
-    # for drawn probes and for a given probe list
+    # min over y of quasilinearization(space, x, u, u, y), bit for bit: over
+    # a given probe list, and for a probe count over the set's extreme points
+    # where the kind has them, else over its drawn probes
     space = {"euclidean": E2, "hyperbolic": H2, "tree": tree, "product": prod}[family]
     points = _point_strategy(family, (E2, H2, tree, prod))
 
@@ -404,10 +408,166 @@ def test_certificate_is_the_min_pairing(E2, H2, tree, prod, family, kind):
         u = hd.project_point(space, cset, x)[0]
         probes = hd.probe_points(space, cset, u, 40, seed)
         want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
-        assert hd.characterization_residual(space, cset, x, u, 40, seed) == want
         assert hd.characterization_residual(space, cset, x, u, probes) == want
+        extremes = convex._compile(space, cset).extremes
+        assert (extremes is not None) == ((family, kind) in _EXACT_KINDS)
+        if extremes is not None:
+            want = min(hd.quasilinearization(space, x, u, u, y) for y in extremes(x, u))
+        assert hd.characterization_residual(space, cset, x, u, 40, seed) == want
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# exact certificates: E^n balls and segments, tree balls, segments and subtrees
+
+
+_EXACT_CASES = [
+    (family, kind)
+    for family in ("E2", "E3", "tree", "tree-30")
+    for kind in ("ball", "segment") + (("subtree",) if family.startswith("tree") else ())
+]
+
+
+def _exact_space(request, family):
+    if family == "tree-30":
+        return hd.make_space(hd.WeightedTree(shuffled_random_tree(30, 4)))
+    return request.getfixturevalue(family)
+
+
+def _exact_strategies(space, kind):
+    """(set, point) strategies for one exact kind on the model ``space``."""
+    desc = space.descriptor
+    if isinstance(desc, hd.Euclidean):
+        points = st.lists(_coord, min_size=desc.dim, max_size=desc.dim).map(lambda c: ept(space, *c))
+    else:
+        edges = desc.topology.edges
+        points = st.builds(
+            lambda e, f: hd.tree_point(space, e, f * edges[e][2]), st.integers(0, len(edges) - 1), _unit
+        )
+    if kind == "ball":
+        return st.builds(hd.Ball, points, st.floats(0.1, 3.0)), points
+    if kind == "segment":
+        return st.builds(hd.Segment, points, points), points
+
+    def grown(start, size):
+        # a connected vertex set, grown breadth-first from ``start``
+        chosen = [start]
+        for v in chosen:
+            chosen += [w for w, _ in space.adj[v] if w not in chosen][: size - len(chosen)]
+        return hd.Subtree(frozenset(chosen))
+
+    return st.builds(grown, st.integers(0, space.n - 1), st.integers(1, 12)), points
+
+
+def _far_member(space, cset, u):
+    """The set's defining point farthest from u: a ball's center, a
+    segment's farther end, a subtree's farthest vertex."""
+    if isinstance(cset, hd.Ball):
+        return cset.center
+    ends = [cset.a, cset.b] if isinstance(cset, hd.Segment) else [space.vertex_point(v) for v in sorted(cset.vertices)]
+    return max(ends, key=lambda p: space.distance(u, p))
+
+
+@pytest.mark.parametrize("family, kind", _EXACT_CASES)
+def test_exact_certificate_is_at_most_the_probe_minimum(request, family, kind):
+    # the minimum over the extreme points is the infimum over the set, so
+    # no probe of the set goes lower, at the projection or at a member u
+    space = _exact_space(request, family)
+    sets, points = _exact_strategies(space, kind)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sets, points, points, st.integers(0, 2**31))
+    def check(cset, x, other, seed):
+        for u in (hd.project_point(space, cset, x)[0], hd.project_point(space, cset, other)[0]):
+            exact = hd.characterization_residual(space, cset, x, u, 1000, seed)
+            probed = hd.characterization_residual(space, cset, x, u, hd.probe_points(space, cset, u, 1000, seed))
+            assert exact <= probed + 1e-12 * (1.0 + space.distance(x, u) ** 2), (exact, probed)
+
+    check()
+
+
+@pytest.mark.parametrize("family, kind", _EXACT_CASES)
+def test_exact_certificate_flags_every_displacement(request, family, kind):
+    # criterion 3's construction with a probe count: u moved 1e-2 inside the
+    # set toward its farthest defining point.  The pairing at the true
+    # projection is then at most -1e-4, so every case is flagged
+    space = _exact_space(request, family)
+    sets, points = _exact_strategies(space, kind)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sets, points, st.integers(0, 2**31))
+    def check(cset, x, seed):
+        u = hd.project_point(space, cset, x)[0]
+        far = _far_member(space, cset, u)
+        d = space.distance(u, far)
+        assume(d >= 2e-2)
+        moved = space.geodesic_point(u, far, 1.0 - 1e-2 / d)
+        assert hd.characterization_residual(space, cset, x, moved, 1000, seed) < 0.0
+
+    check()
+
+
+@pytest.mark.parametrize("wrapper", [hd.CorruptedSpace, OffsetMetric])
+@pytest.mark.parametrize("family, kind", _EXACT_CASES)
+def test_exact_kinds_keep_their_probes_on_a_wrapper(request, wrapper, family, kind):
+    # a wrapper's metric need not be piecewise linear along the set, so its
+    # certificates stay the probe extremum, bit for bit.  OffsetMetric's
+    # balls and segments hold no member (d(p, p) = 1), so there only the
+    # subtree, which tests membership without measuring, is certified
+    model = _exact_space(request, family)
+    space = wrapper(model)
+    sets, points = _exact_strategies(model, kind)
+
+    @settings(max_examples=10, deadline=None)
+    @given(sets, points, points, st.integers(0, 2**31))
+    def check(cset, x, base, seed):
+        u = hd.project_point(space, cset, x)[0]
+        if wrapper is hd.CorruptedSpace or kind == "subtree":
+            probes = hd.probe_points(space, cset, u, 60, seed)
+            want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
+            assert hd.characterization_residual(space, cset, x, u, 60, seed) == want
+        probes = hd.probe_points(space, cset, u, 60, seed=hd.solvers.stream_seed(seed))
+        want = max(hd.quasilinearization(space, x, base, x, p) for p in probes)
+        assert hd.nearest_fixed_point_residual(space, x, base, cset, probes=60, seed=seed) == want
+
+    check()
+
+
+def test_tree_ball_inside_one_edge(tree):
+    # radius 0.4 about the middle of the caterpillar's edge 1 (length 2): the
+    # extreme points are the projection and the two ends, c - r and c + r
+    ball = hd.Ball(hd.tree_point(tree, 1, 1.0), 0.4)
+    x = tree.vertex_point(2)
+    u = hd.project_point(tree, ball, x)[0]
+    assert u.data == (1, 1.4)
+    assert [p.data for p in convex._compile(tree, ball).extremes(x, u)] == [(1, 1.4), (1, 0.6), (1, 1.4)]
+    assert hd.project(tree, ball, x, probes=1000).certificate_residual == 0.0
+    # 0.1 toward the center the pairing at u is -(0.7^2 - 0.6^2 + 0.1^2) / 2
+    moved = hd.tree_point(tree, 1, 1.3)
+    assert hd.characterization_residual(tree, ball, x, moved, 1000) == pytest.approx(-0.07, abs=1e-15)
+
+
+def test_euclidean_ball_with_x_inside(E2):
+    # x is its own projection and the pairing vanishes: the center alone is
+    # the extreme point, and the residual is 0
+    ball = hd.Ball(ept(E2, 0.0, 0.0), 2.0)
+    x = ept(E2, 0.5, -0.5)
+    assert convex._compile(E2, ball).extremes(x, x) == [ball.center]
+    res = hd.project(E2, ball, x, probes=1000)
+    assert res.u == x and res.certificate_residual == 0.0
+
+
+def test_nearest_fixed_point_residual_on_a_tree_segment(tree):
+    # the segment from vertex 0 to vertex 2 passes vertex 1, which is the
+    # point of it nearest vertex 4, 2 away: the residual there is 0; half a
+    # unit on toward vertex 2 it is (0.5^2 + 2.5^2 - 2^2) / 2 = 1.25
+    seg = hd.Segment(tree.vertex_point(0), tree.vertex_point(2))
+    base = tree.vertex_point(4)
+    q = hd.project_point(tree, seg, base)[0]
+    assert q == tree.vertex_point(1)
+    assert hd.nearest_fixed_point_residual(tree, q, base, seg) == 0.0
+    assert hd.nearest_fixed_point_residual(tree, hd.tree_point(tree, 1, 0.5), base, seg) == 1.25
 
 
 @pytest.mark.parametrize("wrapper", [hd.CorruptedSpace, OffsetMetric])

@@ -1,3 +1,5 @@
+import types
+
 import hadamard as hd
 
 
@@ -12,11 +14,17 @@ def test_public_names_are_pinned():
         "SpaceDescriptor", "SpaceMismatchError", "Subtree", "Translation",
         "TreeTopology", "WeightedTree", "WholeSpace", "characterization_residual",
         "check_lemmas", "check_space_axioms", "compile_mapping", "compile_set",
-        "contains", "convex", "euclidean_point", "geometry", "harness",
-        "hyperboloid_point", "implicit_step", "known_fixed_set", "liu_recursion",
-        "make_space", "mappings", "nearest_fixed_point_residual", "probe_points",
-        "project", "project_point", "project_segment", "quasilinearization",
+        "contains", "euclidean_point", "hyperboloid_point", "implicit_step",
+        "known_fixed_set", "liu_recursion", "make_space", "nearest_fixed_point_residual",
+        "probe_points", "project", "project_point", "project_segment", "quasilinearization",
         "random_point", "run_explicit", "run_implicit", "sample_in_ball", "sampler",
-        "sampling", "serialize", "solvers", "spaces", "sphere", "stream",
-        "trace_diagnostics", "tree_point", "validate_point", "validate_schedules",
+        "sphere", "stream", "trace_diagnostics", "tree_point", "validate_point",
+        "validate_schedules",
     ]
+
+
+def test_submodules_stay_attributes_outside_the_public_names():
+    # `from hadamard import *` exports no module, but hadamard.convex and the
+    # other submodules stay reachable as attributes of the package
+    for name in ("convex", "geometry", "harness", "mappings", "sampling", "serialize", "solvers", "spaces"):
+        assert isinstance(getattr(hd, name), types.ModuleType) and name not in hd.__all__

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -92,6 +93,18 @@ def test_bad_radius_is_rejected_when_the_sampler_is_built(E2, H2, tree, prod, ra
             hd.random_point(space, rng, radius)
         with pytest.raises(ValueError, match="not a finite number >= 0"):
             hd.sample_in_ball(space, center, radius, rng)
+
+
+def test_euclidean_radius_must_keep_squared_distances_finite(E2, E3, tree, prod):
+    # 4 (2r)^2 n is finite: twice the square of the longest distance in the
+    # box, so that the sums of squared distances in a pairing stay finite
+    for space, n in ((E2, 2), (E3, 3), (prod, 2)):
+        top = math.sqrt(sys.float_info.max / (16.0 * n))
+        if space is not prod:  # whose H^2 factor refuses any radius above 20
+            hd.sampler(space, 0.99 * top)
+        with pytest.raises(ValueError, match=f"in E\\^{n} is so large that squared distances overflow"):
+            hd.sampler(space, 1.01 * top)
+    hd.sampler(tree, 1e300)  # a tree ignores the radius
 
 
 def test_sample_in_ball_respects_radius(E3, H2, tree):
