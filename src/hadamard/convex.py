@@ -386,6 +386,21 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
         ud, dim = u.data, desc.dim
         spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud)))
         pts = []
+        if dim == 2:
+            # the loop below written out over two coordinates, with the
+            # Box-Muller pair of ``normals`` inline: the same operations in
+            # the same order, so the same bits.  The sum from the int 0 can
+            # differ from n1 * p1 + n2 * p2 only in the sign of a zero t,
+            # which ``t <= 0.0`` reads alike
+            (u1, u2), (n1, n2), (w1, w2) = ud, normal, w
+            random, log, sqrt, cos, sin, tau = rng.random, math.log, math.sqrt, math.cos, math.sin, 2.0 * math.pi
+            for _ in range(count):
+                r = sqrt(-2.0 * log(1.0 - random()))
+                theta = tau * random()
+                p1, p2 = u1 + spread * (r * cos(theta)), u2 + spread * (r * sin(theta))
+                t = offset - (n1 * p1 + n2 * p2)
+                pts.append(Point(desc, (p1, p2) if t <= 0.0 else (p1 + t * w1, p2 + t * w2)))
+            return pts
         for _ in range(count):
             p = tuple([c + spread * g for c, g in zip(ud, normals(rng, dim))])
             t = offset - sum(map(operator.mul, normal, p))
@@ -434,7 +449,8 @@ def _extremes(kind: _Kind, x: Point, u: Point, count: int) -> list[Point]:
 def _residual(
     space: Space, kind: _Kind, x: Point, u: Point, probes: Union[int, Sequence[Point]], seed: int
 ) -> float:
-    scale = 1.0 + space.distance(x, u) ** 2
+    d = space.distance(x, u)
+    scale = 1.0 + d * d
     if not kind.contains(u, 1e-6 * kind.scale * scale):
         raise ValueError("candidate u is not a member of the set")
     if isinstance(probes, int):
@@ -497,6 +513,7 @@ def probe_points(
     geodesic blends toward ``u`` so the sample is adversarially dense near the
     candidate projection.
     """
+    space._check(u)
     return _probes(space, _compile(space, cset), u, count, seed)
 
 

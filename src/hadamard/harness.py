@@ -357,8 +357,9 @@ def trace_diagnostics(
     max_qx = scale = None
     if trace.reference is not None:
         max_qx = max(r.qx_inner for r in rows)
-        base_sq = space.distance(trace.reference, base) ** 2
-        scale = max(1.0 + base_sq + r.ref_distance**2 for r in rows)
+        d = space.distance(trace.reference, base)
+        base_sq = d * d
+        scale = max(1.0 + base_sq + r.ref_distance * r.ref_distance for r in rows)
     return TraceDiagnostics(
         rows_considered=k,
         max_fixed_residual=max_fixed,

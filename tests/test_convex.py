@@ -1,5 +1,7 @@
 import ast
 import math
+import operator
+import struct
 import sys
 from collections import Counter
 from pathlib import Path
@@ -736,3 +738,111 @@ def test_a_foreign_probe_is_rejected(request, E3, family):
     foreign = hd.random_point(E3, rng)
     with pytest.raises(hd.SpaceMismatchError):
         hd.characterization_residual(space, hd.WholeSpace(), x, x, pts[:2] + [foreign] + pts[2:])
+
+
+# ---------------------------------------------------------------------------
+# the E^2 half-space draw, written out over two coordinates, against the
+# n-dimensional loop it replaces there
+
+
+def _generic_halfspace(space, cset):
+    """``convex._halfspace`` with the n-dimensional probe loop for every
+    dimension: the reference the written-out E^2 draw must match bit for bit."""
+    normal, offset, desc = cset.normal, cset.offset, space.descriptor
+    nn = sum(n * n for n in normal)
+    w = tuple(n / nn for n in normal)
+
+    def probes(u, count, rng):
+        ud, dim = u.data, desc.dim
+        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud)))
+        pts = []
+        for _ in range(count):
+            p = tuple([c + spread * g for c, g in zip(ud, sampling.normals(rng, dim))])
+            t = offset - sum(map(operator.mul, normal, p))
+            pts.append(hd.Point(desc, p if t <= 0.0 else tuple([c + t * wi for c, wi in zip(p, w)])))
+        return pts
+
+    return convex._halfspace(space, cset)._replace(probes=probes)
+
+
+class _Scripted:
+    """A stream whose ``random()`` cycles through fixed values: 0.0 twice
+    gives r = -0.0 at theta = 0, so a step of signed zeros, and values near
+    1 give the largest steps a stream can."""
+
+    def __init__(self, values):
+        self.values, self.i = values, 0
+
+    def random(self):
+        self.i += 1
+        return self.values[(self.i - 1) % len(self.values)]
+
+
+def _halfspace_draws(E2, E3):
+    # signed zeros in normals, offsets and u; a normal at the validated
+    # floor |n|^2 >= sys.float_info.min; u near 1e300, where the spread and
+    # then p overflow to inf, and n . p to nan
+    floor = math.sqrt(sys.float_info.min)
+    normals = [(1.0, 1.0), (0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (-0.0, -1.0), (0.6, -0.8),
+               (floor, 0.0), (-0.0, floor), (0.75 * floor, 0.75 * floor), (3e150, -2e150)]
+    offsets = [0.0, -0.0, 1.5, -2.0, 1e300]
+    us = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.5, -1.25), (1e300, -1e300), (1.7e300, 0.0), (-0.0, 1e300)]
+    cases = [(E2, hd.HalfSpace(n, o), hd.Point(E2.descriptor, u)) for n in normals for o in offsets for u in us]
+    cases += [(E3, hd.HalfSpace(n + (0.5,), o), hd.Point(E3.descriptor, u + (-0.0,)))
+              for n in normals[::3] for o in offsets for u in us[::2]]
+    return cases
+
+
+def test_the_plane_half_space_draw_is_the_generic_loop_bit_for_bit(E2, E3, monkeypatch):
+    cases = _halfspace_draws(E2, E3)
+    scripted = (0.0, 0.0, 0.25, 0.5, 1.0 - 2.0**-53, 0.75, 5e-324, 0.0, 0.1, 0.0)
+    handles = (lambda s: s, hd.CorruptedSpace, OffsetMetric)
+
+    def build():
+        draws = []
+        for space, cset, u in cases:
+            for wrap in handles:
+                handle = wrap(space)
+                draws += convex._compile(handle, cset).probes(u, 12, _Scripted(scripted))
+                for seed in (0, 5):
+                    draws += hd.probe_points(handle, cset, u, 24, seed=seed)
+        return draws
+
+    got = build()
+    assert all(type(c) is float for p in got for c in p.data)
+    monkeypatch.setitem(convex._KINDS, hd.HalfSpace, _generic_halfspace)
+    want = build()
+    # struct tells the bits apart: -0.0 from 0.0, and one nan from another
+    bits = lambda pts: [(p.space, struct.pack(f"<{len(p.data)}d", *p.data)) for p in pts]
+    assert bits(got) == bits(want)
+    # the cases reach what they are there for: signed zeros, kept and
+    # projected steps, and steps that overflow
+    coords = [c for p in got for c in p.data]
+    assert any(math.copysign(1.0, c) < 0 and c == 0.0 for c in coords)
+    assert any(math.isinf(c) for c in coords) and any(math.isnan(c) for c in coords)
+    # the written-out loop unpacks u's two coordinates: a foreign u is
+    # refused by its tag first, as the blends toward it refused it before
+    with pytest.raises(hd.SpaceMismatchError):
+        hd.probe_points(E2, hd.HalfSpace((1.0, 0.0), 0.0), ept(E3, 1.0, 2.0, 3.0), 8)
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "E2-ball", "E2-segment", "tree-ball", "tree-segment", "subtree"])
+def test_a_certificate_far_beyond_the_squared_float_range_is_nan(E2, kind):
+    # d(x, u) = 1e200 squares past the float range: the certificate's scale
+    # is inf, and the certificate reads nan rather than raising
+    far = hd.make_space(hd.WeightedTree(hd.TreeTopology(4, ((0, 1, 1.0), (1, 2, 1.0), (1, 3, 1e200)))))
+    if kind == "halfspace":
+        space, cset, x = E2, hd.HalfSpace((1.0, 0.0), 0.0), ept(E2, -1e300, 0.0)
+    elif kind.startswith("E2"):
+        space, x = E2, ept(E2, 0.5, 1e200)
+        cset = hd.Ball(ept(E2, 0.0, 0.0), 1.0) if kind == "E2-ball" else hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))
+    else:
+        space, x = far, hd.Point(far.descriptor, (2, 1e200))
+        cset = {
+            "tree-ball": hd.Ball(far.vertex_point(0), 1.0),
+            "tree-segment": hd.Segment(far.vertex_point(0), far.vertex_point(2)),
+            "subtree": hd.Subtree(frozenset({0, 1, 2})),
+        }[kind]
+    res = hd.project(space, cset, x, probes=200, seed=1)
+    assert res.u == hd.project_point(space, cset, x)[0]
+    assert space.distance(x, res.u) > 1e199 and math.isnan(res.certificate_residual)

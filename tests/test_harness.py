@@ -308,3 +308,16 @@ def test_trace_diagnostics_validates_input(E2):
     trace = IterationTrace(rows=[TraceRow(n=0, fixed_residual=0.0)], final=ept(E2, 0, 0))
     with pytest.raises(ValueError):
         hd.trace_diagnostics(E2, trace, base, tail_fraction=0.0)
+
+
+def test_trace_diagnostics_scale_past_the_squared_float_range_is_inf(E2):
+    # reference distances of 1e200 square past the float range: the scale
+    # reads inf rather than raising
+    q, base = ept(E2, 0.0, 1e200), ept(E2, 0.0, 0.0)
+    trace = IterationTrace(
+        rows=[TraceRow(n=i, fixed_residual=0.0, ref_distance=1e200, qx_inner=0.0) for i in range(4)],
+        final=q,
+        reference=q,
+    )
+    diag = hd.trace_diagnostics(E2, trace, base)
+    assert diag.qx_scale == math.inf and diag.within(1e-12, qx_tol=1e-12)
