@@ -1,13 +1,14 @@
 """Convex sets and the metric projection.
 
 Each kind of convex set is written once, as a kind function in ``_KINDS``
-that compiles a validated set into one record: its metric projection, its
-membership test, its certificate probes, its scale and, where it has them,
-its extreme points.  Every public operation here reads that record.  A
-projection can additionally be *certified*: the projection of x onto C is
-the unique u in C with ``<xu, uy> >= 0`` for every y in C, so the minimum of
-that pairing over C is a checkable certificate.  For true projections the
-minimum is nonnegative up to rounding; for any other member it is negative.
+that validates a set against the space and compiles it into one record: its
+metric projection, its membership test, its certificate probes, its scale
+and, where it has them, its extreme points.  Every public operation here
+reads that record.  A projection can additionally be *certified*: the
+projection of x onto C is the unique u in C with ``<xu, uy> >= 0`` for
+every y in C, so the minimum of that pairing over C is a checkable
+certificate.  For true projections the minimum is nonnegative up to
+rounding; for any other member it is negative.
 
 In E^n the pairing is linear in y, and along each edge of a tree it is
 linear between the feet of x and of u, because the quadratic terms of the
@@ -84,38 +85,6 @@ class IncompatibleSetError(ValueError):
 
 # a compiled metric projection, x -> (u, iterations); see compile_set
 Projection = Callable[[Point], tuple[Point, int]]
-
-
-def _validate_set(space: Space, cset: ConvexSetDescriptor) -> None:
-    desc = space.descriptor
-    if isinstance(cset, Ball):
-        if not 0.0 < cset.radius < math.inf:
-            raise IncompatibleSetError("ball radius must be positive and finite")
-    elif isinstance(cset, Subtree):
-        if not isinstance(desc, WeightedTree):
-            raise IncompatibleSetError("subtree sets require a tree space")
-        if not cset.vertices:
-            raise IncompatibleSetError("subtree vertex set is empty")
-        if not all(0 <= v < desc.topology.vertex_count for v in cset.vertices):
-            raise IncompatibleSetError("subtree vertex out of range")
-        # each component of the induced forest has exactly one vertex whose
-        # parent lies outside the set
-        parent = make_space(desc).parent
-        if sum(parent[v] not in cset.vertices for v in cset.vertices) != 1:
-            raise IncompatibleSetError("subtree vertex set is not connected")
-    elif isinstance(cset, HalfSpace):
-        if not isinstance(desc, Euclidean):
-            raise IncompatibleSetError("half-space sets require Euclidean space")
-        # the projection divides by |normal|^2: it must not underflow to a
-        # subnormal or 0, nor overflow
-        if not sys.float_info.min <= sum(c * c for c in cset.normal) < math.inf:
-            raise IncompatibleSetError(
-                "half-space normal is zero or its squared norm is out of floating-point range"
-            )
-        if len(cset.normal) != desc.dim:
-            raise IncompatibleSetError("half-space normal has the wrong dimension")
-        if not math.isfinite(cset.offset):
-            raise IncompatibleSetError("half-space offset must be finite")
 
 
 def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, Point, int]:
@@ -208,7 +177,8 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
 
 
 # ---------------------------------------------------------------------------
-# set kinds: each turns a validated set into the record every operation reads
+# set kinds: each validates its set, then turns it into the record every
+# operation reads
 
 
 class _Kind(NamedTuple):
@@ -239,6 +209,8 @@ def _whole(space: Space, cset: WholeSpace) -> _Kind:
 
 def _ball(space: Space, cset: Ball) -> _Kind:
     center, radius = cset.center, cset.radius
+    if not 0.0 < radius < math.inf:
+        raise IncompatibleSetError("ball radius must be positive and finite")
 
     def project(x: Point) -> tuple[Point, int]:
         d = space.distance(center, x)
@@ -323,10 +295,21 @@ def _segment(space: Space, cset: Segment) -> _Kind:
 
 
 def _subtree(space: Space, cset: Subtree) -> _Kind:
-    model = make_space(space.descriptor)
-    verts, parent, depth, edges = cset.vertices, model.parent, model.depth, model.topology.edges
-    # the set's top vertex: the one whose parent lies outside the set
-    top = next(v for v in verts if parent[v] not in verts)
+    desc, verts = space.descriptor, cset.vertices
+    if not isinstance(desc, WeightedTree):
+        raise IncompatibleSetError("subtree sets require a tree space")
+    if not verts:
+        raise IncompatibleSetError("subtree vertex set is empty")
+    if not all(0 <= v < desc.topology.vertex_count for v in verts):
+        raise IncompatibleSetError("subtree vertex out of range")
+    model = make_space(desc)
+    parent, depth, edges = model.parent, model.depth, model.topology.edges
+    # each component of the induced forest has exactly one vertex whose
+    # parent lies outside the set; the set's top vertex is that one
+    tops = [v for v in verts if parent[v] not in verts]
+    if len(tops) != 1:
+        raise IncompatibleSetError("subtree vertex set is not connected")
+    top = tops[0]
 
     def contains(p: Point, tol: float) -> bool:
         eid, off = p.data
@@ -368,9 +351,18 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
 
 def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
     normal, offset, desc = cset.normal, cset.offset, space.descriptor
-    # normal / |normal|^2: finite for every validated normal, so a far offset
-    # cannot overflow an intermediate step
+    if not isinstance(desc, Euclidean):
+        raise IncompatibleSetError("half-space sets require Euclidean space")
+    # the projection divides by |normal|^2: it must not underflow to a
+    # subnormal or 0, nor overflow, so that normal / |normal|^2 is finite
+    # and a far offset cannot overflow an intermediate step
     nn = sum(n * n for n in normal)
+    if not sys.float_info.min <= nn < math.inf:
+        raise IncompatibleSetError("half-space normal is zero or its squared norm is out of floating-point range")
+    if len(normal) != desc.dim:
+        raise IncompatibleSetError("half-space normal has the wrong dimension")
+    if not math.isfinite(offset):
+        raise IncompatibleSetError("half-space offset must be finite")
     w = tuple(n / nn for n in normal)
 
     def contains(p: Point, tol: float) -> bool:
@@ -420,7 +412,6 @@ _KINDS: dict[type, Callable[[Space, ConvexSetDescriptor], _Kind]] = {
 
 
 def _compile(space: Space, cset: ConvexSetDescriptor) -> _Kind:
-    _validate_set(space, cset)
     kind = _KINDS.get(type(cset))
     if kind is None:
         raise IncompatibleSetError(f"unknown set {cset!r}")

@@ -10,7 +10,6 @@ its place works too.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from typing import Callable
@@ -55,8 +54,8 @@ def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
     sampling radius r: uniform in the box [-r, r]^n in E^n, where
     4 (2r)^2 n must be finite; at a distance uniform up to r from the sheet
     base point in H^n, where r may not exceed ``MAX_HYPERBOLIC_RADIUS``;
-    uniform over total edge length in a tree, whatever r; each factor at r
-    in a product.  Every draw passes
+    uniform over total edge length in a tree, whatever r, by the model's
+    own ``uniform`` draw; each factor at r in a product.  Every draw passes
     point validation for ``space``.  The radius is checked and the model
     handle ``make_space(space.descriptor)`` looked up once, here; drawing
     calls no primitive, so every handle of a descriptor samples alike."""
@@ -82,16 +81,7 @@ def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
         # uniform in distance up to the radius, not in volume
         return lambda rng: at(rng, radius * rng.random())
     if isinstance(desc, WeightedTree):
-        cumulative, edges = model.cumulative_length, desc.topology.edges
-
-        def draw_edge(rng) -> Point:
-            # uniform over total edge length
-            t = rng.random() * model.total_length
-            eid = bisect.bisect_left(cumulative, t)
-            start = cumulative[eid - 1] if eid else 0.0
-            return model.canonical(Point(desc, (eid, min(t - start, edges[eid][2]))))
-
-        return draw_edge
+        return model.uniform()
     left, right = sampler(model.left, radius), sampler(model.right, radius)
     return lambda rng: Point(desc, (left(rng), right(rng)))
 

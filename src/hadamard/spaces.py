@@ -6,6 +6,9 @@ binary products of the above.  A space handle built by :func:`make_space`
 exposes the primitives ``distance`` and ``geodesic_point``, and kernels
 bound to fixed points: ``distances`` from one point, the ``geodesic``
 between two and, on E^2, H^2 and trees, the ``sphere`` draw about one.
+Only H^2 writes ``distances`` and ``geodesic`` out; every other handle
+composes them from its primitives.  A tree also has the ``uniform`` draw
+over its total edge length.
 
 Points are immutable values tagged with their space descriptor.  All
 operations return fresh values and keep no hidden state.
@@ -362,10 +365,6 @@ class HyperbolicSpace(Space):
 
         return exp
 
-    def geodesic(self, x: Point, y: Point):
-        d = self.distance(x, y)
-        return lambda lam: self._geodesic(x, y, lam, d)
-
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         # the weights combine the spatial coordinates only; the lift then
         # supplies the time coordinate
@@ -519,10 +518,12 @@ class TreeSpace(Space):
     distance from the root (its height); each vertex's (neighbour, edge)
     pairs ``adj`` and its lowest-indexed incident edge; each edge's child
     endpoint (the end farther from the root) and its record ``edge_rec``;
-    and the running sums of the edge lengths.  A distance walks up to the lowest common ancestor, and a
-    geodesic point then climbs from one end until its height is reached, so
-    each costs O(depth): O(log n) on random trees, O(n) on a path-shaped
-    tree.
+    and the running sums of the edge lengths.  A distance walks up to the
+    lowest common ancestor, and a geodesic point then climbs from one end
+    until its height is reached, so each costs O(depth): O(log n) on random
+    trees, O(n) on a path-shaped tree.  The ``distances`` and ``geodesic``
+    kernels are the base class's compositions of these two primitives, and
+    the ``sphere`` draw is one of each toward a ``uniform`` draw.
     """
 
     def __init__(self, desc: WeightedTree):
@@ -703,84 +704,29 @@ class TreeSpace(Space):
             return self._climb(ex, hx - t, top)
         return self._climb(ey, hy - (d - t), top)
 
-    def distances(self, a: Point, pts) -> list[float]:
-        # distance's walk, with a's edge record read once
-        desc, rec, lca, root_dist = self.descriptor, self.edge_rec, self._lca, self.root_dist
-        if a.space is not desc:
-            self._check(a)
-        ea, ta = a.data
-        ca, base, length, down = rec[ea]
-        ha = base + ta if down else base + (length - ta)
-        out = []
-        for p in pts:
-            if p.space is not desc:
-                self._check(p)
-            eb, tb = p.data
-            if ea == eb:
-                out.append(abs(ta - tb))
-                continue
-            cb, base, length, down = rec[eb]
-            hb = base + tb if down else base + (length - tb)
-            top = lca(ca, cb)
-            out.append(ha + hb - 2.0 * (ha if top == ca else hb if top == cb else root_dist[top]))
-        return out
+    def uniform(self):
+        """``rng ->`` a point drawn uniformly over total edge length."""
+        desc, edges, cum, total = self.descriptor, self.topology.edges, self.cumulative_length, self.total_length
+        canonical = self.canonical
 
-    def geodesic(self, x: Point, y: Point):
-        # geodesic_point's branches, with the path between x and y found once
-        if x.space is not self.descriptor or y.space is not self.descriptor:
-            self._check(x, y)
-        ex, tx = x.data
-        ey, ty = y.data
-        if ex == ey:
-            return super().geodesic(x, y)
-        hx, hy, peak, top = self._path(ex, tx, ey, ty)
-        d = hx + hy - 2.0 * peak
-        canonical, climb = self.canonical, self._climb
+        def draw(rng) -> Point:
+            s = rng.random() * total
+            eid = bisect.bisect_left(cum, s)
+            return canonical(Point(desc, (eid, min(s - (cum[eid - 1] if eid else 0.0), edges[eid][2]))))
 
-        def at(lam):
-            if lam == 1.0:
-                return canonical(x)
-            if lam == 0.0:
-                return canonical(y)
-            t = (1.0 - lam) * d
-            if t <= hx - peak:
-                return climb(ex, hx - t, top)
-            return climb(ey, hy - (d - t), top)
-
-        return at
+        return draw
 
     def sphere(self, c: Point):
         """``sampling.sphere``'s draw at c, ``(rng, t) ->`` the point
-        min(t, d(c, w)) from c toward a point w drawn uniformly over total
-        edge length, with one ``_path`` per draw for the distance and the
-        climb.  The caller has checked c."""
-        desc, edges, cum, total = self.descriptor, self.topology.edges, self.cumulative_length, self.total_length
-        canonical, path, climb = self.canonical, self._path, self._climb
-        ec, tc = c.data
+        min(t, d(c, w)) from c toward a point w of :meth:`uniform`: a
+        ``distance`` and a ``geodesic_point``, each one path search.  The
+        caller has checked c."""
+        draw, distance, geodesic_point = self.uniform(), self.distance, self.geodesic_point
 
         def at(rng, t):
-            s = rng.random() * total
-            ew = bisect.bisect_left(cum, s)
-            w = canonical(Point(desc, (ew, min(s - (cum[ew - 1] if ew else 0.0), edges[ew][2]))))
-            ew, tw = w.data
-            if ew == ec:
-                d = abs(tc - tw)
-            else:
-                hc, hw, peak, top = path(ec, tc, ew, tw)
-                d = hc + hw - 2.0 * peak
-            if not d > 0.0:
-                return c
-            lam = max(0.0, 1.0 - t / d)
-            if lam == 1.0:
-                return canonical(c)
-            if lam == 0.0:
-                return canonical(w)
-            if ew == ec:
-                return canonical(Point(desc, (ec, tc + (tw - tc) * (1.0 - lam))))
-            t = (1.0 - lam) * d
-            if t <= hc - peak:
-                return climb(ec, hc - t, top)
-            return climb(ew, hw - (d - t), top)
+            w = draw(rng)
+            d = distance(c, w)
+            return geodesic_point(c, w, max(0.0, 1.0 - t / d)) if d > 0.0 else c
 
         return at
 

@@ -36,29 +36,34 @@ def test_contains_halfspace(E2):
 
 
 def test_set_space_compatibility_enforced(E2, H2, tree):
-    with pytest.raises(IncompatibleSetError):
+    # each of the nine messages, through the public calls that compile a set
+    with pytest.raises(IncompatibleSetError, match="subtree sets require a tree space"):
         hd.contains(E2, hd.Subtree(frozenset({0, 1})), ept(E2, 0.0, 0.0))
-    with pytest.raises(IncompatibleSetError):
-        hd.contains(tree, hd.HalfSpace((1.0,), 0.0), hd.tree_point(tree, 0, 0.5))
+    for space, p, normal in ((tree, hd.tree_point(tree, 0, 0.5), (1.0,)), (H2, H2.base, (1.0, 0.0))):
+        with pytest.raises(IncompatibleSetError, match="half-space sets require Euclidean space"):
+            hd.contains(space, hd.HalfSpace(normal, 0.0), p)
     # |normal|^2 is 0, underflows or overflows
     for normal in ((0.0, 0.0), (0.0, 5e-324), (1e-160, 0.0), (1e200, 0.0)):
-        with pytest.raises(IncompatibleSetError):
+        with pytest.raises(IncompatibleSetError, match="half-space normal is zero or its squared norm is out of"):
             hd.project_point(E2, hd.HalfSpace(normal, 1.0), ept(E2, -1.0, 0.0))
-    with pytest.raises(IncompatibleSetError):
+    with pytest.raises(IncompatibleSetError, match="half-space normal has the wrong dimension"):
+        hd.project_point(E2, hd.HalfSpace((1.0, 0.0, 0.0), 1.0), ept(E2, -1.0, 0.0))
+    with pytest.raises(IncompatibleSetError, match="subtree vertex set is not connected"):
         # vertices 0 and 4 are not adjacent in the caterpillar
         hd.project_point(tree, hd.Subtree(frozenset({0, 4})), hd.tree_point(tree, 0, 0.5))
-    for vertices, message in ((frozenset(), "empty"), (frozenset({0, 99}), "out of range")):
+    empty, out_of_range = "subtree vertex set is empty", "subtree vertex out of range"
+    for vertices, message in ((frozenset(), empty), (frozenset({0, 99}), out_of_range)):
         with pytest.raises(IncompatibleSetError, match=message):
             hd.project_point(tree, hd.Subtree(vertices), hd.tree_point(tree, 0, 0.5))
     # a ball radius and a half-space offset must be finite
     for space, center in ((E2, ept(E2, 0.0, 0.0)), (H2, H2.base)):
         for radius in (math.nan, math.inf, -math.inf):
-            with pytest.raises(IncompatibleSetError):
+            with pytest.raises(IncompatibleSetError, match="ball radius must be positive and finite"):
                 hd.project_point(space, hd.Ball(center, radius), center)
-            with pytest.raises(IncompatibleSetError):
+            with pytest.raises(IncompatibleSetError, match="ball radius must be positive and finite"):
                 hd.project(space, hd.Ball(center, radius), center, probes=10)
     for offset in (math.nan, math.inf, -math.inf):
-        with pytest.raises(IncompatibleSetError):
+        with pytest.raises(IncompatibleSetError, match="half-space offset must be finite"):
             hd.project_point(E2, hd.HalfSpace((1.0, 0.0), offset), ept(E2, 0.0, 0.0))
 
 
@@ -368,7 +373,7 @@ def _set_strategy(kind, points):
     if kind == "segment":
         return st.builds(hd.Segment, points, points)
     if kind == "halfspace":
-        # the normals _validate_set accepts
+        # the normals _halfspace accepts
         normal = st.tuples(_coord, _coord).filter(lambda n: n[0] ** 2 + n[1] ** 2 >= sys.float_info.min)
         return st.builds(hd.HalfSpace, normal, _coord)
     # connected vertex sets of the caterpillar
@@ -586,11 +591,12 @@ def test_certificate_is_the_min_pairing_on_broken_metrics(request, wrapper, fami
 
 
 def test_certified_projection_validates_once(E2, H2, tree, monkeypatch):
-    # one certified projection validates its set once and looks a tree's
-    # model up at most twice: once to check a subtree, once to compile it
+    # one certified projection validates and compiles its set once, in its
+    # kind function, and looks a tree's model up at most twice
     validated, lookups = [], []
-    validate, lookup = convex._validate_set, convex.make_space
-    monkeypatch.setattr(convex, "_validate_set", lambda *args: validated.append(1) or validate(*args))
+    for cls, kind in list(convex._KINDS.items()):
+        monkeypatch.setitem(convex._KINDS, cls, lambda *args, kind=kind: validated.append(1) or kind(*args))
+    lookup = convex.make_space
     monkeypatch.setattr(convex, "make_space", lambda desc: lookups.append(1) or lookup(desc))
     cases = [
         (E2, hd.WholeSpace(), ept(E2, 2.0, 1.0)),
@@ -615,9 +621,9 @@ def test_certified_projection_validates_once(E2, H2, tree, monkeypatch):
 
 
 def test_only_the_kind_table_dispatches_on_a_set_class():
-    # each set kind is written once: outside _validate_set, no function in
-    # convex.py names a set class (annotations aside); the kind table maps
-    # each class to the function that compiles it
+    # each set kind is written once: no function in convex.py names a set
+    # class (annotations aside); the kind table maps each class to the
+    # function that validates and compiles it
     set_classes = {"WholeSpace", "Ball", "Segment", "Subtree", "HalfSpace"}
 
     class StripAnnotations(ast.NodeTransformer):
@@ -633,7 +639,7 @@ def test_only_the_kind_table_dispatches_on_a_set_class():
     offenders = [
         f"{fn.name}:{node.lineno}: {node.id}"
         for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and fn.name != "_validate_set"
+        if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Name) and node.id in set_classes
     ]

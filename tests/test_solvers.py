@@ -458,8 +458,8 @@ def test_set_validation_runs_once_per_run(E2, monkeypatch):
     C, T, base, _ = make_scenario(E2)
     sched = hd.Schedule(anchor=hd.PowerLaw(1.0, 1.0, 1.0), perturbation=hd.PowerLaw(1.0, 2.0, 1.0))
     calls = []
-    validate = convex._validate_set
-    monkeypatch.setattr(convex, "_validate_set", lambda *args: calls.append(1) or validate(*args))
+    for cls, kind in list(convex._KINDS.items()):
+        monkeypatch.setitem(convex._KINDS, cls, lambda *args, kind=kind: calls.append(1) or kind(*args))
     counts = []
     for budget in (5, 20):
         mappings._compile.cache_clear()

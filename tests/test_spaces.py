@@ -788,6 +788,28 @@ def _bits(p):
     return (p.space, repr(p.data)) if isinstance(p.space, hd.WeightedTree) else repr(p)
 
 
+def test_written_out_kernels_are_pinned():
+    # the kernels each handle class defines itself rather than inherits: a
+    # new second kernel, or a deleted one, shows in the diff of this table
+    from hadamard import spaces
+
+    kernels = ("distances", "geodesic", "sphere", "uniform")
+    own = {
+        name: sorted(k for k in kernels if k in vars(cls))
+        for name, cls in vars(spaces).items()
+        if isinstance(cls, type) and issubclass(cls, spaces.Space)
+    }
+    assert own == {
+        "Space": ["distances", "geodesic"],
+        "EuclideanSpace": [],
+        "EuclideanPlane": ["sphere"],
+        "HyperbolicSpace": [],
+        "HyperbolicPlane": ["distances", "geodesic", "sphere"],
+        "TreeSpace": ["sphere", "uniform"],
+        "ProductSpace": [],
+    }
+
+
 def test_distances_is_the_per_point_distance_bit_for_bit(kernel_spaces):
     from hadamard.spaces import HyperbolicSpace
 
