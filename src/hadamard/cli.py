@@ -75,8 +75,9 @@ def parse_space_spec(spec: str, nesting: int = 0):
     ``tree-random:EDGES:SEED``, ``product:(A,B)`` of two specs other than
     ``corrupted-demo``, and ``corrupted-demo``.  N, RAYS and EDGES are
     positive integers at most ``MAX_SPEC_SIZE``, LENGTH (1 by default) is a
-    positive finite number and SEED (0 by default) a non-negative integer;
-    an ``InvalidSpaceError`` names the field at fault and the spec.
+    positive number with 4 (2 LENGTH)^2 finite, so that squared distances do
+    not overflow, and SEED (0 by default) a non-negative integer; an
+    ``InvalidSpaceError`` names the field at fault and the spec.
     ``nesting`` counts the products around ``spec``, checked before a split.
     """
     spec = spec.strip()
@@ -131,7 +132,9 @@ def parse_space_spec(spec: str, nesting: int = 0):
     if kind == "hyperbolic":
         return make_space(Hyperbolic(size))
     if kind == "tree-star":
-        length = field(2, float, lambda x: 0.0 < x < math.inf, "a positive finite number") if len(parts) > 2 else 1.0
+        # sampler's E^n radius rule, over the star's diameter 2 LENGTH
+        length = field(2, float, lambda x: 0.0 < x and 4.0 * (2.0 * x) * (2.0 * x) < math.inf,
+                       "a positive number with 4 (2 LENGTH)^2 finite") if len(parts) > 2 else 1.0
         edges = tuple((0, i + 1, length) for i in range(size))
         return make_space(WeightedTree(TreeTopology(size + 1, edges)))
     seed = field(2, int, lambda n: n >= 0, "a non-negative integer") if len(parts) > 2 else 0

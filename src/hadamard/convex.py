@@ -12,9 +12,10 @@ rounding; for any other member it is negative.
 
 In E^n the pairing is linear in y, and along each edge of a tree it is
 linear between the feet of x and of u, because the quadratic terms of the
-two squared distances cancel.  So on the model E^n and tree handles a ball,
-a segment and a subtree take the exact minimum over a few extreme points
-of the set.  Hyperbolic sets, product sets, half-spaces (whose exact
+two squared distances cancel.  So on an E^n or tree handle of the class
+``make_space`` builds, whether or not its cache still holds that handle, a
+ball, a segment and a subtree take the exact minimum over a few extreme
+points of the set.  Hyperbolic sets, product sets, half-spaces (whose exact
 minimum is 0 or -inf, decided by rounding) and every wrapper handle take it
 over a probe sample instead, which only approximates the "for every y"
 quantifier: probe density trades run time against the smallest detectable
@@ -228,7 +229,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
 
     desc, model = space.descriptor, make_space(space.descriptor)
     extremes = None
-    if space is model and isinstance(desc, Euclidean):
+    if type(space) is type(model) and isinstance(desc, Euclidean):
         cd = center.data
 
         def extremes(x: Point, u: Point) -> list[Point]:
@@ -238,7 +239,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
                 return [center]
             return [Point(desc, tuple([c + radius * (xi - ui) / d for c, xi, ui in zip(cd, x.data, u.data)]))]
 
-    elif space is model and isinstance(desc, WeightedTree):
+    elif type(space) is type(model) and isinstance(desc, WeightedTree):
         edges, adj, (ec, tc) = desc.topology.edges, model.adj, center.data
 
         def extremes(x: Point, u: Point) -> list[Point]:
@@ -289,7 +290,7 @@ def _segment(space: Space, cset: Segment) -> _Kind:
 
     desc = space.descriptor
     euclidean = isinstance(desc, Euclidean)
-    if space is not make_space(desc) or not (euclidean or isinstance(desc, WeightedTree)):
+    if type(space) is not type(make_space(desc)) or not (euclidean or isinstance(desc, WeightedTree)):
         extremes = None
     return _Kind(lambda x: foot(x)[1:], contains, probes, max(dab, 1.0), lambda x: foot(x)[1], extremes)
 
@@ -346,7 +347,7 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
         # vertices and x and u, when they lie on one
         return [model.vertex_point(v) for v in verts] + [p for p in (x, u) if contains(p, 0.0)]
 
-    return _Kind(project, contains, probes, 1.0, extremes=extremes if space is model else None)
+    return _Kind(project, contains, probes, 1.0, extremes=extremes if type(space) is type(model) else None)
 
 
 def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
@@ -430,13 +431,6 @@ def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[
     return pts[: count + n_near]
 
 
-def _extremes(kind: _Kind, x: Point, u: Point, count: int) -> list[Point]:
-    """``kind.extremes(x, u)``, for a certificate asked for ``count`` probes."""
-    if count <= 0:
-        raise ValueError("probe count must be positive")
-    return kind.extremes(x, u)
-
-
 def _residual(
     space: Space, kind: _Kind, x: Point, u: Point, probes: Union[int, Sequence[Point]], seed: int
 ) -> float:
@@ -445,7 +439,9 @@ def _residual(
     if not kind.contains(u, 1e-6 * kind.scale * scale):
         raise ValueError("candidate u is not a member of the set")
     if isinstance(probes, int):
-        pts = _extremes(kind, x, u, probes) if kind.extremes else _probes(space, kind, u, probes, seed)
+        if probes <= 0:
+            raise ValueError("probe count must be positive")
+        pts = kind.extremes(x, u) if kind.extremes else _probes(space, kind, u, probes, seed)
     else:
         pts = list(probes)
         if not pts:

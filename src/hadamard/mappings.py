@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import convex
@@ -117,12 +116,9 @@ def _require_finite(name: str, *values: float) -> None:
         raise ValueError(f"{name} must be finite, got {', '.join(map(repr, values))}")
 
 
-# Compiled mappings kept by _compile; each key holds its space handle.
-COMPILE_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Point]:
+def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Point]:
+    """Precompiled fast application closure for use in iteration loops,
+    validated here and built afresh on each call: nothing outlives it."""
     desc = space.descriptor
     if isinstance(mapping, Identity):
         return lambda p: p
@@ -139,7 +135,7 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
     if isinstance(mapping, GeodesicAverage):
         if not (0.0 <= mapping.weight <= 1.0):
             raise ValueError("average weight must lie in [0, 1]")
-        inner = _compile(space, mapping.inner)
+        inner = compile_mapping(space, mapping.inner)
         w = mapping.weight
 
         def apply_avg(p: Point) -> Point:
@@ -147,7 +143,7 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
 
         return apply_avg
     if isinstance(mapping, Composition):
-        fns = [_compile(space, part) for part in mapping.parts]
+        fns = [compile_mapping(space, part) for part in mapping.parts]
 
         def apply_comp(p: Point) -> Point:
             for f in fns:
@@ -168,11 +164,6 @@ def _compile(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Poin
 
         return apply_shift
     raise ValueError(f"unknown mapping {mapping!r}")
-
-
-def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point], Point]:
-    """Precompiled fast application closure for use in iteration loops."""
-    return _compile(space, mapping)
 
 
 FixedSet = Union[ConvexSetDescriptor, list]

@@ -52,7 +52,7 @@ def normals(rng, n: int) -> list[float]:
 def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
     """``rng ->`` a random point of ``space`` as a closure, drawn at the
     sampling radius r: uniform in the box [-r, r]^n in E^n, where
-    4 (2r)^2 n must be finite; at a distance uniform up to r from the sheet
+    4 (2r)^2 n must be finite; :func:`ball_sampler`'s draw about the sheet
     base point in H^n, where r may not exceed ``MAX_HYPERBOLIC_RADIUS``;
     uniform over total edge length in a tree, whatever r, by the model's
     own ``uniform`` draw; each factor at r in a product.  Every draw passes
@@ -77,9 +77,7 @@ def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
     if isinstance(desc, Hyperbolic):
         if radius > MAX_HYPERBOLIC_RADIUS:
             raise ValueError(f"sampling radius {radius} outside [0, {MAX_HYPERBOLIC_RADIUS}]")
-        at = sphere(model, model.base)
-        # uniform in distance up to the radius, not in volume
-        return lambda rng: at(rng, radius * rng.random())
+        return ball_sampler(model, model.base, radius)
     if isinstance(desc, WeightedTree):
         return model.uniform()
     left, right = sampler(model.left, radius), sampler(model.right, radius)

@@ -28,7 +28,6 @@ from .convex import (
     ConvexSetDescriptor,
     Projection,
     _compile,
-    _extremes,
     _probes,
     compile_set,
     contains,
@@ -454,8 +453,10 @@ def nearest_fixed_point_residual(
             raise ValueError("fixed-point set is empty")
     else:
         kind = _compile(space, fixed_set)
+        if probes <= 0:
+            raise ValueError("probe count must be positive")
         if kind.extremes:
-            pts = _extremes(kind, base, q, probes)
+            pts = kind.extremes(base, q)
         else:
             # anchor probe blending at a true member so every probe stays in the set
             pts = _probes(space, kind, kind.project(q)[0], probes, stream_seed(seed))

@@ -427,10 +427,6 @@ class HyperbolicPlane(HyperbolicSpace):
                 return math.acosh(q)
         return 2.0 * math.asinh(0.5 * math.sqrt(m))
 
-    def _lift(self, spatial) -> Point:
-        s1, s2 = spatial
-        return Point(self.descriptor, (math.hypot(1.0, s1, s2), s1, s2))
-
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         _, x1, x2 = x.data
         _, y1, y2 = y.data

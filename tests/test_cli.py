@@ -340,19 +340,10 @@ def test_verify_far_out_hyperbolic_ends_without_a_traceback(runner):
     assert "worst_margin" in result.output
 
 
-def test_verify_reports_nan_slacks_as_violations(runner):
-    # on rays 1e300 long squared distances overflow and seven slacks are NaN:
-    # the run exits 1 and prints a witness for each
-    result = runner.invoke(main, ["verify", "--space", "tree-star:3:1e300", "--trials", "20"])
-    assert result.exit_code == 1, result.output
-    assert "7 properties violated" in result.output
-    for name in (
-        "cauchy_schwarz", "pairing_symmetry", "pairing_antisymmetry", "pairing_additivity",
-        "squared_distance_strongly_convex", "interpolation_pairing_bound",
-        "interpolation_cross_term_bound",
-    ):
-        assert f"\n  {name}: {{" in result.output
-        assert any(line.split()[:4] == [name, "20", "20", "nan"] for line in result.output.splitlines())
+def test_verify_accepts_a_tree_star_length_just_below_the_limit(runner):
+    # 4 (2 LENGTH)^2 overflows from LENGTH = 3.352e153 on
+    result = runner.invoke(main, ["verify", "--space", "tree-star:3:3e153", "--trials", "20"])
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:100000", "product:(tree-star:3,euclidean:3)"])
@@ -391,6 +382,11 @@ def test_verify_bad_flags(runner):
         ("hyperbolic:x", "N"),
         ("tree-star:3:", "LENGTH"),
         ("tree-star:2:1e400", "LENGTH"),
+        # squared distances on rays this long overflowed, and seven NaN
+        # slacks were reported as violations; NaN slacks stay covered in
+        # test_harness.py by a tree built in code
+        ("tree-star:3:1e300", "LENGTH"),
+        ("tree-star:3:3.4e153", "LENGTH"),
         ("tree-random:5:-1", "SEED"),
     ],
 )

@@ -541,6 +541,53 @@ def test_exact_kinds_keep_their_probes_on_a_wrapper(request, wrapper, family, ki
     check()
 
 
+@pytest.mark.parametrize("family, kind", _EXACT_CASES)
+def test_exact_certificates_do_not_depend_on_the_space_cache(request, family, kind):
+    # a handle that make_space's cache no longer holds, as after it has
+    # evicted the handle for newer ones, is still of the model's class: its
+    # sets keep their extreme points and certify as the cached handle does.
+    # Over probes, project(E2, Ball((0, 0), 1), (3, 0.4), probes=1000) read
+    # 1.05e-4 on such a handle against -6.5e-33 on the cached one
+    model = _exact_space(request, family)
+    fresh = type(model)(model.descriptor)
+    assert fresh is not hd.make_space(model.descriptor)
+    sets, points = _exact_strategies(model, kind)
+
+    @settings(max_examples=10, deadline=None)
+    @given(sets, points, points, st.integers(0, 2**31))
+    def check(cset, x, base, seed):
+        u = hd.project_point(model, cset, x)[0]
+        assert convex._compile(fresh, cset).extremes is not None
+        for probes in (1, 60):
+            want = hd.characterization_residual(model, cset, x, u, probes, seed)
+            assert hd.characterization_residual(fresh, cset, x, u, probes, seed) == want
+            want = hd.nearest_fixed_point_residual(model, x, base, cset, probes, seed)
+            assert hd.nearest_fixed_point_residual(fresh, x, base, cset, probes, seed) == want
+
+    check()
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_certificate_refuses_a_probe_count_below_one(E2, H2, count):
+    # the E^2 ball certifies over its extreme points and the H^2 ball over
+    # probes; both refuse the count before they pick their points
+    for space, center, x in ((E2, ept(E2, 0.0, 0.0), ept(E2, 3.0, 0.4)), (H2, H2.base, hpt_polar(H2, 3.0, 0.4))):
+        ball = hd.Ball(center, 1.0)
+        u = hd.project_point(space, ball, x)[0]
+        refusals = [
+            lambda: hd.characterization_residual(space, ball, x, u, count),
+            lambda: hd.nearest_fixed_point_residual(space, u, x, ball, probes=count),
+            lambda: hd.probe_points(space, ball, u, count),
+        ]
+        if count:  # project reads probes=0 as no certificate
+            refusals.append(lambda: hd.project(space, ball, x, probes=count))
+        for refusal in refusals:
+            with pytest.raises(ValueError, match="^probe count must be positive$"):
+                refusal()
+        with pytest.raises(ValueError, match="^need at least one probe point$"):
+            hd.characterization_residual(space, ball, x, u, [])
+
+
 def test_tree_ball_inside_one_edge(tree):
     # radius 0.4 about the middle of the caterpillar's edge 1 (length 2): the
     # extreme points are the projection and the two ends, c - r and c + r

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,11 +111,19 @@ def test_translation_vector_must_match_dimension(E2, vector):
         hd.compile_mapping(E2, hd.Translation(vector))(ept(E2, 0.0, 0.0))
 
 
-def test_compile_mapping_is_cached(E2):
+def test_a_compiled_mapping_holds_its_handle_no_longer_than_itself(E2):
+    # each compile builds a fresh closure and keeps nothing: once the
+    # closure is dropped, the handle it measures through is freed too
+    space = hd.CorruptedSpace(E2)
     seg = hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))
-    assert hd.compile_mapping(E2, hd.ProjectionOnto(seg)) is hd.compile_mapping(
-        E2, hd.ProjectionOnto(seg)
-    )
+    mapping = hd.GeodesicAverage(0.5, hd.Composition((hd.ProjectionOnto(seg), hd.Identity())))
+    T = hd.compile_mapping(space, mapping)
+    assert T is not hd.compile_mapping(space, mapping)
+    assert T(ept(E2, 0.5, 1.0)) == ept(E2, 0.5, 0.5)
+    handle = weakref.ref(space)
+    del space, T
+    gc.collect()
+    assert handle() is None
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hadamard as hd
-from hadamard import convex, mappings, serialize, solvers
+from hadamard import convex, serialize, solvers
 from hadamard.experiments import execute
 from hadamard.geometry import pairing_against
 from conftest import OffsetMetric, ept, hpt_polar
@@ -462,7 +462,6 @@ def test_set_validation_runs_once_per_run(E2, monkeypatch):
         monkeypatch.setitem(convex._KINDS, cls, lambda *args, kind=kind: calls.append(1) or kind(*args))
     counts = []
     for budget in (5, 20):
-        mappings._compile.cache_clear()
         calls.clear()
         trace = hd.run_implicit(E2, C, T, sched, base, budget=budget, seed=0)
         assert len(trace.rows) == budget

@@ -97,6 +97,49 @@ def test_hyperbolic_point_validation(H2):
     assert hd.validate_point(H2, hpt_polar(H2, 2.0, 1.0)) is None
 
 
+_EDGES = len(CATERPILLAR.edges)
+
+
+@pytest.mark.parametrize(
+    "family, data, message",
+    [
+        ("E3", (0.0, math.nan, 1.0), "non-finite coordinate"),
+        ("E3", (math.inf, 0.0, 1.0), "non-finite coordinate"),
+        ("H2", (math.inf, 0.0, 0.0), "non-finite coordinate"),
+        ("H2", (1.0, math.nan, 0.0), "non-finite coordinate"),
+        ("tree", (0, 0.5, 1.0), "tree point must be (edge_id, offset)"),
+        ("tree", (0,), "tree point must be (edge_id, offset)"),
+        ("tree", (-1, 0.5), "edge id -1 out of range"),
+        ("tree", (_EDGES, 0.5), f"edge id {_EDGES} out of range"),
+        ("tree", (0.0, 0.5), "edge id 0.0 out of range"),
+        ("tree", (0, math.nan), "offset must be a finite number"),
+        ("tree", (0, -math.inf), "offset must be a finite number"),
+        ("tree", (0, "0.5"), "offset must be a finite number"),
+    ],
+)
+def test_point_violations_name_what_is_wrong(request, family, data, message):
+    space = request.getfixturevalue(family)
+    assert hd.validate_point(space, hd.Point(space.descriptor, data)) == message
+
+
+def test_product_point_violations_name_the_faulty_part(E2, H2, prod):
+    e, h = ept(E2, 1.0, 2.0), hpt_polar(H2, 1.0, 0.5)
+    not_a_pair = "product point must be a (Point, Point) pair"
+    left, right = "left component carries the wrong space tag", "right component carries the wrong space tag"
+    cases = [
+        ((e,), not_a_pair),
+        ((e, h, e), not_a_pair),
+        ((e, (1.0, 0.0, 0.0)), not_a_pair),
+        ((h, h), left),
+        ((e, e), right),
+        ((h, e), f"{left}; {right}"),
+        ((hd.Point(E2.descriptor, (math.nan, 0.0)), h), "left: non-finite coordinate"),
+    ]
+    for data, message in cases:
+        assert hd.validate_point(prod, hd.Point(prod.descriptor, data)) == message, data
+    assert hd.validate_point(prod, hd.Point(prod.descriptor, (e, h))) is None
+
+
 def test_hyperbolic_sheet_tolerance_is_relative(H2):
     # the residual is a difference of squares of size x0^2: far out it
     # scales with them, near the base point it stays 1e-9, and a residual
@@ -793,20 +836,23 @@ def test_written_out_kernels_are_pinned():
     # new second kernel, or a deleted one, shows in the diff of this table
     from hadamard import spaces
 
-    kernels = ("distances", "geodesic", "sphere", "uniform")
+    kernels = (
+        "distance", "geodesic_point", "_geodesic", "_lift", "minkowski", "exponential",
+        "distances", "geodesic", "sphere", "uniform",
+    )
     own = {
         name: sorted(k for k in kernels if k in vars(cls))
         for name, cls in vars(spaces).items()
         if isinstance(cls, type) and issubclass(cls, spaces.Space)
     }
     assert own == {
-        "Space": ["distances", "geodesic"],
-        "EuclideanSpace": [],
-        "EuclideanPlane": ["sphere"],
-        "HyperbolicSpace": [],
-        "HyperbolicPlane": ["distances", "geodesic", "sphere"],
-        "TreeSpace": ["sphere", "uniform"],
-        "ProductSpace": [],
+        "Space": ["_geodesic", "distance", "distances", "geodesic", "geodesic_point"],
+        "EuclideanSpace": ["distance", "exponential", "geodesic_point"],
+        "EuclideanPlane": ["geodesic_point", "sphere"],
+        "HyperbolicSpace": ["_geodesic", "_lift", "distance", "exponential", "geodesic_point", "minkowski"],
+        "HyperbolicPlane": ["_geodesic", "distance", "distances", "geodesic", "minkowski", "sphere"],
+        "TreeSpace": ["distance", "geodesic_point", "sphere", "uniform"],
+        "ProductSpace": ["distance", "geodesic_point"],
     }
 
 
