@@ -33,37 +33,43 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import pairing_against
 from .sampling import ball_sampler, normals, sphere, stream
-from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, make_space
+from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord, make_space
 
 TERNARY_MAX_ITER = 200
 DEFAULT_LAMBDA_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WholeSpace:
-    pass
+@dataclass(init=False, eq=False, repr=False)
+class WholeSpace(_FrozenRecord):
+    """The whole space, as a convex set."""
 
 
-@dataclass(frozen=True)
-class Ball:
+@dataclass(init=False, eq=False, repr=False)
+class Ball(_FrozenRecord):
+    """The closed ball of ``radius`` about ``center``."""
+
     center: Point
     radius: float
 
 
-@dataclass(frozen=True)
-class Segment:
+@dataclass(init=False, eq=False, repr=False)
+class Segment(_FrozenRecord):
+    """The geodesic segment from ``a`` to ``b``."""
+
     a: Point
     b: Point
 
 
-@dataclass(frozen=True)
-class Subtree:
+@dataclass(init=False, eq=False, repr=False)
+class Subtree(_FrozenRecord):
+    """The subtree of a metric tree spanned by a connected vertex set."""
+
     vertices: frozenset[int]
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+@dataclass(init=False, eq=False, repr=False)
+class HalfSpace(_FrozenRecord):
     """Euclidean half-space {p : normal . p >= offset}."""
 
     normal: tuple[float, ...]
@@ -73,8 +79,11 @@ class HalfSpace:
 ConvexSetDescriptor = Union[WholeSpace, Ball, Segment, Subtree, HalfSpace]
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+@dataclass(init=False, eq=False, repr=False)
+class ProjectionResult(_FrozenRecord):
+    """The projection ``u`` of a point, its certificate residual (None when
+    not certified) and the iterations its solve used."""
+
     u: Point
     certificate_residual: Optional[float]
     iterations_used: int

@@ -31,11 +31,13 @@ from typing import Optional
 from . import serialize
 from .sampling import sampler, stream
 from .solvers import IterationTrace, PowerLaw
-from .spaces import Point, Space
+from .spaces import Point, Space, _Record
 
 
-@dataclass
-class PropertyReport:
+@dataclass(init=False, eq=False, repr=False)
+class PropertyReport(_Record):
+    """A property's trial count, violations and worst trial."""
+
     name: str
     trials: int
     violations: int
@@ -247,8 +249,10 @@ def replay_witness(space: Space, report: PropertyReport) -> Optional[float]:
 # scalar recursion demonstrator
 
 
-@dataclass
-class RecursionResult:
+@dataclass(init=False, eq=False, repr=False)
+class RecursionResult(_Record):
+    """The recursion demonstrator's final value, checkpoints and verdict."""
+
     final: float
     checkpoints: list[tuple[int, float]]
     hypotheses: dict[str, bool]
@@ -303,8 +307,8 @@ def liu_recursion(
 # trace diagnostics
 
 
-@dataclass
-class TraceDiagnostics:
+@dataclass(init=False, eq=False, repr=False)
+class TraceDiagnostics(_Record):
     """Tail statistics of a trace.  ``max_qx_inner`` and ``qx_scale`` are
     None when the run had no reference to pair against."""
 

@@ -15,29 +15,31 @@ from typing import Callable, Optional, Union
 
 from . import convex
 from .convex import ConvexSetDescriptor, compile_nearest
-from .spaces import Euclidean, Hyperbolic, Point, Space, make_space
+from .spaces import Euclidean, Hyperbolic, Point, Space, _FrozenRecord, make_space
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+@dataclass(init=False, eq=False, repr=False)
+class Identity(_FrozenRecord):
+    """The identity map."""
 
 
-@dataclass(frozen=True)
-class Rotation:
+@dataclass(init=False, eq=False, repr=False)
+class Rotation(_FrozenRecord):
     """Isometric rotation about a center; Euclidean(2) or Hyperbolic(2)."""
 
     center: Point
     angle: float
 
 
-@dataclass(frozen=True)
-class ProjectionOnto:
+@dataclass(init=False, eq=False, repr=False)
+class ProjectionOnto(_FrozenRecord):
+    """The metric projection onto ``target``."""
+
     target: ConvexSetDescriptor
 
 
-@dataclass(frozen=True)
-class GeodesicAverage:
+@dataclass(init=False, eq=False, repr=False)
+class GeodesicAverage(_FrozenRecord):
     """x -> the point at fraction (1 - weight) along the geodesic from x to
     inner(x); weight 1 is the identity."""
 
@@ -45,13 +47,15 @@ class GeodesicAverage:
     inner: "MappingDescriptor"
 
 
-@dataclass(frozen=True)
-class Composition:
+@dataclass(init=False, eq=False, repr=False)
+class Composition(_FrozenRecord):
+    """The composition of ``parts``, applied in order, first part first."""
+
     parts: tuple["MappingDescriptor", ...]
 
 
-@dataclass(frozen=True)
-class Translation:
+@dataclass(init=False, eq=False, repr=False)
+class Translation(_FrozenRecord):
     """Euclidean shift by a fixed vector; fixed-point free when nonzero.
     Ships as a negative control only."""
 

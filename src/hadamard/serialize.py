@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from . import convex, mappings, solvers, spaces
-from .spaces import Point, make_space
+from .spaces import Point, _Record, make_space
 
 
 class ConfigError(ValueError):
@@ -215,8 +215,10 @@ def _decode(field_kind: str, value, where: str, desc):
 # experiment config
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(init=False, eq=False, repr=False)
+class ExperimentConfig(_Record):
+    """One experiment: a space, set, mapping, scheme, schedule and budget."""
+
     name: str
     space: spaces.SpaceDescriptor
     convex_set: convex.ConvexSetDescriptor

@@ -35,7 +35,7 @@ from .convex import (
 from .geometry import pairing_against
 from .mappings import MappingDescriptor, compile_mapping
 from .sampling import sphere, stream
-from .spaces import Point, Space
+from .spaces import Point, Space, _FrozenRecord, _Record
 
 STREAM_PERTURBATION = 1
 STREAM_PROBES = 2
@@ -57,8 +57,8 @@ class InnerBudgetError(RuntimeError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+@dataclass(init=False, eq=False, repr=False)
+class PowerLaw(_FrozenRecord):
     """value(n) = scale * (n + shift) ** (-power)."""
 
     scale: float
@@ -69,8 +69,8 @@ class PowerLaw:
         return self.scale * (n + self.shift) ** (-self.power)
 
 
-@dataclass(frozen=True)
-class Schedule:
+@dataclass(init=False, eq=False, repr=False)
+class Schedule(_FrozenRecord):
     """Iteration schedules: anchor weight law, constant averaging weight
     (explicit scheme only), and perturbation norm law."""
 
@@ -79,8 +79,10 @@ class Schedule:
     mixing: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Condition:
+@dataclass(init=False, eq=False, repr=False)
+class Condition(_FrozenRecord):
+    """One named schedule condition, whether it holds, and why."""
+
     name: str
     passed: bool
     detail: str
@@ -204,8 +206,8 @@ class TraceRow:
     inner_bound: Optional[float] = None
 
 
-@dataclass
-class IterationTrace:
+@dataclass(init=False, eq=False, repr=False)
+class IterationTrace(_Record):
     """The whole record of a run: one row per iterate, the last iterate and
     the status.  ``reference`` is the point each row's ``ref_distance`` and
     ``qx_inner`` were measured against, or None when the run had none.

@@ -20,9 +20,83 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import lru_cache, partial
 from typing import Union
+
+
+class _Record:
+    """Base of the package's records: a subclass is declared
+    ``@dataclass(init=False, eq=False, repr=False)`` and takes its
+    ``__init__``, ``__eq__`` and ``__repr__`` from here, written once over
+    ``dataclasses.fields``.  Below Python 3.13 ``dataclass`` writes and
+    ``exec``s each generated method per class, six for a frozen one, which
+    cost 12 ms of every import of the package; declared this way a record
+    generates none.  It stays a dataclass: ``fields``, ``replace``,
+    ``is_dataclass`` and ``__match_args__`` work on it as before.
+
+    The methods are the generated ones' in behaviour: ``==`` compares the
+    field tuples of two instances of the same class, ``repr`` reads
+    ``Name(field=value, ...)``, and a record with ``==`` and no ``__hash__``
+    is unhashable.  They read every field, so no record sets a field's
+    ``compare``, ``hash`` or ``repr`` flag.  Fields are stored through
+    ``object.__setattr__`` and never through the instance ``__dict__``,
+    whose first read on CPython 3.11 slows every later attribute load on
+    that instance.  The generic methods take several times as long as the
+    generated ones, so ``Point``, built on every primitive call, and
+    ``solvers.TraceRow``, built on every solver step, keep their generated
+    methods."""
+
+    def __init__(self, *args, **kwargs):
+        params = fields(self)
+        if len(args) > len(params):
+            raise self._call_error(
+                f"takes {len(params) + 1} positional arguments but {len(args) + 1} were given"
+            )
+        for f, value in zip(params, args):
+            if f.name in kwargs:
+                raise self._call_error(f"got multiple values for argument {f.name!r}")
+            object.__setattr__(self, f.name, value)
+        for f in params[len(args):]:
+            if f.name in kwargs:
+                value = kwargs.pop(f.name)
+            elif f.default is not MISSING:
+                value = f.default
+            elif f.default_factory is not MISSING:
+                value = f.default_factory()
+            else:
+                raise self._call_error(f"missing required argument {f.name!r}")
+            object.__setattr__(self, f.name, value)
+        if kwargs:
+            raise self._call_error(f"got an unexpected keyword argument {next(iter(kwargs))!r}")
+
+    def _call_error(self, problem: str) -> TypeError:
+        return TypeError(f"{type(self).__qualname__}.__init__() {problem}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({body})"
+
+
+class _FrozenRecord(_Record):
+    """An immutable :class:`_Record`, hashed by its field tuple."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class SpaceMismatchError(ValueError):
@@ -58,41 +132,49 @@ MAX_HYPERBOLIC_RADIUS = 20.0
 # descriptors
 
 
-@dataclass(frozen=True)
-class Euclidean:
+@dataclass(init=False, eq=False, repr=False)
+class Euclidean(_FrozenRecord):
+    """Euclidean space E^dim."""
+
     dim: int
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+@dataclass(init=False, eq=False, repr=False)
+class Hyperbolic(_FrozenRecord):
+    """Real hyperbolic space H^dim of curvature -1."""
+
     dim: int
 
 
-@dataclass(frozen=True)
-class TreeTopology:
+@dataclass(init=False, eq=False, repr=False)
+class TreeTopology(_FrozenRecord):
     """A finite tree: ``vertex_count`` vertices, ``vertex_count - 1`` weighted
     edges given as (u, v, length) with all lengths > 0."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
 
+    # hashed once, outside the fields: a make_space lookup that hits the
+    # cache must not rehash every edge
+    _hash = None
+
     def __hash__(self) -> int:
-        # hashed once, outside the fields: a make_space lookup that hits the
-        # cache must not rehash every edge
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.vertex_count, self.edges))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
+        return self._hash
 
 
-@dataclass(frozen=True)
-class WeightedTree:
+@dataclass(init=False, eq=False, repr=False)
+class WeightedTree(_FrozenRecord):
+    """The metric tree with this topology."""
+
     topology: TreeTopology
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(init=False, eq=False, repr=False)
+class Product(_FrozenRecord):
+    """The l2 product of two spaces."""
+
     left: "SpaceDescriptor"
     right: "SpaceDescriptor"
 
