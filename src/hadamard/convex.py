@@ -12,15 +12,14 @@ rounding; for any other member it is negative.
 
 In E^n the pairing is linear in y, and along each edge of a tree it is
 linear between the feet of x and of u, because the quadratic terms of the
-two squared distances cancel.  So on an E^n or tree handle of the class
-``make_space`` builds, whether or not its cache still holds that handle, a
-ball, a segment and a subtree take the exact minimum over a few extreme
-points of the set.  Hyperbolic sets, product sets, half-spaces (whose exact
-minimum is 0 or -inf, decided by rounding) and every wrapper handle take it
-over a probe sample instead, which only approximates the "for every y"
-quantifier: probe density trades run time against the smallest detectable
-displacement, and the defaults here are tuned for displacements of order
-1e-2 on unit-scale sets.
+two squared distances cancel.  So on an E^n or tree handle that is its own
+model (``space.model is space``), a ball, a segment and a subtree take the
+exact minimum over a few extreme points of the set.  Hyperbolic sets,
+product sets, half-spaces (whose exact minimum is 0 or -inf, decided by
+rounding) and every wrapper handle take it over a probe sample instead,
+which only approximates the "for every y" quantifier: probe density trades
+run time against the smallest detectable displacement, and the defaults
+here are tuned for displacements of order 1e-2 on unit-scale sets.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import pairing_against
 from .sampling import ball_sampler, normals, sphere, stream
-from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord, make_space
+from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
 
 TERNARY_MAX_ITER = 200
 DEFAULT_LAMBDA_TOL = 1e-12
@@ -137,7 +136,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
         # unit tangent at b toward a; gamma(t) = cosh(t) b + sinh(t) v
         v = tuple((ai - cd * bi) / sd for ai, bi in zip(a.data, b.data))
         bd = b.data
-        minkowski = make_space(space.descriptor).minkowski
+        minkowski = space.model.minkowski
         at = space.geodesic(a, b)
 
         def hyperbolic(x: Point) -> tuple[float, Point, int]:
@@ -199,7 +198,7 @@ class _Kind(NamedTuple):
     projection as ``x -> u`` where a kind has one nearer its closed form
     than ``project(x)[0]``, and ``(x, u) ->`` points of the set at which
     ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
-    where the model handle has them."""
+    where the set's family has them and the handle is its own model."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
@@ -236,9 +235,9 @@ def _ball(space: Space, cset: Ball) -> _Kind:
         at = sphere(space, center)
         return [at(rng, radius if i < count // 2 else radius * shells[i % len(shells)]) for i in range(count)]
 
-    desc, model = space.descriptor, make_space(space.descriptor)
+    desc, model = space.descriptor, space.model
     extremes = None
-    if type(space) is type(model) and isinstance(desc, Euclidean):
+    if isinstance(desc, Euclidean):
         cd = center.data
 
         def extremes(x: Point, u: Point) -> list[Point]:
@@ -248,7 +247,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
                 return [center]
             return [Point(desc, tuple([c + radius * (xi - ui) / d for c, xi, ui in zip(cd, x.data, u.data)]))]
 
-    elif type(space) is type(model) and isinstance(desc, WeightedTree):
+    elif isinstance(desc, WeightedTree):
         edges, adj, (ec, tc) = desc.topology.edges, model.adj, center.data
 
         def extremes(x: Point, u: Point) -> list[Point]:
@@ -299,7 +298,7 @@ def _segment(space: Space, cset: Segment) -> _Kind:
 
     desc = space.descriptor
     euclidean = isinstance(desc, Euclidean)
-    if type(space) is not type(make_space(desc)) or not (euclidean or isinstance(desc, WeightedTree)):
+    if not (euclidean or isinstance(desc, WeightedTree)):
         extremes = None
     return _Kind(lambda x: foot(x)[1:], contains, probes, max(dab, 1.0), lambda x: foot(x)[1], extremes)
 
@@ -312,7 +311,7 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
         raise IncompatibleSetError("subtree vertex set is empty")
     if not all(0 <= v < desc.topology.vertex_count for v in verts):
         raise IncompatibleSetError("subtree vertex out of range")
-    model = make_space(desc)
+    model = space.model
     parent, depth, edges = model.parent, model.depth, model.topology.edges
     # each component of the induced forest has exactly one vertex whose
     # parent lies outside the set; the set's top vertex is that one
@@ -356,7 +355,7 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
         # vertices and x and u, when they lie on one
         return [model.vertex_point(v) for v in verts] + [p for p in (x, u) if contains(p, 0.0)]
 
-    return _Kind(project, contains, probes, 1.0, extremes=extremes if type(space) is type(model) else None)
+    return _Kind(project, contains, probes, 1.0, extremes=extremes)
 
 
 def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
@@ -425,7 +424,9 @@ def _compile(space: Space, cset: ConvexSetDescriptor) -> _Kind:
     kind = _KINDS.get(type(cset))
     if kind is None:
         raise IncompatibleSetError(f"unknown set {cset!r}")
-    return kind(space, cset)
+    compiled = kind(space, cset)
+    # extreme points are exact only under the model's own metric
+    return compiled if space.model is space else compiled._replace(extremes=None)
 
 
 def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[Point]:

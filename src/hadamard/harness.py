@@ -45,10 +45,6 @@ class PropertyReport(_Record):
     worst_witness: Optional[dict]
     tolerance: float
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 class _Collector:
     def __init__(self, name: str, eps: float):
@@ -385,11 +381,12 @@ class CorruptedSpace(Space):
         self.inner = inner
         self.descriptor = inner.descriptor
 
+    @property
+    def model(self) -> Space:
+        return self.inner.model
+
     def distance(self, a: Point, b: Point) -> float:
         return self.inner.distance(a, b) ** 1.5
 
     def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
         return self.inner.geodesic_point(x, y, lam)
-
-    def point_violations(self, p: Point) -> list[str]:
-        return self.inner.point_violations(p)

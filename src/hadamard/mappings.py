@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 from . import convex
 from .convex import ConvexSetDescriptor, compile_nearest
-from .spaces import Euclidean, Hyperbolic, Point, Space, _FrozenRecord, make_space
+from .spaces import Euclidean, Hyperbolic, Point, Space, _FrozenRecord
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -133,7 +133,7 @@ def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point
         _require_finite("rotation center", *mapping.center.data)
         if isinstance(desc, Euclidean):
             return _euclidean_rotation(mapping.center, mapping.angle)
-        return _hyperbolic_rotation(make_space(desc), mapping.center, mapping.angle)
+        return _hyperbolic_rotation(space.model, mapping.center, mapping.angle)
     if isinstance(mapping, ProjectionOnto):
         return compile_nearest(space, mapping.target)
     if isinstance(mapping, GeodesicAverage):

@@ -14,15 +14,7 @@ import math
 import random
 from typing import Callable
 
-from .spaces import (
-    MAX_HYPERBOLIC_RADIUS,
-    Euclidean,
-    Hyperbolic,
-    Point,
-    Space,
-    WeightedTree,
-    make_space,
-)
+from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree
 
 
 def stream(seed: int, *key: int) -> random.Random:
@@ -56,11 +48,11 @@ def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
     base point in H^n, where r may not exceed ``MAX_HYPERBOLIC_RADIUS``;
     uniform over total edge length in a tree, whatever r, by the model's
     own ``uniform`` draw; each factor at r in a product.  Every draw passes
-    point validation for ``space``.  The radius is checked and the model
-    handle ``make_space(space.descriptor)`` looked up once, here; drawing
-    calls no primitive, so every handle of a descriptor samples alike."""
+    point validation for ``space``.  The radius is checked once, here, and
+    the draw is the model's, ``space.model``: it calls no primitive, so a
+    wrapper samples as the handle it wraps."""
     _check_radius(radius)
-    model = make_space(space.descriptor)
+    model = space.model
     desc = model.descriptor
     if isinstance(desc, Euclidean):
         # the pairings sum squared distances of box points up to 2r sqrt(n) apart
@@ -119,11 +111,11 @@ def sphere(space: Space, center: Point) -> Callable[..., Point]:
     toward a point w drawn uniformly over total edge length; in a product
     each factor takes its part of g, so t splits between them in
     proportion to the parts.  The draw is the model's own ``sphere`` where
-    it has one, and it calls no primitive of the handle passed in, so
-    every handle of a descriptor draws alike.  The center's tag is checked
+    it has one, and it calls no primitive of the handle passed in, so a
+    wrapper draws as the handle it wraps.  The center's tag is checked
     once, here."""
     space._check(center)
-    model = make_space(space.descriptor)
+    model = space.model
     own = getattr(model, "sphere", None)
     if own is not None:
         return own(center)

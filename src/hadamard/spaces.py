@@ -225,17 +225,21 @@ def product_depth(desc: SpaceDescriptor) -> int:
 
 
 class Space:
-    """Validated handle for one model space."""
+    """Validated handle for one model space.
+
+    A handle measures with ``distance(a, b)``, and ``geodesic_point(x, y,
+    lam)`` is the point ``z`` on the geodesic from ``x`` to ``y`` with
+    ``d(z, x) = (1 - lam) * d(x, y)`` (weight ``lam`` on ``x``).  Its
+    ``model`` is the handle of its descriptor's own metric: itself on a
+    model handle, the wrapped model on a wrapper."""
 
     descriptor: SpaceDescriptor
 
-    def distance(self, a: Point, b: Point) -> float:
-        raise NotImplementedError
-
-    def geodesic_point(self, x: Point, y: Point, lam: float) -> Point:
-        """The point ``z`` on the geodesic from ``x`` to ``y`` with
-        ``d(z, x) = (1 - lam) * d(x, y)`` (weight ``lam`` on ``x``)."""
-        raise NotImplementedError
+    # a property: an attribute naming the handle itself would make a
+    # reference cycle, and free an evicted tree handle only at a collection
+    @property
+    def model(self) -> Space:
+        return self
 
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         """``geodesic_point(x, y, lam)`` for a caller that already holds
@@ -255,9 +259,6 @@ class Space:
     def geodesic(self, x: Point, y: Point):
         """``lam -> geodesic_point(x, y, lam)``, for weights in [0, 1]."""
         return partial(self.geodesic_point, x, y)
-
-    def point_violations(self, p: Point) -> list[str]:
-        raise NotImplementedError
 
     # -- shared plumbing
     #
@@ -879,7 +880,7 @@ def validate_point(space: Space, p: Point):
     of the violated invariant."""
     if p.space != space.descriptor:
         return f"point tagged {p.space!r}, space is {space.descriptor!r}"
-    violations = space.point_violations(p)
+    violations = space.model.point_violations(p)
     return None if not violations else "; ".join(violations)
 
 

@@ -1,9 +1,9 @@
 """Every function runs on any handle of a model descriptor.
 
 A space's family is chosen from ``space.descriptor``; structure (a tree's
-parent links, a product's factors, the hyperboloid's lift) comes
-from the model handle ``make_space(space.descriptor)``, and the primitives
-``distance`` and ``geodesic_point`` from the handle passed in.
+parent links, a product's factors, the hyperboloid's lift) comes from the
+model handle ``space.model``, and the primitives ``distance`` and
+``geodesic_point`` from the handle passed in.
 """
 
 import ast
@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import hadamard as hd
-from conftest import Forwarding, hpt_polar, shuffled_random_tree
+from conftest import Forwarding, OffsetMetric, ept, hpt_polar, shuffled_random_tree
+from hadamard import convex
+from test_solvers import CountingH2
 
 HANDLE_CLASSES = {
     "EuclideanSpace", "EuclideanPlane", "HyperbolicSpace", "HyperbolicPlane", "TreeSpace", "ProductSpace",
@@ -99,7 +101,7 @@ def test_explicit_run_on_a_corrupted_handle_ends_in_a_status(H2):
 
 def test_only_spaces_names_a_handle_class():
     # the family decision stays in spaces.py: every other module reads the
-    # descriptor and takes structure from make_space(descriptor)
+    # descriptor and takes structure from space.model
     offenders = []
     for path in sorted(Path(hd.__file__).parent.glob("*.py")):
         if path.name == "spaces.py":
@@ -110,4 +112,76 @@ def test_only_spaces_names_a_handle_class():
                 name = node.name
             if name in HANDLE_CLASSES:
                 offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert not offenders
+
+
+def test_every_handle_names_its_model(E2, E3, H2, tree, prod):
+    # each class make_space builds is its own model, cached or not
+    handles = [E2, E3, H2, hd.make_space(hd.Hyperbolic(3)), tree, prod]
+    assert len({type(space) for space in handles}) == len(HANDLE_CLASSES)
+    for space in handles:
+        fresh = type(space)(space.descriptor)
+        assert fresh is not hd.make_space(space.descriptor)
+        assert space.model is space and fresh.model is fresh
+
+    # a wrapper names the model it wraps, through any depth, and its sets
+    # keep no extreme points, where the model's sets have them
+    e2_sets = [hd.Ball(ept(E2, 0.0, 0.0), 1.0), hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 2.0))]
+    tree_sets = [
+        hd.Ball(tree.vertex_point(1), 0.5),
+        hd.Segment(tree.vertex_point(0), tree.vertex_point(2)),
+        hd.Subtree(frozenset({0, 1, 2})),
+    ]
+    h2_sets = [hd.Ball(H2.base, 0.5), hd.Segment(H2.base, hpt_polar(H2, 1.0, 0.5))]
+    wrapped = [
+        (hd.CorruptedSpace(E2), E2, e2_sets),
+        (hd.CorruptedSpace(hd.CorruptedSpace(tree)), tree, tree_sets),
+        (OffsetMetric(tree), tree, tree_sets),
+        (Forwarding(E2), E2, e2_sets),
+        (CountingH2(H2), H2, h2_sets),
+    ]
+    for space, model, sets in wrapped:
+        assert space.model is model
+        for cset in sets:
+            exact = convex._compile(model, cset).extremes is not None
+            assert exact == (model is not H2)
+            assert convex._compile(space, cset).extremes is None
+
+    # a directly built E^2 handle of the generic class is its own model: it
+    # certifies over extreme points as the make_space handle does, where it
+    # used to read 1.05e-4 over 1000 probes
+    from hadamard.spaces import EuclideanSpace
+
+    generic = EuclideanSpace(hd.Euclidean(2))
+    ball, x = hd.Ball(ept(E2, 0.0, 0.0), 1.0), ept(E2, 3.0, 0.4)
+    assert convex._compile(generic, ball).extremes is not None
+    result = hd.project(generic, ball, x, probes=1000)
+    assert result == hd.project(E2, ball, x, probes=1000)
+    assert abs(result.certificate_residual) < 1e-30
+    probes = hd.probe_points(generic, ball, result.u, 1000)
+    assert hd.characterization_residual(generic, ball, x, result.u, probes) > 1e-4
+
+
+def test_no_module_outside_spaces_recovers_a_model():
+    # the model is named once, by space.model: outside spaces.py no module
+    # looks it up with make_space(<handle>.descriptor) or compares handle
+    # classes with type(...) is type(...)
+    def is_call(node, name):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (getattr(func, "id", None), getattr(func, "attr", None))
+
+    offenders = []
+    for path in sorted(Path(hd.__file__).parent.glob("*.py")):
+        if path.name == "spaces.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            lookup = is_call(node, "make_space") and any(
+                isinstance(arg, ast.Attribute) and arg.attr == "descriptor" for arg in node.args
+            )
+            gate = isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Is, ast.IsNot)) and is_call(left, "type") and is_call(right, "type")
+                for op, left, right in zip(node.ops, [node.left] + node.comparators, node.comparators)
+            )
+            if lookup or gate:
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders

@@ -674,6 +674,10 @@ class CountingH2(hd.spaces.Space):
     def __init__(self, inner):
         self.inner, self.descriptor, self.calls = inner, inner.descriptor, Counter()
 
+    @property
+    def model(self):
+        return self.inner.model
+
     def distance(self, a, b):
         self.calls["distance"] += 1
         return self.inner.distance(a, b)
@@ -689,9 +693,6 @@ class CountingH2(hd.spaces.Space):
     def distances(self, a, pts):
         self.calls["distances"] += 1
         return self.inner.distances(a, pts)
-
-    def point_violations(self, p):
-        return self.inner.point_violations(p)
 
 
 @pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])

@@ -676,10 +676,9 @@ def test_point_keeps_the_dataclass_behaviour(H2):
         hd.Point(desc, data, coords=data)
 
 
-def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkeypatch):
+def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2):
     # make_space gives H^2 its written-out kernels; the generic n-dimensional
     # handle, built directly, must give the same floats and points with ==
-    from hadamard import convex, mappings, sampling
     from hadamard.spaces import HyperbolicPlane, HyperbolicSpace, minkowski
 
     assert type(H2) is HyperbolicPlane
@@ -712,8 +711,8 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkey
     assert min(branches.values()) >= 3, branches
     assert sum(0.0 < H2.distance(x, y) < 1e-7 for x, y in pairs) >= 5
 
-    # the same draws, rotations and segment projections with the generic
-    # handle as every model lookup's H^2: the draws compare H2.sphere with
+    # the same draws, rotations and segment projections on the generic
+    # handle, its own model: the draws compare H2.sphere with
     # sampling.normals and the generic exponential map
     def build(space):
         draws = []
@@ -725,17 +724,15 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2, monkey
             draws.append(hd.project_segment(space, x, y, pairs[0][0]))
         return draws
 
-    want = build(H2)
-    for module in (convex, mappings, sampling):
-        monkeypatch.setattr(module, "make_space", lambda desc: generic)
-    assert build(generic) == want
+    assert generic.model is generic
+    assert build(generic) == build(H2)
 
 
-def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeypatch):
+def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2):
     # make_space gives E^2 its written-out kernels; the generic n-dimensional
     # handle, built directly, must give the same floats and points.  repr
     # tells the bits apart, -0.0 from 0.0 too
-    from hadamard import convex, sampling
+    from hadamard import sampling
     from hadamard.spaces import EuclideanPlane, EuclideanSpace
 
     assert type(E2) is EuclideanPlane
@@ -765,9 +762,9 @@ def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeyp
         lam = min(1.0, max(0.0, lam))
         assert repr(hd.project_segment(E2, a, b, x)) == repr((lam, generic.geodesic_point(a, b, lam), 0))
 
-    # the same draws and probes with the generic handle as every model
-    # lookup's E^2, E2.sphere against sampling.normals and the generic
-    # exponential map among them
+    # the same draws and probes on the generic handle, its own model,
+    # E2.sphere against sampling.normals and the generic exponential map
+    # among them
     def build(space):
         seeded = hd.stream(24, 1)
         draws = []
@@ -780,10 +777,8 @@ def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2, monkeyp
             draws.append(hd.project_segment(space, x, y, pairs[0][0]))
         return repr(draws)
 
-    want = build(E2)
-    for module in (convex, sampling):
-        monkeypatch.setattr(module, "make_space", lambda desc: generic)
-    assert build(generic) == want
+    assert generic.model is generic
+    assert build(generic) == build(E2)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +841,7 @@ def test_written_out_kernels_are_pinned():
         if isinstance(cls, type) and issubclass(cls, spaces.Space)
     }
     assert own == {
-        "Space": ["_geodesic", "distance", "distances", "geodesic", "geodesic_point"],
+        "Space": ["_geodesic", "distances", "geodesic"],
         "EuclideanSpace": ["distance", "exponential", "geodesic_point"],
         "EuclideanPlane": ["geodesic_point", "sphere"],
         "HyperbolicSpace": ["_geodesic", "_lift", "distance", "exponential", "geodesic_point", "minkowski"],
