@@ -362,14 +362,14 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
     normal, offset, desc = cset.normal, cset.offset, space.descriptor
     if not isinstance(desc, Euclidean):
         raise IncompatibleSetError("half-space sets require Euclidean space")
+    if len(normal) != desc.dim:
+        raise IncompatibleSetError("half-space normal has the wrong dimension")
     # the projection divides by |normal|^2: it must not underflow to a
     # subnormal or 0, nor overflow, so that normal / |normal|^2 is finite
     # and a far offset cannot overflow an intermediate step
     nn = sum(n * n for n in normal)
     if not sys.float_info.min <= nn < math.inf:
         raise IncompatibleSetError("half-space normal is zero or its squared norm is out of floating-point range")
-    if len(normal) != desc.dim:
-        raise IncompatibleSetError("half-space normal has the wrong dimension")
     if not math.isfinite(offset):
         raise IncompatibleSetError("half-space offset must be finite")
     w = tuple(n / nn for n in normal)

@@ -14,7 +14,7 @@ import math
 import random
 from typing import Callable
 
-from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree
+from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree, normals
 
 
 def stream(seed: int, *key: int) -> random.Random:
@@ -25,20 +25,6 @@ def stream(seed: int, *key: int) -> random.Random:
 def _check_radius(radius: float) -> None:
     if not 0.0 <= radius < math.inf:
         raise ValueError(f"sampling radius {radius} is not a finite number >= 0")
-
-
-def normals(rng, n: int) -> list[float]:
-    """``n`` standard normal values built from ``rng.random()`` by the
-    Box-Muller transform: Python pins the ``random()`` sequence of a seeded
-    stream, not that of ``gauss`` or ``normalvariate``."""
-    out: list[float] = []
-    while len(out) < n:
-        # 1 - random() lies in (0, 1], so the log is finite
-        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-        theta = 2.0 * math.pi * rng.random()
-        out += (r * math.cos(theta), r * math.sin(theta))
-    del out[n:]
-    return out
 
 
 def sampler(space: Space, radius: float = 5.0) -> Callable[..., Point]:
@@ -82,51 +68,15 @@ def random_point(space: Space, rng, radius: float = 5.0) -> Point:
     return sampler(space, radius)(rng)
 
 
-def _exponential(model: Space, c: Point):
-    """``(dim, exp)``: ``exp(rng, g, s)`` is the exponential map at c of
-    the tangent vector s*g, the point s*|g| from c along g, for the
-    coordinates g of a tangent vector in an orthonormal frame at c of
-    dimension ``dim``.  A tree has no tangent space: a tree factor takes
-    one coordinate g_T and draws at |g_T|*s through the tree's own
-    :meth:`sphere`, in a direction drawn from ``rng``."""
-    desc = model.descriptor
-    if isinstance(desc, (Euclidean, Hyperbolic)):
-        exp = model.exponential(c)
-        return desc.dim, lambda rng, g, s: exp(g, s)
-    if isinstance(desc, WeightedTree):
-        at = model.sphere(c)
-        return 1, lambda rng, g, s: at(rng, abs(g[0]) * s)
-    (n, exp_left), (m, exp_right) = _exponential(model.left, c.data[0]), _exponential(model.right, c.data[1])
-    return n + m, lambda rng, g, s: Point(desc, (exp_left(rng, g[:n], s), exp_right(rng, g[n:], s)))
-
-
 def sphere(space: Space, center: Point) -> Callable[..., Point]:
     """``(rng, t) ->`` the point at distance t >= 0 from center in a
-    direction uniform at center, built once per center.
-
-    In E^n this is center + t g/|g| for a standard normal g; in H^n it is
-    cosh t * center + sinh t * v for the unit tangent v = sum g_i f_i / |g|
-    in an orthonormal frame f at center, with t capped at
-    ``MAX_HYPERBOLIC_RADIUS``; in a tree it lies min(t, d(center, w))
-    toward a point w drawn uniformly over total edge length; in a product
-    each factor takes its part of g, so t splits between them in
-    proportion to the parts.  The draw is the model's own ``sphere`` where
-    it has one, and it calls no primitive of the handle passed in, so a
+    direction uniform at center, built once per center: the model's own
+    draw, ``space.model.sphere(center)``, whose docstrings give each
+    family's law.  It calls no primitive of the handle passed in, so a
     wrapper draws as the handle it wraps.  The center's tag is checked
     once, here."""
     space._check(center)
-    model = space.model
-    own = getattr(model, "sphere", None)
-    if own is not None:
-        return own(center)
-    dim, exp = _exponential(model, center)
-
-    def along_normal(rng, t):
-        g = normals(rng, dim)
-        nrm = math.hypot(*g)
-        return exp(rng, g, t / nrm) if nrm > 0.0 else center
-
-    return along_normal
+    return space.model.sphere(center)
 
 
 def ball_sampler(space: Space, center: Point, radius: float) -> Callable[..., Point]:

@@ -5,10 +5,11 @@ space in the hyperboloid model, metric trees with positive edge lengths, and
 binary products of the above.  A space handle built by :func:`make_space`
 exposes the primitives ``distance`` and ``geodesic_point``, and kernels
 bound to fixed points: ``distances`` from one point, the ``geodesic``
-between two and, on E^2, H^2 and trees, the ``sphere`` draw about one.
-Only H^2 writes ``distances`` and ``geodesic`` out; every other handle
-composes them from its primitives.  A tree also has the ``uniform`` draw
-over its total edge length.
+between two and the ``sphere`` draw about one.  Only H^2 writes
+``distances`` and ``geodesic`` out; every other handle composes them from
+its primitives.  E^2, H^2 and trees write ``sphere`` out; every other
+handle draws it through its ``exponential`` map.  A tree also has the
+``uniform`` draw over its total edge length.
 
 Points are immutable values tagged with their space descriptor.  All
 operations return fresh values and keep no hidden state.
@@ -224,6 +225,20 @@ def product_depth(desc: SpaceDescriptor) -> int:
 # space handles
 
 
+def normals(rng, n: int) -> list[float]:
+    """``n`` standard normal values built from ``rng.random()`` by the
+    Box-Muller transform: Python pins the ``random()`` sequence of a seeded
+    stream, not that of ``gauss`` or ``normalvariate``."""
+    out: list[float] = []
+    while len(out) < n:
+        # 1 - random() lies in (0, 1], so the log is finite
+        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        theta = 2.0 * math.pi * rng.random()
+        out += (r * math.cos(theta), r * math.sin(theta))
+    del out[n:]
+    return out
+
+
 class Space:
     """Validated handle for one model space.
 
@@ -259,6 +274,21 @@ class Space:
     def geodesic(self, x: Point, y: Point):
         """``lam -> geodesic_point(x, y, lam)``, for weights in [0, 1]."""
         return partial(self.geodesic_point, x, y)
+
+    def sphere(self, c: Point):
+        """``(rng, t) ->`` the point at distance t >= 0 from c in a direction
+        uniform at c: ``exp(rng, g, t/|g|)`` for g of :func:`normals`, where
+        ``exponential(c)`` gives ``(dim, exp)`` and ``exp(rng, g, s)`` is the
+        exponential map at c of s*g, for the coordinates g of a tangent
+        vector in an orthonormal frame at c.  The caller has checked c."""
+        dim, exp = self.exponential(c)
+
+        def along_normal(rng, t):
+            g = normals(rng, dim)
+            nrm = math.hypot(*g)
+            return exp(rng, g, t / nrm) if nrm > 0.0 else c
+
+        return along_normal
 
     # -- shared plumbing
     #
@@ -300,10 +330,10 @@ class EuclideanSpace(Space):
         return Point(self.descriptor, tuple([lam * a + mu * b for a, b in zip(xd, yd)]))
 
     def exponential(self, c: Point):
-        """``exp(g, s)``: the point c + s*g, the exponential map at c of the
-        tangent vector s*g in the standard frame."""
+        """``(dim, exp)``, as :meth:`Space.sphere` reads it: ``exp(rng, g, s)``
+        is the point c + s*g, in the standard frame."""
         cd, desc = c.data, self.descriptor
-        return lambda g, s: Point(desc, tuple([ci + s * gi for ci, gi in zip(cd, g)]))
+        return self.dim, lambda rng, g, s: Point(desc, tuple([ci + s * gi for ci, gi in zip(cd, g)]))
 
     def point_violations(self, p: Point) -> list[str]:
         out = []
@@ -336,9 +366,9 @@ class EuclideanPlane(EuclideanSpace):
         return Point(self.descriptor, (lam * x1 + mu * y1, lam * x2 + mu * y2))
 
     def sphere(self, c: Point):
-        """``sampling.sphere``'s draw at c, ``(rng, t) ->`` c + t g/|g|: the
-        Box-Muller pair of ``sampling.normals`` and the exponential map in
-        one frame.  The caller has checked c."""
+        """:meth:`Space.sphere` at c, ``(rng, t) ->`` c + t g/|g|: the
+        Box-Muller pair of :func:`normals` and the exponential map in one
+        frame.  The caller has checked c."""
         c1, c2 = c.data
         desc, log, sqrt, cos, sin, hypot = self.descriptor, math.log, math.sqrt, math.cos, math.sin, math.hypot
 
@@ -427,16 +457,16 @@ class HyperbolicSpace(Space):
         return self._geodesic(x, y, lam, self.distance(x, y))
 
     def exponential(self, c: Point):
-        """``exp(g, s)``: the exponential map at c of the tangent vector
-        s*g, the point min(s*|g|, ``MAX_HYPERBOLIC_RADIUS``) from c along g,
-        for the coordinates g of a tangent vector in the frame
-        f_i = e_i + c_i / (1 + c_0) * (e_0 + c), i >= 1.  That frame is the
-        boost taking the sheet base point to c applied to e_i: Minkowski
-        orthonormal and tangent at c.  Only its constant k is kept."""
+        """``(dim, exp)``, as :meth:`Space.sphere` reads it: ``exp(rng, g,
+        s)`` is the point min(s*|g|, ``MAX_HYPERBOLIC_RADIUS``) from c along
+        g, in the frame f_i = e_i + c_i / (1 + c_0) * (e_0 + c), i >= 1.
+        That frame is the boost taking the sheet base point to c applied to
+        e_i: Minkowski orthonormal and tangent at c.  Only its constant k is
+        kept."""
         cs = c.data[1:]
         k = 1.0 / (1.0 + c.data[0])
 
-        def exp(g, s):
+        def exp(rng, g, s):
             nrm = math.hypot(*g)
             if nrm == 0.0:
                 return c
@@ -446,7 +476,7 @@ class HyperbolicSpace(Space):
             a = math.cosh(t) + sh * k * sum(map(operator.mul, cs, g))
             return self._lift([a * ci + sh * gi for ci, gi in zip(cs, g)])
 
-        return exp
+        return self.dim, exp
 
     def _geodesic(self, x: Point, y: Point, lam: float, d: float) -> Point:
         # the weights combine the spatial coordinates only; the lift then
@@ -796,7 +826,7 @@ class TreeSpace(Space):
         return draw
 
     def sphere(self, c: Point):
-        """``sampling.sphere``'s draw at c, ``(rng, t) ->`` the point
+        """:meth:`Space.sphere` at c, ``(rng, t) ->`` the point
         min(t, d(c, w)) from c toward a point w of :meth:`uniform`: a
         ``distance`` and a ``geodesic_point``, each one path search.  The
         caller has checked c."""
@@ -808,6 +838,13 @@ class TreeSpace(Space):
             return geodesic_point(c, w, max(0.0, 1.0 - t / d)) if d > 0.0 else c
 
         return at
+
+    def exponential(self, c: Point):
+        """``(1, exp)``: a tree has no tangent space, so ``exp(rng, g, s)``
+        is :meth:`sphere`'s draw at |g_0|*s from c, its direction drawn from
+        rng."""
+        at = self.sphere(c)
+        return 1, lambda rng, g, s: at(rng, abs(g[0]) * s)
 
 
 class ProductSpace(Space):
@@ -844,6 +881,13 @@ class ProductSpace(Space):
                 self.right.geodesic_point(x.data[1], y.data[1], lam),
             ),
         )
+
+    def exponential(self, c: Point):
+        """``(n + m, exp)``: the factors' maps, the first n coordinates of g
+        to the left factor's and the other m to the right's."""
+        (n, left), (m, right) = self.left.exponential(c.data[0]), self.right.exponential(c.data[1])
+        desc = self.descriptor
+        return n + m, lambda rng, g, s: Point(desc, (left(rng, g[:n], s), right(rng, g[n:], s)))
 
     def point_violations(self, p: Point) -> list[str]:
         if len(p.data) != 2 or not all(isinstance(c, Point) for c in p.data):

@@ -222,6 +222,8 @@ def test_run_batch(runner, tmp_path):
         ({"mapping": {"type": "translation", "vector": [1.0]}}, "mapping:"),
         ({"mapping": {"type": "translation", "vector": [1.0, 0.0, 5.0]}}, "mapping:"),
         ({"convex_set": {"type": "halfspace", "normal": [1.0], "offset": 0.0}}, "convex_set:"),
+        ({"convex_set": {"type": "halfspace", "normal": [], "offset": 0.0}}, "normal has the wrong dimension"),
+        ({"convex_set": {"type": "halfspace", "normal": [1e200] * 3, "offset": 0.0}}, "normal has the wrong dimension"),
         ({"algorithm": "explicit", "x0": {"coords": [9.0, 9.0]}}, "x0: starting point must belong"),
     ],
     ids=[
@@ -229,7 +231,7 @@ def test_run_batch(runner, tmp_path):
         "dim-string", "name-int", "name-null", "output-dir-null", "output-dir-list", "name-nul", "output-dir-nul",
         "maps-int",
         "schedule-list", "max-inner-0", "max-inner-negative", "translation-1d", "translation-3d",
-        "halfspace-normal-1d", "x0-outside-set",
+        "halfspace-normal-1d", "halfspace-normal-empty", "halfspace-normal-3d-huge", "x0-outside-set",
     ],
 )
 @pytest.mark.parametrize("command", [["run"], ["schedules", "--check"]], ids=["run", "schedules"])

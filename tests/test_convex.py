@@ -46,8 +46,10 @@ def test_set_space_compatibility_enforced(E2, H2, tree):
     for normal in ((0.0, 0.0), (0.0, 5e-324), (1e-160, 0.0), (1e200, 0.0)):
         with pytest.raises(IncompatibleSetError, match="half-space normal is zero or its squared norm is out of"):
             hd.project_point(E2, hd.HalfSpace(normal, 1.0), ept(E2, -1.0, 0.0))
-    with pytest.raises(IncompatibleSetError, match="half-space normal has the wrong dimension"):
-        hd.project_point(E2, hd.HalfSpace((1.0, 0.0, 0.0), 1.0), ept(E2, -1.0, 0.0))
+    # the length is checked before the squared norm, which these also fail
+    for normal in ((1.0, 0.0, 0.0), (), (1e200, 1e200, 1e200)):
+        with pytest.raises(IncompatibleSetError, match="half-space normal has the wrong dimension"):
+            hd.project_point(E2, hd.HalfSpace(normal, 1.0), ept(E2, -1.0, 0.0))
     with pytest.raises(IncompatibleSetError, match="subtree vertex set is not connected"):
         # vertices 0 and 4 are not adjacent in the caterpillar
         hd.project_point(tree, hd.Subtree(frozenset({0, 4})), hd.tree_point(tree, 0, 0.5))

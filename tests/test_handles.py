@@ -164,8 +164,11 @@ def test_every_handle_names_its_model(E2, E3, H2, tree, prod):
 
 def test_no_module_outside_spaces_recovers_a_model():
     # the model is named once, by space.model: outside spaces.py no module
-    # looks it up with make_space(<handle>.descriptor) or compares handle
-    # classes with type(...) is type(...)
+    # looks it up with make_space(<handle>.descriptor), compares handle
+    # classes with type(...) is type(...) or probes a handle for a kernel
+    # with getattr or hasattr, since every model handle has each it uses
+    kernels = {"sphere", "exponential", "distances", "geodesic", "uniform"}
+
     def is_call(node, name):
         func = getattr(node, "func", None)
         return isinstance(node, ast.Call) and name in (getattr(func, "id", None), getattr(func, "attr", None))
@@ -182,6 +185,9 @@ def test_no_module_outside_spaces_recovers_a_model():
                 isinstance(op, (ast.Is, ast.IsNot)) and is_call(left, "type") and is_call(right, "type")
                 for op, left, right in zip(node.ops, [node.left] + node.comparators, node.comparators)
             )
-            if lookup or gate:
+            probe = (is_call(node, "getattr") or is_call(node, "hasattr")) and any(
+                isinstance(arg, ast.Constant) and arg.value in kernels for arg in node.args[1:2]
+            )
+            if lookup or gate or probe:
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders

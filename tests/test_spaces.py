@@ -841,13 +841,13 @@ def test_written_out_kernels_are_pinned():
         if isinstance(cls, type) and issubclass(cls, spaces.Space)
     }
     assert own == {
-        "Space": ["_geodesic", "distances", "geodesic"],
+        "Space": ["_geodesic", "distances", "geodesic", "sphere"],
         "EuclideanSpace": ["distance", "exponential", "geodesic_point"],
         "EuclideanPlane": ["geodesic_point", "sphere"],
         "HyperbolicSpace": ["_geodesic", "_lift", "distance", "exponential", "geodesic_point", "minkowski"],
         "HyperbolicPlane": ["_geodesic", "distance", "distances", "geodesic", "minkowski", "sphere"],
-        "TreeSpace": ["distance", "geodesic_point", "sphere", "uniform"],
-        "ProductSpace": ["distance", "geodesic_point"],
+        "TreeSpace": ["distance", "exponential", "geodesic_point", "sphere", "uniform"],
+        "ProductSpace": ["distance", "exponential", "geodesic_point"],
     }
 
 
@@ -885,19 +885,13 @@ def test_geodesic_is_geodesic_point_bit_for_bit(kernel_spaces):
 
 def test_sphere_is_the_generic_draw_bit_for_bit(kernel_spaces):
     # each handle's sphere(c) against the composition sampling.sphere used
-    # before it: normals, then the exponential map of the generic class, on
-    # E2 and H2; a sampler draw, its distance and the retraction toward it
-    # on a tree.  t runs from 0 and -0.0 past the H2 cap of 20
+    # to build: normals, then each factor's exponential map, the generic
+    # class's on E^n and H^n, a tree's draw toward a sampler point at
+    # |g_0| s, and a product's split of g; on a tree alone, a sampler draw,
+    # its distance and the retraction toward it.  A corrupted wrapper draws
+    # as its model.  t runs from 0 and -0.0 past the H2 cap of 20
     from hadamard import sampling
     from hadamard.spaces import EuclideanSpace, HyperbolicSpace
-
-    def along_normal(generic):
-        def draw(c, rng, t):
-            g = sampling.normals(rng, 2)
-            nrm = math.hypot(*g)
-            return generic.exponential(c)(g, t / nrm) if nrm > 0.0 else c
-
-        return draw
 
     def toward_draw(tree):
         sample = sampling.sampler(tree)
@@ -909,28 +903,43 @@ def test_sphere_is_the_generic_draw_bit_for_bit(kernel_spaces):
 
         return draw
 
+    def exponential(space, c):
+        desc = space.descriptor
+        if isinstance(desc, (hd.Euclidean, hd.Hyperbolic)):
+            generic = (EuclideanSpace if isinstance(desc, hd.Euclidean) else HyperbolicSpace)(desc)
+            return desc.dim, generic.exponential(c)[1]
+        if isinstance(desc, hd.WeightedTree):
+            toward = toward_draw(space)
+            return 1, lambda rng, g, s: toward(c, rng, abs(g[0]) * s)
+        (n, left), (m, right) = exponential(space.left, c.data[0]), exponential(space.right, c.data[1])
+        return n + m, lambda rng, g, s: hd.Point(desc, (left(rng, g[:n], s), right(rng, g[n:], s)))
+
+    def along_normal(space):
+        def draw(c, rng, t):
+            dim, exp = exponential(space, c)
+            g = sampling.normals(rng, dim)
+            nrm = math.hypot(*g)
+            return exp(rng, g, t / nrm) if nrm > 0.0 else c
+
+        return draw
+
+    (E2, e2), _, _, (caterpillar, cat), *_ = kernel_spaces
+    e2_tree = hd.make_space(hd.Product(E2.descriptor, caterpillar.descriptor))
+    mixed = [e2_tree.pair(a, b) for a, b in zip(e2, cat)]
+    cases = kernel_spaces + [(e2_tree, mixed), (hd.CorruptedSpace(e2_tree), mixed)]
     ts = [0.0, -0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 19.0, 20.0, 25.0, 1e6] + [3.0 * k / 7 for k in range(7)]
     zero = type("Zero", (), {"random": staticmethod(lambda: 0.0)})
-    families = 0
-    for space, pts in kernel_spaces:
-        if isinstance(space.descriptor, hd.Euclidean) and space.descriptor.dim == 2:
-            want = along_normal(EuclideanSpace(space.descriptor))
-        elif isinstance(space.descriptor, hd.Hyperbolic):
-            want = along_normal(HyperbolicSpace(space.descriptor))
-        elif isinstance(space.descriptor, hd.WeightedTree):
-            want = toward_draw(space)
-        else:
-            assert not hasattr(space, "sphere")
-            continue
-        families += 1
+    for space, pts in cases:
+        tree = isinstance(space.descriptor, hd.WeightedTree)
+        want = toward_draw(space) if tree else along_normal(space.model)
         for k, c in enumerate(pts[::2]):
-            at, got_rng, want_rng = space.sphere(c), hd.stream(27, k), hd.stream(27, k)
+            at, got_rng, want_rng = hd.sphere(space, c), hd.stream(27, k), hd.stream(27, k)
             for t in ts:
                 assert _bits(at(got_rng, t)) == _bits(want(c, want_rng, t)), (k, t)
-            # random() = 0 draws g = (-0.0, -0.0) on E2 and H2, whose norm 0
-            # gives back the center, and a tree's first vertex
+            # random() = 0 draws g = (-0.0, -0.0), whose norm 0 gives back
+            # the center, and a tree's first vertex
             assert _bits(at(zero, 1.0)) == _bits(want(c, zero, 1.0))
-    assert families == 4
+    assert len(cases) == 8
     # a draw that lands on the center returns the center as given, here
     # vertex 0 on edge 1 rather than on its canonical edge 0
     star = hd.make_space(hd.WeightedTree(hd.TreeTopology(3, ((0, 1, 1.0), (0, 2, 2.0)))))
