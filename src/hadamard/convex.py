@@ -34,8 +34,8 @@ from .geometry import pairing_against
 from .sampling import ball_sampler, normals, sphere, stream
 from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
 
-TERNARY_MAX_ITER = 200
-DEFAULT_LAMBDA_TOL = 1e-12
+# a ternary step keeps 2/3 of the bracket: (2/3)^69 < 1e-12 < (2/3)^68, by 6%
+TERNARY_STEPS = 69
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -92,8 +92,8 @@ class IncompatibleSetError(ValueError):
     pass
 
 
-# a compiled metric projection, x -> (u, iterations); see compile_set
-Projection = Callable[[Point], tuple[Point, int]]
+# a compiled metric projection, x -> u; see compile_set
+Projection = Callable[[Point], Point]
 
 
 def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, Point, int]:
@@ -103,34 +103,35 @@ def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, 
     affine projection, clamped atanh of the Minkowski components, clamped
     Gromov product).  Ternary search serves products only: there the squared
     distance is convex along geodesics, so derivative-free search applies.
-    Returns (lam, point, iterations) where lam weights endpoint ``a``; for
-    the ternary path the bracket width at exit is below
-    ``DEFAULT_LAMBDA_TOL`` (or the 200-iteration cap was hit).
+    Returns (lam, point, iterations) where lam weights endpoint ``a``;
+    iterations is 0 for a closed form and ``TERNARY_STEPS`` for the ternary
+    search, whose bracket is then narrower than 1e-12.
     """
-    return _segment_projector(space, a, b)(x)
+    foot, steps = _segment_projector(space, a, b)
+    return (*foot(x), steps)
 
 
-def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tuple[float, Point, int]]:
-    """``x -> project_segment(space, a, b, x)``, with every constant of the
-    segment computed here, once."""
+def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Point], tuple[float, Point]], int]:
+    """``(x -> (lam, point), iterations)`` of :func:`project_segment`, with
+    every constant of the segment computed here, once."""
     if isinstance(space.descriptor, Euclidean):
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
         if ww == 0.0:
-            return lambda x: (1.0, a, 0)
+            return (lambda x: (1.0, a)), 0
         bd = b.data
 
-        def affine(x: Point) -> tuple[float, Point, int]:
+        def affine(x: Point) -> tuple[float, Point]:
             lam = sum(map(operator.mul, map(operator.sub, x.data, bd), w)) / ww
             lam = min(1.0, max(0.0, lam))
-            return lam, space.geodesic_point(a, b, lam), 0
+            return lam, space.geodesic_point(a, b, lam)
 
-        return affine
+        return affine, 0
 
     if isinstance(space.descriptor, Hyperbolic):
         d = space.distance(a, b)
         if d == 0.0:
-            return lambda x: (1.0, a, 0)
+            return (lambda x: (1.0, a)), 0
         sd = math.sinh(d)
         cd = math.cosh(d)
         # unit tangent at b toward a; gamma(t) = cosh(t) b + sinh(t) v
@@ -139,7 +140,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
         minkowski = space.model.minkowski
         at = space.geodesic(a, b)
 
-        def hyperbolic(x: Point) -> tuple[float, Point, int]:
+        def hyperbolic(x: Point) -> tuple[float, Point]:
             A = -minkowski(x.data, bd)
             B = -minkowski(x.data, v)
             if abs(B) >= A:  # only at rounding extremes; fall back to the endpoints
@@ -147,42 +148,40 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
             else:
                 t = min(d, max(0.0, math.atanh(-B / A)))
             lam = t / d
-            return lam, at(lam), 0
+            return lam, at(lam)
 
-        return hyperbolic
+        return hyperbolic, 0
 
     if isinstance(space.descriptor, WeightedTree):
         dab = space.distance(a, b)
         if dab == 0.0:
-            return lambda x: (1.0, a, 0)
+            return (lambda x: (1.0, a)), 0
 
-        def gromov(x: Point) -> tuple[float, Point, int]:
+        def gromov(x: Point) -> tuple[float, Point]:
             # in an R-tree the foot of x on [a, b] lies (x|b)_a from a
             t = 0.5 * (space.distance(a, x) + dab - space.distance(b, x))
             lam = 1.0 - min(dab, max(0.0, t)) / dab
-            return lam, space.geodesic_point(a, b, lam), 0
+            return lam, space.geodesic_point(a, b, lam)
 
-        return gromov
+        return gromov, 0
 
-    def ternary(x: Point) -> tuple[float, Point, int]:
+    def ternary(x: Point) -> tuple[float, Point]:
         def g(lam: float) -> float:
             d = space.distance(x, space.geodesic_point(a, b, lam))
             return d * d
 
         lo, hi = 0.0, 1.0
-        it = 0
-        while hi - lo > DEFAULT_LAMBDA_TOL and it < TERNARY_MAX_ITER:
+        for _ in range(TERNARY_STEPS):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
             if g(m1) <= g(m2):
                 hi = m2
             else:
                 lo = m1
-            it += 1
         lam = 0.5 * (lo + hi)
-        return lam, space.geodesic_point(a, b, lam), it
+        return lam, space.geodesic_point(a, b, lam)
 
-    return ternary
+    return ternary, TERNARY_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +191,19 @@ def _segment_projector(space: Space, a: Point, b: Point) -> Callable[[Point], tu
 
 class _Kind(NamedTuple):
     """A set compiled against a space, its constants computed once: the
-    projection, membership ``(p, tol)`` within additive tolerance on the
-    defining inequality, the probe draw ``(u, count, rng)`` before the blend
-    toward u, the set's size in a certificate's membership tolerance, the
-    projection as ``x -> u`` where a kind has one nearer its closed form
-    than ``project(x)[0]``, and ``(x, u) ->`` points of the set at which
-    ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
-    where the set's family has them and the handle is its own model."""
+    projection ``x -> u``, membership ``(p, tol)`` within additive tolerance
+    on the defining inequality, the probe draw ``(u, count, rng)`` before
+    the blend toward u, the set's size in a certificate's membership
+    tolerance, the iterations every projection takes (0 for a closed form),
+    and ``(x, u) ->`` points of the set at which ``y -> <xu, uy>`` reaches
+    its infimum over the set, for any x and u, where the set's family has
+    them and the handle is its own model."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
     probes: Callable[[Point, int, object], list[Point]]
     scale: float
-    nearest: Optional[Callable[[Point], Point]] = None
+    steps: int = 0
     extremes: Optional[Callable[[Point, Point], list[Point]]] = None
 
 
@@ -213,17 +212,18 @@ def _whole(space: Space, cset: WholeSpace) -> _Kind:
         draw = ball_sampler(space, u, 2.0)
         return [draw(rng) for _ in range(count)]
 
-    return _Kind(lambda x: (x, 0), lambda p, tol: True, probes, 1.0)
+    return _Kind(lambda x: x, lambda p, tol: True, probes, 1.0)
 
 
 def _ball(space: Space, cset: Ball) -> _Kind:
     center, radius = cset.center, cset.radius
+    space._check(center)
     if not 0.0 < radius < math.inf:
         raise IncompatibleSetError("ball radius must be positive and finite")
 
-    def project(x: Point) -> tuple[Point, int]:
+    def project(x: Point) -> Point:
         d = space.distance(center, x)
-        return (x if d <= radius else space._geodesic(center, x, max(0.0, 1.0 - radius / d), d)), 0
+        return x if d <= radius else space._geodesic(center, x, max(0.0, 1.0 - radius / d), d)
 
     def contains(p: Point, tol: float) -> bool:
         return space.distance(center, p) <= radius + tol
@@ -279,7 +279,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
 def _segment(space: Space, cset: Segment) -> _Kind:
     a, b = cset.a, cset.b
     dab = space.distance(a, b)
-    foot = _segment_projector(space, a, b)
+    foot, steps = _segment_projector(space, a, b)
 
     def contains(p: Point, tol: float) -> bool:
         return space.distance(a, p) + space.distance(p, b) <= dab + tol
@@ -300,7 +300,7 @@ def _segment(space: Space, cset: Segment) -> _Kind:
     euclidean = isinstance(desc, Euclidean)
     if not (euclidean or isinstance(desc, WeightedTree)):
         extremes = None
-    return _Kind(lambda x: foot(x)[1:], contains, probes, max(dab, 1.0), lambda x: foot(x)[1], extremes)
+    return _Kind(lambda x: foot(x)[1], contains, probes, max(dab, 1.0), steps, extremes)
 
 
 def _subtree(space: Space, cset: Subtree) -> _Kind:
@@ -325,16 +325,16 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
         u, v, length = edges[eid]
         return (u in verts and (v in verts or off <= tol)) or (v in verts and off >= length - tol)
 
-    def project(x: Point) -> tuple[Point, int]:
+    def project(x: Point) -> Point:
         if contains(x, 0.0):
-            return model.canonical(x), 0
+            return model.canonical(x)
         # from outside, the geodesic to any subtree point enters through one
         # gate vertex: the first set vertex above x when x hangs below the
         # top vertex, else the top vertex itself
         v = model.child[x.data[0]]
         while v not in verts and depth[v] > depth[top]:
             v = parent[v]
-        return model.vertex_point(v if v in verts else top), 0
+        return model.vertex_point(v if v in verts else top)
 
     def probes(u: Point, count: int, rng) -> list[Point]:
         # the set's vertices, a grid on each of its edges, then random points
@@ -377,9 +377,9 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
     def contains(p: Point, tol: float) -> bool:
         return sum(map(operator.mul, normal, p.data)) >= offset - tol
 
-    def project(x: Point) -> tuple[Point, int]:
+    def project(x: Point) -> Point:
         t = offset - sum(map(operator.mul, normal, x.data))
-        return (x if t <= 0.0 else Point(desc, tuple([c + t * wi for c, wi in zip(x.data, w)]))), 0
+        return x if t <= 0.0 else Point(desc, tuple([c + t * wi for c, wi in zip(x.data, w)]))
 
     def probes(u: Point, count: int, rng) -> list[Point]:
         # Gaussian steps from u, projected back onto the half-space: project's
@@ -466,25 +466,18 @@ def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0
 
 
 def compile_set(space: Space, cset: ConvexSetDescriptor) -> Projection:
-    """The metric projection onto ``cset`` as a closure ``x -> (u, iterations)``.
+    """The metric projection onto ``cset`` as a closure ``x -> u``.
 
     The set is validated against the space once, here, and its constants
     (segment length and direction, ball center and radius, half-space normal
     over its squared norm) are computed once; the closure checks nothing, so
-    it is what the solver loops call.  ``iterations`` counts ternary-search
-    steps and is 0 for every closed form.  The closure measures through the
-    handle passed in: its ``distance`` and ``geodesic_point`` on each call,
-    and a hyperbolic segment's ``geodesic(a, b)`` kernel, built here.
+    it is what the solver loops and ``ProjectionOnto`` mappings call.  It
+    measures through the handle passed in: its ``distance`` and
+    ``geodesic_point`` on each call, and a hyperbolic segment's
+    ``geodesic(a, b)`` kernel, built here.  The iterations, which depend on
+    the set alone, are :func:`project_point`'s to report.
     """
     return _compile(space, cset).project
-
-
-def compile_nearest(space: Space, cset: ConvexSetDescriptor) -> Callable[[Point], Point]:
-    """``x -> compile_set(space, cset)(x)[0]``: the projection's point alone,
-    one call above the set's closed form."""
-    kind = _compile(space, cset)
-    project = kind.project
-    return kind.nearest or (lambda x: project(x)[0])
 
 
 def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Point, int]:
@@ -493,7 +486,8 @@ def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Po
     Compiles the set on every call; a loop that projects many points onto
     one set should call :func:`compile_set` once and reuse its closure.
     """
-    return _compile(space, cset).project(x)
+    kind = _compile(space, cset)
+    return kind.project(x), kind.steps
 
 
 def probe_points(
@@ -545,6 +539,6 @@ def project(
     (the solvers do, for speed).
     """
     kind = _compile(space, cset)
-    u, it = kind.project(x)
+    u = kind.project(x)
     cert = _residual(space, kind, x, u, probes, seed) if probes else None
-    return ProjectionResult(u=u, certificate_residual=cert, iterations_used=it)
+    return ProjectionResult(u=u, certificate_residual=cert, iterations_used=kind.steps)

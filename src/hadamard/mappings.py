@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import convex
-from .convex import ConvexSetDescriptor, compile_nearest
+from .convex import ConvexSetDescriptor, compile_set
 from .spaces import Euclidean, Hyperbolic, Point, Space, _FrozenRecord
 
 
@@ -129,17 +129,18 @@ def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point
     if isinstance(mapping, Rotation):
         if not (isinstance(desc, (Euclidean, Hyperbolic)) and desc.dim == 2):
             raise ValueError("rotations are supported in Euclidean(2) and Hyperbolic(2) only")
+        space._check(mapping.center)
         _require_finite("rotation angle", mapping.angle)
         _require_finite("rotation center", *mapping.center.data)
         if isinstance(desc, Euclidean):
             return _euclidean_rotation(mapping.center, mapping.angle)
         return _hyperbolic_rotation(space.model, mapping.center, mapping.angle)
     if isinstance(mapping, ProjectionOnto):
-        return compile_nearest(space, mapping.target)
+        return compile_set(space, mapping.target)
     if isinstance(mapping, GeodesicAverage):
         if not (0.0 <= mapping.weight <= 1.0):
             raise ValueError("average weight must lie in [0, 1]")
-        inner = compile_mapping(space, mapping.inner)
+        inner = _compile_mapping(space, mapping.inner)
         w = mapping.weight
 
         def apply_avg(p: Point) -> Point:
@@ -147,7 +148,7 @@ def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point
 
         return apply_avg
     if isinstance(mapping, Composition):
-        fns = [compile_mapping(space, part) for part in mapping.parts]
+        fns = [_compile_mapping(space, part) for part in mapping.parts]
 
         def apply_comp(p: Point) -> Point:
             for f in fns:
@@ -168,6 +169,10 @@ def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point
 
         return apply_shift
     raise ValueError(f"unknown mapping {mapping!r}")
+
+
+# nested levels compile through this name: a wrapper of the public one sees each mapping once
+_compile_mapping = compile_mapping
 
 
 FixedSet = Union[ConvexSetDescriptor, list]

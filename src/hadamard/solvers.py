@@ -263,8 +263,8 @@ def implicit_step(
     ``inner_tol``, or is nan because the iterates overflowed, and returns
     the bound.
 
-    ``cset`` is a set descriptor, compiled here once per call, or a closure
-    from :func:`compile_set`, as ``mapping`` is one from ``compile_mapping``.
+    ``cset`` is a set descriptor, compiled here, or :func:`compile_set`'s
+    closure ``x -> u``, as ``mapping`` is ``compile_mapping``'s closure.
     """
     if not (0.0 < anchor_weight < 1.0):
         raise ValueError("anchor weight must lie strictly between 0 and 1")
@@ -275,7 +275,7 @@ def implicit_step(
     factor = (1.0 - anchor_weight) / anchor_weight
     x = x_start
     for it in range(1, max_inner + 1):
-        nxt = project(geodesic_point(u, mapping(x), anchor_weight))[0]
+        nxt = project(geodesic_point(u, mapping(x), anchor_weight))
         gap = distance(nxt, x) * factor
         x = nxt
         # a nan gap (the iterates overflowed) exits too, and is returned
@@ -365,7 +365,7 @@ def run_implicit(
 
     def steps(T, P, at, rng):
         distance, anchor, perturbation = space.distance, schedule.anchor.value, schedule.perturbation.value
-        x = prev = P(base)[0]
+        x = prev = P(base)
         for m in range(1, budget + 1):
             a, t = anchor(m), perturbation(m)
             u = base if t <= 0.0 else at(rng, t)
@@ -421,7 +421,7 @@ def run_explicit(
             t = p.scale * (n + p.shift) ** (-p.power)
             u = base if t <= 0.0 else at(rng, t)
             y = geodesic_point(u, tx, a.scale * (n + a.shift) ** (-a.power))
-            z = P(y)[0]
+            z = P(y)
             # d(z, x) is d(x, z) bit for bit: every metric here is exactly symmetric
             z_residual = distance(z, x)
             nxt = geodesic(x, z, 1.0 - b, z_residual)
@@ -461,7 +461,7 @@ def nearest_fixed_point_residual(
             pts = kind.extremes(base, q)
         else:
             # anchor probe blending at a true member so every probe stays in the set
-            pts = _probes(space, kind, kind.project(q)[0], probes, stream_seed(seed))
+            pts = _probes(space, kind, kind.project(q), probes, stream_seed(seed))
     pairing = pairing_against(space, q, base, q)
     return max(map(pairing, space.distances(q, pts), space.distances(base, pts)))
 

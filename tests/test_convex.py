@@ -200,6 +200,65 @@ def test_segment_projection_tree_closed_form():
     assert hd.project_segment(tree, a, a, x) == (1.0, a, 0)
 
 
+def _ternary_reference(space, a, b, x):
+    """The product segment search as it read with a bracket tolerance of
+    1e-12 and a cap of 200 steps; ``(lam, point, steps)``."""
+
+    def g(lam):
+        d = space.distance(x, space.geodesic_point(a, b, lam))
+        return d * d
+
+    lo, hi, it = 0.0, 1.0, 0
+    while hi - lo > 1e-12 and it < 200:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if g(m1) <= g(m2):
+            hi = m2
+        else:
+            lo = m1
+        it += 1
+    lam = 0.5 * (lo + hi)
+    return lam, space.geodesic_point(a, b, lam), it
+
+
+def _product_points(space):
+    """Points of ``space``, a product, with coordinates up to 1e300, where
+    the distances overflow."""
+    desc = space.descriptor
+    if isinstance(desc, hd.Product):
+        return st.builds(space.pair, _product_points(space.left), _product_points(space.right))
+    if isinstance(desc, hd.WeightedTree):
+        edges = desc.topology.edges
+        return st.builds(lambda e, f: hd.tree_point(space, e, f * edges[e][2]), st.integers(0, len(edges) - 1), _unit)
+    coords = st.lists(st.builds(operator.mul, st.floats(-1.0, 1.0), st.sampled_from((1.0, 5.0, 1e300))),
+                      min_size=desc.dim, max_size=desc.dim)
+    if isinstance(desc, hd.Euclidean):
+        return coords.map(lambda c: hd.Point(desc, tuple(c)))
+    return coords.map(space._lift)
+
+
+def test_ternary_search_takes_the_steps_of_its_tolerance_loop(E2, tree, prod):
+    # the fixed TERNARY_STEPS give the bits and the count of the loop that
+    # ran until the bracket fell below 1e-12, on every product family, on
+    # a == b, and where the distances overflow
+    E1, H3 = hd.Euclidean(1), hd.Hyperbolic(3)
+    spaces = [prod] + [hd.make_space(hd.Product(*d)) for d in (
+        (H3, E1), (E2.descriptor, tree.descriptor), (prod.descriptor, hd.Product(E1, tree.descriptor)))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        space = data.draw(st.sampled_from(spaces))
+        points = _product_points(space)
+        a, x = data.draw(points), data.draw(points)
+        b = data.draw(st.one_of(st.just(a), points))
+        got = hd.project_segment(space, a, b, x)
+        assert got[2] == convex.TERNARY_STEPS
+        assert repr(got) == repr(_ternary_reference(space, a, b, x))
+
+    check()
+
+
 def test_segment_projection_of_a_point_just_off_the_segment(E2, H2):
     # d(a, x) + d(x, b) - d(a, b) grows only quadratically in x's height over
     # the segment: about 2e-10 at height 1e-5, below the membership
@@ -255,7 +314,7 @@ def test_subtree_gate_matches_nearest_vertex():
                 continue
             outside += 1
             nearest = min(chosen, key=lambda v: tree.distance(x, tree.vertex_point(v)))
-            assert project(x)[0] == tree.vertex_point(nearest)
+            assert project(x) == tree.vertex_point(nearest)
     assert outside > 4000
 
 
@@ -394,8 +453,10 @@ def test_compiled_set_equals_project_point(E2, H2, tree, prod, family, kind):
     @settings(max_examples=60, deadline=None)
     @given(_set_strategy(kind, points), points)
     def check(cset, x):
-        u, it = hd.compile_set(space, cset)(x)
-        assert (u, it) == hd.project_point(space, cset, x)
+        # a compiled set returns the point; the count belongs to the set
+        u = hd.compile_set(space, cset)(x)
+        steps = convex.TERNARY_STEPS if (family, kind) == ("product", "segment") else 0
+        assert (u, steps) == hd.project_point(space, cset, x)
         assert hd.contains(space, cset, u, 1e-9)
 
     check()

@@ -126,6 +126,17 @@ def test_a_compiled_mapping_holds_its_handle_no_longer_than_itself(E2):
     assert handle() is None
 
 
+def test_nested_levels_compile_through_a_private_name(E2, monkeypatch):
+    # a wrapper of the public name (a tracer's, say) sees only the outer
+    # call, so it counts each application of a nested mapping once
+    compile_mapping, calls = hd.mappings.compile_mapping, []
+    monkeypatch.setattr(hd.mappings, "compile_mapping", lambda *args: calls.append(args) or compile_mapping(*args))
+    seg = hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))
+    T = compile_mapping(E2, hd.GeodesicAverage(0.5, hd.Composition((hd.ProjectionOnto(seg), hd.Identity()))))
+    assert T(ept(E2, 0.5, 1.0)) == ept(E2, 0.5, 0.5)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "family, make, name",

@@ -479,8 +479,7 @@ def _reference_mapping(space, mapping):
     """``compile_mapping``'s closure, with projections, averages and
     compositions applied by their definitions."""
     if isinstance(mapping, hd.ProjectionOnto):
-        project = hd.compile_set(space, mapping.target)
-        return lambda p: project(p)[0]
+        return hd.compile_set(space, mapping.target)
     if isinstance(mapping, hd.GeodesicAverage):
         inner, w = _reference_mapping(space, mapping.inner), mapping.weight
         return lambda p: space.geodesic_point(p, inner(p), w)
@@ -517,7 +516,7 @@ def _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0=N
             tx = T(x)
             residual = space.distance(x, tx)
             u = perturbation(n)
-            z = P(space.geodesic_point(u, tx, a))[0]
+            z = P(space.geodesic_point(u, tx, a))
             z_residual = space.distance(z, x)
             nxt = space._geodesic(x, z, 1.0 - b, z_residual)
             step = space.distance(nxt, x)
@@ -526,13 +525,13 @@ def _reference_run(algorithm, space, cset, mapping, schedule, base, budget, x0=N
         yield solvers.TraceRow(n=budget, fixed_residual=space.distance(x, T(x))), x, None
 
     def implicit():
-        x = prev = P(base)[0]
+        x = prev = P(base)
         for m in range(1, budget + 1):
             a = _law(schedule.anchor, m)
             u = perturbation(m)
             tol, factor, status = max(inner_tol, a * outer_tol), (1.0 - a) / a, "inner_budget"
             for it in range(1, max_inner + 1):
-                nxt = P(space.geodesic_point(u, T(x), a))[0]
+                nxt = P(space.geodesic_point(u, T(x), a))
                 gap = space.distance(nxt, x) * factor
                 x = nxt
                 if not gap > tol:

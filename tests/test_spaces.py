@@ -573,6 +573,17 @@ def test_foreign_point_rejected_in_every_family(E2, E3, H2, tree, prod):
     for p in (foreign, hd.Point(E2.descriptor, (1, 0.5))):
         with pytest.raises(hd.SpaceMismatchError):
             tree.canonical(p)
+    # a foreign center, when its ball or rotation is compiled: the ball once
+    # failed at its first projection, the H2 rotation turned points about a
+    # center off the sheet, and the E2 rotation failed on unpacking
+    center = ept(E3, 0.5, 0.1, 0.2)
+    for compile_ in (
+        lambda: hd.compile_set(H2, hd.Ball(center, 1.0)),
+        lambda: hd.compile_mapping(H2, hd.Rotation(center, 1.0)),
+        lambda: hd.compile_mapping(E2, hd.Rotation(center, 1.0)),
+    ):
+        with pytest.raises(hd.SpaceMismatchError):
+            compile_()
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, -math.inf, math.nan])
