@@ -14,12 +14,15 @@ In E^n the pairing is linear in y, and along each edge of a tree it is
 linear between the feet of x and of u, because the quadratic terms of the
 two squared distances cancel.  So on an E^n or tree handle that is its own
 model (``space.model is space``), a ball, a segment and a subtree take the
-exact minimum over a few extreme points of the set.  Hyperbolic sets,
-product sets, half-spaces (whose exact minimum is 0 or -inf, decided by
-rounding) and every wrapper handle take it over a probe sample instead,
-which only approximates the "for every y" quantifier: probe density trades
-run time against the smallest detectable displacement, and the defaults
-here are tuned for displacements of order 1e-2 on unit-scale sets.
+exact minimum over a few extreme points of the set.  For a member u, the
+pairing is convex along each geodesic from u in a CAT(0) space: there an
+H^n or product segment takes it by golden-section search, and an E^n
+half-space (whose minimum is 0 or -inf) over its part near u, in closed
+form.  H^n and product balls and every wrapper handle take it over a probe
+sample instead, which only approximates the "for every y" quantifier:
+probe density trades run time against the smallest detectable
+displacement, and the defaults here are tuned for displacements of order
+1e-2 on unit-scale sets.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRe
 
 # a ternary step keeps 2/3 of the bracket: (2/3)^69 < 1e-12 < (2/3)^68, by 6%
 TERNARY_STEPS = 69
+GOLDEN_STEPS, GOLDEN = 63, (math.sqrt(5.0) - 1.0) / 2.0  # a bracket of 0.618^63 < 1e-13 < 0.618^62
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -107,6 +111,7 @@ def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, 
     iterations is 0 for a closed form and ``TERNARY_STEPS`` for the ternary
     search, whose bracket is then narrower than 1e-12.
     """
+    space._check(x)
     foot, steps = _segment_projector(space, a, b)
     return (*foot(x), steps)
 
@@ -197,7 +202,8 @@ class _Kind(NamedTuple):
     tolerance, the iterations every projection takes (0 for a closed form),
     and ``(x, u) ->`` points of the set at which ``y -> <xu, uy>`` reaches
     its infimum over the set, for any x and u, where the set's family has
-    them and the handle is its own model."""
+    them and the handle is its own model; ``minimizers``, such points for a
+    member u only (for a half-space, over its part near u)."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
@@ -205,6 +211,7 @@ class _Kind(NamedTuple):
     scale: float
     steps: int = 0
     extremes: Optional[Callable[[Point, Point], list[Point]]] = None
+    minimizers: Optional[Callable[[Point, Point], list[Point]]] = None
 
 
 def _whole(space: Space, cset: WholeSpace) -> _Kind:
@@ -296,11 +303,28 @@ def _segment(space: Space, cset: Segment) -> _Kind:
         # linear in y in E^n; in a tree, linear between the feet of x and of u
         return [a, b] if euclidean else [a, b, foot(x)[1], foot(u)[1]]
 
-    desc = space.descriptor
-    euclidean = isinstance(desc, Euclidean)
-    if not (euclidean or isinstance(desc, WeightedTree)):
-        extremes = None
-    return _Kind(lambda x: foot(x)[1], contains, probes, max(dab, 1.0), steps, extremes)
+    def search(x: Point, u: Point) -> list[Point]:
+        # the pairing along the segment is convex and 0 at u: its least value
+        # lies in the last golden-section bracket, or at a or b
+        pairing, at, distance = pairing_against(space, x, u, u), space.geodesic(a, b), space.distance
+
+        def f(lam: float) -> tuple[float, Point, float]:
+            y = at(lam)
+            return pairing(distance(x, y), distance(u, y)), y, lam
+
+        lo, hi, p, q = 0.0, 1.0, f(1.0 - GOLDEN), f(GOLDEN)
+        for _ in range(GOLDEN_STEPS):
+            if p[0] <= q[0]:
+                hi, q = q[2], p
+                p = f(hi - GOLDEN * (hi - lo))
+            else:
+                lo, p = p[2], q
+                q = f(lo + GOLDEN * (hi - lo))
+        return [a, b, u, (p if p[0] <= q[0] else q)[1]]
+
+    euclidean = isinstance(space.descriptor, Euclidean)
+    exact = (extremes, None) if euclidean or isinstance(space.descriptor, WeightedTree) else (None, search)
+    return _Kind(lambda x: foot(x)[1], contains, probes, max(dab, 1.0), steps, *exact)
 
 
 def _subtree(space: Space, cset: Subtree) -> _Kind:
@@ -384,31 +408,32 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
     def probes(u: Point, count: int, rng) -> list[Point]:
         # Gaussian steps from u, projected back onto the half-space: project's
         # arithmetic, in one loop with the draw
-        ud, dim = u.data, desc.dim
+        ud, dim, pts = u.data, desc.dim, []
         spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud)))
-        pts = []
-        if dim == 2:
-            # the loop below written out over two coordinates, with the
-            # Box-Muller pair of ``normals`` inline: the same operations in
-            # the same order, so the same bits.  The sum from the int 0 can
-            # differ from n1 * p1 + n2 * p2 only in the sign of a zero t,
-            # which ``t <= 0.0`` reads alike
-            (u1, u2), (n1, n2), (w1, w2) = ud, normal, w
-            random, log, sqrt, cos, sin, tau = rng.random, math.log, math.sqrt, math.cos, math.sin, 2.0 * math.pi
-            for _ in range(count):
-                r = sqrt(-2.0 * log(1.0 - random()))
-                theta = tau * random()
-                p1, p2 = u1 + spread * (r * cos(theta)), u2 + spread * (r * sin(theta))
-                t = offset - (n1 * p1 + n2 * p2)
-                pts.append(Point(desc, (p1, p2) if t <= 0.0 else (p1 + t * w1, p2 + t * w2)))
-            return pts
         for _ in range(count):
             p = tuple([c + spread * g for c, g in zip(ud, normals(rng, dim))])
             t = offset - sum(map(operator.mul, normal, p))
             pts.append(Point(desc, p if t <= 0.0 else tuple([c + t * wi for c, wi in zip(p, w)])))
         return pts
 
-    return _Kind(project, contains, probes, 1.0)
+    def minimizers(x: Point, u: Point) -> list[Point]:
+        # <xu, uy> = <g, y - u> for g = u - x.  Within R (the probes' spread)
+        # of u it is least at u - R g/|g| if that is in the set, else where the
+        # plane cuts the sphere, along -g' for g' the part of g along the plane
+        # (taken off twice to keep its direction; the projection undoes noise)
+        ud, g = u.data, tuple(map(operator.sub, u.data, x.data))
+        R, gn = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud))), math.hypot(*g) or 1.0
+        y = tuple([c - R * (gi / gn) for c, gi in zip(ud, g)])
+        if sum(map(operator.mul, normal, y)) < offset:
+            gp, t = g, offset - sum(map(operator.mul, normal, ud))
+            for _ in range(2):
+                gw = sum(map(operator.mul, gp, normal))
+                gp = tuple([gi - gw * wi for gi, wi in zip(gp, w)])
+            rho, gpn = R * math.sqrt(max(0.0, 1.0 - (t / R) ** 2 / nn)), math.hypot(*gp) or 1.0
+            y = tuple([c + t * wi - rho * (gi / gpn) for c, wi, gi in zip(ud, w, gp)])
+        return [u, project(Point(desc, y))]
+
+    return _Kind(project, contains, probes, 1.0, minimizers=minimizers)
 
 
 _KINDS: dict[type, Callable[[Space, ConvexSetDescriptor], _Kind]] = {
@@ -425,8 +450,8 @@ def _compile(space: Space, cset: ConvexSetDescriptor) -> _Kind:
     if kind is None:
         raise IncompatibleSetError(f"unknown set {cset!r}")
     compiled = kind(space, cset)
-    # extreme points are exact only under the model's own metric
-    return compiled if space.model is space else compiled._replace(extremes=None)
+    # extreme points and minimizers hold only under the model's own metric
+    return compiled if space.model is space else compiled._replace(extremes=None, minimizers=None)
 
 
 def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[Point]:
@@ -451,7 +476,8 @@ def _residual(
     if isinstance(probes, int):
         if probes <= 0:
             raise ValueError("probe count must be positive")
-        pts = kind.extremes(x, u) if kind.extremes else _probes(space, kind, u, probes, seed)
+        exact = kind.extremes or kind.minimizers
+        pts = exact(x, u) if exact else _probes(space, kind, u, probes, seed)
     else:
         pts = list(probes)
         if not pts:
@@ -462,6 +488,7 @@ def _residual(
 
 def contains(space: Space, cset: ConvexSetDescriptor, p: Point, tol: float = 0.0) -> bool:
     """Membership within additive tolerance on the defining inequality."""
+    space._check(p)
     return _compile(space, cset).contains(p, tol)
 
 
@@ -486,6 +513,7 @@ def project_point(space: Space, cset: ConvexSetDescriptor, x: Point) -> tuple[Po
     Compiles the set on every call; a loop that projects many points onto
     one set should call :func:`compile_set` once and reuse its closure.
     """
+    space._check(x)
     kind = _compile(space, cset)
     return kind.project(x), kind.steps
 
@@ -538,6 +566,7 @@ def project(
     same record as the projection.  Pass ``probes=0`` to skip certification
     (the solvers do, for speed).
     """
+    space._check(x)
     kind = _compile(space, cset)
     u = kind.project(x)
     cert = _residual(space, kind, x, u, probes, seed) if probes else None

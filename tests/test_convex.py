@@ -401,9 +401,11 @@ _SET_KINDS = {
     "tree": ("whole", "ball", "segment", "subtree"),
     "product": ("whole", "ball", "segment"),
 }
-# the kinds whose certificate takes its minimum over extreme points
+# the kinds whose certificate takes its minimum over extreme points, and
+# those that take it, for a member u, by search or in closed form
 _EXACT_KINDS = {("euclidean", "ball"), ("euclidean", "segment"), ("tree", "ball"), ("tree", "segment"),
                 ("tree", "subtree")}
+_MEMBER_KINDS = {("hyperbolic", "segment"), ("product", "segment"), ("euclidean", "halfspace")}
 _coord = st.floats(-4.0, 4.0, allow_nan=False)
 _unit = st.floats(0.0, 1.0)
 
@@ -468,7 +470,7 @@ def test_compiled_set_equals_project_point(E2, H2, tree, prod, family, kind):
 def test_certificate_is_the_min_pairing(E2, H2, tree, prod, family, kind):
     # min over y of quasilinearization(space, x, u, u, y), bit for bit: over
     # a given probe list, and for a probe count over the set's extreme points
-    # where the kind has them, else over its drawn probes
+    # or minimizers where the kind has them, else over its drawn probes
     space = {"euclidean": E2, "hyperbolic": H2, "tree": tree, "product": prod}[family]
     points = _point_strategy(family, (E2, H2, tree, prod))
 
@@ -479,10 +481,12 @@ def test_certificate_is_the_min_pairing(E2, H2, tree, prod, family, kind):
         probes = hd.probe_points(space, cset, u, 40, seed)
         want = min(hd.quasilinearization(space, x, u, u, y) for y in probes)
         assert hd.characterization_residual(space, cset, x, u, probes) == want
-        extremes = convex._compile(space, cset).extremes
-        assert (extremes is not None) == ((family, kind) in _EXACT_KINDS)
-        if extremes is not None:
-            want = min(hd.quasilinearization(space, x, u, u, y) for y in extremes(x, u))
+        compiled = convex._compile(space, cset)
+        assert (compiled.extremes is not None) == ((family, kind) in _EXACT_KINDS)
+        assert (compiled.minimizers is not None) == ((family, kind) in _MEMBER_KINDS)
+        exact = compiled.extremes or compiled.minimizers
+        if exact is not None:
+            want = min(hd.quasilinearization(space, x, u, u, y) for y in exact(x, u))
         assert hd.characterization_residual(space, cset, x, u, 40, seed) == want
 
     check()
@@ -499,17 +503,40 @@ _EXACT_CASES = [
 ]
 
 
+# the kinds that certify a member u exactly: by search along H^n and product
+# segments, and in closed form over an E^n half-space within R of u
+_MEMBER_CASES = [("H2", "segment"), ("H3", "segment"), ("prod", "segment"), ("E2", "halfspace"), ("E3", "halfspace")]
+
+
 def _exact_space(request, family):
     if family == "tree-30":
         return hd.make_space(hd.WeightedTree(shuffled_random_tree(30, 4)))
+    if family == "H3":
+        return hd.make_space(hd.Hyperbolic(3))
     return request.getfixturevalue(family)
+
+
+def _model_points(space):
+    """Points of the model ``space``, within about 3 of the origin in each
+    factor."""
+    desc = space.descriptor
+    if isinstance(desc, hd.Product):
+        return st.builds(space.pair, _model_points(space.left), _model_points(space.right))
+    if isinstance(desc, hd.Hyperbolic):
+        lift = lambda s: hd.hyperboloid_point(space, math.sqrt(1.0 + sum(c * c for c in s)), *s)
+        return st.lists(_coord, min_size=desc.dim, max_size=desc.dim).map(lift)
+    return st.lists(_coord, min_size=desc.dim, max_size=desc.dim).map(lambda c: ept(space, *c))
 
 
 def _exact_strategies(space, kind):
     """(set, point) strategies for one exact kind on the model ``space``."""
     desc = space.descriptor
-    if isinstance(desc, hd.Euclidean):
-        points = st.lists(_coord, min_size=desc.dim, max_size=desc.dim).map(lambda c: ept(space, *c))
+    if not isinstance(desc, hd.WeightedTree):
+        points = _model_points(space)
+        if kind == "halfspace":
+            normal = st.lists(_coord, min_size=desc.dim, max_size=desc.dim).map(tuple)
+            normal = normal.filter(lambda n: sum(c * c for c in n) >= sys.float_info.min)
+            return st.builds(hd.HalfSpace, normal, _coord), points
     else:
         edges = desc.topology.edges
         points = st.builds(
@@ -539,29 +566,59 @@ def _far_member(space, cset, u):
     return max(ends, key=lambda p: space.distance(u, p))
 
 
-@pytest.mark.parametrize("family, kind", _EXACT_CASES)
+@pytest.mark.parametrize("family, kind", _EXACT_CASES + _MEMBER_CASES)
 def test_exact_certificate_is_at_most_the_probe_minimum(request, family, kind):
-    # the minimum over the extreme points is the infimum over the set, so
-    # no probe of the set goes lower, at the projection or at a member u
+    # the minimum over the extreme points is the infimum over the set, and
+    # so is the search's along a segment, so no probe of the set goes lower,
+    # at the projection or at a member u.  A half-space's closed form is the
+    # infimum over its part within R of u: at the projection that is the
+    # infimum over the set, 0, and at another member u it is compared with
+    # the probes within R of u.  At the projection the infimum is 0, so the
+    # certificate also passes criterion 2's bound, except on a product
+    # segment: its foot comes from a ternary search on d^2, which rounding
+    # stalls near 1e-8 in lam
     space = _exact_space(request, family)
     sets, points = _exact_strategies(space, kind)
 
     @settings(max_examples=25, deadline=None)
     @given(sets, points, points, st.integers(0, 2**31))
     def check(cset, x, other, seed):
-        for u in (hd.project_point(space, cset, x)[0], hd.project_point(space, cset, other)[0]):
+        foot = hd.project_point(space, cset, x)[0]
+        for u in (foot, hd.project_point(space, cset, other)[0]):
             exact = hd.characterization_residual(space, cset, x, u, 1000, seed)
-            probed = hd.characterization_residual(space, cset, x, u, hd.probe_points(space, cset, u, 1000, seed))
-            assert exact <= probed + 1e-12 * (1.0 + space.distance(x, u) ** 2), (exact, probed)
+            probes = hd.probe_points(space, cset, u, 1000, seed)
+            if kind == "halfspace" and u != foot:
+                R = 1.0 + abs(cset.offset) + math.hypot(*u.data)
+                probes = [y for y in probes if space.distance(u, y) <= R]
+            probed = hd.characterization_residual(space, cset, x, u, probes)
+            scale = 1.0 + space.distance(x, u) ** 2
+            assert exact <= probed + 1e-12 * scale, (exact, probed)
+            assert u != foot or family == "prod" or exact >= -1e-8 * scale, exact
 
     check()
 
 
-@pytest.mark.parametrize("family, kind", _EXACT_CASES)
+def _along(space, cset, u, far):
+    """u moved 1e-2 inside the set: toward ``far`` on a segment, ball or
+    subtree, and along the boundary hyperplane of a half-space, on the
+    direction of the coordinate axis least aligned with its normal."""
+    if not isinstance(cset, hd.HalfSpace):
+        return space.geodesic_point(u, far, 1.0 - 1e-2 / space.distance(u, far))
+    n = cset.normal
+    k = min(range(len(n)), key=lambda i: abs(n[i]))
+    e = [float(i == k) for i in range(len(n))]
+    e = [ei - n[k] / sum(c * c for c in n) * ni for ei, ni in zip(e, n)]
+    scale = 1e-2 / math.hypot(*e)
+    return ept(space, *[ui + scale * ei for ui, ei in zip(u.data, e)])
+
+
+@pytest.mark.parametrize("family, kind", _EXACT_CASES + _MEMBER_CASES)
 def test_exact_certificate_flags_every_displacement(request, family, kind):
     # criterion 3's construction with a probe count: u moved 1e-2 inside the
     # set toward its farthest defining point.  The pairing at the true
-    # projection is then at most -1e-4, so every case is flagged
+    # projection is then at most -1e-4, so every case is flagged.  On a
+    # half-space u moves along the boundary, and the pairing within R of u
+    # is then at most -1e-2 R
     space = _exact_space(request, family)
     sets, points = _exact_strategies(space, kind)
 
@@ -569,11 +626,63 @@ def test_exact_certificate_flags_every_displacement(request, family, kind):
     @given(sets, points, st.integers(0, 2**31))
     def check(cset, x, seed):
         u = hd.project_point(space, cset, x)[0]
-        far = _far_member(space, cset, u)
-        d = space.distance(u, far)
-        assume(d >= 2e-2)
-        moved = space.geodesic_point(u, far, 1.0 - 1e-2 / d)
+        far = None if kind == "halfspace" else _far_member(space, cset, u)
+        assume(far is None or space.distance(u, far) >= 2e-2)
+        # the pairing within R of u rounds at about 1e-16 R^2, for R >= |u|
+        assume(far is not None or math.hypot(*u.data) <= 1e6)
+        moved = _along(space, cset, u, far)
         assert hd.characterization_residual(space, cset, x, moved, 1000, seed) < 0.0
+
+    check()
+
+
+def test_half_space_certificates_where_g_is_nearly_parallel_to_the_normal(E2):
+    # g = u - x along a coordinate normal leaves its part along the plane
+    # at rounding size, pointing anywhere: unprojected, the point on the cut
+    # left the half-space by R, and the true projection read -3.5
+    cset = hd.HalfSpace((0.0, 0.8908833437973476), 1.0)
+    res = hd.project(E2, cset, ept(E2, 0.0, 0.0), probes=1000)
+    assert -1e-15 <= res.certificate_residual <= 0.0
+    # a part along the plane of 9e-9 |g|, from which one pass of taking off
+    # the normal loses the normal's share: over C within R = 1 of u the
+    # least pairing is -9.04e-9, at (1, 9.04e-9), and one pass read 0
+    cset = hd.HalfSpace((9.039350396437613e-09, -1.0), 0.0)
+    res = hd.characterization_residual(E2, cset, ept(E2, 0.0, 1.0), ept(E2, 0.0, 0.0), 1000)
+    assert res == pytest.approx(-9.039350396437613e-09, abs=1e-15)
+
+
+@pytest.mark.parametrize("family, kind", _MEMBER_CASES)
+def test_member_kinds_certify_without_drawing_probes(request, monkeypatch, family, kind):
+    # on the model handle a certificate of these kinds takes its exact form
+    # and draws no probe.  On CorruptedSpace, which is not CAT(0), it draws
+    # them, and so does nearest_fixed_point_residual, whose q need not lie
+    # in the set
+    model = _exact_space(request, family)
+    sets, points = _exact_strategies(model, kind)
+    draw, drawn = convex._probes, Counter()
+
+    def guarded(space, *args):
+        if space is model:
+            raise AssertionError("a certificate on the model handle drew probes")
+        drawn["convex"] += 1
+        return draw(space, *args)
+
+    def counted(*args):
+        drawn["solvers"] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(convex, "_probes", guarded)
+    monkeypatch.setattr(hd.solvers, "_probes", counted)
+
+    @settings(max_examples=5, deadline=None)
+    @given(sets, points, points)
+    def check(cset, x, base):
+        drawn.clear()
+        assert hd.project(model, cset, x, probes=1000).certificate_residual is not None
+        assert not drawn
+        hd.project(hd.CorruptedSpace(model), cset, x, probes=1000)
+        hd.nearest_fixed_point_residual(model, x, base, cset, probes=1000)
+        assert drawn == {"convex": 1, "solvers": 1}
 
     check()
 
@@ -853,25 +962,34 @@ def test_a_foreign_probe_is_rejected(request, E3, family):
 
 
 # ---------------------------------------------------------------------------
-# the E^2 half-space draw, written out over two coordinates, against the
-# n-dimensional loop it replaces there
+# the E^2 half-space draw, once written out over two coordinates, against the
+# n-dimensional loop that replaced it there
 
 
-def _generic_halfspace(space, cset):
-    """``convex._halfspace`` with the n-dimensional probe loop for every
-    dimension: the reference the written-out E^2 draw must match bit for bit."""
+def _written_out_halfspace(space, cset):
+    """``convex._halfspace`` with the probe loop written out over two
+    coordinates for E^2, with the Box-Muller pair of ``normals`` inline: the
+    reference the n-dimensional draw must match bit for bit.  The sum from
+    the int 0 can differ from n1 * p1 + n2 * p2 only in the sign of a zero
+    t, which ``t <= 0.0`` reads alike."""
     normal, offset, desc = cset.normal, cset.offset, space.descriptor
     nn = sum(n * n for n in normal)
     w = tuple(n / nn for n in normal)
+    generic = convex._halfspace(space, cset).probes
 
     def probes(u, count, rng):
-        ud, dim = u.data, desc.dim
-        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud)))
+        if desc.dim != 2:
+            return generic(u, count, rng)
+        (u1, u2), (n1, n2), (w1, w2) = u.data, normal, w
+        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, u.data, u.data)))
+        random, log, sqrt, cos, sin, tau = rng.random, math.log, math.sqrt, math.cos, math.sin, 2.0 * math.pi
         pts = []
         for _ in range(count):
-            p = tuple([c + spread * g for c, g in zip(ud, sampling.normals(rng, dim))])
-            t = offset - sum(map(operator.mul, normal, p))
-            pts.append(hd.Point(desc, p if t <= 0.0 else tuple([c + t * wi for c, wi in zip(p, w)])))
+            r = sqrt(-2.0 * log(1.0 - random()))
+            theta = tau * random()
+            p1, p2 = u1 + spread * (r * cos(theta)), u2 + spread * (r * sin(theta))
+            t = offset - (n1 * p1 + n2 * p2)
+            pts.append(hd.Point(desc, (p1, p2) if t <= 0.0 else (p1 + t * w1, p2 + t * w2)))
         return pts
 
     return convex._halfspace(space, cset)._replace(probes=probes)
@@ -922,7 +1040,7 @@ def test_the_plane_half_space_draw_is_the_generic_loop_bit_for_bit(E2, E3, monke
 
     got = build()
     assert all(type(c) is float for p in got for c in p.data)
-    monkeypatch.setitem(convex._KINDS, hd.HalfSpace, _generic_halfspace)
+    monkeypatch.setitem(convex._KINDS, hd.HalfSpace, _written_out_halfspace)
     want = build()
     # struct tells the bits apart: -0.0 from 0.0, and one nan from another
     bits = lambda pts: [(p.space, struct.pack(f"<{len(p.data)}d", *p.data)) for p in pts]
@@ -932,19 +1050,26 @@ def test_the_plane_half_space_draw_is_the_generic_loop_bit_for_bit(E2, E3, monke
     coords = [c for p in got for c in p.data]
     assert any(math.copysign(1.0, c) < 0 and c == 0.0 for c in coords)
     assert any(math.isinf(c) for c in coords) and any(math.isnan(c) for c in coords)
-    # the written-out loop unpacks u's two coordinates: a foreign u is
-    # refused by its tag first, as the blends toward it refused it before
+    # the written-out loop unpacked u's two coordinates: a foreign u is
+    # refused by its tag first, before any draw
     with pytest.raises(hd.SpaceMismatchError):
         hd.probe_points(E2, hd.HalfSpace((1.0, 0.0), 0.0), ept(E3, 1.0, 2.0, 3.0), 8)
 
 
-@pytest.mark.parametrize("kind", ["halfspace", "E2-ball", "E2-segment", "tree-ball", "tree-segment", "subtree"])
-def test_a_certificate_far_beyond_the_squared_float_range_is_nan(E2, kind):
+@pytest.mark.parametrize(
+    "kind", ["halfspace", "E2-ball", "E2-segment", "tree-ball", "tree-segment", "subtree", "prod-segment"]
+)
+def test_a_certificate_far_beyond_the_squared_float_range_is_nan(E2, H2, prod, kind):
     # d(x, u) = 1e200 squares past the float range: the certificate's scale
-    # is inf, and the certificate reads nan rather than raising
+    # is inf, and the certificate reads nan rather than raising.  No H2
+    # point lies that far out (its coordinates overflow near d = 710), so
+    # the segment search is reached through the E2 factor of a product
     far = hd.make_space(hd.WeightedTree(hd.TreeTopology(4, ((0, 1, 1.0), (1, 2, 1.0), (1, 3, 1e200)))))
     if kind == "halfspace":
         space, cset, x = E2, hd.HalfSpace((1.0, 0.0), 0.0), ept(E2, -1e300, 0.0)
+    elif kind == "prod-segment":
+        space, x = prod, prod.pair(ept(E2, 0.5, 1e200), hpt_polar(H2, 2.0, 0.0))
+        cset = hd.Segment(prod.pair(ept(E2, 0.0, 0.0), H2.base), prod.pair(ept(E2, 1.0, 0.0), hpt_polar(H2, 1.0, 0.0)))
     elif kind.startswith("E2"):
         space, x = E2, ept(E2, 0.5, 1e200)
         cset = hd.Ball(ept(E2, 0.0, 0.0), 1.0) if kind == "E2-ball" else hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 1.0, 0.0))

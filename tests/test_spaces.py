@@ -584,6 +584,23 @@ def test_foreign_point_rejected_in_every_family(E2, E3, H2, tree, prod):
     ):
         with pytest.raises(hd.SpaceMismatchError):
             compile_()
+    # the same point, to project: the compiled closures check nothing, so
+    # the public functions check it.  Segments, half-spaces and the whole
+    # space once returned a point of the wrong space, or of the right space
+    # from the wrong coordinates: (1.0, 0.1) for the E2 half-space below
+    sets = {E2: [hd.HalfSpace((1.0, 0.0), 1.0)], tree: [hd.Subtree(frozenset({0, 1}))]}
+    for space, x, y in _point_pairs(E2, H2, tree, prod):
+        for cset in [hd.WholeSpace(), hd.Ball(x, 1.0), hd.Segment(x, y)] + sets.get(space, []):
+            for call in (
+                lambda: hd.project_point(space, cset, center),
+                lambda: hd.project(space, cset, center, probes=0),
+                lambda: hd.project(space, cset, center, probes=100),
+                lambda: hd.contains(space, cset, center),
+            ):
+                with pytest.raises(hd.SpaceMismatchError):
+                    call()
+        with pytest.raises(hd.SpaceMismatchError):
+            hd.project_segment(space, x, y, center)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, -math.inf, math.nan])
