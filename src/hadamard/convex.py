@@ -34,11 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import pairing_against
-from .sampling import ball_sampler, normals, sphere, stream
-from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
+from .sampling import ball_sampler, sphere, stream
+from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord, normals
 
-# a ternary step keeps 2/3 of the bracket: (2/3)^69 < 1e-12 < (2/3)^68, by 6%
-TERNARY_STEPS = 69
 GOLDEN_STEPS, GOLDEN = 63, (math.sqrt(5.0) - 1.0) / 2.0  # a bracket of 0.618^63 < 1e-13 < 0.618^62
 MEMBERSHIP_TOL = 1e-9
 
@@ -105,11 +103,11 @@ def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, 
 
     Euclidean, hyperboloid and tree spaces get exact closed forms (clamped
     affine projection, clamped atanh of the Minkowski components, clamped
-    Gromov product).  Ternary search serves products only: there the squared
-    distance is convex along geodesics, so derivative-free search applies.
-    Returns (lam, point, iterations) where lam weights endpoint ``a``;
-    iterations is 0 for a closed form and ``TERNARY_STEPS`` for the ternary
-    search, whose bracket is then narrower than 1e-12.
+    Gromov product).  Golden-section search serves products only: there the
+    squared distance is convex along geodesics, so derivative-free search
+    applies.  Returns (lam, point, iterations) where lam weights endpoint
+    ``a``; iterations is 0 for a closed form and ``GOLDEN_STEPS`` for the
+    search, whose bracket is then narrower than 1e-13.
     """
     space._check(x)
     foot, steps = _segment_projector(space, a, b)
@@ -118,7 +116,8 @@ def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, 
 
 def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Point], tuple[float, Point]], int]:
     """``(x -> (lam, point), iterations)`` of :func:`project_segment`, with
-    every constant of the segment computed here, once."""
+    every constant of the segment computed here, once: a closed form, or on
+    a product the golden-section search of d(x, .)^2 along the segment."""
     if isinstance(space.descriptor, Euclidean):
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
@@ -170,23 +169,36 @@ def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Poin
 
         return gromov, 0
 
-    def ternary(x: Point) -> tuple[float, Point]:
-        def g(lam: float) -> float:
-            d = space.distance(x, space.geodesic_point(a, b, lam))
-            return d * d
+    at, distance = space.geodesic(a, b), space.distance
 
-        lo, hi = 0.0, 1.0
-        for _ in range(TERNARY_STEPS):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if g(m1) <= g(m2):
-                hi = m2
-            else:
-                lo = m1
-        lam = 0.5 * (lo + hi)
-        return lam, space.geodesic_point(a, b, lam)
+    def golden(x: Point) -> tuple[float, Point]:
+        def squared(y: Point) -> float:
+            d = distance(x, y)
+            return d * d  # not d ** 2, which raises OverflowError past 1e154
+        return _golden(at, squared)
 
-    return ternary, TERNARY_STEPS
+    return golden, GOLDEN_STEPS
+
+
+def _golden(at: Callable[[float], Point], f: Callable[[Point], float]) -> tuple[float, Point]:
+    """``(lam, at(lam))`` of least f among the points that a golden-section
+    search for the minimum of a convex ``f(at(lam))`` on [0, 1] evaluates:
+    1 - GOLDEN, GOLDEN, then one per step, to a bracket below 1e-13."""
+
+    def g(lam: float) -> tuple[float, Point, float]:
+        y = at(lam)
+        return f(y), y, lam
+
+    lo, hi, p, q = 0.0, 1.0, g(1.0 - GOLDEN), g(GOLDEN)
+    for _ in range(GOLDEN_STEPS):
+        if p[0] <= q[0]:
+            hi, q = q[2], p
+            p = g(hi - GOLDEN * (hi - lo))
+        else:
+            lo, p = p[2], q
+            q = g(lo + GOLDEN * (hi - lo))
+    _, y, lam = p if p[0] <= q[0] else q
+    return lam, y
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +211,12 @@ class _Kind(NamedTuple):
     projection ``x -> u``, membership ``(p, tol)`` within additive tolerance
     on the defining inequality, the probe draw ``(u, count, rng)`` before
     the blend toward u, the set's size in a certificate's membership
-    tolerance, the iterations every projection takes (0 for a closed form),
-    and ``(x, u) ->`` points of the set at which ``y -> <xu, uy>`` reaches
-    its infimum over the set, for any x and u, where the set's family has
-    them and the handle is its own model; ``minimizers``, such points for a
-    member u only (for a half-space, over its part near u)."""
+    tolerance, the iterations every projection takes (0 for a closed form,
+    ``GOLDEN_STEPS`` for a product segment's search), and ``(x, u) ->``
+    points of the set at which ``y -> <xu, uy>`` reaches its infimum over
+    the set, for any x and u, where the set's family has them and the handle
+    is its own model; ``minimizers``, such points for a member u only (for a
+    half-space, over its part near u; for a segment, by the same search)."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
@@ -306,21 +319,9 @@ def _segment(space: Space, cset: Segment) -> _Kind:
     def search(x: Point, u: Point) -> list[Point]:
         # the pairing along the segment is convex and 0 at u: its least value
         # lies in the last golden-section bracket, or at a or b
-        pairing, at, distance = pairing_against(space, x, u, u), space.geodesic(a, b), space.distance
-
-        def f(lam: float) -> tuple[float, Point, float]:
-            y = at(lam)
-            return pairing(distance(x, y), distance(u, y)), y, lam
-
-        lo, hi, p, q = 0.0, 1.0, f(1.0 - GOLDEN), f(GOLDEN)
-        for _ in range(GOLDEN_STEPS):
-            if p[0] <= q[0]:
-                hi, q = q[2], p
-                p = f(hi - GOLDEN * (hi - lo))
-            else:
-                lo, p = p[2], q
-                q = f(lo + GOLDEN * (hi - lo))
-        return [a, b, u, (p if p[0] <= q[0] else q)[1]]
+        pairing, distance = pairing_against(space, x, u, u), space.distance
+        least = _golden(space.geodesic(a, b), lambda y: pairing(distance(x, y), distance(u, y)))[1]
+        return [a, b, u, least]
 
     euclidean = isinstance(space.descriptor, Euclidean)
     exact = (extremes, None) if euclidean or isinstance(space.descriptor, WeightedTree) else (None, search)

@@ -14,7 +14,7 @@ import math
 import random
 from typing import Callable
 
-from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree, normals
+from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree
 
 
 def stream(seed: int, *key: int) -> random.Random:

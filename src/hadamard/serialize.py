@@ -246,11 +246,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Decode an experiment config.  Its keys are ``ExperimentConfig``'s
     field names; any other key is a ConfigError naming it."""
-    if "perturbation_region" in _object(doc, "$"):
-        raise ConfigError(
-            "perturbation_region: no longer read; each perturbation takes a direction "
-            "uniform at the base point"
-        )
     _only(doc, [f.name for f in dataclasses.fields(ExperimentConfig)], "$")
     _check_nesting(doc)
     desc = from_json("space", _field(doc, "space", "$"), "space")
@@ -288,6 +283,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         cfg.reference = point_from_json(doc["reference"], desc, "reference")
     if cfg.max_inner < 1:
         raise ConfigError("max_inner: must be at least 1")
+    for key in ("outer_tol", "inner_tol"):
+        if (tol := getattr(cfg, key)) < 0.0:
+            raise ConfigError(f"{key}: must be non-negative, got {tol}")
     if algorithm == "explicit":
         if cfg.x0 is None:
             raise ConfigError("x0: the explicit algorithm needs a starting point")

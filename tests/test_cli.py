@@ -636,20 +636,23 @@ def _tree_config():
         ),
         (
             dict(_e2_config(), perturbation_region={"type": "box", "lo": [0], "hi": [1]}),
-            "perturbation_region: no longer read",
+            "perturbation_region: unknown field",
         ),
         (
             dict(_e2_config(), perturbation_region={"type": "ball", "center": {"coords": [1, 0, 0]}, "radius": 1}),
-            "perturbation_region: no longer read",
+            "perturbation_region: unknown field",
         ),
         (
             dict(_e2_config(), perturbation_region={"type": "product", "left": {"type": "tree"}, "right": {"type": "tree"}}),
-            "perturbation_region: no longer read",
+            "perturbation_region: unknown field",
         ),
+        (dict(_e2_config(), outer_tol=-1), "outer_tol: must be non-negative, got -1.0"),
+        (dict(_e2_config(), inner_tol=-1e-10), "inner_tol: must be non-negative, got -1e-10"),
     ],
     ids=[
         "h2-reference-2d", "e2-x0-3d", "tree-offset-past-edge", "subtree-in-e2", "ball-radius-0",
         "average-weight-2", "box-1d-in-e2", "ball-region-in-e2", "product-region-in-e2",
+        "outer-tol-negative", "inner-tol-negative",
     ],
 )
 def test_config_point_checked_at_load(runner, tmp_path, doc, message):
@@ -661,6 +664,16 @@ def test_config_point_checked_at_load(runner, tmp_path, doc, message):
     assert message in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_a_negative_tolerance_fails_schedules_check(runner, tmp_path):
+    # with both negative the inner bound max(inner_tol, a_m outer_tol) is
+    # negative and every implicit step would spin to max_inner
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps(dict(_e2_config(), outer_tol=-1, inner_tol=-1)))
+    result = runner.invoke(main, ["schedules", "--check", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "outer_tol: must be non-negative" in result.output
 
 
 def test_valid_h2_and_tree_configs_still_run(runner, tmp_path):

@@ -200,27 +200,6 @@ def test_segment_projection_tree_closed_form():
     assert hd.project_segment(tree, a, a, x) == (1.0, a, 0)
 
 
-def _ternary_reference(space, a, b, x):
-    """The product segment search as it read with a bracket tolerance of
-    1e-12 and a cap of 200 steps; ``(lam, point, steps)``."""
-
-    def g(lam):
-        d = space.distance(x, space.geodesic_point(a, b, lam))
-        return d * d
-
-    lo, hi, it = 0.0, 1.0, 0
-    while hi - lo > 1e-12 and it < 200:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-        it += 1
-    lam = 0.5 * (lo + hi)
-    return lam, space.geodesic_point(a, b, lam), it
-
-
 def _product_points(space):
     """Points of ``space``, a product, with coordinates up to 1e300, where
     the distances overflow."""
@@ -237,10 +216,10 @@ def _product_points(space):
     return coords.map(space._lift)
 
 
-def test_ternary_search_takes_the_steps_of_its_tolerance_loop(E2, tree, prod):
-    # the fixed TERNARY_STEPS give the bits and the count of the loop that
-    # ran until the bracket fell below 1e-12, on every product family, on
-    # a == b, and where the distances overflow
+def test_product_segment_search_returns_a_point_it_evaluated(E2, tree, prod):
+    # GOLDEN_STEPS on every product family, on a == b and where the
+    # distances overflow, which must not raise: the point is the segment's
+    # at the lam returned, to the bit
     E1, H3 = hd.Euclidean(1), hd.Hyperbolic(3)
     spaces = [prod] + [hd.make_space(hd.Product(*d)) for d in (
         (H3, E1), (E2.descriptor, tree.descriptor), (prod.descriptor, hd.Product(E1, tree.descriptor)))]
@@ -252,11 +231,52 @@ def test_ternary_search_takes_the_steps_of_its_tolerance_loop(E2, tree, prod):
         points = _product_points(space)
         a, x = data.draw(points), data.draw(points)
         b = data.draw(st.one_of(st.just(a), points))
-        got = hd.project_segment(space, a, b, x)
-        assert got[2] == convex.TERNARY_STEPS
-        assert repr(got) == repr(_ternary_reference(space, a, b, x))
+        lam, u, steps = hd.project_segment(space, a, b, x)
+        assert steps == convex.GOLDEN_STEPS
+        assert repr(u) == repr(space.geodesic_point(a, b, lam))  # nan included
 
     check()
+
+
+def test_flat_product_segment_search_reaches_the_affine_foot():
+    # E2 x E1 and E1 x E1 are E3 and E2: the search's d(x, u)^2 is within
+    # 1e-11 relative of the clamped affine foot's, at scales 1e-3 to 1e6
+    E1 = hd.Euclidean(1)
+    rng = np.random.default_rng(3)
+    for space in (hd.make_space(hd.Product(hd.Euclidean(2), E1)), hd.make_space(hd.Product(E1, E1))):
+        n = space.descriptor.left.dim
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            for _ in range(150):
+                a, b, x = (scale * rng.normal(size=n + 1) for _ in range(3))
+                w = a - b
+                lam = min(1.0, max(0.0, float((x - b) @ w / (w @ w))))
+                a, b, x = (space.pair(hd.Point(space.descriptor.left, tuple(p[:n].tolist())),
+                                      hd.Point(E1, tuple(p[n:].tolist()))) for p in (a, b, x))
+                exact = space.distance(x, space.geodesic_point(a, b, lam))
+                d = space.distance(x, hd.project_segment(space, a, b, x)[1])
+                assert d * d <= exact * exact * (1.0 + 1e-11), (d, exact)
+
+
+def test_a_product_segment_projection_measures_once_per_search_point(prod):
+    # one geodesic_point and one distance at each of the 2 + GOLDEN_STEPS
+    # points of the search, and none to return the best of them
+    space, rng = Counting(prod), hd.stream(14, 1)
+    a, b, x = (hd.random_point(prod, rng) for _ in range(3))
+    got = hd.project_segment(space, a, b, x)
+    assert space.calls == {"distance": 65, "geodesic_point": 65}
+    assert got == hd.project_segment(prod, a, b, x)
+
+
+def test_a_product_segment_projection_passes_criterion_2(E2, H2, prod):
+    # the true projection of x onto [a, b]: a search on d^2 that rounding
+    # stalled 1e-8 away in lam certified it at -2.44e-8, below the bound of
+    # -1e-8 (1 + d(x, u)^2) = -1.78e-8
+    a = prod.pair(ept(E2, 0.0, 0.0), hd.hyperboloid_point(H2, 3.3166247903554, 1.0, 3.0))
+    b, x = prod.pair(ept(E2, 0.0, 1.0), H2.base), prod.pair(ept(E2, 0.0, 0.0), H2.base)
+    res = hd.project(prod, hd.Segment(a, b), x, probes=1000)
+    d = prod.distance(x, res.u)
+    assert res.iterations_used == convex.GOLDEN_STEPS
+    assert res.certificate_residual >= -1e-8 * (1.0 + d * d), res.certificate_residual
 
 
 def test_segment_projection_of_a_point_just_off_the_segment(E2, H2):
@@ -457,7 +477,7 @@ def test_compiled_set_equals_project_point(E2, H2, tree, prod, family, kind):
     def check(cset, x):
         # a compiled set returns the point; the count belongs to the set
         u = hd.compile_set(space, cset)(x)
-        steps = convex.TERNARY_STEPS if (family, kind) == ("product", "segment") else 0
+        steps = convex.GOLDEN_STEPS if (family, kind) == ("product", "segment") else 0
         assert (u, steps) == hd.project_point(space, cset, x)
         assert hd.contains(space, cset, u, 1e-9)
 
@@ -575,8 +595,8 @@ def test_exact_certificate_is_at_most_the_probe_minimum(request, family, kind):
     # infimum over the set, 0, and at another member u it is compared with
     # the probes within R of u.  At the projection the infimum is 0, so the
     # certificate also passes criterion 2's bound, except on a product
-    # segment: its foot comes from a ternary search on d^2, which rounding
-    # stalls near 1e-8 in lam
+    # segment: its foot comes from a golden-section search on d^2, whose
+    # comparisons rounding can still stall near 1e-8 in lam
     space = _exact_space(request, family)
     sets, points = _exact_strategies(space, kind)
 

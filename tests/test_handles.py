@@ -59,9 +59,9 @@ def test_forwarding_handle_gives_the_model_bits(request, family):
     for run in (_explicit, _implicit):
         assert same(lambda s: run(s, C, T, sched, o, x0, a)).rows
     same(lambda s: hd.check_space_axioms(s, 30, seed=2))
-    # segments: closed forms on E2, H2 and trees, ternary search on products only
+    # segments: closed forms on E2, H2 and trees, golden-section search on products only
     u, iterations = same(lambda s: hd.project_point(s, hd.Segment(a, b), x))
-    assert iterations == (convex.TERNARY_STEPS if family in ("prod", "E2_tree") else 0)
+    assert iterations == (convex.GOLDEN_STEPS if family in ("prod", "E2_tree") else 0)
     for cset in (hd.Ball(a, 1.5), hd.WholeSpace()):
         same(lambda s: hd.probe_points(s, cset, a, 40, seed=4))
     if family == "shuffled_tree":

@@ -741,7 +741,7 @@ def test_hyperbolic_plane_kernels_are_the_generic_kernels_bit_for_bit(H2):
 
     # the same draws, rotations and segment projections on the generic
     # handle, its own model: the draws compare H2.sphere with
-    # sampling.normals and the generic exponential map
+    # spaces.normals and the generic exponential map
     def build(space):
         draws = []
         seeded = hd.stream(22, 1)
@@ -791,7 +791,7 @@ def test_euclidean_plane_kernels_are_the_generic_kernels_bit_for_bit(E2):
         assert repr(hd.project_segment(E2, a, b, x)) == repr((lam, generic.geodesic_point(a, b, lam), 0))
 
     # the same draws and probes on the generic handle, its own model,
-    # E2.sphere against sampling.normals and the generic exponential map
+    # E2.sphere against spaces.normals and the generic exponential map
     # among them
     def build(space):
         seeded = hd.stream(24, 1)
@@ -918,7 +918,7 @@ def test_sphere_is_the_generic_draw_bit_for_bit(kernel_spaces):
     # |g_0| s, and a product's split of g; on a tree alone, a sampler draw,
     # its distance and the retraction toward it.  A corrupted wrapper draws
     # as its model.  t runs from 0 and -0.0 past the H2 cap of 20
-    from hadamard import sampling
+    from hadamard import sampling, spaces
     from hadamard.spaces import EuclideanSpace, HyperbolicSpace
 
     def toward_draw(tree):
@@ -945,7 +945,7 @@ def test_sphere_is_the_generic_draw_bit_for_bit(kernel_spaces):
     def along_normal(space):
         def draw(c, rng, t):
             dim, exp = exponential(space, c)
-            g = sampling.normals(rng, dim)
+            g = spaces.normals(rng, dim)
             nrm = math.hypot(*g)
             return exp(rng, g, t / nrm) if nrm > 0.0 else c
 
