@@ -2,8 +2,8 @@
 
 Each kind of convex set is written once, as a kind function in ``_KINDS``
 that validates a set against the space and compiles it into one record: its
-metric projection, its membership test, its certificate probes, its scale
-and, where it has them, its extreme points.  Every public operation here
+metric projection, its membership test, its scale and, where it has them,
+its own probe draw and its extreme points.  Every public operation here
 reads that record.  A projection can additionally be *certified*: the
 projection of x onto C is the unique u in C with ``<xu, uy> >= 0`` for
 every y in C, so the minimum of that pairing over C is a checkable
@@ -22,7 +22,8 @@ form.  H^n and product balls and every wrapper handle take it over a probe
 sample instead, which only approximates the "for every y" quantifier:
 probe density trades run time against the smallest detectable
 displacement, and the defaults here are tuned for displacements of order
-1e-2 on unit-scale sets.
+1e-2 on unit-scale sets.  A ball draws about its center, a segment along
+its weights, and any other set projects draws near u onto itself.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .geometry import pairing_against
 from .sampling import ball_sampler, sphere, stream
-from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord, normals
+from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
 
 GOLDEN_STEPS, GOLDEN = 63, (math.sqrt(5.0) - 1.0) / 2.0  # a bracket of 0.618^63 < 1e-13 < 0.618^62
 MEMBERSHIP_TOL = 1e-9
@@ -99,15 +101,15 @@ Projection = Callable[[Point], Point]
 
 
 def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, Point, int]:
-    """Minimize d(x, .)^2 over the geodesic segment [a, b].
+    """Minimize d(x, .) over the geodesic segment [a, b].
 
     Euclidean, hyperboloid and tree spaces get exact closed forms (clamped
     affine projection, clamped atanh of the Minkowski components, clamped
     Gromov product).  Golden-section search serves products only: there the
-    squared distance is convex along geodesics, so derivative-free search
-    applies.  Returns (lam, point, iterations) where lam weights endpoint
-    ``a``; iterations is 0 for a closed form and ``GOLDEN_STEPS`` for the
-    search, whose bracket is then narrower than 1e-13.
+    distance, finite where its square overflows, is convex along geodesics,
+    so derivative-free search applies.  Returns (lam, point, iterations)
+    where lam weights endpoint ``a``; iterations is 0 for a closed form and
+    ``GOLDEN_STEPS`` for the search, whose bracket is then below 1e-13.
     """
     space._check(x)
     foot, steps = _segment_projector(space, a, b)
@@ -117,7 +119,7 @@ def project_segment(space: Space, a: Point, b: Point, x: Point) -> tuple[float, 
 def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Point], tuple[float, Point]], int]:
     """``(x -> (lam, point), iterations)`` of :func:`project_segment`, with
     every constant of the segment computed here, once: a closed form, or on
-    a product the golden-section search of d(x, .)^2 along the segment."""
+    a product the golden-section search of d(x, .) along the segment."""
     if isinstance(space.descriptor, Euclidean):
         w = tuple(ai - bi for ai, bi in zip(a.data, b.data))
         ww = sum(wi * wi for wi in w)
@@ -172,10 +174,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Poin
     at, distance = space.geodesic(a, b), space.distance
 
     def golden(x: Point) -> tuple[float, Point]:
-        def squared(y: Point) -> float:
-            d = distance(x, y)
-            return d * d  # not d ** 2, which raises OverflowError past 1e154
-        return _golden(at, squared)
+        return _golden(at, partial(distance, x))
 
     return golden, GOLDEN_STEPS
 
@@ -209,30 +208,27 @@ def _golden(at: Callable[[float], Point], f: Callable[[Point], float]) -> tuple[
 class _Kind(NamedTuple):
     """A set compiled against a space, its constants computed once: the
     projection ``x -> u``, membership ``(p, tol)`` within additive tolerance
-    on the defining inequality, the probe draw ``(u, count, rng)`` before
-    the blend toward u, the set's size in a certificate's membership
-    tolerance, the iterations every projection takes (0 for a closed form,
-    ``GOLDEN_STEPS`` for a product segment's search), and ``(x, u) ->``
-    points of the set at which ``y -> <xu, uy>`` reaches its infimum over
-    the set, for any x and u, where the set's family has them and the handle
-    is its own model; ``minimizers``, such points for a member u only (for a
-    half-space, over its part near u; for a segment, by the same search)."""
+    on the defining inequality, the set's size in a certificate's membership
+    tolerance and in the local probe draw, the iterations every projection
+    takes (0 for a closed form, ``GOLDEN_STEPS`` for a product segment's
+    search), a ball's or a segment's own probe draw ``(u, count, rng)``
+    before the blend toward u, and ``(x, u) ->`` points of the set at which
+    ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
+    where the set's family has them and the handle is its own model;
+    ``minimizers``, such points for a member u only (for a half-space, over
+    its part near u; for a segment, by the same search)."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
-    probes: Callable[[Point, int, object], list[Point]]
     scale: float
     steps: int = 0
+    probes: Optional[Callable[[Point, int, object], list[Point]]] = None
     extremes: Optional[Callable[[Point, Point], list[Point]]] = None
     minimizers: Optional[Callable[[Point, Point], list[Point]]] = None
 
 
 def _whole(space: Space, cset: WholeSpace) -> _Kind:
-    def probes(u: Point, count: int, rng) -> list[Point]:
-        draw = ball_sampler(space, u, 2.0)
-        return [draw(rng) for _ in range(count)]
-
-    return _Kind(lambda x: x, lambda p, tol: True, probes, 1.0)
+    return _Kind(lambda x: x, lambda p, tol: True, 1.0)
 
 
 def _ball(space: Space, cset: Ball) -> _Kind:
@@ -293,7 +289,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
                             pts.append(model.canonical(Point(desc, (eid, off))))
             return pts
 
-    return _Kind(project, contains, probes, max(radius, 1.0), extremes=extremes)
+    return _Kind(project, contains, max(radius, 1.0), probes=probes, extremes=extremes)
 
 
 def _segment(space: Space, cset: Segment) -> _Kind:
@@ -325,7 +321,7 @@ def _segment(space: Space, cset: Segment) -> _Kind:
 
     euclidean = isinstance(space.descriptor, Euclidean)
     exact = (extremes, None) if euclidean or isinstance(space.descriptor, WeightedTree) else (None, search)
-    return _Kind(lambda x: foot(x)[1], contains, probes, max(dab, 1.0), steps, *exact)
+    return _Kind(lambda x: foot(x)[1], contains, max(dab, 1.0), steps, probes, *exact)
 
 
 def _subtree(space: Space, cset: Subtree) -> _Kind:
@@ -361,26 +357,12 @@ def _subtree(space: Space, cset: Subtree) -> _Kind:
             v = parent[v]
         return model.vertex_point(v if v in verts else top)
 
-    def probes(u: Point, count: int, rng) -> list[Point]:
-        # the set's vertices, a grid on each of its edges, then random points
-        inner = [eid for eid, (a, b, _) in enumerate(edges) if a in verts and b in verts]
-        pts = [model.vertex_point(v) for v in sorted(verts)]
-        grid = max(1, (count - len(pts)) // max(1, len(inner)) if inner else 0)
-        for eid in inner:
-            length = edges[eid][2]
-            for i in range(1, grid + 1):
-                pts.append(model.canonical(Point(model.descriptor, (eid, length * i / (grid + 1)))))
-        while len(pts) < count and inner:
-            eid = inner[int(rng.random() * len(inner))]
-            pts.append(model.canonical(Point(model.descriptor, (eid, edges[eid][2] * rng.random()))))
-        return pts[:count]
-
     def extremes(x: Point, u: Point) -> list[Point]:
         # the pairing is linear along each edge of the set between its
         # vertices and x and u, when they lie on one
         return [model.vertex_point(v) for v in verts] + [p for p in (x, u) if contains(p, 0.0)]
 
-    return _Kind(project, contains, probes, 1.0, extremes=extremes)
+    return _Kind(project, contains, 1.0, extremes=extremes)
 
 
 def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
@@ -406,22 +388,12 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
         t = offset - sum(map(operator.mul, normal, x.data))
         return x if t <= 0.0 else Point(desc, tuple([c + t * wi for c, wi in zip(x.data, w)]))
 
-    def probes(u: Point, count: int, rng) -> list[Point]:
-        # Gaussian steps from u, projected back onto the half-space: project's
-        # arithmetic, in one loop with the draw
-        ud, dim, pts = u.data, desc.dim, []
-        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud)))
-        for _ in range(count):
-            p = tuple([c + spread * g for c, g in zip(ud, normals(rng, dim))])
-            t = offset - sum(map(operator.mul, normal, p))
-            pts.append(Point(desc, p if t <= 0.0 else tuple([c + t * wi for c, wi in zip(p, w)])))
-        return pts
-
     def minimizers(x: Point, u: Point) -> list[Point]:
-        # <xu, uy> = <g, y - u> for g = u - x.  Within R (the probes' spread)
-        # of u it is least at u - R g/|g| if that is in the set, else where the
-        # plane cuts the sphere, along -g' for g' the part of g along the plane
-        # (taken off twice to keep its direction; the projection undoes noise)
+        # <xu, uy> = <g, y - u> for g = u - x.  Within R of u (at least the
+        # local probes' reach of 2 once |offset| + |u| >= 1) it is least at
+        # u - R g/|g| if that is in the set, else where the plane cuts the
+        # sphere, along -g' for g' the part of g along the plane (taken off
+        # twice to keep its direction; the projection undoes noise)
         ud, g = u.data, tuple(map(operator.sub, u.data, x.data))
         R, gn = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, ud, ud))), math.hypot(*g) or 1.0
         y = tuple([c - R * (gi / gn) for c, gi in zip(ud, g)])
@@ -434,7 +406,7 @@ def _halfspace(space: Space, cset: HalfSpace) -> _Kind:
             y = tuple([c + t * wi - rho * (gi / gpn) for c, wi, gi in zip(ud, w, gp)])
         return [u, project(Point(desc, y))]
 
-    return _Kind(project, contains, probes, 1.0, minimizers=minimizers)
+    return _Kind(project, contains, 1.0, minimizers=minimizers)
 
 
 _KINDS: dict[type, Callable[[Space, ConvexSetDescriptor], _Kind]] = {
@@ -458,12 +430,16 @@ def _compile(space: Space, cset: ConvexSetDescriptor) -> _Kind:
 def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[Point]:
     if count <= 0:
         raise ValueError("probe count must be positive")
-    pts = kind.probes(u, count, stream(seed, 0xC0))
+    rng = stream(seed, 0xC0)
+    if kind.probes:
+        pts = kind.probes(u, count, rng)
+    else:  # the pairing is convex along geodesics from u: look near u
+        draw, project = ball_sampler(space, u, 2.0 * kind.scale), kind.project
+        pts = [project(draw(rng)) for _ in range(count)]
     # adversarial refinement: blend the last probes drawn toward u, one each
     n_near = max(1, count // 8)
     blend = (0.9, 0.99, 0.999)
-    near = range(min(n_near, len(pts)))
-    pts += [space.geodesic_point(u, pts[-1 - i], blend[i % len(blend)]) for i in near]
+    pts += [space.geodesic_point(u, pts[-1 - i], blend[i % len(blend)]) for i in range(n_near)]
     return pts[: count + n_near]
 
 
@@ -526,12 +502,13 @@ def probe_points(
     count: int,
     seed: int = 0,
 ) -> list[Point]:
-    """Probe sample of the set for certification.
+    """Probe sample of the set for certification: ``count`` members, then
+    ``max(1, count // 8)`` geodesic blends of the last ones toward ``u``, so
+    the sample is adversarially dense near the candidate projection.
 
-    Mixes a deterministic parametrization grid (segment lambdas, ball boundary
-    plus interior shells, subtree edge grids), seeded random members, and
-    geodesic blends toward ``u`` so the sample is adversarially dense near the
-    candidate projection.
+    A ball draws on its boundary and interior shells about its center, and
+    a segment on a grid of weights and then uniform ones.  Every other set
+    (of scale 1) projects draws from the ball of radius 2 about ``u``.
     """
     space._check(u)
     return _probes(space, _compile(space, cset), u, count, seed)

@@ -279,6 +279,18 @@ def test_a_product_segment_projection_passes_criterion_2(E2, H2, prod):
     assert res.certificate_residual >= -1e-8 * (1.0 + d * d), res.certificate_residual
 
 
+def test_a_product_segment_search_far_beyond_the_squared_float_range(E2, H2, prod):
+    # every distance along [a, b] squares past the float range: a search on
+    # d^2 compared inf with inf, kept its left bracket and returned lam 2.6e-14,
+    # 1.9e200 from x.  The foot lies 0.95 of the way from b, within 1.5e-15 of
+    # the segment's length, the search's own resolution
+    a, b = prod.pair(ept(E2, -1e200, 0.0), H2.base), prod.pair(ept(E2, 1e200, 0.0), H2.base)
+    x = prod.pair(ept(E2, -9e199, 1.0), H2.base)
+    lam, u, _ = hd.project_segment(prod, a, b, x)
+    assert abs(lam - 0.95) <= 1e-12, lam
+    assert prod.distance(x, u) <= 1e-14 * prod.distance(a, b)
+
+
 def test_segment_projection_of_a_point_just_off_the_segment(E2, H2):
     # d(a, x) + d(x, b) - d(a, b) grows only quadratically in x's height over
     # the segment: about 2e-10 at height 1e-5, below the membership
@@ -352,15 +364,20 @@ def test_projection_idempotent_and_inside(E2, H2):
 
 
 def test_probe_points_stay_in_set(E2, tree):
+    # every kind draws count probes and blends count // 8 of them toward u,
+    # a subtree of one vertex included
     cases = [
+        (E2, hd.WholeSpace()),
         (E2, hd.Ball(ept(E2, 0.0, 0.0), 2.0)),
         (E2, hd.Segment(ept(E2, 0.0, 0.0), ept(E2, 3.0, 1.0))),
+        (E2, hd.HalfSpace((0.6, -0.8), 1.5)),
         (tree, hd.Subtree(frozenset({1, 3, 5}))),
+        (tree, hd.Subtree(frozenset({3}))),
     ]
     for space, cset in cases:
         u, _ = hd.project_point(space, cset, hd.random_point(space, hd.stream(0, 9)))
         pts = hd.probe_points(space, cset, u, 64, seed=3)
-        assert len(pts) >= 64
+        assert len(pts) == 64 + 64 // 8
         for p in pts:
             assert hd.contains(space, cset, p, 1e-8)
 
@@ -982,98 +999,53 @@ def test_a_foreign_probe_is_rejected(request, E3, family):
 
 
 # ---------------------------------------------------------------------------
-# the E^2 half-space draw, once written out over two coordinates, against the
-# n-dimensional loop that replaced it there
+# the local probe draw of every set without a draw of its own
 
 
-def _written_out_halfspace(space, cset):
-    """``convex._halfspace`` with the probe loop written out over two
-    coordinates for E^2, with the Box-Muller pair of ``normals`` inline: the
-    reference the n-dimensional draw must match bit for bit.  The sum from
-    the int 0 can differ from n1 * p1 + n2 * p2 only in the sign of a zero
-    t, which ``t <= 0.0`` reads alike."""
-    normal, offset, desc = cset.normal, cset.offset, space.descriptor
-    nn = sum(n * n for n in normal)
-    w = tuple(n / nn for n in normal)
-    generic = convex._halfspace(space, cset).probes
-
-    def probes(u, count, rng):
-        if desc.dim != 2:
-            return generic(u, count, rng)
-        (u1, u2), (n1, n2), (w1, w2) = u.data, normal, w
-        spread = 1.0 + abs(offset) + math.sqrt(sum(map(operator.mul, u.data, u.data)))
-        random, log, sqrt, cos, sin, tau = rng.random, math.log, math.sqrt, math.cos, math.sin, 2.0 * math.pi
-        pts = []
-        for _ in range(count):
-            r = sqrt(-2.0 * log(1.0 - random()))
-            theta = tau * random()
-            p1, p2 = u1 + spread * (r * cos(theta)), u2 + spread * (r * sin(theta))
-            t = offset - (n1 * p1 + n2 * p2)
-            pts.append(hd.Point(desc, (p1, p2) if t <= 0.0 else (p1 + t * w1, p2 + t * w2)))
-        return pts
-
-    return convex._halfspace(space, cset)._replace(probes=probes)
-
-
-class _Scripted:
-    """A stream whose ``random()`` cycles through fixed values: 0.0 twice
-    gives r = -0.0 at theta = 0, so a step of signed zeros, and values near
-    1 give the largest steps a stream can."""
-
-    def __init__(self, values):
-        self.values, self.i = values, 0
-
-    def random(self):
-        self.i += 1
-        return self.values[(self.i - 1) % len(self.values)]
-
-
-def _halfspace_draws(E2, E3):
-    # signed zeros in normals, offsets and u; a normal at the validated
-    # floor |n|^2 >= sys.float_info.min; u near 1e300, where the spread and
-    # then p overflow to inf, and n . p to nan
+def _local_draw_cases(E2, E3, H2, tree, prod):
+    # signed zeros in normals, offsets and u; a normal at the validated floor
+    # |n|^2 >= sys.float_info.min; u near 1e300, where a step of 2 is lost
+    # in rounding; a subtree of one vertex and one of three
     floor = math.sqrt(sys.float_info.min)
-    normals = [(1.0, 1.0), (0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (-0.0, -1.0), (0.6, -0.8),
-               (floor, 0.0), (-0.0, floor), (0.75 * floor, 0.75 * floor), (3e150, -2e150)]
-    offsets = [0.0, -0.0, 1.5, -2.0, 1e300]
-    us = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.5, -1.25), (1e300, -1e300), (1.7e300, 0.0), (-0.0, 1e300)]
-    cases = [(E2, hd.HalfSpace(n, o), hd.Point(E2.descriptor, u)) for n in normals for o in offsets for u in us]
-    cases += [(E3, hd.HalfSpace(n + (0.5,), o), hd.Point(E3.descriptor, u + (-0.0,)))
-              for n in normals[::3] for o in offsets for u in us[::2]]
+    normals = [(0.0, 1.0), (-0.0, -1.0), (0.6, -0.8), (floor, 0.0), (0.75 * floor, 0.75 * floor), (3e150, -2e150)]
+    offsets = [0.0, -0.0, 1.5, -2.0]
+    us = [(-0.0, -0.0), (0.5, -1.25), (1e300, 5.0)]
+    cases = [(E2, hd.HalfSpace(n, o), hd.project_point(E2, hd.HalfSpace(n, o), hd.Point(E2.descriptor, u))[0])
+             for n in normals for o in offsets for u in us]
+    cases += [(E3, hd.HalfSpace((1.0, -0.0, 0.5), -2.0), ept(E3, 0.0, -0.0, 1.0))]
+    cases += [(space, hd.WholeSpace(), hd.sampler(space)(hd.stream(4, 1))) for space in (E2, E3, H2, tree, prod)]
+    cases += [(tree, hd.Subtree(frozenset({3})), tree.vertex_point(3)),
+              (tree, hd.Subtree(frozenset({1, 3, 5})), hd.Point(tree.descriptor, (2, 0.25)))]
     return cases
 
 
-def test_the_plane_half_space_draw_is_the_generic_loop_bit_for_bit(E2, E3, monkeypatch):
-    cases = _halfspace_draws(E2, E3)
-    scripted = (0.0, 0.0, 0.25, 0.5, 1.0 - 2.0**-53, 0.75, 5e-324, 0.0, 0.1, 0.0)
-    handles = (lambda s: s, hd.CorruptedSpace, OffsetMetric)
-
-    def build():
-        draws = []
-        for space, cset, u in cases:
-            for wrap in handles:
-                handle = wrap(space)
-                draws += convex._compile(handle, cset).probes(u, 12, _Scripted(scripted))
-                for seed in (0, 5):
-                    draws += hd.probe_points(handle, cset, u, 24, seed=seed)
-        return draws
-
-    got = build()
-    assert all(type(c) is float for p in got for c in p.data)
-    monkeypatch.setitem(convex._KINDS, hd.HalfSpace, _written_out_halfspace)
-    want = build()
-    # struct tells the bits apart: -0.0 from 0.0, and one nan from another
-    bits = lambda pts: [(p.space, struct.pack(f"<{len(p.data)}d", *p.data)) for p in pts]
-    assert bits(got) == bits(want)
-    # the cases reach what they are there for: signed zeros, kept and
-    # projected steps, and steps that overflow
-    coords = [c for p in got for c in p.data]
-    assert any(math.copysign(1.0, c) < 0 and c == 0.0 for c in coords)
-    assert any(math.isinf(c) for c in coords) and any(math.isnan(c) for c in coords)
-    # the written-out loop unpacked u's two coordinates: a foreign u is
-    # refused by its tag first, before any draw
-    with pytest.raises(hd.SpaceMismatchError):
-        hd.probe_points(E2, hd.HalfSpace((1.0, 0.0), 0.0), ept(E3, 1.0, 2.0, 3.0), 8)
+@pytest.mark.parametrize("wrap", [lambda s: s, hd.CorruptedSpace, OffsetMetric], ids=["model", "corrupted", "offset"])
+def test_a_set_without_its_own_draw_projects_a_draw_near_u(E2, E3, H2, tree, prod, wrap):
+    # probe_points(...)[:count] is kind.project of ball_sampler's draws in the
+    # ball of radius 2 * scale = 2 about u, from the probe stream, bit for bit
+    coords = lambda p: [c for q in p.data for c in coords(q)] if isinstance(p.data[0], hd.Point) else list(p.data)
+    bits = lambda pts: [(p.space, struct.pack(f"<{len(coords(p))}d", *coords(p))) for p in pts]
+    for space, cset, u in _local_draw_cases(E2, E3, H2, tree, prod):
+        handle = wrap(space)
+        kind = convex._compile(handle, cset)
+        # a half-space's tol is a distance times |normal|
+        tol = 1e-9 * (math.hypot(*cset.normal) if isinstance(cset, hd.HalfSpace) else 1.0)
+        assert kind.probes is None and kind.scale == 1.0 and hd.contains(space, cset, u, tol)
+        for seed, count in ((0, 24), (5, 64)):
+            draw, rng = sampling.ball_sampler(handle, u, 2.0), hd.stream(seed, 0xC0)
+            want = [kind.project(draw(rng)) for _ in range(count)]
+            got = hd.probe_points(handle, cset, u, count, seed=seed)
+            assert len(got) == count + count // 8 and bits(got[:count]) == bits(want)
+            if isinstance(space.descriptor, hd.Euclidean):
+                assert all(type(c) is float for p in got for c in p.data)
+            # each projected draw is a member within 2 of u: the projection
+            # is nonexpansive and fixes u
+            for p in got[:count]:
+                assert hd.contains(space, cset, p, tol) and space.distance(u, p) <= 2.0 * (1.0 + 1e-12)
+    # the draw is built about u, so a foreign u is refused by its tag first
+    for space, cset in ((E2, hd.HalfSpace((1.0, 0.0), 0.0)), (E2, hd.WholeSpace()), (tree, hd.Subtree(frozenset({3})))):
+        with pytest.raises(hd.SpaceMismatchError):
+            hd.probe_points(wrap(space), cset, ept(E3, 1.0, 2.0, 3.0), 8)
 
 
 @pytest.mark.parametrize(
