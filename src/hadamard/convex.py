@@ -18,9 +18,11 @@ exact minimum over a few extreme points of the set.  For a member u, the
 pairing is convex along each geodesic from u in a CAT(0) space: there an
 H^n or product segment takes it by golden-section search, and an E^n
 half-space (whose minimum is 0 or -inf) over its part near u, in closed
-form.  H^n and product balls and every wrapper handle take it over a probe
-sample instead, which only approximates the "for every y" quantifier:
-probe density trades run time against the smallest detectable
+form.  An H^n ball of radius up to ``MAX_HYPERBOLIC_RADIUS`` takes a search
+minimum on the one circle of its sphere that holds the minimum.  Product
+balls, larger H^n balls, the whole space and every wrapper handle take it
+over a probe sample instead, which only approximates the "for every y"
+quantifier: probe density trades run time against the smallest detectable
 displacement, and the defaults here are tuned for displacements of order
 1e-2 on unit-scale sets.  A ball draws about its center, a segment along
 its weights, and any other set projects draws near u onto itself.
@@ -31,13 +33,14 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 from .geometry import pairing_against
 from .sampling import ball_sampler, sphere, stream
-from .spaces import Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
+from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
 
 GOLDEN_STEPS, GOLDEN = 63, (math.sqrt(5.0) - 1.0) / 2.0  # a bracket of 0.618^63 < 1e-13 < 0.618^62
 MEMBERSHIP_TOL = 1e-9
@@ -79,7 +82,7 @@ class HalfSpace(_FrozenRecord):
     offset: float
 
 
-ConvexSetDescriptor = Union[WholeSpace, Ball, Segment, Subtree, HalfSpace]
+ConvexSetDescriptor = WholeSpace | Ball | Segment | Subtree | HalfSpace
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -181,7 +184,7 @@ def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Poin
 
 def _golden(at: Callable[[float], Point], f: Callable[[Point], float]) -> tuple[float, Point]:
     """``(lam, at(lam))`` of least f among the points that a golden-section
-    search for the minimum of a convex ``f(at(lam))`` on [0, 1] evaluates:
+    search for the minimum of a unimodal ``f(at(lam))`` on [0, 1] evaluates:
     1 - GOLDEN, GOLDEN, then one per step, to a bracket below 1e-13."""
 
     def g(lam: float) -> tuple[float, Point, float]:
@@ -216,7 +219,8 @@ class _Kind(NamedTuple):
     ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
     where the set's family has them and the handle is its own model;
     ``minimizers``, such points for a member u only (for a half-space, over
-    its part near u; for a segment, by the same search)."""
+    its part near u; for a segment, by the same search; for an H^n ball, by
+    a search on one circle of its sphere)."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
@@ -252,7 +256,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
         return [at(rng, radius if i < count // 2 else radius * shells[i % len(shells)]) for i in range(count)]
 
     desc, model = space.descriptor, space.model
-    extremes = None
+    extremes = minimizers = None
     if isinstance(desc, Euclidean):
         cd = center.data
 
@@ -289,7 +293,70 @@ def _ball(space: Space, cset: Ball) -> _Kind:
                             pts.append(model.canonical(Point(desc, (eid, off))))
             return pts
 
-    return _Kind(project, contains, max(radius, 1.0), probes=probes, extremes=extremes)
+    elif isinstance(desc, Hyperbolic) and radius <= MAX_HYPERBOLIC_RADIUS:
+        # For x != u the pairing f(y) = (d(x, y)^2 - d(u, y)^2 - d(x, u)^2) / 2
+        # has gradient log_y u - log_y x, zero only where x = u, so its
+        # minimum over the ball lies on the sphere S(c, r).  There, by the
+        # law of cosines, f depends on y only through the cosines of its
+        # angles at c with x and with u, and f's derivative in the first
+        # never vanishes for x != c; so at a critical point on the sphere
+        # (Lagrange) y lies in the plane of log_c x and log_c u, or, when
+        # they are collinear, in any plane through them.  The minimum thus
+        # lies on one circle of radius r about c (Bridson and Haefliger,
+        # II.1-II.4).  That f has a single local minimum on that circle is
+        # checked, not proved: the value is a search minimum, a grid of 12
+        # angles and then a golden-section search two grid steps wide.
+        # Directions at c are taken in HyperbolicSpace.exponential's frame,
+        # whose coordinates of p, of norm sinh d(c, p), are those of w = p - c
+        # less k (w_0 + <w, w>_M / 2) c_i, which does not cancel near c.
+        cs, k, minkowski = center.data[1:], 1.0 / (1.0 + center.data[0]), model.minkowski
+        sh, step = math.sinh(radius), math.pi / 6.0
+        ccs = [math.cosh(radius) * ci for ci in cs]  # the spatial coordinates of cosh r c
+
+        def tangent(p: Point) -> list[float]:
+            w = list(map(operator.sub, p.data, center.data))
+            h = k * (w[0] + 0.5 * minkowski(w, w))
+            return [wi - h * ci for wi, ci in zip(w[1:], cs)]
+
+        def unit(v: list[float]) -> list[float]:
+            n = math.hypot(*v) or 1.0
+            return [vi / n for vi in v]
+
+        def spatial(g: list[float]) -> list[float]:
+            # the spatial coordinates of sinh r times the unit tangent g at c
+            s = k * sum(map(operator.mul, cs, g))
+            return [sh * (gi + s * ci) for gi, ci in zip(g, cs)]
+
+        def minimizers(x: Point, u: Point) -> list[Point]:
+            if space.distance(x, u) == 0.0:
+                return [u]
+            tx, tu = tangent(x), tangent(u)
+            e1 = unit(tx if any(tx) else tu)
+            # tu less its part along e1, taken off twice to keep e2 orthogonal
+            # to e1 whatever rounding leaves of it; when that part is all of
+            # tu to rounding, c, x and u are collinear and an axis serves
+            e2 = tu
+            for _ in range(2):
+                t = sum(map(operator.mul, e2, e1))
+                e2 = [a - t * b for a, b in zip(e2, e1)]
+            if math.hypot(*e2) <= 1e-12 * math.hypot(*tu):
+                j = min(range(len(e1)), key=lambda i: abs(e1[i]))
+                e2 = [float(i == j) - e1[j] * b for i, b in enumerate(e1)]
+            p, q = spatial(e1), spatial(unit(e2))
+
+            def at(phi: float) -> Point:
+                cp, sp = math.cos(phi), math.sin(phi)
+                return space._lift([a + cp * b + sp * d for a, b, d in zip(ccs, p, q)])
+
+            pairing = pairing_against(space, x, u, u)
+            grid = [at(i * step) for i in range(12)]
+            values = list(map(pairing, space.distances(x, grid), space.distances(u, grid)))
+            best = min(range(12), key=values.__getitem__)
+            distance, lo = space.distance, (best - 1) * step
+            least = _golden(lambda lam: at(lo + 2.0 * step * lam), lambda y: pairing(distance(x, y), distance(u, y)))[1]
+            return [u, grid[best], least]
+
+    return _Kind(project, contains, max(radius, 1.0), probes=probes, extremes=extremes, minimizers=minimizers)
 
 
 def _segment(space: Space, cset: Segment) -> _Kind:
@@ -444,7 +511,7 @@ def _probes(space: Space, kind: _Kind, u: Point, count: int, seed: int) -> list[
 
 
 def _residual(
-    space: Space, kind: _Kind, x: Point, u: Point, probes: Union[int, Sequence[Point]], seed: int
+    space: Space, kind: _Kind, x: Point, u: Point, probes: int | Sequence[Point], seed: int
 ) -> float:
     d = space.distance(x, u)
     scale = 1.0 + d * d
@@ -508,7 +575,10 @@ def probe_points(
 
     A ball draws on its boundary and interior shells about its center, and
     a segment on a grid of weights and then uniform ones.  Every other set
-    (of scale 1) projects draws from the ball of radius 2 about ``u``.
+    (of scale 1) projects draws from the ball of radius 2 about ``u``.  A
+    certificate reads these probes only for a set without extreme points or
+    minimizers: of the balls, those on a product or a wrapper handle, and an
+    H^n ball of radius above ``MAX_HYPERBOLIC_RADIUS``.
     """
     space._check(u)
     return _probes(space, _compile(space, cset), u, count, seed)
@@ -519,7 +589,7 @@ def characterization_residual(
     cset: ConvexSetDescriptor,
     x: Point,
     u: Point,
-    probes: Union[int, Sequence[Point]] = 1000,
+    probes: int | Sequence[Point] = 1000,
     seed: int = 0,
 ) -> float:
     """min over probes y of <xu, uy>.

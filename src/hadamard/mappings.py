@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import convex
 from .convex import ConvexSetDescriptor, compile_set
@@ -62,9 +62,7 @@ class Translation(_FrozenRecord):
     vector: tuple[float, ...]
 
 
-MappingDescriptor = Union[
-    Identity, Rotation, ProjectionOnto, GeodesicAverage, Composition, Translation
-]
+MappingDescriptor = Identity | Rotation | ProjectionOnto | GeodesicAverage | Composition | Translation
 
 
 def _euclidean_rotation(center, angle) -> Callable[[Point], Point]:
@@ -175,7 +173,7 @@ def compile_mapping(space: Space, mapping: MappingDescriptor) -> Callable[[Point
 _compile_mapping = compile_mapping
 
 
-FixedSet = Union[ConvexSetDescriptor, list]
+FixedSet = ConvexSetDescriptor | list
 
 
 def known_fixed_set(mapping: MappingDescriptor) -> Optional[FixedSet]:

@@ -23,7 +23,6 @@ import math
 import operator
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import lru_cache, partial
-from typing import Union
 
 
 class _Record:
@@ -180,7 +179,7 @@ class Product(_FrozenRecord):
     right: "SpaceDescriptor"
 
 
-SpaceDescriptor = Union[Euclidean, Hyperbolic, WeightedTree, Product]
+SpaceDescriptor = Euclidean | Hyperbolic | WeightedTree | Product
 
 
 @dataclass(frozen=True, slots=True)

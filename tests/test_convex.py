@@ -442,7 +442,7 @@ _SET_KINDS = {
 # those that take it, for a member u, by search or in closed form
 _EXACT_KINDS = {("euclidean", "ball"), ("euclidean", "segment"), ("tree", "ball"), ("tree", "segment"),
                 ("tree", "subtree")}
-_MEMBER_KINDS = {("hyperbolic", "segment"), ("product", "segment"), ("euclidean", "halfspace")}
+_MEMBER_KINDS = {("hyperbolic", "ball"), ("hyperbolic", "segment"), ("product", "segment"), ("euclidean", "halfspace")}
 _coord = st.floats(-4.0, 4.0, allow_nan=False)
 _unit = st.floats(0.0, 1.0)
 
@@ -541,8 +541,10 @@ _EXACT_CASES = [
 
 
 # the kinds that certify a member u exactly: by search along H^n and product
-# segments, and in closed form over an E^n half-space within R of u
-_MEMBER_CASES = [("H2", "segment"), ("H3", "segment"), ("prod", "segment"), ("E2", "halfspace"), ("E3", "halfspace")]
+# segments and on one circle of an H^n ball's sphere, and in closed form over
+# an E^n half-space within R of u
+_MEMBER_CASES = [("H2", "ball"), ("H3", "ball"), ("H2", "segment"), ("H3", "segment"), ("prod", "segment"),
+                 ("E2", "halfspace"), ("E3", "halfspace")]
 
 
 def _exact_space(request, family):
@@ -606,14 +608,15 @@ def _far_member(space, cset, u):
 @pytest.mark.parametrize("family, kind", _EXACT_CASES + _MEMBER_CASES)
 def test_exact_certificate_is_at_most_the_probe_minimum(request, family, kind):
     # the minimum over the extreme points is the infimum over the set, and
-    # so is the search's along a segment, so no probe of the set goes lower,
-    # at the projection or at a member u.  A half-space's closed form is the
-    # infimum over its part within R of u: at the projection that is the
-    # infimum over the set, 0, and at another member u it is compared with
-    # the probes within R of u.  At the projection the infimum is 0, so the
-    # certificate also passes criterion 2's bound, except on a product
-    # segment: its foot comes from a golden-section search on d^2, whose
-    # comparisons rounding can still stall near 1e-8 in lam
+    # so is the search's along a segment or on an H^n ball's circle, so no
+    # probe of the set goes lower, at the projection or at a member u.  A
+    # half-space's closed form is the infimum over its part within R of u:
+    # at the projection that is the infimum over the set, 0, and at another
+    # member u it is compared with the probes within R of u.  At the
+    # projection the infimum is 0, so the certificate also passes criterion
+    # 2's bound, except on a product segment: its foot comes from a
+    # golden-section search on d^2, whose comparisons rounding can still
+    # stall near 1e-8 in lam
     space = _exact_space(request, family)
     sets, points = _exact_strategies(space, kind)
 
@@ -724,6 +727,97 @@ def test_member_kinds_certify_without_drawing_probes(request, monkeypatch, famil
     check()
 
 
+# ---------------------------------------------------------------------------
+# H^n balls: the pairing's minimum lies on one circle of the sphere
+
+
+def _direction(dim):
+    """Unit vectors of R^dim, as tangent coordinates at a point of H^dim."""
+    vectors = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).filter(lambda g: math.hypot(*g) >= 0.1)
+    return vectors.map(lambda g: [gi / math.hypot(*g) for gi in g])
+
+
+def _at(space, c, g, s):
+    """The point s from c along the unit tangent coordinates g, in the frame
+    of ``HyperbolicSpace.exponential``."""
+    return space.exponential(c)[1](None, g, s)
+
+
+def _orthogonal(g, h):
+    """h less its part along the unit vector g, normalized, or None when
+    little of h is left."""
+    t = sum(map(operator.mul, g, h))
+    b = [hi - t * gi for gi, hi in zip(g, h)]
+    n = math.hypot(*b)
+    return [bi / n for bi in b] if n >= 1e-3 else None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_ball_certificate_flags_u_moved_along_the_boundary(dim):
+    # the projection of x moved 1e-2 of arc along the sphere.  Over 1,000
+    # probes such points read from +8.7e-6 to +6.6e-4 on 12 of the 20 seed-5
+    # certify H^2 balls: no probe fell where the pairing is negative.  The
+    # circle search finds its minimum, of order -1e-4
+    space = hd.make_space(hd.Hyperbolic(dim))
+    direction = _direction(dim)
+
+    @settings(max_examples=25, deadline=None)
+    @given(direction, st.floats(0.0, 3.0), st.floats(0.5, 3.0), direction, st.floats(0.1, 3.0), direction,
+           st.integers(0, 2**31))
+    def check(gc, dc, r, g, s, h, seed):
+        c = _at(space, space.base, gc, dc)
+        b = _orthogonal(g, h)
+        assume(b is not None)
+        x, ball, phi = _at(space, c, g, r + s), hd.Ball(c, r), 1e-2 / math.sinh(r)
+        moved = _at(space, c, [math.cos(phi) * gi + math.sin(phi) * bi for gi, bi in zip(g, b)], r)
+        assert hd.characterization_residual(space, ball, x, moved, 1000, seed) < 0.0
+
+    check()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_ball_certificate_is_at_most_the_circle_grid_minimum(dim):
+    # the search finds the minimum on its circle if the pairing has one local
+    # minimum there, which is checked here, not proved: for c within 3 of the
+    # base point, r in [0.1, 4], x within 3 of c and a member u, the
+    # certificate is at most the least pairing over 20,000 points of the
+    # circle through x's and u's directions at c, and in H^3 over 20,000
+    # points spread over the whole sphere, plus 1e-9 (1 + d(x, u)^2)
+    space = hd.make_space(hd.Hyperbolic(dim))
+    direction, n = _direction(dim), 20_000
+    # in H^3, a Fibonacci lattice of n directions, even over the unit sphere
+    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
+    spread = [
+        [math.sqrt(1.0 - z * z) * math.cos(i * golden_angle), math.sqrt(1.0 - z * z) * math.sin(i * golden_angle), z]
+        for i in range(n)
+        for z in [1.0 - 2.0 * (i + 0.5) / n]
+    ] if dim == 3 else None
+
+    @settings(max_examples=10, deadline=None)
+    @given(direction, st.floats(0.0, 3.0), st.floats(0.1, 4.0), direction, st.floats(0.0, 3.0), direction,
+           st.floats(0.0, 1.0))
+    def check(gc, dc, r, g, s, h, t):
+        c = _at(space, space.base, gc, dc)
+        b = _orthogonal(g, h)
+        assume(b is not None)
+        x, u = _at(space, c, g, s), _at(space, c, h, t * r)
+        bound = hd.characterization_residual(space, hd.Ball(c, r), x, u, 1000) - 1e-9 * (1.0 + space.distance(x, u) ** 2)
+        angles = [2.0 * math.pi * i / n for i in range(n)]
+        circle = ([math.cos(a) * gi + math.sin(a) * bi for gi, bi in zip(g, b)] for a in angles)
+        assert bound <= _least_pairing(space, x, u, c, r, circle)
+        assert spread is None or bound <= _least_pairing(space, x, u, c, r, spread)
+
+    check()
+
+
+def _least_pairing(space, x, u, c, r, directions):
+    """The least <xu, uy> over the points y at distance r from c along the
+    unit tangent coordinates ``directions``."""
+    exp, dxu = space.exponential(c)[1], space.distance(x, u)
+    pts = [exp(None, e, r) for e in directions]
+    return min(0.5 * (a * a - d * d - dxu * dxu) for a, d in zip(space.distances(x, pts), space.distances(u, pts)))
+
+
 @pytest.mark.parametrize("wrapper", [hd.CorruptedSpace, OffsetMetric])
 @pytest.mark.parametrize("family, kind", _EXACT_CASES)
 def test_exact_kinds_keep_their_probes_on_a_wrapper(request, wrapper, family, kind):
@@ -778,8 +872,8 @@ def test_exact_certificates_do_not_depend_on_the_space_cache(request, family, ki
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_a_certificate_refuses_a_probe_count_below_one(E2, H2, count):
-    # the E^2 ball certifies over its extreme points and the H^2 ball over
-    # probes; both refuse the count before they pick their points
+    # the E^2 ball certifies over its extreme points and the H^2 ball by its
+    # circle search; both refuse the count before they pick their points
     for space, center, x in ((E2, ept(E2, 0.0, 0.0), ept(E2, 3.0, 0.4)), (H2, H2.base, hpt_polar(H2, 3.0, 0.4))):
         ball = hd.Ball(center, 1.0)
         u = hd.project_point(space, ball, x)[0]

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -66,3 +69,28 @@ def test_every_function_is_reached_or_listed():
                 if not elsewhere and fn.name not in hd.__all__:
                     unreached.append(prefix + fn.name)
     assert set(unreached) == set(UNREACHED_KEPT)
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+alive = []
+for _ in range(5):
+    for name in [m for m in sys.modules if m == "hadamard" or m.startswith("hadamard.")]:
+        del sys.modules[name]
+    importlib.import_module("hadamard.cli")
+    alive.append(weakref.ref(sys.modules["hadamard.spaces"].Space))
+gc.collect()
+print(sum(ref() is not None for ref in alive))
+"""
+
+
+def test_a_fresh_import_frees_the_one_before_it():
+    # typing's caches keep each subscription such as Union[A, B] made at
+    # import, and with it the classes, their functions' globals and so the
+    # whole package: every earlier copy stayed alive.  The unions are written
+    # A | B and Projection through collections.abc, which typing does not
+    # cache.  In a fresh interpreter, so that no test sees two copies of a class
+    src = str(Path(hd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout.strip() == "1", done.stdout + done.stderr
