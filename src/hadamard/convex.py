@@ -16,10 +16,10 @@ two squared distances cancel.  So on an E^n or tree handle that is its own
 model (``space.model is space``), a ball, a segment and a subtree take the
 exact minimum over a few extreme points of the set.  For a member u, the
 pairing is convex along each geodesic from u in a CAT(0) space: there an
-H^n or product segment takes it by golden-section search, and an E^n
-half-space (whose minimum is 0 or -inf) over its part near u, in closed
-form.  An H^n ball of radius up to ``MAX_HYPERBOLIC_RADIUS`` takes a search
-minimum on the one circle of its sphere that holds the minimum.  Product
+H^n or product segment takes it by Brent's method, and an E^n half-space
+(whose minimum is 0 or -inf) over its part near u, in closed form.  An H^n
+ball of radius up to ``MAX_HYPERBOLIC_RADIUS`` takes a search minimum on
+the one circle of its sphere that holds the minimum.  Product
 balls, larger H^n balls, the whole space and every wrapper handle take it
 over a probe sample instead, which only approximates the "for every y"
 quantifier: probe density trades run time against the smallest detectable
@@ -43,6 +43,7 @@ from .sampling import ball_sampler, sphere, stream
 from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
 
 GOLDEN_STEPS, GOLDEN = 63, (math.sqrt(5.0) - 1.0) / 2.0  # a bracket of 0.618^63 < 1e-13 < 0.618^62
+BRENT_TOL = math.sqrt(sys.float_info.epsilon)  # a certificate search's stop in the weight, over 1 + lam
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -185,7 +186,10 @@ def _segment_projector(space: Space, a: Point, b: Point) -> tuple[Callable[[Poin
 def _golden(at: Callable[[float], Point], f: Callable[[Point], float]) -> tuple[float, Point]:
     """``(lam, at(lam))`` of least f among the points that a golden-section
     search for the minimum of a unimodal ``f(at(lam))`` on [0, 1] evaluates:
-    1 - GOLDEN, GOLDEN, then one per step, to a bracket below 1e-13."""
+    1 - GOLDEN, GOLDEN, then one per step, to a bracket below 1e-13.  It
+    serves the product segment projection, which returns a location and
+    reports a fixed count of ``GOLDEN_STEPS``; certificates take
+    :func:`_brent`."""
 
     def g(lam: float) -> tuple[float, Point, float]:
         y = at(lam)
@@ -203,6 +207,57 @@ def _golden(at: Callable[[float], Point], f: Callable[[Point], float]) -> tuple[
     return lam, y
 
 
+def _brent(
+    at: Callable[[float], Point], f: Callable[[Point], float], start: Optional[tuple[float, float, Point]] = None
+) -> tuple[float, Point]:
+    """``(lam, at(lam))`` of least f among the points that Brent's method
+    (Brent 1973, ch. 5: a parabola through the three best points, or a
+    golden-section step where the parabola's vertex does not shrink the
+    bracket fast enough) evaluates in search of the minimum of
+    ``f(at(lam))`` on [0, 1].  It starts at lam = 1 - GOLDEN, or from
+    ``start = (lam, f, point)`` already measured, and stops once its best
+    point lies within 2 tol of both bracket ends, tol = ``BRENT_TOL`` (1 +
+    lam), or after ``GOLDEN_STEPS`` new points.  It serves the certificates,
+    which need the least value alone: at an interior minimum of a unimodal f
+    the value's error is quadratic in the weight's, at most (2 tol)^2 / 2
+    times the largest f'' within 2 tol of the minimum."""
+
+    def g(t: float) -> tuple[float, Point]:
+        y = at(t)
+        return f(y), y
+
+    x, fx, y = start or (1.0 - GOLDEN, *g(1.0 - GOLDEN))
+    a, b, w, fw, v, fv, d, e = 0.0, 1.0, x, fx, x, fx, 0.0, 0.0
+    for _ in range(GOLDEN_STEPS):
+        m, tol = 0.5 * (a + b), BRENT_TOL * (1.0 + x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol:  # the parabola through x, w and v
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x <= m else -tol
+        else:
+            e = (b if x < m else a) - x
+            d = (1.0 - GOLDEN) * e
+        t = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        ft, yt = g(t)
+        if ft <= fx:
+            a, b = (x, b) if t >= x else (a, x)
+            v, fv, w, fw, x, fx, y = w, fw, x, fx, t, ft, yt
+        else:
+            a, b = (t, b) if t < x else (a, t)
+            if ft <= fw or w == x:
+                v, fv, w, fw = w, fw, t, ft
+            elif ft <= fv or v == x or v == w:
+                v, fv = t, ft
+    return x, y
+
+
 # ---------------------------------------------------------------------------
 # set kinds: each validates its set, then turns it into the record every
 # operation reads
@@ -214,13 +269,14 @@ class _Kind(NamedTuple):
     on the defining inequality, the set's size in a certificate's membership
     tolerance and in the local probe draw, the iterations every projection
     takes (0 for a closed form, ``GOLDEN_STEPS`` for a product segment's
-    search), a ball's or a segment's own probe draw ``(u, count, rng)``
-    before the blend toward u, and ``(x, u) ->`` points of the set at which
+    golden-section search, which must return a location), a ball's or a
+    segment's own probe draw ``(u, count, rng)`` before the blend toward u,
+    and ``(x, u) ->`` points of the set at which
     ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
     where the set's family has them and the handle is its own model;
     ``minimizers``, such points for a member u only (for a half-space, over
-    its part near u; for a segment, by the same search; for an H^n ball, by
-    a search on one circle of its sphere)."""
+    its part near u; for a segment and on one circle of an H^n ball's sphere,
+    by Brent's method, which needs only the least value)."""
 
     project: Projection
     contains: Callable[[Point, float], bool]
@@ -305,7 +361,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
         # lies on one circle of radius r about c (Bridson and Haefliger,
         # II.1-II.4).  That f has a single local minimum on that circle is
         # checked, not proved: the value is a search minimum, a grid of 12
-        # angles and then a golden-section search two grid steps wide.
+        # angles and then Brent's method two grid steps wide, from the best.
         # Directions at c are taken in HyperbolicSpace.exponential's frame,
         # whose coordinates of p, of norm sinh d(c, p), are those of w = p - c
         # less k (w_0 + <w, w>_M / 2) c_i, which does not cancel near c.
@@ -353,8 +409,9 @@ def _ball(space: Space, cset: Ball) -> _Kind:
             values = list(map(pairing, space.distances(x, grid), space.distances(u, grid)))
             best = min(range(12), key=values.__getitem__)
             distance, lo = space.distance, (best - 1) * step
-            least = _golden(lambda lam: at(lo + 2.0 * step * lam), lambda y: pairing(distance(x, y), distance(u, y)))[1]
-            return [u, grid[best], least]
+            least = _brent(lambda lam: at(lo + 2.0 * step * lam), lambda y: pairing(distance(x, y), distance(u, y)),
+                           (0.5, values[best], grid[best]))[1]
+            return [u, least]
 
     return _Kind(project, contains, max(radius, 1.0), probes=probes, extremes=extremes, minimizers=minimizers)
 
@@ -381,9 +438,9 @@ def _segment(space: Space, cset: Segment) -> _Kind:
 
     def search(x: Point, u: Point) -> list[Point]:
         # the pairing along the segment is convex and 0 at u: its least value
-        # lies in the last golden-section bracket, or at a or b
+        # lies in Brent's last bracket, or at a or b
         pairing, distance = pairing_against(space, x, u, u), space.distance
-        least = _golden(space.geodesic(a, b), lambda y: pairing(distance(x, y), distance(u, y)))[1]
+        least = _brent(space.geodesic(a, b), lambda y: pairing(distance(x, y), distance(u, y)))[1]
         return [a, b, u, least]
 
     euclidean = isinstance(space.descriptor, Euclidean)

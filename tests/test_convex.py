@@ -818,6 +818,94 @@ def _least_pairing(space, x, u, c, r, directions):
     return min(0.5 * (a * a - d * d - dxu * dxu) for a, d in zip(space.distances(x, pts), space.distances(u, pts)))
 
 
+# ---------------------------------------------------------------------------
+# the certificate searches: Brent's method, against the golden-section search
+
+_SEARCH_CASES = [case for case in _MEMBER_CASES if case[1] != "halfspace"]
+
+
+def test_a_certificate_search_measures_two_distances_per_point():
+    # on a model handle, whose distance is counted on the instance: a
+    # wrapper handle would drop the minimizers and draw probes.  Each point
+    # the search evaluates costs d(x, y) and d(u, y); the rest is the
+    # certificate's own (membership, d(x, u), the pairings' d(u, u) and
+    # d(x, u), and the segment's length and geodesic kernel), 11 distances on
+    # a segment and 7 on a ball, whose grid measures through ``distances``.
+    # The golden-section search took 2 * 65 for its points
+    space, calls = hd.make_space(hd.Hyperbolic(2)), Counter()
+    inner = space.distance
+
+    def distance(a, b):
+        calls["distance"] += 1
+        return inner(a, b)
+
+    space.distance = distance
+    rng = hd.stream(43, 1)
+    a, b, x, c = (hd.random_point(space, rng, 3.0) for _ in range(4))
+    for cset, points in ((hd.Segment(a, b), 9), (hd.Ball(c, 1.5), 4)):
+        u = hd.project_point(space, cset, x)[0]
+        calls.clear()
+        assert hd.characterization_residual(space, cset, x, u, 1000) == 0.0
+        fixed = 11 if isinstance(cset, hd.Segment) else 7
+        assert calls == {"distance": fixed + 2 * points}, (cset, calls)
+
+
+@pytest.mark.parametrize("family, kind", _SEARCH_CASES)
+def test_no_certificate_search_evaluates_more_points_than_the_golden_section_search(
+    request, monkeypatch, family, kind
+):
+    # at most 2 + GOLDEN_STEPS values of f per search, for the projection
+    # and for another member u
+    space = _exact_space(request, family)
+    sets, points = _exact_strategies(space, kind)
+    brent, counts = convex._brent, []
+
+    def counted(at, f, *start):
+        n = Counter()
+
+        def g(y):
+            n["f"] += 1
+            return f(y)
+
+        found = brent(at, g, *start)
+        counts.append(n["f"])
+        return found
+
+    monkeypatch.setattr(convex, "_brent", counted)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sets, points, points)
+    def check(cset, x, other):
+        for u in (hd.project_point(space, cset, x)[0], hd.project_point(space, cset, other)[0]):
+            hd.characterization_residual(space, cset, x, u, 1000)
+
+    check()
+    assert counts and max(counts) <= 2 + convex.GOLDEN_STEPS, max(counts)
+
+
+@pytest.mark.parametrize("family, kind", _SEARCH_CASES)
+def test_a_certificate_search_agrees_with_the_golden_section_search(request, monkeypatch, family, kind):
+    # the same at and f, searched by convex._golden: the certificates agree
+    # to 1e-12 (1 + d(x, u)^2), at the projection and at another member u
+    space = _exact_space(request, family)
+    sets, points = _exact_strategies(space, kind)
+
+    def golden(at, f, *start):
+        return convex._golden(at, f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sets, points, points)
+    def check(cset, x, other):
+        for u in (hd.project_point(space, cset, x)[0], hd.project_point(space, cset, other)[0]):
+            brent = hd.characterization_residual(space, cset, x, u, 1000)
+            with monkeypatch.context() as m:
+                m.setattr(convex, "_brent", golden)
+                want = hd.characterization_residual(space, cset, x, u, 1000)
+            assert abs(brent - want) <= 1e-12 * (1.0 + space.distance(x, u) ** 2), (brent, want)
+
+    check()
+
+
 @pytest.mark.parametrize("wrapper", [hd.CorruptedSpace, OffsetMetric])
 @pytest.mark.parametrize("family, kind", _EXACT_CASES)
 def test_exact_kinds_keep_their_probes_on_a_wrapper(request, wrapper, family, kind):
