@@ -24,8 +24,8 @@ balls, larger H^n balls, the whole space and every wrapper handle take it
 over a probe sample instead, which only approximates the "for every y"
 quantifier: probe density trades run time against the smallest detectable
 displacement, and the defaults here are tuned for displacements of order
-1e-2 on unit-scale sets.  A ball draws about its center, a segment along
-its weights, and any other set projects draws near u onto itself.
+1e-2 on unit-scale sets.  A segment draws along its weights, and every
+other set projects draws near u onto itself.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .geometry import pairing_against
-from .sampling import ball_sampler, sphere, stream
+from .sampling import ball_sampler, stream
 from .spaces import MAX_HYPERBOLIC_RADIUS, Euclidean, Hyperbolic, Point, Space, WeightedTree, _FrozenRecord
 
 GOLDEN_STEPS, GOLDEN = 63, (math.sqrt(5.0) - 1.0) / 2.0  # a bracket of 0.618^63 < 1e-13 < 0.618^62
@@ -269,9 +269,9 @@ class _Kind(NamedTuple):
     on the defining inequality, the set's size in a certificate's membership
     tolerance and in the local probe draw, the iterations every projection
     takes (0 for a closed form, ``GOLDEN_STEPS`` for a product segment's
-    golden-section search, which must return a location), a ball's or a
-    segment's own probe draw ``(u, count, rng)`` before the blend toward u,
-    and ``(x, u) ->`` points of the set at which
+    golden-section search, which must return a location), a segment's own
+    probe draw ``(u, count, rng)`` before the blend toward u, and
+    ``(x, u) ->`` points of the set at which
     ``y -> <xu, uy>`` reaches its infimum over the set, for any x and u,
     where the set's family has them and the handle is its own model;
     ``minimizers``, such points for a member u only (for a half-space, over
@@ -303,13 +303,6 @@ def _ball(space: Space, cset: Ball) -> _Kind:
 
     def contains(p: Point, tol: float) -> bool:
         return space.distance(center, p) <= radius + tol
-
-    def probes(u: Point, count: int, rng) -> list[Point]:
-        # the first half on the boundary, the rest on interior shells, each
-        # in a uniform direction from the center
-        shells = (0.25, 0.5, 0.75, 0.9)
-        at = sphere(space, center)
-        return [at(rng, radius if i < count // 2 else radius * shells[i % len(shells)]) for i in range(count)]
 
     desc, model = space.descriptor, space.model
     extremes = minimizers = None
@@ -413,7 +406,7 @@ def _ball(space: Space, cset: Ball) -> _Kind:
                            (0.5, values[best], grid[best]))[1]
             return [u, least]
 
-    return _Kind(project, contains, max(radius, 1.0), probes=probes, extremes=extremes, minimizers=minimizers)
+    return _Kind(project, contains, max(radius, 1.0), extremes=extremes, minimizers=minimizers)
 
 
 def _segment(space: Space, cset: Segment) -> _Kind:
@@ -630,12 +623,12 @@ def probe_points(
     ``max(1, count // 8)`` geodesic blends of the last ones toward ``u``, so
     the sample is adversarially dense near the candidate projection.
 
-    A ball draws on its boundary and interior shells about its center, and
-    a segment on a grid of weights and then uniform ones.  Every other set
-    (of scale 1) projects draws from the ball of radius 2 about ``u``.  A
-    certificate reads these probes only for a set without extreme points or
-    minimizers: of the balls, those on a product or a wrapper handle, and an
-    H^n ball of radius above ``MAX_HYPERBOLIC_RADIUS``.
+    A segment draws on a grid of weights and then uniform ones.  Every other
+    set projects draws from the ball of radius 2 * scale about ``u``, where
+    a ball's scale is its radius when that exceeds 1 and every other set's
+    is 1.  A certificate reads these probes only for a set without extreme
+    points or minimizers: of the balls, those on a product or a wrapper
+    handle, and an H^n ball of radius above ``MAX_HYPERBOLIC_RADIUS``.
     """
     space._check(u)
     return _probes(space, _compile(space, cset), u, count, seed)

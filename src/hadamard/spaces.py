@@ -5,11 +5,12 @@ space in the hyperboloid model, metric trees with positive edge lengths, and
 binary products of the above.  A space handle built by :func:`make_space`
 exposes the primitives ``distance`` and ``geodesic_point``, and kernels
 bound to fixed points: ``distances`` from one point, the ``geodesic``
-between two and the ``sphere`` draw about one.  Only H^2 writes
-``distances`` and ``geodesic`` out; every other handle composes them from
-its primitives.  E^2, H^2 and trees write ``sphere`` out; every other
-handle draws it through its ``exponential`` map.  A tree also has the
-``uniform`` draw over its total edge length.
+between two and the ``sphere`` draw about one.  Every handle composes
+``distances`` from its ``distance``; only H^2 writes ``geodesic`` out, and
+every other handle composes it from ``geodesic_point``.  E^2, H^2 and
+trees write ``sphere`` out; every other handle draws it through its
+``exponential`` map.  A tree also has the ``uniform`` draw over its total
+edge length.
 
 Points are immutable values tagged with their space descriptor.  All
 operations return fresh values and keep no hidden state.
@@ -553,27 +554,6 @@ class HyperbolicPlane(HyperbolicSpace):
             s1 = wx * x1 + wy * y1
             s2 = wx * x2 + wy * y2
         return Point(self.descriptor, (math.hypot(1.0, s1, s2), s1, s2))
-
-    def distances(self, a: Point, pts) -> list[float]:
-        desc = self.descriptor
-        if a.space is not desc:
-            self._check(a)
-        a0, a1, a2 = a.data
-        acosh, asinh, sqrt = math.acosh, math.asinh, math.sqrt
-        out = []
-        for p in pts:
-            if p.space is not desc:
-                self._check(p)
-            b0, b1, b2 = p.data
-            t0, t1, t2 = a0 - b0, a1 - b1, a2 - b2
-            m = -(t0 * t0) + t1 * t1 + t2 * t2
-            if m <= 0.0:
-                out.append(0.0)
-            elif m > 4.0 and (q := a0 * b0 - a1 * b1 - a2 * b2) > 3.0:
-                out.append(acosh(q))
-            else:
-                out.append(2.0 * asinh(0.5 * sqrt(m)))
-        return out
 
     def geodesic(self, x: Point, y: Point):
         # d and sinh d once; the chord weights of a short segment stay _geodesic's
